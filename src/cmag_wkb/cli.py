@@ -19,7 +19,10 @@ Examples
   cmag-wkb check-conditions --builtin exponential --c 0.4 --h 1 --region -3,3,-3,3
 
 Exit codes: 0 success, 2 config error, 3 admissibility rejection,
-4 internal identity failure, 5 quadrature resolution refusal.
+4 internal identity failure, 5 quadrature resolution refusal.  The degree
+cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
+--adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 when the fd
+evaluator runs; violating either exits 2 before any work starts.
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1);
 outputs are gathered in sweep order regardless of completion order.
@@ -39,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fieldmodel, numop, pseudomode, wkb
+from . import fieldmodel, pseudomode, wkb
 from .cseries import CurveDivisionError, SeriesDivisionError
 from .fieldmodel import ConditionCheckConfig, check_C, check_H, compute_Q, make_field
 from .pseudomode import (
@@ -50,7 +53,6 @@ from .pseudomode import (
     make_pseudomode,
     residual_finite_difference,
     residual_series_exact,
-    select_cutoff,
 )
 from .wkb import DegenerateFieldError, TransportIdentityError, fit_growth, solve_wkb
 
@@ -154,6 +156,15 @@ def field_from_config(cfg, cap):
         return make_field(name, params, base_point=x0, cap=cap)
     except (ValueError, fieldmodel.FieldConsistencyError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_order(N, cap):
+    """Refuse a transport order that is negative or exceeds the degree budget."""
+    if N < 0:
+        raise ConfigError(f"transport order {N} must be >= 0")
+    if N > wkb.max_transport_order(cap):
+        raise ConfigError(f"--D {cap} too small for transport order {N}: "
+                          f"need --D >= 3(N+2) = {3 * (N + 2)}")
 
 
 def _field_config(args, x0):
@@ -284,6 +295,11 @@ def _jsonable(obj):
 
 
 def cmd_run(args):
+    n_solve = max(args.N, args.jmax) if args.adaptive else args.N
+    _check_order(args.N, args.D)
+    _check_order(n_solve, args.D)
+    if args.evaluator in ("fd", "both") and args.grid_n < 16:
+        raise ConfigError(f"--grid-n {args.grid_n} too small: need >= 16")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cap = args.D
@@ -322,7 +338,6 @@ def cmd_run(args):
         print(f"base point {x0} rejected: {', '.join(report.failed_conditions)}")
         return EXIT_GAMMA
 
-    n_solve = max(args.N, args.jmax if args.adaptive else args.N)
     sol = solve_wkb(field, N=n_solve)
     (out / "wkb_solution.json").write_text(sol.to_json())
     print(f"WKB solve ok: mu = {sol.mu}, N = {sol.N}, "
@@ -410,6 +425,7 @@ def cmd_check_conditions(args):
 
 
 def cmd_bound_fit(args):
+    _check_order(args.jmax, args.D)
     x0 = parse_point(args.x0)
     field = field_from_config(_field_config(args, x0), cap=args.D)
     sol = solve_wkb(field, N=args.jmax)

@@ -23,7 +23,6 @@ monomials, far cheaper than a sparse map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
@@ -115,7 +114,7 @@ class UniSeries:
         return UniSeries(-self.coeffs, self.cap)
 
     def __sub__(self, other):
-        return self + (-other if not np.isscalar(other) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -256,8 +255,6 @@ class BiSeries:
         return BiSeries(-self.coeffs, self.cap, self.center)
 
     def __sub__(self, other):
-        if np.isscalar(other):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -295,13 +292,12 @@ class BiSeries:
         c = np.zeros((D + 1, D + 1), dtype=complex)
         if var == "z":
             c[1:, :] = self.coeffs[:-1, :] / np.arange(1, D + 1)[:, None]
-            dropped = np.any(self.coeffs[_top_diag(D)] != 0)
         elif var == "w":
             c[:, 1:] = self.coeffs[:, :-1] / np.arange(1, D + 1)[None, :]
-            dropped = np.any(self.coeffs[_top_diag(D)] != 0)
         else:
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
         out = BiSeries(_trunc_inplace(c, D), D, self.center)
+        dropped = np.any(self.coeffs[_top_diag(D)] != 0)
         object.__setattr__(out, "truncation_dropped", bool(dropped))
         return out
 
@@ -331,26 +327,6 @@ class BiSeries:
     def evaluate(self, z, w):
         """Horner-scheme value at (z, w); accepts arrays (local coordinates)."""
         return _npoly.polyval2d(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), self.coeffs)
-
-    def evaluate_with_tail(self, z, w):
-        """Value plus a crude tail bound from the last retained diagonal.
-
-        The bound is sum_{a+b=cap} |c_ab| |z|^a |w|^b * rho/(1-rho) with
-        rho = max(|z|, |w|); it is only meaningful for rho < 1 and is left
-        to the caller to judge.
-        """
-        val = self.evaluate(z, w)
-        az, aw = np.abs(z), np.abs(w)
-        rho = np.maximum(az, aw)
-        D = self.cap
-        diag = 0.0
-        for a in range(D + 1):
-            c = self.coeffs[a, D - a]
-            if c != 0:
-                diag = diag + np.abs(c) * az**a * aw ** (D - a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tail = np.where(rho < 1.0, diag * rho / np.maximum(1.0 - rho, 1e-300), np.inf)
-        return val, tail
 
     def realify(self, x1, x2):
         """Value on the real slice w = conj(z), z = x1 + i x2 (local coords)."""
@@ -401,39 +377,8 @@ def _top_diag(cap):
 
 
 # ----------------------------------------------------------------------------
-# named operations (module-level API mirroring the series toolkit)
+# curve restriction and per-degree magnitudes
 # ----------------------------------------------------------------------------
-
-def algebra(op, a, b):
-    """add | sub | mul | scale on series (scale: b is a scalar)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def differentiate(a, var):
-    return a.differentiate(var)
-
-
-def antiderivative(a, var="z"):
-    if isinstance(a, UniSeries):
-        return a.antiderivative()
-    return a.antiderivative(var)
-
-
-def exp_series(a):
-    return a.exp()
-
-
-def reciprocal(a, name="series"):
-    return a.reciprocal(name)
-
 
 def compose_w(a, w_of_z):
     """Restrict to the curve: z ↦ a(z, w(z)).
@@ -465,19 +410,24 @@ def degree_scale(series_list, floor=1e-30):
     caps = {s.cap for s in series_list}
     if len(caps) != 1:
         raise SeriesStructureError("degree_scale: mixed caps")
-    cap = caps.pop()
-    out = np.full(cap + 1, floor)
-    a = np.arange(cap + 1)
+    out = np.full(caps.pop() + 1, floor)
     for s in series_list:
         if isinstance(s, UniSeries):
             out = np.maximum(out, np.abs(s.coeffs))
         else:
-            deg = a[:, None] + a[None, :]
-            mags = np.abs(s.coeffs)
-            for k in range(cap + 1):
-                m = float(np.max(np.where(deg == k, mags, 0.0)))
-                out[k] = max(out[k], m)
+            out = np.maximum(out, degree_maxima(s.coeffs))
     return np.maximum.accumulate(out)
+
+
+def degree_maxima(coeffs):
+    """Largest magnitude of each total degree: entry k is max |c_ab| over
+    a + b = k of a dense triangular (D+1) x (D+1) coefficient array."""
+    D = coeffs.shape[0] - 1
+    mask = _mask(D)
+    a = np.arange(D + 1)
+    out = np.zeros(D + 1)
+    np.maximum.at(out, (a[:, None] + a[None, :])[mask], np.abs(coeffs)[mask])
+    return out
 
 
 def abs_compose_w(a, w_of_z):
@@ -523,14 +473,6 @@ def exact_divide_by_curve(num, w_of_z, rtol=DIV_RTOL):
             f"z-degree {k} exceeds {rtol:.1e} x scale {scale[k]:.3e}"
         )
     return BiSeries(_trunc_inplace(q, D), D, num.center)
-
-
-def evaluate(a, z, w):
-    return a.evaluate_with_tail(z, w)
-
-
-def realify(a, x):
-    return a.realify(x[0], x[1])
 
 
 def implicit_w(Btilde, rtol=1e-11):

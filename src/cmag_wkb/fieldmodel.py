@@ -28,7 +28,7 @@ plus user fields given by polynomial coefficient tables for A1, A2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np

@@ -16,15 +16,16 @@ against grad theta, which matters numerically when |A(x0)| is large).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cseries import real_gradient_series
-from .fieldmodel import FieldSpec, GammaReport, compute_Q
+from .fieldmodel import FieldSpec, compute_Q
 from .wkb import WKBSolution
 
 log = logging.getLogger(__name__)
@@ -196,14 +197,19 @@ class _ThetaEvaluator:
         return worst
 
 
-def compute_theta(field, sol, points):
-    """Gauge values theta(x) at an array of global points, theta(x0) = 0."""
-    ev = _ThetaEvaluator(field, sol)
-    pts = np.asarray(points, dtype=float)
-    y1 = pts[..., 0] - sol.base_point[0]
-    y2 = pts[..., 1] - sol.base_point[1]
-    ev.check_curl_free(max(float(np.max(np.hypot(y1, y2))), 1e-6))
-    return ev(y1, y2)
+def _re_phase(sol, theta, y1, y2):
+    """Re P = Re S - Im theta at local points y."""
+    return sol.S.realify(y1, y2).real - theta(y1, y2).imag
+
+
+def _rep_quadratic(sol, theta, r, n_angles):
+    """Least-squares (c11, c12, c22) with Re P ~ c11 y1^2 + c12 y1 y2 + c22 y2^2
+    on the circle |y| = r."""
+    ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    y1, y2 = r * np.cos(ang), r * np.sin(ang)
+    rows = np.stack([y1**2, y1 * y2, y2**2], axis=1)
+    coef, *_ = np.linalg.lstsq(rows, _re_phase(sol, theta, y1, y2), rcond=None)
+    return coef
 
 
 # ----------------------------------------------------------------------------
@@ -224,17 +230,17 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
     lam_min = float(np.linalg.eigvalsh(Qmat)[0])
     M1 = 0.5 * lam_min
     theta_ev = _ThetaEvaluator(field, sol)
-
-    def reP(y1, y2):
-        return sol.S.realify(y1, y2).real - theta_ev(y1, y2).imag
-
     ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     ca, sa = np.cos(ang), np.sin(ang)
+
+    def reP_over_r2(r):
+        return _re_phase(sol, theta_ev, r * ca, r * sa) / r**2
+
     d_max = min(0.5 * field.analytic_radius, 0.95 * min(sol.trusted_radii))
 
     if delta_override is not None:
         delta = float(delta_override)
-        samples = [reP(r * ca, r * sa) / r**2 for r in np.linspace(delta / 8, delta, 8)]
+        samples = [reP_over_r2(r) for r in np.linspace(delta / 8, delta, 8)]
         m_lo = float(np.min(samples))
         m_hi = float(np.max(samples))
         if m_lo <= 0:
@@ -247,16 +253,13 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
     if lam_min > 0:
         for delta in np.geomspace(d_max, d_max / 64.0, 24):
             radii = np.linspace(delta / 8, delta, 8)
-            vals = [reP(r * ca, r * sa) / r**2 for r in radii]
+            vals = [reP_over_r2(r) for r in radii]
             if all(np.min(v) >= M1 for v in vals):
                 M2 = float(max(np.max(v) for v in vals))
                 return CutoffSpec(r_in=delta / 2, r_out=delta, delta=delta, M1=M1, M2=M2)
 
     # diagnose: fit the actual quadratic of Re P on a small circle
-    r0 = min(d_max / 8, 0.05)
-    vals = reP(r0 * ca, r0 * sa)
-    rows = np.stack([(r0 * ca) ** 2, (r0 * ca) * (r0 * sa), (r0 * sa) ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, vals, rcond=None)
+    coef = _rep_quadratic(sol, theta_ev, min(d_max / 8, 0.05), n_angles)
     fitted = np.array([[coef[0], coef[1] / 2], [coef[1] / 2, coef[2]]])
     eigs = np.linalg.eigvalsh(fitted)
     q2_printed = report.Q2
@@ -299,17 +302,32 @@ class Pseudomode:
             n = self.sol.N
         return max(n, 0)
 
-    def theta_evaluator(self):
+    @functools.cached_property
+    def theta(self):
+        """The gauge evaluator of this pseudomode, built and calibrated once."""
         return _ThetaEvaluator(self.field, self.sol)
 
 
 def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
                     delta_override=None):
     cutoff = select_cutoff(field, sol, report=report, delta_override=delta_override)
-    theta_ev = _ThetaEvaluator(field, sol)
-    theta_ev.check_curl_free(cutoff.r_out)
-    return Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule=N_rule,
-                      N_fixed=N, m_growth=m_growth)
+    pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule=N_rule,
+                    N_fixed=N, m_growth=m_growth)
+    pm.theta.check_curl_free(cutoff.r_out)
+    return pm
+
+
+def _mode(pm, h, N, y1, y2):
+    """exp(-P/h), chi, the amplitude sum sum_{j<=N} h^j a_j and
+    u = chi exp(-P/h) sum h^j a_j at local points y."""
+    sol = pm.sol
+    P = sol.S.realify(y1, y2) + 1j * pm.theta(y1, y2)
+    E = np.exp(-P / h)
+    chi = pm.cutoff.chi(np.hypot(y1, y2))
+    amp = np.zeros_like(P)
+    for j in range(N + 1):
+        amp = amp + h**j * sol.amplitudes[j].realify(y1, y2)
+    return E, chi, amp, chi * E * amp
 
 
 def assemble(pm, h):
@@ -318,7 +336,6 @@ def assemble(pm, h):
         raise ValueError("h must be positive")
     N = pm.N_used(h)
     sol, cut = pm.sol, pm.cutoff
-    theta_ev = pm.theta_evaluator()
 
     def u(x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -330,12 +347,7 @@ def assemble(pm, h):
         out = np.zeros(np.broadcast(y1, y2).shape, dtype=complex)
         if not np.any(inside):
             return out
-        i1, i2 = y1[inside], y2[inside]
-        P = sol.S.realify(i1, i2) + 1j * theta_ev(i1, i2)
-        amp = np.zeros_like(P)
-        for j in range(N + 1):
-            amp = amp + h**j * sol.amplitudes[j].realify(i1, i2)
-        out[inside] = cut.chi(r[inside]) * np.exp(-P / h) * amp
+        out[inside] = _mode(pm, h, N, y1[inside], y2[inside])[-1]
         return out
 
     return u
@@ -419,40 +431,31 @@ class _ResidualField:
         self.h = h
         self.N = pm.N_used(h)
         sol = pm.sol
-        self.theta_ev = pm.theta_evaluator()
         self.lap_aN = 4.0 * sol.amplitudes[self.N].differentiate("z").differentiate("w")
         self.grads = [real_gradient_series(sol.amplitudes[j]) for j in range(self.N + 1)]
         self.dS1, self.dS2 = real_gradient_series(sol.S)
 
-    def components(self, y1, y2, u_only=False):
+    def components(self, y1, y2):
         pm, h, N = self.pm, self.h, self.N
-        sol, cut = pm.sol, pm.cutoff
+        cut = pm.cutoff
+        E, chi, amp, u = _mode(pm, h, N, y1, y2)
         r = np.hypot(y1, y2)
-        P = sol.S.realify(y1, y2) + 1j * self.theta_ev(y1, y2)
-        E = np.exp(-P / h)
-        chi = cut.chi(r)
-        amp = np.zeros_like(P)
-        for j in range(N + 1):
-            amp = amp + h**j * sol.amplitudes[j].realify(y1, y2)
-        u = chi * E * amp
-        if u_only:
-            return u, None, None
         dchi = cut.chi_prime(r)
         lapchi = cut.chi_lap(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             n1 = np.where(r > 0, y1 / np.maximum(r, 1e-300), 0.0)
             n2 = np.where(r > 0, y2 / np.maximum(r, 1e-300), 0.0)
         ring = dchi != 0.0
-        damp1 = np.zeros_like(P)
-        damp2 = np.zeros_like(P)
+        damp1 = np.zeros_like(u)
+        damp2 = np.zeros_like(u)
         for j in range(N + 1):
             g1, g2 = self.grads[j]
             damp1[ring] += h**j * g1.realify(y1[ring], y2[ring])
             damp2[ring] += h**j * g2.realify(y1[ring], y2[ring])
         interior = chi * E * h ** (N + 2) * (-self.lap_aN.realify(y1, y2))
-        lin1 = np.zeros_like(P)
-        lin2 = np.zeros_like(P)
-        m1, m2 = self.theta_ev.M(y1[ring], y2[ring])
+        lin1 = np.zeros_like(u)
+        lin2 = np.zeros_like(u)
+        m1, m2 = pm.theta.M(y1[ring], y2[ring])
         lin1[ring] = self.dS1.realify(y1[ring], y2[ring]) + 1j * m1
         lin2[ring] = self.dS2.realify(y1[ring], y2[ring]) + 1j * m2
         cutoff_term = E * (
@@ -475,44 +478,27 @@ def residual_series_exact(pm, h, n=None, rtol=0.01):
     rf = _ResidualField(pm, h)
     n = n or quadrature_points(h, cut.r_out)
 
-    def norms_at(m, full):
+    def disc_nodes(m):
         X1, X2, W = _gl_grid(cut.r_out, m)
         mask = np.hypot(X1, X2) < cut.r_out
-        y1, y2, w = X1[mask], X2[mask], W[mask]
-        if not full:
-            u, _, _ = rf.components(y1, y2, u_only=True)
-            return (float(np.sum(np.abs(u) ** 2 * w)),)
-        u, interior, cutoff_term = rf.components(y1, y2)
-        return (
-            float(np.sum(np.abs(u) ** 2 * w)),
-            float(np.sum(np.abs(interior + cutoff_term) ** 2 * w)),
-            float(np.sum(np.abs(interior) ** 2 * w)),
-            float(np.sum(np.abs(cutoff_term) ** 2 * w)),
-        )
+        return X1[mask], X2[mask], W[mask]
 
-    (un1,) = norms_at(n, full=False)
-    un2, rn2, in2, cn2 = norms_at(2 * n, full=True)
+    y1, y2, w = disc_nodes(n)
+    un1 = float(np.sum(np.abs(_mode(pm, h, rf.N, y1, y2)[-1]) ** 2 * w))
+    y1, y2, w = disc_nodes(2 * n)
+    u, interior, cutoff_term = rf.components(y1, y2)
+    un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))
+                          for v in (u, interior + cutoff_term, interior, cutoff_term))
     if abs(un2 - un1) > rtol * un2:
         raise QuadratureResolutionError(
             f"residual quadrature unresolved at n={n}: retry with n >= {4 * n}"
         )
-    tail = series_tail_bound(pm.sol, cut.r_out)
     return ResidualReport(
         h=h, N_used=rf.N, u_norm=math.sqrt(un2), residual_norm=math.sqrt(rn2),
         ratio=math.sqrt(rn2 / un2), evaluator="series_exact",
-        quadrature_points=(2 * n) ** 2, tail_estimate=float(tail),
+        quadrature_points=(2 * n) ** 2, tail_estimate=pm.sol.tail_bound(cut.r_out),
         interior_norm=math.sqrt(in2), cutoff_norm=math.sqrt(cn2),
     )
-
-
-def series_tail_bound(sol, r):
-    """Crude truncation-tail estimate at radius r: last-diagonal magnitude of
-    the phase series scaled by the trusted-radius geometric factor."""
-    cap = sol.S.cap
-    a = np.arange(cap + 1)
-    diag = float(np.abs(sol.S.coeffs[a, cap - a]).sum()) * r**cap
-    rho = r / max(min(sol.trusted_radii), 1e-300)
-    return diag * rho / (1.0 - rho) if rho < 1.0 else float("inf")
 
 
 def residual_finite_difference(pm, h, n=512, L=None):
@@ -530,11 +516,10 @@ def residual_finite_difference(pm, h, n=512, L=None):
     w = grid.spacing**2
     un = math.sqrt(float(np.sum(np.abs(u) ** 2)) * w)
     rn = math.sqrt(float(np.sum(np.abs(res) ** 2)) * w)
-    tail = series_tail_bound(pm.sol, pm.cutoff.r_out)
     return ResidualReport(
         h=h, N_used=pm.N_used(h), u_norm=un, residual_norm=rn, ratio=rn / un,
         evaluator="finite_difference", quadrature_points=n * n,
-        tail_estimate=float(tail),
+        tail_estimate=pm.sol.tail_bound(pm.cutoff.r_out),
     )
 
 
@@ -612,15 +597,8 @@ def amplitude_sum_bound(pm, h, n_samples=64):
 
 def rep_quadratic_fit(pm, radius=None, n_angles=64):
     """Fitted quadratic (c11, c12, c22) of Re P on a small circle."""
-    sol = pm.sol
-    theta_ev = pm.theta_evaluator()
     r = radius or min(0.05, pm.cutoff.r_out / 8)
-    ang = np.linspace(0, 2 * np.pi, n_angles, endpoint=False)
-    y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    vals = sol.S.realify(y1, y2).real - theta_ev(y1, y2).imag
-    rows = np.stack([y1**2, y1 * y2, y2**2], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, vals, rcond=None)
-    return tuple(float(c) for c in coef)
+    return tuple(float(c) for c in _rep_quadratic(pm.sol, pm.theta, r, n_angles))
 
 
 def rep_cubic_remainder(pm, report=None, n_samples=128):
@@ -632,12 +610,10 @@ def rep_cubic_remainder(pm, report=None, n_samples=128):
     """
     if report is None:
         report = compute_Q(pm.field)
-    sol, cut = pm.sol, pm.cutoff
-    theta_ev = pm.theta_evaluator()
     rng = np.random.default_rng(11)
-    r = cut.r_out * np.cbrt(rng.uniform(1e-3, 1.0, n_samples))
+    r = pm.cutoff.r_out * np.cbrt(rng.uniform(1e-3, 1.0, n_samples))
     ang = rng.uniform(0, 2 * np.pi, n_samples)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    reP = sol.S.realify(y1, y2).real - theta_ev(y1, y2).imag
+    reP = _re_phase(pm.sol, pm.theta, y1, y2)
     Q = report.Q1 * y1**2 - 2 * report.Q2 * y1 * y2 + report.Q3 * y2**2
     return float(np.max(np.abs(reP - Q) / r**3))

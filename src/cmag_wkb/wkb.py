@@ -34,6 +34,7 @@ from .cseries import (
     abs_compose_w,
     compose_w,
     curve_integral_w,
+    degree_maxima,
     degree_scale,
     exact_divide_by_curve,
     implicit_w,
@@ -78,20 +79,8 @@ def _curve_check_scale(series, w_curve, parent_scale=0.0):
 def _assert_small(res_coeffs, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
     """Per-degree check: coefficients of degree k <= trusted_deg must stay
     below rtol * scale_vec[k] (scale_vec from the terms of the identity)."""
-    D = res_coeffs.shape[0] - 1
-    a = np.arange(D + 1)
-    deg = a[:, None] + a[None, :]
-    mags = np.abs(res_coeffs)
-    worst_rel, worst_abs, worst_deg = 0.0, 0.0, 0
-    for k in range(min(trusted_deg, D) + 1):
-        m = float(np.max(np.where(deg == k, mags, 0.0)))
-        rel = m / max(scale_vec[k], 1e-300)
-        if rel > worst_rel:
-            worst_rel, worst_abs, worst_deg = rel, m, k
-    if worst_rel > rtol:
-        raise TransportIdentityError(equation, worst_abs, worst_deg,
-                                     rtol * scale_vec[worst_deg])
-    return worst_rel
+    return _assert_small_uni(degree_maxima(res_coeffs), trusted_deg, scale_vec,
+                             equation, rtol)
 
 
 def _assert_small_uni(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
@@ -307,8 +296,13 @@ class WKBSolution:
     def cap(self):
         return self.phi.cap
 
-    def tail_radius(self, tol=1e-4):
-        return min(self.trusted_radii)
+    def tail_bound(self, r):
+        """Truncation-tail estimate of the phase at radius r: the last
+        retained diagonal of S at r, times rho/(1 - rho) with rho = r over
+        the trusted radius (infinite from rho = 1 on)."""
+        diag = _last_diagonal(self.S) * r**self.S.cap
+        rho = r / max(min(self.trusted_radii), 1e-300)
+        return diag * rho / (1.0 - rho) if rho < 1.0 else float("inf")
 
     # -- serialization ----------------------------------------------------
     def to_json(self):
@@ -437,12 +431,17 @@ def solve_wkb(field_or_series, N=3, base_point=None):
     )
 
 
+def _last_diagonal(s):
+    """Sum of |c_ab| over the last retained diagonal a + b = cap."""
+    a = np.arange(s.cap + 1)
+    return float(np.abs(s.coeffs[a, s.cap - a]).sum())
+
+
 def _trusted_radius(series_list, cap, tol=1e-4):
     """Radius r where the last retained diagonal contributes <= tol at (r, r)."""
     r = np.inf
     for s in series_list:
-        a = np.arange(cap + 1)
-        diag = np.abs(s.coeffs[a, cap - a]).sum()
+        diag = _last_diagonal(s)
         if diag > 0:
             r = min(r, float((tol / diag) ** (1.0 / cap)))
     return min(r, 1e6)

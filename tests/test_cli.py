@@ -112,6 +112,16 @@ def test_run_config_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert main(["run", "--builtin", "polynomial", "--h", "nonsense",
                  "--x0", "0,0", "--out", str(tmp_path / "y")]) == EXIT_CONFIG
+    # transport order beyond the degree budget --D >= 3(N+2), negative order,
+    # and a finite-difference grid below 16 points: refused before any work
+    assert main(["run", "--builtin", "polynomial", "--N", "7",
+                 "--out", str(tmp_path / "n7")]) == EXIT_CONFIG
+    assert main(["run", "--builtin", "polynomial", "--N", "-1",
+                 "--out", str(tmp_path / "neg")]) == EXIT_CONFIG
+    assert main(["bound-fit", "--builtin", "polynomial", "--jmax", "7"]) == EXIT_CONFIG
+    assert main(["run", "--builtin", "polynomial", "--evaluator", "fd", "--grid-n", "8",
+                 "--out", str(tmp_path / "fd")]) == EXIT_CONFIG
+    assert not any((tmp_path / d).exists() for d in ("n7", "neg", "fd"))
 
 
 def test_gamma_scan_csv(tmp_path):

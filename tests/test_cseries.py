@@ -254,8 +254,7 @@ def test_t_average_of_w_linear():
 
 def test_evaluate_constant_everywhere():
     c = BiSeries.constant(2.5 - 1j, 6)
-    v, tail = c.evaluate_with_tail(0.3, -0.2)
-    assert v == 2.5 - 1j and tail == 0.0
+    assert c.evaluate(0.3, -0.2) == 2.5 - 1j
 
 
 def test_evaluate_zw():
@@ -277,12 +276,6 @@ def test_realify_zw_and_z():
     z = bi([(1, 0, 1.0)])
     assert zw.realify(0.6, -0.8) == pytest.approx(1.0)
     assert z.realify(0.6, -0.8) == pytest.approx(0.6 - 0.8j)
-
-
-def test_tail_bound_flags_large_arguments():
-    a = bi([(4, 4, 1.0)])
-    _, tail = a.evaluate_with_tail(0.99, 0.99)
-    assert tail > 1.0  # the caller gets warned via the bound
 
 
 # ----------------------------------------------------------------------------

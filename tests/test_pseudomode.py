@@ -7,6 +7,7 @@ import pytest
 
 from cmag_wkb.cseries import BiSeries, UniSeries
 from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, user_polynomial_field
+from cmag_wkb import pseudomode
 from cmag_wkb.pseudomode import (
     CutoffSpec,
     PhaseNotPositiveError,
@@ -16,7 +17,6 @@ from cmag_wkb.pseudomode import (
     amplitude_sum_bound,
     assemble,
     canonical_field,
-    compute_theta,
     fit_decay,
     make_pseudomode,
     norm_L2,
@@ -81,13 +81,15 @@ def test_theta_zero_in_canonical_gauge(work_setup):
     field, rep, sol, pm = work_setup
     canon = canonical_field(field, sol)
     pts = np.array([[0.1, 0.0], [0.0, -0.2], [0.15, 0.1]])
-    th = compute_theta(canon, sol, pts)
-    assert np.max(np.abs(th)) < 1e-10
+    y1, y2 = (pts - np.array(sol.base_point)).T
+    ev = pseudomode._ThetaEvaluator(canon, sol)
+    ev.check_curl_free(float(np.max(np.hypot(y1, y2))))
+    assert np.max(np.abs(ev(y1, y2))) < 1e-10
 
 
 def test_theta_gradient_reproduces_gauge_difference(work_setup):
     field, rep, sol, pm = work_setup
-    ev = pm.theta_evaluator()
+    ev = pm.theta
     y = np.array([0.21, -0.13])
     d = 1e-5
     g1 = (ev(y[0] + d, y[1]) - ev(y[0] - d, y[1])) / (2 * d)
@@ -96,6 +98,26 @@ def test_theta_gradient_reproduces_gauge_difference(work_setup):
     a1, a2 = field.A(sol.base_point[0] + y[0], sol.base_point[1] + y[1])
     assert abs(g1 - (m1 - a1)) < 1e-6
     assert abs(g2 - (m2 - a2)) < 1e-6
+
+
+def test_one_theta_evaluator_per_pseudomode(monkeypatch):
+    # select_cutoff builds one before the pseudomode exists; every later use
+    # (curl check, residuals, assembly) shares the pseudomode's own
+    built = []
+    init = pseudomode._ThetaEvaluator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pseudomode._ThetaEvaluator, "__init__", counting_init)
+    field = polynomial_field(1.0, 1j, 1.0, cap=12)
+    pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    residual_series_exact(pm, 0.1)
+    residual_series_exact(pm, 0.05)
+    assemble(pm, 0.1)(np.array([0.01, 0.02]), np.array([0.0, -0.01]))
+    assert len(built) == 2
+    assert built[-1] is pm.theta
 
 
 def test_theta_second_derivative_identity_oscillating():
