@@ -18,11 +18,22 @@ solver in :mod:`cmag_wkb.wkb` does exactly that.
 Storage is dense: a (D+1) x (D+1) complex array with the a+b > D corner kept
 identically zero.  At the default cap D = 24 that is at most 325 active
 monomials, far cheaper than a sparse map.
+
+Degree-wise arithmetic has one kernel.  ``parts()`` lists the homogeneous
+parts of a series: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by
+the z-degree (for a UniSeries it is the single coefficient c[k]).  The part of
+degree k of a product is the sum over j of ``np.convolve`` of part j with part
+k-j, so the bivariate product, ``exp`` (Euler-operator recurrence) and
+``reciprocal`` are per-degree convolution sums, and the per-degree readers
+(``degree_maxima``, the dropped-term flag of ``antiderivative``) reduce single
+parts.  The sums are direct, never FFTs: the roundoff of degree k is set by the
+magnitudes that enter degree k, which the per-degree identity scales rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as _npoly
@@ -45,14 +56,88 @@ class CurveDivisionError(ValueError):
     """exact_divide_by_curve applied to a series not vanishing on the curve."""
 
 
+@lru_cache(maxsize=None)
 def _mask(cap):
     a = np.arange(cap + 1)
     return (a[:, None] + a[None, :]) <= cap
 
 
-def _trunc_inplace(c, cap):
-    c[~_mask(cap)] = 0.0
-    return c
+@lru_cache(maxsize=None)
+def _graded_index(cap):
+    """(rows, cols) listing c[a, k-a] for a = 0..k, degree k = 0..cap in turn."""
+    k = np.repeat(np.arange(cap + 1), np.arange(1, cap + 2))
+    a = np.concatenate([np.arange(d + 1) for d in range(cap + 1)])
+    return a, k - a
+
+
+def _convolve_sum(xs, y, k, out):
+    """Add the sum of x_j * y_{k-j} (np.convolve) to ``out``, over the pairs
+    (j, x_j) of ``xs`` (ascending in j) with j <= k; a ``None`` part of ``y``
+    is zero and skipped."""
+    for j, xj in xs:
+        if j > k:
+            break
+        yj = y[k - j]
+        if yj is not None:
+            out += np.convolve(xj, yj)
+    return out
+
+
+class _Series:
+    """Ring jobs shared by UniSeries and BiSeries; ``exp`` and ``reciprocal``
+    are recurrences over the homogeneous parts.
+
+    Subclasses provide ``_check(other)``, ``_new(coeffs)`` (same cap and
+    center), ``parts()`` and ``_with_parts(parts)``.
+    """
+
+    def __add__(self, other):
+        if np.isscalar(other):
+            c = self.coeffs.copy()
+            c.flat[0] += other
+            return self._new(c)
+        self._check(other)
+        return self._new(self.coeffs + other.coeffs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __abs__(self):
+        """Coefficient-wise magnitudes (the majorant series)."""
+        return self._new(np.abs(self.coeffs))
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.coeffs)))
+
+    def exp(self):
+        """Euler-operator recurrence k g_k = sum_{j>=1} j n_j * g_{k-j},
+        g_0 = exp(n_0) (Knuth, TAOCP vol. 2, 4.7)."""
+        n = self.parts()
+        jn = [(j, j * p) for j, p in enumerate(n) if j and p.any()]
+        g = [np.exp(n[0])]
+        for k in range(1, self.cap + 1):
+            g.append(_convolve_sum(jn, g, k, np.zeros_like(n[k])) / k)
+        return self._with_parts(g)
+
+    def reciprocal(self, name="series"):
+        """c_0 g_k = -sum_{j>=1} c_j * g_{k-j}, g_0 = 1/c_0."""
+        c = self.parts()
+        c0 = c[0][0]
+        if abs(c0) == 0.0:
+            raise SeriesDivisionError(f"reciprocal of {name}: constant term is 0")
+        cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
+        g = [1.0 / c[0]]
+        for k in range(1, self.cap + 1):
+            g.append(-_convolve_sum(cs, g, k, np.zeros_like(c[k])) / c0)
+        return self._with_parts(g)
 
 
 # ----------------------------------------------------------------------------
@@ -60,7 +145,7 @@ def _trunc_inplace(c, cap):
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UniSeries:
+class UniSeries(_Series):
     """Coefficients c[k] of z**k, 0 <= k <= cap; length is always cap+1."""
 
     coeffs: np.ndarray
@@ -87,45 +172,19 @@ class UniSeries:
         c[0] = value
         return UniSeries(c, cap)
 
-    @staticmethod
-    def variable(cap):
-        c = np.zeros(cap + 1, dtype=complex)
-        c[1] = 1.0
-        return UniSeries(c, cap)
-
     # -- ring operations -------------------------------------------------
     def _check(self, other):
         if self.cap != other.cap:
-            raise SeriesStructureError(
-                f"cap mismatch: {self.cap} vs {other.cap}"
-            )
+            raise SeriesStructureError(f"cap mismatch: {self.cap} vs {other.cap}")
 
-    def __add__(self, other):
-        if np.isscalar(other):
-            c = self.coeffs.copy()
-            c[0] += other
-            return UniSeries(c, self.cap)
-        self._check(other)
-        return UniSeries(self.coeffs + other.coeffs, self.cap)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniSeries(-self.coeffs, self.cap)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _new(self, coeffs):
+        return UniSeries(coeffs, self.cap)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return UniSeries(self.coeffs * other, self.cap)
+            return self._new(self.coeffs * other)
         self._check(other)
-        return UniSeries(
-            np.convolve(self.coeffs, other.coeffs)[: self.cap + 1], self.cap
-        )
+        return self._new(np.convolve(self.coeffs, other.coeffs)[: self.cap + 1])
 
     __rmul__ = __mul__
 
@@ -142,31 +201,12 @@ class UniSeries:
         object.__setattr__(out, "truncation_dropped", bool(self.coeffs[-1] != 0))
         return out
 
-    def exp(self):
-        c0 = self.coeffs[0]
-        n = self.coeffs.copy()
-        n[0] = 0.0
-        out = np.zeros(self.cap + 1, dtype=complex)
-        out[0] = 1.0
-        term = out.copy()
-        for k in range(1, self.cap + 1):
-            term = np.convolve(term, n)[: self.cap + 1] / k
-            out += term
-        return UniSeries(np.exp(c0) * out, self.cap)
+    def parts(self):
+        """Homogeneous parts: entry k is the one-element array c[k:k+1]."""
+        return [self.coeffs[k:k + 1] for k in range(self.cap + 1)]
 
-    def reciprocal(self, name="series"):
-        c0 = self.coeffs[0]
-        if abs(c0) == 0.0:
-            raise SeriesDivisionError(f"reciprocal of {name}: constant term is 0")
-        n = self.coeffs / c0
-        n[0] = 0.0
-        out = np.zeros(self.cap + 1, dtype=complex)
-        out[0] = 1.0
-        term = out.copy()
-        for _ in range(self.cap):
-            term = np.convolve(term, -n)[: self.cap + 1]
-            out += term
-        return UniSeries(out / c0, self.cap)
+    def _with_parts(self, parts):
+        return self._new(np.concatenate(parts))
 
     def __call__(self, z):
         return _npoly.polyval(z, self.coeffs)
@@ -177,16 +217,13 @@ class UniSeries:
         c[:, 0] = self.coeffs
         return BiSeries(c, self.cap, center)
 
-    def max_abs(self):
-        return float(np.max(np.abs(self.coeffs)))
-
 
 # ----------------------------------------------------------------------------
 # bivariate series
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BiSeries:
+class BiSeries(_Series):
     """Dense triangular coefficients c[a, b] of z**a w**b with a+b <= cap."""
 
     coeffs: np.ndarray
@@ -199,7 +236,7 @@ class BiSeries:
             raise SeriesStructureError(
                 f"BiSeries cap {self.cap} needs shape {(self.cap + 1,) * 2}, got {c.shape}"
             )
-        c = _trunc_inplace(c.copy(), self.cap)
+        c = np.where(_mask(self.cap), c, 0.0)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "center", (complex(self.center[0]), complex(self.center[1])))
@@ -234,43 +271,29 @@ class BiSeries:
                 f"center mismatch: {self.center} vs {other.center}"
             )
 
-    def __getitem__(self, ab):
-        return self.coeffs[ab]
+    def parts(self):
+        """Homogeneous parts: entry k is the 1-D array of c[a, k-a], a = 0..k."""
+        flat = self.coeffs[_graded_index(self.cap)]
+        return [flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(self.cap + 1)]
 
-    def max_abs(self):
-        return float(np.max(np.abs(self.coeffs)))
+    def _new(self, coeffs):
+        return BiSeries(coeffs, self.cap, self.center)
+
+    def _with_parts(self, parts):
+        c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
+        c[_graded_index(self.cap)] = np.concatenate(parts)
+        return self._new(c)
 
     # -- ring operations -------------------------------------------------
-    def __add__(self, other):
-        if np.isscalar(other):
-            c = self.coeffs.copy()
-            c[0, 0] += other
-            return BiSeries(c, self.cap, self.center)
-        self._check(other)
-        return BiSeries(self.coeffs + other.coeffs, self.cap, self.center)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiSeries(-self.coeffs, self.cap, self.center)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if np.isscalar(other):
-            return BiSeries(self.coeffs * other, self.cap, self.center)
+            return self._new(self.coeffs * other)
         self._check(other)
-        D = self.cap
-        out = np.zeros((D + 1, D + 1), dtype=complex)
-        x, y = self.coeffs, other.coeffs
-        nz = np.argwhere(x != 0)
-        for a, b in nz:
-            out[a:, b:] += x[a, b] * y[: D + 1 - a, : D + 1 - b]
-        return BiSeries(_trunc_inplace(out, D), D, self.center)
+        x, y = self.parts(), other.parts()
+        xs = [(j, p) for j, p in enumerate(x) if p.any()]
+        ys = [p if p.any() else None for p in y]
+        return self._with_parts([_convolve_sum(xs, ys, k, np.zeros_like(p))
+                                 for k, p in enumerate(x)])
 
     __rmul__ = __mul__
 
@@ -284,7 +307,7 @@ class BiSeries:
             c[:, :-1] = self.coeffs[:, 1:] * np.arange(1, D + 1)[None, :]
         else:
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
-        return BiSeries(_trunc_inplace(c, D), D, self.center)
+        return BiSeries(c, D, self.center)
 
     def antiderivative(self, var):
         """Term-wise integral vanishing at the center; top-degree input terms drop."""
@@ -296,32 +319,9 @@ class BiSeries:
             c[:, 1:] = self.coeffs[:, :-1] / np.arange(1, D + 1)[None, :]
         else:
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
-        out = BiSeries(_trunc_inplace(c, D), D, self.center)
-        dropped = np.any(self.coeffs[_top_diag(D)] != 0)
-        object.__setattr__(out, "truncation_dropped", bool(dropped))
+        out = BiSeries(c, D, self.center)
+        object.__setattr__(out, "truncation_dropped", bool(self.parts()[-1].any()))
         return out
-
-    def exp(self):
-        c0 = self.coeffs[0, 0]
-        n = BiSeries(self.coeffs - c0 * _e00(self.cap), self.cap, self.center)
-        out = BiSeries.constant(1.0, self.cap, self.center)
-        term = out
-        for k in range(1, self.cap + 1):
-            term = term * n * (1.0 / k)
-            out = out + term
-        return np.exp(c0) * out
-
-    def reciprocal(self, name="series"):
-        c0 = self.coeffs[0, 0]
-        if abs(c0) == 0.0:
-            raise SeriesDivisionError(f"reciprocal of {name}: constant term is 0")
-        n = BiSeries((self.coeffs / c0) - _e00(self.cap), self.cap, self.center)
-        out = BiSeries.constant(1.0, self.cap, self.center)
-        term = out
-        for _ in range(self.cap):
-            term = term * (-1.0 * n)
-            out = out + term
-        return out * (1.0 / c0)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, z, w):
@@ -365,17 +365,6 @@ class BiSeries:
         return BiSeries(c, cap, center)
 
 
-def _e00(cap):
-    e = np.zeros((cap + 1, cap + 1), dtype=complex)
-    e[0, 0] = 1.0
-    return e
-
-
-def _top_diag(cap):
-    a = np.arange(cap + 1)
-    return (a[:, None] + a[None, :]) == cap
-
-
 # ----------------------------------------------------------------------------
 # curve restriction and per-degree magnitudes
 # ----------------------------------------------------------------------------
@@ -412,29 +401,18 @@ def degree_scale(series_list, floor=1e-30):
         raise SeriesStructureError("degree_scale: mixed caps")
     out = np.full(caps.pop() + 1, floor)
     for s in series_list:
-        if isinstance(s, UniSeries):
-            out = np.maximum(out, np.abs(s.coeffs))
-        else:
-            out = np.maximum(out, degree_maxima(s.coeffs))
+        out = np.maximum(out, degree_maxima(s))
     return np.maximum.accumulate(out)
 
 
-def degree_maxima(coeffs):
-    """Largest magnitude of each total degree: entry k is max |c_ab| over
-    a + b = k of a dense triangular (D+1) x (D+1) coefficient array."""
-    D = coeffs.shape[0] - 1
-    mask = _mask(D)
-    a = np.arange(D + 1)
-    out = np.zeros(D + 1)
-    np.maximum.at(out, (a[:, None] + a[None, :])[mask], np.abs(coeffs)[mask])
-    return out
+def degree_maxima(series):
+    """Largest coefficient magnitude of each homogeneous part of a series."""
+    return np.array([np.abs(p).max() for p in series.parts()])
 
 
 def abs_compose_w(a, w_of_z):
     """Per-degree magnitude bound for compose_w: |a| composed with |w|."""
-    absa = BiSeries(np.abs(a.coeffs), a.cap, a.center)
-    absw = UniSeries(np.abs(w_of_z.coeffs), w_of_z.cap)
-    return compose_w(absa, absw)
+    return compose_w(abs(a), abs(w_of_z))
 
 
 def exact_divide_by_curve(num, w_of_z, rtol=DIV_RTOL):
@@ -465,14 +443,13 @@ def exact_divide_by_curve(num, w_of_z, rtol=DIV_RTOL):
     scale = np.maximum.accumulate(
         np.maximum(mag, np.maximum(np.abs(num.coeffs[:, 0]), num.max_abs() * 1e-6))
     )
-    bad = rem > rtol * np.maximum(scale, 1e-300)
-    if np.any(bad):
+    if not np.all(rem <= rtol * np.maximum(scale, 1e-300)):
         k = int(np.argmax(rem / np.maximum(scale, 1e-300)))
         raise CurveDivisionError(
             f"series does not vanish on the curve: remainder {rem[k]:.3e} at "
             f"z-degree {k} exceeds {rtol:.1e} x scale {scale[k]:.3e}"
         )
-    return BiSeries(_trunc_inplace(q, D), D, num.center)
+    return BiSeries(q, D, num.center)
 
 
 def implicit_w(Btilde, rtol=1e-11):
@@ -499,7 +476,7 @@ def implicit_w(Btilde, rtol=1e-11):
     resid = np.abs(compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0])
     scale = np.maximum.accumulate(np.maximum(abs_compose_w(Btilde, wz).coeffs.real,
                                              Btilde.max_abs() * 1e-6))
-    if np.any(resid > rtol * np.maximum(scale, 1e-300)):
+    if not np.all(resid <= rtol * np.maximum(scale, 1e-300)):
         k = int(np.argmax(resid / np.maximum(scale, 1e-300)))
         raise CurveDivisionError(
             f"implicit curve solve did not converge: residual {resid[k]:.3e} "
@@ -533,22 +510,23 @@ def t_average(g, w_of_z):
 
 def complexify_real_taylor(breal, cap, center=(0.0, 0.0)):
     """Turn real-Taylor data b[m, n] (coefficients of y1^m y2^n) into the
-    series of the complexified function a((z+w)/2, (z-w)/(2i))."""
+    series of the complexified function a((z+w)/2, (z-w)/(2i)).
+
+    Closed form per term: y1^m y2^n = 2^-m (2i)^-n (z+w)^m (z-w)^n, whose
+    degree-(m+n) part is the convolution of two binomial rows (in the part
+    order, (z-w)^n has C(n, a) (-1)^(n-a) at z-degree a).
+    """
     breal = np.asarray(breal, dtype=complex)
-    y1 = BiSeries.from_terms([(1, 0, 0.5), (0, 1, 0.5)], cap, center)
-    y2 = BiSeries.from_terms([(1, 0, 1 / 2j), (0, 1, -1 / 2j)], cap, center)
-    y1p = [BiSeries.constant(1.0, cap, center)]
-    y2p = [BiSeries.constant(1.0, cap, center)]
+    binom = [np.ones(1)]
     for _ in range(cap):
-        y1p.append(y1p[-1] * y1)
-        y2p.append(y2p[-1] * y2)
-    out = BiSeries.zeros(cap, center)
-    m_max = min(breal.shape[0] - 1, cap)
-    for m in range(m_max + 1):
-        for n in range(min(breal.shape[1] - 1, cap - m) + 1):
-            if breal[m, n] != 0:
-                out = out + breal[m, n] * (y1p[m] * y2p[n])
-    return out
+        binom.append(np.convolve(binom[-1], [1.0, 1.0]))
+    parts = [np.zeros(k + 1, dtype=complex) for k in range(cap + 1)]
+    for m, n in zip(*np.nonzero(breal[: cap + 1, : cap + 1])):
+        if m + n <= cap:
+            scale = breal[m, n] / 2.0 ** (m + n) * (1, -1j, -1, 1j)[n % 4]
+            signed = binom[n] * (-1.0) ** np.arange(n, -1, -1)
+            parts[m + n] += scale * np.convolve(binom[m], signed)
+    return BiSeries.zeros(cap, center)._with_parts(parts)
 
 
 def real_gradient_series(a):

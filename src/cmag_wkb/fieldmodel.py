@@ -324,7 +324,6 @@ def exponential_field(c, base_point=(0.0, 0.0), cap=24):
 
     if x0 == (0.0, 0.0):
         # B~ = 2ic (1 + zw) e^{zw}: assemble exactly
-        bt = BiSeries.zeros(cap)
         ew = BiSeries.from_terms([(1, 1, 1.0)], cap)
         bt = (BiSeries.constant(1.0, cap) + ew) * ew.exp() * (2j * c)
     else:

@@ -130,7 +130,7 @@ class _ThetaEvaluator:
         self._d2phi = 1j * (dzphi - dwphi)
         self.n_nodes = n_nodes
         self._calibrated = False
-        self._check_radius = check_radius or 0.5 * min(sol.trusted_radii)
+        self._check_radius = check_radius or 0.5 * sol.trusted_radius
 
     def M(self, y1, y2):
         """Canonical potential at local coordinates y."""
@@ -236,7 +236,7 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
     def reP_over_r2(r):
         return _re_phase(sol, theta_ev, r * ca, r * sa) / r**2
 
-    d_max = min(0.5 * field.analytic_radius, 0.95 * min(sol.trusted_radii))
+    d_max = min(0.5 * field.analytic_radius, 0.95 * sol.trusted_radius)
 
     if delta_override is not None:
         delta = float(delta_override)

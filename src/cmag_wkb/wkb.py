@@ -61,12 +61,6 @@ class TransportIdentityError(RuntimeError):
         )
 
 
-def _abs(series):
-    if isinstance(series, UniSeries):
-        return UniSeries(np.abs(series.coeffs), series.cap)
-    return BiSeries(np.abs(series.coeffs), series.cap, series.center)
-
-
 def _curve_check_scale(series, w_curve, parent_scale=0.0):
     """Per-degree scale for on-curve restriction checks, floored by the
     global magnitudes (restricted constant terms are cancellations whose
@@ -76,11 +70,10 @@ def _curve_check_scale(series, w_curve, parent_scale=0.0):
     return np.maximum(sc, 1e-6 * max(sc[-1], series.max_abs(), parent_scale))
 
 
-def _assert_small(res_coeffs, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
+def _assert_small(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
     """Per-degree check: coefficients of degree k <= trusted_deg must stay
     below rtol * scale_vec[k] (scale_vec from the terms of the identity)."""
-    return _assert_small_uni(degree_maxima(res_coeffs), trusted_deg, scale_vec,
-                             equation, rtol)
+    return _assert_small_uni(degree_maxima(res), trusted_deg, scale_vec, equation, rtol)
 
 
 def _assert_small_uni(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
@@ -90,7 +83,7 @@ def _assert_small_uni(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL)
     sel = np.abs(res[:n])
     rel = sel / np.maximum(np.asarray(scale_vec)[:n], 1e-300)
     k = int(np.argmax(rel))
-    if rel[k] > rtol:
+    if not rel[k] <= rtol:  # a NaN fails too
         raise TransportIdentityError(equation, float(sel[k]), k, rtol * scale_vec[k])
     return float(rel[k])
 
@@ -175,11 +168,6 @@ def first_transport(Btilde, phi, w_curve, V, F):
     return mu, J, A0, a0
 
 
-def _transport_operator(c4, Btilde, mu, a):
-    """[4(2 d_z phi~ + f') d_w + (B~ - mu)] a, with c4 the first-order coefficient."""
-    return c4 * a.differentiate("w") + (Btilde - mu) * a
-
-
 class _Workspace:
     """Shared series data threaded through the transport recursion."""
 
@@ -212,20 +200,28 @@ class _Workspace:
         arithmetic, which runs at the a_0 scale even when the identity's own
         terms are tiny.
         """
-        t1 = _abs(self.c4) * _abs(a_new.differentiate("w"))
-        t2 = _abs(self.B - self.mu) * _abs(a_new)
-        ds = degree_scale([t1, t2, _abs(rhs)])
+        t1 = abs(self.c4) * abs(a_new.differentiate("w"))
+        t2 = abs(self.B - self.mu) * abs(a_new)
+        ds = degree_scale([t1, t2, abs(rhs)])
         floor = max(ds[-1], self.amplitudes[0].max_abs(), a_new.max_abs())
         return np.maximum(ds, 1e-6 * floor)
 
     def verify_step(self, j):
-        """Transport residual and compatibility for amplitude j (>= 1)."""
-        a_new, a_prev = self.amplitudes[j], self.amplitudes[j - 1]
-        lhs = _transport_operator(self.c4, self.B, self.mu, a_new)
-        rhs = 4.0 * a_prev.differentiate("w").differentiate("z")
+        """Transport residual and compatibility for amplitude j.
+
+        The operator is [4(2 d_z phi~ + f') d_w + (B~ - mu)], with c4 its
+        first-order coefficient; the right-hand side is 4 d_z d_w a~_{j-1},
+        zero for j = 0.
+        """
+        a_new = self.amplitudes[j]
+        lhs = self.c4 * a_new.differentiate("w") + (self.B - self.mu) * a_new
+        if j:
+            rhs = 4.0 * self.amplitudes[j - 1].differentiate("w").differentiate("z")
+        else:
+            rhs = BiSeries.zeros(a_new.cap, a_new.center)
         res = lhs - rhs
         deg = self.trusted[j] - 1
-        worst = _assert_small(res.coeffs, deg, self.residual_scale(a_new, rhs),
+        worst = _assert_small(res, deg, self.residual_scale(a_new, rhs),
                               f"transport residual j={j}")
         self.residual_maxima[f"transport_{j}"] = worst
 
@@ -287,7 +283,7 @@ class WKBSolution:
     amplitudes: tuple
     mu: complex
     N: int
-    trusted_radii: tuple
+    trusted_radius: float
     trusted_degrees: tuple
     base_point: tuple
     residual_maxima: dict
@@ -297,11 +293,12 @@ class WKBSolution:
         return self.phi.cap
 
     def tail_bound(self, r):
-        """Truncation-tail estimate of the phase at radius r: the last
-        retained diagonal of S at r, times rho/(1 - rho) with rho = r over
-        the trusted radius (infinite from rho = 1 on)."""
-        diag = _last_diagonal(self.S) * r**self.S.cap
-        rho = r / max(min(self.trusted_radii), 1e-300)
+        """Truncation-tail estimate at radius r: the largest last retained
+        diagonal of S, J and the amplitudes (the family the trusted radius
+        comes from) at r, times rho/(1 - rho) with rho = r over the trusted
+        radius (infinite from rho = 1 on)."""
+        diag = _last_diagonal(self.S, self.J, *self.amplitudes) * r**self.cap
+        rho = r / max(self.trusted_radius, 1e-300)
         return diag * rho / (1.0 - rho) if rho < 1.0 else float("inf")
 
     # -- serialization ----------------------------------------------------
@@ -310,7 +307,7 @@ class WKBSolution:
             "mu": [float(self.mu.real).hex(), float(self.mu.imag).hex()],
             "N": int(self.N),
             "base_point": [float(self.base_point[0]), float(self.base_point[1])],
-            "trusted_radii": [float(r) for r in self.trusted_radii],
+            "trusted_radius": float(self.trusted_radius),
             "trusted_degrees": [int(t) for t in self.trusted_degrees],
             "phi": self.phi.to_records(),
             "w_curve": _uni_records(self.w_curve),
@@ -340,7 +337,7 @@ class WKBSolution:
             amplitudes=tuple(BiSeries.from_records(r) for r in d["amplitudes"]),
             mu=complex(float.fromhex(d["mu"][0]), float.fromhex(d["mu"][1])),
             N=int(d["N"]),
-            trusted_radii=tuple(d["trusted_radii"]),
+            trusted_radius=float(d["trusted_radius"]),
             trusted_degrees=tuple(d["trusted_degrees"]),
             base_point=tuple(d["base_point"]),
             residual_maxima=dict(d["residual_maxima"]),
@@ -397,7 +394,7 @@ def solve_wkb(field_or_series, N=3, base_point=None):
     w_curve = implicit_w(Btilde)
     phi = poisson_series(Btilde)
     res = 4.0 * phi.differentiate("w").differentiate("z") - Btilde
-    _assert_small(res.coeffs, cap - 2, degree_scale([_abs(Btilde)]), "Poisson identity")
+    _assert_small(res, cap - 2, degree_scale([abs(Btilde)]), "Poisson identity")
 
     f, S = eikonal_phase(phi, w_curve)
     fprime = f.differentiate()
@@ -405,46 +402,28 @@ def solve_wkb(field_or_series, N=3, base_point=None):
     mu, J, A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
 
     ws = _Workspace(Btilde, phi, fprime, w_curve, V, F, mu, J, A0, a0, cap - 1)
-    # first transport residual and the compatibility feeding the second equation
-    lhs0 = _transport_operator(ws.c4, Btilde, mu, a0)
-    zero = BiSeries.zeros(cap, Btilde.center)
-    w0 = _assert_small(lhs0.coeffs, cap - 2, ws.residual_scale(a0, zero),
-                       "transport residual j=0")
-    ws.residual_maxima["transport_0"] = w0
-    dd0 = a0.differentiate("w").differentiate("z")
-    comp0 = compose_w(dd0, w_curve)
-    c0 = _assert_small_uni(4.0 * np.abs(comp0.coeffs), cap - 3,
-                           4.0 * _curve_check_scale(dd0, w_curve,
-                                                    parent_scale=a0.max_abs()),
-                           "compatibility constraint j=0")
-    ws.residual_maxima["compatibility_0"] = c0
-
+    ws.verify_step(0)
     for j in range(N):
         transport_step(ws, j)
 
-    radii = _trusted_radius([S, J] + ws.amplitudes, cap)
     return WKBSolution(
         phi=phi, w_curve=w_curve, f=f, S=S, V=V, F=F, J=J, A0=A0,
         amplitudes=tuple(ws.amplitudes), mu=mu, N=N,
-        trusted_radii=(radii, radii), trusted_degrees=tuple(ws.trusted),
+        trusted_radius=_trusted_radius(_last_diagonal(S, J, *ws.amplitudes), cap),
+        trusted_degrees=tuple(ws.trusted),
         base_point=tuple(x0), residual_maxima=dict(ws.residual_maxima),
     )
 
 
-def _last_diagonal(s):
-    """Sum of |c_ab| over the last retained diagonal a + b = cap."""
-    a = np.arange(s.cap + 1)
-    return float(np.abs(s.coeffs[a, s.cap - a]).sum())
+def _last_diagonal(*series):
+    """Largest sum of |c_ab| over the last retained diagonal a + b = cap."""
+    return max(float(np.abs(s.parts()[-1]).sum()) for s in series)
 
 
-def _trusted_radius(series_list, cap, tol=1e-4):
-    """Radius r where the last retained diagonal contributes <= tol at (r, r)."""
-    r = np.inf
-    for s in series_list:
-        diag = _last_diagonal(s)
-        if diag > 0:
-            r = min(r, float((tol / diag) ** (1.0 / cap)))
-    return min(r, 1e6)
+def _trusted_radius(diag, cap, tol=1e-4):
+    """Radius r where a last retained diagonal of sum ``diag`` contributes
+    <= tol at (r, r)."""
+    return min(float((tol / diag) ** (1.0 / cap)), 1e6) if diag > 0 else 1e6
 
 
 # ----------------------------------------------------------------------------
@@ -474,7 +453,7 @@ def fit_growth(sol, polydisc=None, mesh=32):
     distinguished boundary |z| = R1, |w| = R2, sampled on a mesh x mesh grid.
     """
     if polydisc is None:
-        r = 0.25 * min(sol.trusted_radii)
+        r = 0.25 * sol.trusted_radius
         polydisc = (r, r)
     R1, R2 = polydisc
     ang = np.linspace(0.0, 2 * np.pi, mesh, endpoint=False)

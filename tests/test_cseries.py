@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmag_wkb.cseries import (
     BiSeries,
@@ -15,6 +16,7 @@ from cmag_wkb.cseries import (
     complexify_real_taylor,
     compose_w,
     curve_integral_w,
+    degree_maxima,
     exact_divide_by_curve,
     implicit_w,
     t_average,
@@ -23,6 +25,19 @@ from cmag_wkb.cseries import (
 
 def bi(terms, cap=8):
     return BiSeries.from_terms(terms, cap)
+
+
+def uni(coeffs, cap=8):
+    return UniSeries(np.r_[coeffs, np.zeros(cap + 1 - len(coeffs))].astype(complex), cap)
+
+
+def dz(s):
+    return s.differentiate("z") if isinstance(s, BiSeries) else s.differentiate()
+
+
+def z_coeffs(s):
+    """Coefficients of the pure powers z^k."""
+    return s.coeffs[:, 0] if isinstance(s, BiSeries) else s.coeffs
 
 
 # ----------------------------------------------------------------------------
@@ -119,41 +134,43 @@ def test_antiderivative_truncation_flag():
 # ----------------------------------------------------------------------------
 
 def test_exp_of_zero():
-    e = BiSeries.zeros(6).exp()
-    assert e.coeffs[0, 0] == 1.0 and e.max_abs() == 1.0
+    for zero in (BiSeries.zeros(6), UniSeries.zeros(6)):
+        e = zero.exp()
+        assert e.parts()[0][0] == 1.0 and e.max_abs() == 1.0
 
 
 def test_exp_group_law():
-    z = bi([(1, 0, 1.0)], cap=10)
-    prod = z.exp() * (-1.0 * z).exp()
-    expected = BiSeries.constant(1.0, 10)
-    assert np.max(np.abs(prod.coeffs - expected.coeffs)) < 1e-14
+    for z in (bi([(1, 0, 1.0)], cap=10), uni([0.0, 1.0], cap=10)):
+        prod = z.exp() * (-1.0 * z).exp()
+        expected = type(z).constant(1.0, 10)
+        assert np.max(np.abs(prod.coeffs - expected.coeffs)) < 1e-14
 
 
 def test_exp_defining_ode():
-    a = bi([(1, 0, 0.3), (0, 1, -0.2j), (1, 1, 0.1), (2, 0, 0.05)], cap=10)
-    e = a.exp()
-    res = e.differentiate("z") - a.differentiate("z") * e
-    # trustworthy below the cap (differentiation loses the top degree)
-    mask = np.add.outer(np.arange(11), np.arange(11)) <= 9
-    assert np.max(np.abs(res.coeffs[mask])) < 1e-13
+    for a in (bi([(1, 0, 0.3), (0, 1, -0.2j), (1, 1, 0.1), (2, 0, 0.05)], cap=10),
+              uni([0.7, 0.3, 0.05, -0.2j], cap=10)):
+        e = a.exp()
+        res = dz(e) - dz(a) * e
+        # trustworthy below the cap (differentiation loses the top degree)
+        assert np.max(degree_maxima(res)[:10]) < 1e-13
 
 
 def test_reciprocal_geometric_series():
-    one_minus_z = bi([(0, 0, 1.0), (1, 0, -1.0)], cap=6)
-    r = one_minus_z.reciprocal()
-    for k in range(7):
-        assert abs(r.coeffs[k, 0] - 1.0) < 1e-14
+    for one_minus_z in (bi([(0, 0, 1.0), (1, 0, -1.0)], cap=6), uni([1.0, -1.0], cap=6)):
+        r = one_minus_z.reciprocal()
+        assert np.max(np.abs(z_coeffs(r) - 1.0)) < 1e-14
 
 
 def test_reciprocal_involution():
-    a = bi([(0, 0, 2.0 - 1j), (1, 0, 0.5), (0, 1, 0.25j), (2, 1, -0.125)], cap=8)
-    assert np.max(np.abs(a.reciprocal().reciprocal().coeffs - a.coeffs)) < 1e-12
+    for a in (bi([(0, 0, 2.0 - 1j), (1, 0, 0.5), (0, 1, 0.25j), (2, 1, -0.125)], cap=8),
+              uni([2.0 - 1j, 0.5, 0.25j, -0.125], cap=8)):
+        assert np.max(np.abs(a.reciprocal().reciprocal().coeffs - a.coeffs)) < 1e-12
 
 
 def test_reciprocal_zero_constant_term_raises():
-    with pytest.raises(SeriesDivisionError):
-        bi([(1, 0, 1.0)]).reciprocal()
+    for a in (bi([(1, 0, 1.0)]), uni([0.0, 1.0])):
+        with pytest.raises(SeriesDivisionError, match="reciprocal of a0"):
+            a.reciprocal("a0")
 
 
 # ----------------------------------------------------------------------------
@@ -207,8 +224,10 @@ def test_divide_constructed_factorization():
 def test_divide_nonvanishing_rejected():
     cap = 8
     wz = _linear_curve(cap)
-    with pytest.raises(CurveDivisionError):
-        exact_divide_by_curve(BiSeries.constant(1.0, cap), wz)
+    on_curve = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries()
+    for num in (BiSeries.constant(1.0, cap), on_curve + bi([(2, 0, np.nan)], cap=cap)):
+        with pytest.raises(CurveDivisionError):
+            exact_divide_by_curve(num, wz)
 
 
 def test_divided_phase_factor_matches_quadrature_oracle():
@@ -306,9 +325,11 @@ def test_implicit_w_field_without_z_dependence():
 
 
 def test_implicit_w_degenerate_rejected():
-    B = bi([(0, 0, 1.0), (1, 0, 1.0)], cap=8)  # no w dependence
-    with pytest.raises(SeriesDivisionError):
-        implicit_w(B)
+    no_w = bi([(0, 0, 1.0), (1, 0, 1.0)], cap=8)
+    nan_curve = bi([(0, 0, 1.0), (0, 1, 1.0), (2, 0, np.nan)], cap=8)
+    for B, error in ((no_w, SeriesDivisionError), (nan_curve, CurveDivisionError)):
+        with pytest.raises(error):
+            implicit_w(B)
 
 
 def test_curve_integral_vanishes_on_curve():
@@ -377,9 +398,41 @@ def test_serialization_round_trip_bit_exact(a):
 
 
 def test_complexify_recovers_real_function():
-    # a(x) = x1^2 - x2 + 3: a~(z, conj z) must reproduce it
-    breal = np.zeros((3, 3), dtype=complex)
-    breal[0, 0], breal[2, 0], breal[0, 1] = 3.0, 1.0, -1.0
+    # a(x) = x1^2 - x2 + 3 + (0.5 - i) x1^2 x2^3: a~(z, conj z) must reproduce it
+    breal = np.zeros((3, 4), dtype=complex)
+    breal[0, 0], breal[2, 0], breal[0, 1], breal[2, 3] = 3.0, 1.0, -1.0, 0.5 - 1j
     at = complexify_real_taylor(breal, cap=6)
     x = (0.4, -1.1)
-    assert at.realify(*x) == pytest.approx(x[0] ** 2 - x[1] + 3.0)
+    expected = x[0] ** 2 - x[1] + 3.0 + (0.5 - 1j) * x[0] ** 2 * x[1] ** 3
+    assert at.realify(*x) == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------------
+# the graded product against the dense shifted-block loop it replaced
+# ----------------------------------------------------------------------------
+
+def _reference_product(x, y):
+    D = x.shape[0] - 1
+    out = np.zeros((D + 1, D + 1), dtype=complex)
+    for a in range(D + 1):
+        for b in range(D + 1 - a):
+            out[a:, b:] += x[a, b] * y[: D + 1 - a, : D + 1 - b]
+    return np.where(np.add.outer(np.arange(D + 1), np.arange(D + 1)) <= D, out, 0.0)
+
+
+@st.composite
+def _operand_pairs(draw):
+    cap = draw(st.sampled_from([0, 1, 2, 24]))
+    # zeros are drawn often, so whole homogeneous parts vanish (the kernel skips them)
+    values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+    coeffs = arrays(complex, (cap + 1, cap + 1), elements=st.one_of(st.just(0j), values))
+    return BiSeries(draw(coeffs), cap), BiSeries(draw(coeffs), cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operand_pairs())
+def test_product_matches_reference_loop(pair):
+    x, y = pair
+    ref = _reference_product(x.coeffs, y.coeffs)
+    scale = max(_reference_product(np.abs(x.coeffs), np.abs(y.coeffs)).real.max(), 1e-300)
+    assert np.max(np.abs((x * y).coeffs - ref)) <= 1e-13 * scale

@@ -7,7 +7,9 @@ from cmag_wkb.cseries import BiSeries, compose_w, implicit_w
 from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb.wkb import (
     DegenerateFieldError,
+    TransportIdentityError,
     WKBSolution,
+    _assert_small_uni,
     divided_data,
     eikonal_phase,
     first_transport,
@@ -282,7 +284,7 @@ def test_fit_growth_constant_field_norms():
         transport_step(ws, j)
     sol = WKBSolution(
         phi=phi, w_curve=w, f=UniSeries.zeros(18), S=phi, V=V, F=F, J=J, A0=A0,
-        amplitudes=tuple(ws.amplitudes), mu=mu, N=2, trusted_radii=(1.0, 1.0),
+        amplitudes=tuple(ws.amplitudes), mu=mu, N=2, trusted_radius=1.0,
         trusted_degrees=tuple(ws.trusted), base_point=(0.0, 0.0),
         residual_maxima=ws.residual_maxima,
     )
@@ -298,3 +300,9 @@ def test_fit_growth_bound_holds_by_construction():
     assert fit.m_fitted > 0 and np.isfinite(fit.m_fitted)
     assert fit.bound_holds()
     assert fit.sigma_fitted <= 7.0  # recorded empirical exponent
+
+@pytest.mark.parametrize("residual", [[0.0, 1e-3, 0.0], [0.0, np.nan, 0.0]],
+                         ids=["large", "nan"])
+def test_identity_check_rejects(residual):
+    with pytest.raises(TransportIdentityError):
+        _assert_small_uni(np.array(residual), 2, np.ones(3), "test identity")
