@@ -23,7 +23,6 @@ from .pseudomode import (
     assemble,
     fit_decay,
     make_pseudomode,
-    norm_L2,
     residual_finite_difference,
     residual_series_exact,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ResidualReport",
     "make_pseudomode",
     "assemble",
-    "norm_L2",
     "residual_series_exact",
     "residual_finite_difference",
     "fit_decay",

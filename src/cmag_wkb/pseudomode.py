@@ -1,17 +1,21 @@
-"""Cutoff pseudomodes in the original gauge, norms, and residual ratios.
+"""Cutoff pseudomodes in the original gauge, residual ratios, decay fits.
 
 The phase is P = S + i*theta, where S comes from the series construction and
 theta is the gauge function with grad theta = M - A, M = (-d2 phi, d1 phi)
-the canonical potential of the Poisson solution.  theta is evaluated by
-Gauss-Legendre quadrature along radial segments from the base point; the
-constant theta(x0) is normalized to 0 (it cancels in every ratio).
+the canonical potential of the Poisson solution.  theta is the radial
+homotopy integral int_0^1 (M - A)(x0 + t y) . y dt, normalized to
+theta(x0) = 0 (the constant cancels in every ratio).  Its M part is one exact
+series: M . y = -i (z d_z - w d_w) phi, and the integral divides the degree-k
+part by k.  Only the closed-form A is integrated by Gauss-Legendre quadrature
+along radial segments from the base point.
 
 The pseudomode is u_h = chi * exp(-P/h) * sum_j h^j a_j with a plateau
-cutoff chi.  Its residual splits into the interior term
-chi * exp(-P/h) * h^(N+2) * (-Lap a_N) and commutator terms supported on
-supp(grad chi); the h-linear commutator coefficient is assembled in the
-gauge-invariant combination grad S + i M (the potential A cancels exactly
-against grad theta, which matters numerically when |A(x0)| is large).
+cutoff chi; the amplitude sum is one series per h.  Its residual splits into
+the interior term chi * exp(-P/h) * h^(N+2) * (-Lap a_N) and commutator terms
+supported on supp(grad chi); the h-linear commutator coefficient is
+assembled in the gauge-invariant combination grad S + i M (the potential A
+cancels exactly against grad theta, which matters numerically when |A(x0)|
+is large).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cseries import real_gradient_series
+from .cseries import BiSeries, real_gradient_series
 from .fieldmodel import FieldSpec, compute_Q
 from .wkb import WKBSolution
 
@@ -61,18 +65,31 @@ def smooth_step(t):
     return out
 
 
-def smooth_step_prime(t):
+def _step_interior(t):
+    """t where sigma(t) sigma(1 - t) > 0 (0.5 elsewhere: every derivative of
+    the step carries that factor, so it is 0 there), sigma at t and 1 - t,
+    and the mask."""
     t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
+    inside = _sigma(t) * _sigma(1.0 - t) > 0.0
     ts = np.where(inside, t, 0.5)
-    lo, hi = _sigma(ts), _sigma(1.0 - ts)
+    return ts, _sigma(ts), _sigma(1.0 - ts), inside
+
+
+def smooth_step_prime(t):
+    ts, lo, hi, inside = _step_interior(t)
     g = 1.0 / ts**2 + 1.0 / (1.0 - ts) ** 2
     out = -lo * hi * g / (hi + lo) ** 2
     return np.where(inside, out, 0.0)
 
 
-def smooth_step_second(t, step=1e-6):
-    return (smooth_step_prime(t + step) - smooth_step_prime(t - step)) / (2.0 * step)
+def smooth_step_second(t):
+    ts, lo, hi, inside = _step_interior(t)
+    a, b = 1.0 / ts**2, 1.0 / (1.0 - ts) ** 2
+    g = a + b
+    g_prime = -2.0 / ts**3 + 2.0 / (1.0 - ts) ** 3
+    bracket = (a - b) * g + g_prime - 2.0 * g * (a * lo - b * hi) / (hi + lo)
+    out = -lo * hi / (hi + lo) ** 2 * bracket
+    return np.where(inside, out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -116,18 +133,22 @@ class CutoffSpec:
 class _ThetaEvaluator:
     """theta(x) = int_0^1 (M - A)(x0 + t y) . y dt on arrays of points.
 
-    Node count adapts once, on a spot-check ring, not per call: the
-    integrand is analytic, so a fixed Gauss rule is exact to roundoff once
-    the count clears the field's scale.
+    The M part is the series T, built once: M . y = -i (z d_z - w d_w) phi,
+    and the degree-k part of that integrand carries t^(k-1), so
+    T[a, b] = -i (a - b) / (a + b) * phi[a, b].  The A part is a Gauss rule
+    whose node count adapts once, on a spot-check ring, not per call: A is
+    analytic, so a fixed rule is exact to roundoff once the count clears the
+    field's scale.
     """
 
     def __init__(self, field, sol, n_nodes=24, check_radius=None):
         self.field = field
         self.sol = sol
-        dzphi = sol.phi.differentiate("z")
-        dwphi = sol.phi.differentiate("w")
-        self._d1phi = dzphi + dwphi
-        self._d2phi = 1j * (dzphi - dwphi)
+        phi = sol.phi
+        self._d1phi, self._d2phi = real_gradient_series(phi)
+        a, b = np.indices(phi.coeffs.shape)
+        T = -1j * (a - b) / np.maximum(a + b, 1) * phi.coeffs
+        self._T = BiSeries(T, phi.cap, phi.center)
         self.n_nodes = n_nodes
         self._calibrated = False
         self._check_radius = check_radius or 0.5 * sol.trusted_radius
@@ -139,15 +160,15 @@ class _ThetaEvaluator:
         return -d2, d1
 
     def _quad(self, y1, y2, n):
+        """-int_0^1 A(x0 + t y) . y dt by an n-node Gauss rule."""
         tg, twt = np.polynomial.legendre.leggauss(n)
         tt = 0.5 * (tg + 1.0)
         tw = 0.5 * twt
         x0 = self.sol.base_point
         acc = np.zeros(np.broadcast(y1, y2).shape, dtype=complex)
         for t, wgt in zip(tt, tw):
-            m1, m2 = self.M(t * y1, t * y2)
             a1, a2 = self.field.A(x0[0] + t * y1, x0[1] + t * y2)
-            acc = acc + wgt * ((m1 - a1) * y1 + (m2 - a2) * y2)
+            acc = acc - wgt * (a1 * y1 + a2 * y2)
         return acc
 
     def _calibrate(self):
@@ -168,7 +189,7 @@ class _ThetaEvaluator:
             self._calibrate()
         y1 = np.asarray(y1, dtype=float)
         y2 = np.asarray(y2, dtype=float)
-        return self._quad(y1, y2, self.n_nodes)
+        return self._T.realify(y1, y2) + self._quad(y1, y2, self.n_nodes)
 
     def check_curl_free(self, radius, tol=1e-6, n_samples=8, step=1e-5):
         """Central-difference curl of M - A at sample points inside the disc."""
@@ -317,25 +338,27 @@ def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
     return pm
 
 
-def _mode(pm, h, N, y1, y2):
-    """exp(-P/h), chi, the amplitude sum sum_{j<=N} h^j a_j and
-    u = chi exp(-P/h) sum h^j a_j at local points y."""
-    sol = pm.sol
-    P = sol.S.realify(y1, y2) + 1j * pm.theta(y1, y2)
+def _amplitude(sol, h, N):
+    """The amplitude sum sum_{j<=N} h^j a_j as one series."""
+    return sum((h**j * sol.amplitudes[j] for j in range(1, N + 1)), sol.amplitudes[0])
+
+
+def _mode(pm, h, amp, y1, y2):
+    """exp(-P/h), chi, the amplitude sum amp and u = chi exp(-P/h) amp at
+    local points y."""
+    P = pm.sol.S.realify(y1, y2) + 1j * pm.theta(y1, y2)
     E = np.exp(-P / h)
     chi = pm.cutoff.chi(np.hypot(y1, y2))
-    amp = np.zeros_like(P)
-    for j in range(N + 1):
-        amp = amp + h**j * sol.amplitudes[j].realify(y1, y2)
-    return E, chi, amp, chi * E * amp
+    a = amp.realify(y1, y2)
+    return E, chi, a, chi * E * a
 
 
 def assemble(pm, h):
     """Evaluable u_h(x1, x2) (global coordinates); zero outside D(x0, r_out)."""
     if not h > 0:
         raise ValueError("h must be positive")
-    N = pm.N_used(h)
     sol, cut = pm.sol, pm.cutoff
+    amp = _amplitude(sol, h, pm.N_used(h))
 
     def u(x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -347,14 +370,14 @@ def assemble(pm, h):
         out = np.zeros(np.broadcast(y1, y2).shape, dtype=complex)
         if not np.any(inside):
             return out
-        out[inside] = _mode(pm, h, N, y1[inside], y2[inside])[-1]
+        out[inside] = _mode(pm, h, amp, y1[inside], y2[inside])[-1]
         return out
 
     return u
 
 
 # ----------------------------------------------------------------------------
-# quadrature
+# residual evaluation (series-exact route)
 # ----------------------------------------------------------------------------
 
 def _gl_grid(r_out, n):
@@ -369,36 +392,6 @@ def _gl_grid(r_out, n):
 def quadrature_points(h, r_out, n_min=64, factor=8.0):
     return max(n_min, int(math.ceil(factor * r_out / math.sqrt(h))))
 
-
-@dataclass(frozen=True)
-class NormResult:
-    value: float
-    error_estimate: float
-    points: int
-
-
-def norm_L2(u, h, r_out, n=None, rtol=0.01):
-    """Tensor Gauss-Legendre L2 norm over the cutoff square, with a
-    two-resolution error estimate; refuses when sqrt(h) is unresolved."""
-    n = n or quadrature_points(h, r_out)
-    X1, X2, W = _gl_grid(r_out, n)
-    v1 = float(np.sum(np.abs(u(X1, X2)) ** 2 * W))
-    X1, X2, W = _gl_grid(r_out, 2 * n)
-    v2 = float(np.sum(np.abs(u(X1, X2)) ** 2 * W))
-    err = abs(v2 - v1)
-    if v2 <= 0.0:
-        return NormResult(0.0, err, 2 * n)
-    if err > rtol * v2:
-        raise QuadratureResolutionError(
-            f"norm quadrature unresolved at n={n}: |I_2n - I_n| = {err:.3e} "
-            f"exceeds {rtol:.0%} of {v2:.3e}; retry with n >= {4 * n}"
-        )
-    return NormResult(math.sqrt(v2), err, 2 * n)
-
-
-# ----------------------------------------------------------------------------
-# residual evaluation (series-exact route)
-# ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -418,64 +411,54 @@ class ResidualReport:
             raise ValueError("pseudomode norm must be positive")
 
 
-class _ResidualField:
-    """Pointwise residual of (L_{h,A} - h mu) u_h from series data.
+def _residual_terms(pm, h, N, amp, y1, y2):
+    """u and the pointwise residual of (L_{h,A} - h mu) u_h from series data,
+    split into its interior and cutoff terms, amp = sum_{j<=N} h^j a_j:
 
-    residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N)
-                          - 2 h^2 grad(chi) . sum h^j grad(a_j)
-                          + (-h^2 Lap(chi) + 2h (grad S + i M) . grad(chi)) sum h^j a_j ]
+    residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N) - 2 h^2 grad(chi) . grad(amp)
+                          + (-h^2 Lap(chi) + 2h (grad S + i M) . grad(chi)) amp ]
     """
-
-    def __init__(self, pm, h):
-        self.pm = pm
-        self.h = h
-        self.N = pm.N_used(h)
-        sol = pm.sol
-        self.lap_aN = 4.0 * sol.amplitudes[self.N].differentiate("z").differentiate("w")
-        self.grads = [real_gradient_series(sol.amplitudes[j]) for j in range(self.N + 1)]
-        self.dS1, self.dS2 = real_gradient_series(sol.S)
-
-    def components(self, y1, y2):
-        pm, h, N = self.pm, self.h, self.N
-        cut = pm.cutoff
-        E, chi, amp, u = _mode(pm, h, N, y1, y2)
-        r = np.hypot(y1, y2)
-        dchi = cut.chi_prime(r)
-        lapchi = cut.chi_lap(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            n1 = np.where(r > 0, y1 / np.maximum(r, 1e-300), 0.0)
-            n2 = np.where(r > 0, y2 / np.maximum(r, 1e-300), 0.0)
-        ring = dchi != 0.0
-        damp1 = np.zeros_like(u)
-        damp2 = np.zeros_like(u)
-        for j in range(N + 1):
-            g1, g2 = self.grads[j]
-            damp1[ring] += h**j * g1.realify(y1[ring], y2[ring])
-            damp2[ring] += h**j * g2.realify(y1[ring], y2[ring])
-        interior = chi * E * h ** (N + 2) * (-self.lap_aN.realify(y1, y2))
-        lin1 = np.zeros_like(u)
-        lin2 = np.zeros_like(u)
-        m1, m2 = pm.theta.M(y1[ring], y2[ring])
-        lin1[ring] = self.dS1.realify(y1[ring], y2[ring]) + 1j * m1
-        lin2[ring] = self.dS2.realify(y1[ring], y2[ring]) + 1j * m2
-        cutoff_term = E * (
-            -2.0 * h**2 * dchi * (n1 * damp1 + n2 * damp2)
-            + (-(h**2) * lapchi + 2.0 * h * (lin1 * dchi * n1 + lin2 * dchi * n2)) * amp
-        )
-        return u, interior, cutoff_term
+    sol, cut = pm.sol, pm.cutoff
+    E, chi, a, u = _mode(pm, h, amp, y1, y2)
+    r = np.hypot(y1, y2)
+    dchi = cut.chi_prime(r)
+    lapchi = cut.chi_lap(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n1 = np.where(r > 0, y1 / np.maximum(r, 1e-300), 0.0)
+        n2 = np.where(r > 0, y2 / np.maximum(r, 1e-300), 0.0)
+    lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
+    interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
+    # grad(amp) and grad S + i M are needed only where grad(chi) != 0
+    ring = dchi != 0.0
+    yr1, yr2 = y1[ring], y2[ring]
+    da1, da2, lin1, lin2 = (np.zeros_like(u) for _ in range(4))
+    g1, g2 = real_gradient_series(amp)
+    dS1, dS2 = real_gradient_series(sol.S)
+    m1, m2 = pm.theta.M(yr1, yr2)
+    da1[ring] = g1.realify(yr1, yr2)
+    da2[ring] = g2.realify(yr1, yr2)
+    lin1[ring] = dS1.realify(yr1, yr2) + 1j * m1
+    lin2[ring] = dS2.realify(yr1, yr2) + 1j * m2
+    cutoff_term = E * (
+        -2.0 * h**2 * dchi * (n1 * da1 + n2 * da2)
+        + (-(h**2) * lapchi + 2.0 * h * (lin1 * dchi * n1 + lin2 * dchi * n2)) * a
+    )
+    return u, interior, cutoff_term
 
 
 def residual_series_exact(pm, h, n=None, rtol=0.01):
     """ResidualReport for one h via the series-exact route.
 
-    The residual field is evaluated on the doubled grid only; the coarse
-    grid serves the Richardson consistency estimate of the u-norm (the
-    residual integrand has the same Gaussian scale).
+    The residual is evaluated on the doubled grid only; the coarse grid
+    serves the Richardson consistency estimate of the u-norm (the residual
+    integrand has the same Gaussian scale).  Refuses with
+    QuadratureResolutionError when the two u-norms differ by more than rtol.
     """
     if not h > 0:
         raise ValueError("h must be positive")
     cut = pm.cutoff
-    rf = _ResidualField(pm, h)
+    N = pm.N_used(h)
+    amp = _amplitude(pm.sol, h, N)
     n = n or quadrature_points(h, cut.r_out)
 
     def disc_nodes(m):
@@ -484,9 +467,9 @@ def residual_series_exact(pm, h, n=None, rtol=0.01):
         return X1[mask], X2[mask], W[mask]
 
     y1, y2, w = disc_nodes(n)
-    un1 = float(np.sum(np.abs(_mode(pm, h, rf.N, y1, y2)[-1]) ** 2 * w))
+    un1 = float(np.sum(np.abs(_mode(pm, h, amp, y1, y2)[-1]) ** 2 * w))
     y1, y2, w = disc_nodes(2 * n)
-    u, interior, cutoff_term = rf.components(y1, y2)
+    u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2)
     un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))
                           for v in (u, interior + cutoff_term, interior, cutoff_term))
     if abs(un2 - un1) > rtol * un2:
@@ -494,7 +477,7 @@ def residual_series_exact(pm, h, n=None, rtol=0.01):
             f"residual quadrature unresolved at n={n}: retry with n >= {4 * n}"
         )
     return ResidualReport(
-        h=h, N_used=rf.N, u_norm=math.sqrt(un2), residual_norm=math.sqrt(rn2),
+        h=h, N_used=N, u_norm=math.sqrt(un2), residual_norm=math.sqrt(rn2),
         ratio=math.sqrt(rn2 / un2), evaluator="series_exact",
         quadrature_points=(2 * n) ** 2, tail_estimate=pm.sol.tail_bound(cut.r_out),
         interior_norm=math.sqrt(in2), cutoff_norm=math.sqrt(cn2),

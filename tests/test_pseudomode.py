@@ -1,6 +1,7 @@
-"""Gauge function, cutoff selection, norms, residual ratios, decay fits."""
+"""Gauge function, cutoff selection, residual ratios, decay fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, 
 from cmag_wkb import pseudomode
 from cmag_wkb.pseudomode import (
     CutoffSpec,
+    GaugeConsistencyError,
     PhaseNotPositiveError,
     Pseudomode,
     QuadratureResolutionError,
@@ -19,12 +21,12 @@ from cmag_wkb.pseudomode import (
     canonical_field,
     fit_decay,
     make_pseudomode,
-    norm_L2,
     rep_quadratic_fit,
     residual_series_exact,
     select_cutoff,
     smooth_step,
     smooth_step_prime,
+    smooth_step_second,
 )
 from cmag_wkb.wkb import WKBSolution, solve_wkb
 
@@ -65,6 +67,21 @@ def test_smooth_step_prime_matches_fd():
     assert np.max(np.abs(fd - smooth_step_prime(t))) < 1e-7
 
 
+def test_smooth_step_second_integrates_to_first_derivative():
+    # the closed form against the fundamental theorem on a 200-node Gauss rule
+    xg, wg = np.polynomial.legendre.leggauss(200)
+    for a, b in ((0.1, 0.4), (0.3, 0.7), (0.6, 0.9)):
+        t = 0.5 * (b - a) * xg + 0.5 * (b + a)
+        s2 = smooth_step_second(t)
+        integral = 0.5 * (b - a) * np.sum(wg * s2)
+        exact = smooth_step_prime(b) - smooth_step_prime(a)
+        assert abs(integral - exact) <= 1e-13 * np.max(np.abs(s2))
+    # where sigma(t) sigma(1 - t) underflows both derivatives are 0, not nan
+    flat = np.array([1e-300, 1e-160, 1e-100, 1e-3, 1.0 - 1e-3])
+    assert np.all(smooth_step_prime(flat) == 0.0)
+    assert np.all(smooth_step_second(flat) == 0.0)
+
+
 def test_cutoff_plateau_and_support():
     cut = CutoffSpec(r_in=0.5, r_out=1.0, delta=1.0, M1=0.2, M2=1.0)
     assert cut.chi(0.3) == 1.0 and cut.chi(0.0) == 1.0
@@ -98,6 +115,54 @@ def test_theta_gradient_reproduces_gauge_difference(work_setup):
     a1, a2 = field.A(sol.base_point[0] + y[0], sol.base_point[1] + y[1])
     assert abs(g1 - (m1 - a1)) < 1e-6
     assert abs(g2 - (m2 - a2)) < 1e-6
+
+
+def _theta_by_quadrature(field, sol, y1, y2, n=64):
+    """Reference theta: Gauss rule on (M - A)(x0 + t y) . y with M from phi."""
+    dzphi, dwphi = sol.phi.differentiate("z"), sol.phi.differentiate("w")
+    d1phi, d2phi = dzphi + dwphi, 1j * (dzphi - dwphi)
+    x0 = sol.base_point
+    tg, twt = np.polynomial.legendre.leggauss(n)
+    acc = np.zeros_like(y1, dtype=complex)
+    for t, wgt in zip(0.5 * (tg + 1.0), 0.5 * twt):
+        m1, m2 = -d2phi.realify(t * y1, t * y2), d1phi.realify(t * y1, t * y2)
+        a1, a2 = field.A(x0[0] + t * y1, x0[1] + t * y2)
+        acc = acc + wgt * ((m1 - a1) * y1 + (m2 - a2) * y2)
+    return acc
+
+
+@pytest.mark.parametrize("case", ["workhorse", "oscillating"])
+def test_theta_matches_quadrature_reference(case, monkeypatch):
+    if case == "workhorse":
+        field = workhorse(cap=24)
+        pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    else:
+        field = oscillating_field(X0, cap=48)
+        pm = make_pseudomode(field, solve_wkb(field, N=1), N=1, delta_override=0.08)
+    rng = np.random.default_rng(3)
+    r = pm.cutoff.r_out * np.sqrt(rng.uniform(0.0, 1.0, 200))
+    ang = rng.uniform(0.0, 2 * np.pi, 200)
+    y1, y2 = r * np.cos(ang), r * np.sin(ang)
+    ref = _theta_by_quadrature(field, pm.sol, y1, y2)
+    calls = []
+    M = pseudomode._ThetaEvaluator.M
+
+    def counting_M(self, *args):
+        calls.append(args)
+        return M(self, *args)
+
+    monkeypatch.setattr(pseudomode._ThetaEvaluator, "M", counting_M)
+    theta = pm.theta(y1, y2)
+    assert not calls  # the M part is a series, not a quadrature of M
+    assert np.max(np.abs(theta - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gauge_mismatch_raises():
+    # Taylor data of B = 1.3-field paired with the potential of the c = 1 field
+    field = replace(polynomial_field(1.0, 1j, 1.0),
+                    B_taylor=polynomial_field(1.0, 1j, 1.3).B_taylor)
+    with pytest.raises(GaugeConsistencyError, match="curl"):
+        make_pseudomode(field, solve_wkb(field, N=1), N=1)
 
 
 def test_one_theta_evaluator_per_pseudomode(monkeypatch):
@@ -178,7 +243,7 @@ def test_delta_override_allows_diagnostics():
 
 
 # ----------------------------------------------------------------------------
-# assembly and norms
+# assembly
 # ----------------------------------------------------------------------------
 
 def test_pseudomode_normalized_at_base_point(work_setup):
@@ -203,36 +268,18 @@ def test_amplitude_sum_linear_bound(work_setup):
     assert np.isfinite(c1) and c1 > 0
 
 
-def test_norm_gaussian_closed_form():
-    # ||e^{-M|x|^2/h}||^2 = pi h / (2M) up to the (tiny) truncation outside
-    M, h = 1.5, 0.02
-
-    def u(x1, x2):
-        return np.exp(-M * (x1**2 + x2**2) / h)
-
-    res = norm_L2(u, h, r_out=1.0)
-    exact = math.sqrt(math.pi * h / (2 * M))
-    assert abs(res.value - exact) < 1e-8 * exact
-
-
-def test_norm_zero_function():
-    res = norm_L2(lambda x1, x2: np.zeros_like(x1), 0.05, r_out=1.0)
-    assert res.value == 0.0
-
-
-def test_norm_refuses_unresolved_scale():
-    h = 3e-3  # Gaussian width ~0.05, far below what 16 nodes resolve
-
-    def u(x1, x2):
-        return np.exp(-(x1**2 + x2**2) / h)
-
-    with pytest.raises(QuadratureResolutionError):
-        norm_L2(u, h, r_out=1.0, n=16)
-
-
 # ----------------------------------------------------------------------------
 # residual reports
 # ----------------------------------------------------------------------------
+
+def test_norm_refuses_unresolved_scale():
+    # at h = 3e-3 the Gaussian width ~ 0.05 is far below what 8 nodes resolve
+    field = polynomial_field(1.0, 1j, 1.0, cap=12)
+    pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    with pytest.raises(QuadratureResolutionError):
+        residual_series_exact(pm, 0.003, n=8)
+    assert residual_series_exact(pm, 0.003, n=16).ratio > 0
+
 
 def test_residual_report_fields(work_setup):
     field, rep, sol, pm = work_setup
