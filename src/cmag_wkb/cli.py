@@ -269,7 +269,6 @@ class ExperimentConfig:
     evaluator: str
     grid_n: int
     out_dir: str
-    seed: int = 0
 
     def __post_init__(self):
         if not self.h_min < self.h_max:
@@ -328,7 +327,7 @@ def cmd_run(args):
         field=field_cfg, base_point=tuple(x0), degree_cap=cap, N=args.N,
         adaptive=bool(args.adaptive), h_max=float(hs[0]), h_min=float(hs[-1]),
         h_count=len(hs), delta_override=args.delta, evaluator=args.evaluator,
-        grid_n=args.grid_n, out_dir=str(out), seed=args.seed,
+        grid_n=args.grid_n, out_dir=str(out),
     )
     (out / "config.json").write_text(cfg.to_json())
 
@@ -479,7 +478,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None, help="cutoff radius override")
     p.add_argument("--evaluator", choices=("series", "fd", "both"), default="series")
     p.add_argument("--grid-n", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("gamma-scan", help="membership raster over a rectangle")

@@ -102,9 +102,10 @@ class FieldSpec:
     """A potential with evaluable first partials plus complexified Taylor data.
 
     ``A`` maps (x1, x2) arrays to a pair (A1, A2); ``A_jac`` returns the four
-    partials (d1A1, d2A1, d1A2, d2A2) and falls back to central differences
-    when a closed form is not available.  ``B_taylor`` is the complexified
-    series of curl A at ``base_point``.
+    partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to central
+    differences when no closed form is given.  ``div_A`` is the trace of
+    ``jac``.  ``B_taylor`` is the complexified series of curl A at
+    ``base_point``.
     """
 
     name: str
@@ -115,7 +116,6 @@ class FieldSpec:
     base_point: tuple
     analytic_radius: float
     A_jac: Optional[Callable] = None
-    divA: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.analytic_radius > 0:
@@ -142,9 +142,7 @@ class FieldSpec:
         )
 
     def div_A(self, x1, x2):
-        if self.divA is not None:
-            return self.divA(x1, x2)
-        d1a1, d2a1, d1a2, d2a2 = self.jac(x1, x2)
+        d1a1, _, _, d2a2 = self.jac(x1, x2)
         return d1a1 + d2a2
 
 
@@ -211,7 +209,6 @@ def oscillating_field(base_point, cap=24):
     return FieldSpec(
         name="oscillating", params={}, A=A, B=B, B_taylor=bt, base_point=x0,
         analytic_radius=1.0, A_jac=A_jac,
-        divA=lambda x1, x2: -np.cos(x1) * x2 - 1j * np.sin(x2),
     )
 
 
@@ -272,7 +269,6 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     return FieldSpec(
         name=name, params=params, A=A, B=B, B_taylor=bt, base_point=x0,
         analytic_radius=analytic_radius, A_jac=A_jac,
-        divA=lambda x1, x2: poly_eval(d1A1, x1, x2) + poly_eval(d2A2, x1, x2),
     )
 
 
@@ -332,7 +328,6 @@ def exponential_field(c, base_point=(0.0, 0.0), cap=24):
     return FieldSpec(
         name="exponential", params={"c": c}, A=A, B=B, B_taylor=bt,
         base_point=x0, analytic_radius=1.0, A_jac=A_jac,
-        divA=lambda x1, x2: np.zeros_like(np.asarray(x1, dtype=float)) + 0j,
     )
 
 

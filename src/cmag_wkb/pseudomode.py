@@ -5,17 +5,21 @@ theta is the gauge function with grad theta = M - A, M = (-d2 phi, d1 phi)
 the canonical potential of the Poisson solution.  theta is the radial
 homotopy integral int_0^1 (M - A)(x0 + t y) . y dt, normalized to
 theta(x0) = 0 (the constant cancels in every ratio).  Its M part is one exact
-series: M . y = -i (z d_z - w d_w) phi, and the integral divides the degree-k
-part by k.  Only the closed-form A is integrated by Gauss-Legendre quadrature
-along radial segments from the base point.
+series: i M . y = (z d_z - w d_w) phi, and the integral divides the degree-k
+part by k.  Each pseudomode owns one phase evaluator: S + i * (that series)
+is one series, built once, and only the closed-form A is integrated by
+Gauss-Legendre quadrature along radial segments from the base point.
 
 The pseudomode is u_h = chi * exp(-P/h) * sum_j h^j a_j with a plateau
 cutoff chi; the amplitude sum is one series per h.  Its residual splits into
 the interior term chi * exp(-P/h) * h^(N+2) * (-Lap a_N) and commutator terms
-supported on supp(grad chi); the h-linear commutator coefficient is
-assembled in the gauge-invariant combination grad S + i M (the potential A
-cancels exactly against grad theta, which matters numerically when |A(x0)|
-is large).
+supported on supp(grad chi).  chi is radial, so these need only the radial
+derivatives, and those are Euler operators on the complexified series:
+y . grad = z d_z + w d_w, so r d_r amp has coefficients (a+b) amp[a, b] and
+r (grad S + i M) . n has coefficients (a+b) S[a, b] + (a-b) phi[a, b].  The
+h-linear commutator coefficient is thus assembled in the gauge-invariant
+combination grad S + i M (the potential A cancels exactly against
+grad theta, which matters numerically when |A(x0)| is large).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .cseries import BiSeries, real_gradient_series
-from .fieldmodel import FieldSpec, compute_Q
+from .fieldmodel import FieldSpec, compute_Q, curl_fd
 from .wkb import WKBSolution
 
 log = logging.getLogger(__name__)
@@ -40,7 +44,8 @@ class PhaseNotPositiveError(RuntimeError):
 
 
 class QuadratureResolutionError(RuntimeError):
-    """The Gaussian scale sqrt(h) is not resolved by the allowed grid."""
+    """A quadrature is unresolved: the Gaussian scale sqrt(h) by the allowed
+    grid, or the gauge integral of A by the largest Gauss rule."""
 
 
 class GaugeConsistencyError(RuntimeError):
@@ -127,37 +132,31 @@ class CutoffSpec:
 
 
 # ----------------------------------------------------------------------------
-# gauge function theta
+# phase P = S + i theta
 # ----------------------------------------------------------------------------
 
 class _ThetaEvaluator:
-    """theta(x) = int_0^1 (M - A)(x0 + t y) . y dt on arrays of points.
+    """The phase P(y) = S(y) + i theta(y) on arrays of local points, with
+    theta(x) = int_0^1 (M - A)(x0 + t y) . y dt.
 
-    The M part is the series T, built once: M . y = -i (z d_z - w d_w) phi,
-    and the degree-k part of that integrand carries t^(k-1), so
-    T[a, b] = -i (a - b) / (a + b) * phi[a, b].  The A part is a Gauss rule
-    whose node count adapts once, on a spot-check ring, not per call: A is
-    analytic, so a fixed rule is exact to roundoff once the count clears the
-    field's scale.
+    The M part of theta is the series T: i M . y = (z d_z - w d_w) phi, and
+    the degree-k part of that integrand carries t^(k-1), so
+    T[a, b] = -i (a - b) / (a + b) * phi[a, b].  S + i T is one series, built
+    once.  The A part is a Gauss rule whose node count adapts once, on a
+    spot-check ring, not per call: A is analytic, so a fixed rule is exact to
+    roundoff once the count clears the field's scale.
     """
 
     def __init__(self, field, sol, n_nodes=24, check_radius=None):
         self.field = field
         self.sol = sol
         phi = sol.phi
-        self._d1phi, self._d2phi = real_gradient_series(phi)
         a, b = np.indices(phi.coeffs.shape)
         T = -1j * (a - b) / np.maximum(a + b, 1) * phi.coeffs
-        self._T = BiSeries(T, phi.cap, phi.center)
+        self._P = sol.S + 1j * BiSeries(T, phi.cap, phi.center)
         self.n_nodes = n_nodes
         self._calibrated = False
         self._check_radius = check_radius or 0.5 * sol.trusted_radius
-
-    def M(self, y1, y2):
-        """Canonical potential at local coordinates y."""
-        d1 = self._d1phi.realify(y1, y2)
-        d2 = self._d2phi.realify(y1, y2)
-        return -d2, d1
 
     def _quad(self, y1, y2, n):
         """-int_0^1 A(x0 + t y) . y dt by an n-node Gauss rule."""
@@ -172,44 +171,42 @@ class _ThetaEvaluator:
         return acc
 
     def _calibrate(self):
+        """Adopt the first n of n_nodes * (1, 2, 4, 8) whose rule agrees with
+        the 2n rule to 1e-10 on the check ring; refuse when none does."""
         ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         r = self._check_radius
         y1, y2 = r * np.cos(ang), r * np.sin(ang)
-        for _ in range(3):
-            v = self._quad(y1, y2, self.n_nodes)
-            v2 = self._quad(y1, y2, 2 * self.n_nodes)
+        v = self._quad(y1, y2, self.n_nodes)
+        for n in [self.n_nodes * 2**k for k in range(4)]:
+            v2 = self._quad(y1, y2, 2 * n)
             err = float(np.max(np.abs(v - v2)))
             if err <= 1e-10 * max(1.0, float(np.max(np.abs(v2)))):
-                break
-            self.n_nodes *= 2
-        self._calibrated = True
+                self.n_nodes = n
+                self._calibrated = True
+                return
+            v = v2
+        raise QuadratureResolutionError(
+            f"gauge quadrature of A unresolved at n={n}: |I_n - I_2n| = {err:.3e} "
+            f"on the check ring |y| = {r:.3g}"
+        )
 
     def __call__(self, y1, y2):
         if not self._calibrated:
             self._calibrate()
         y1 = np.asarray(y1, dtype=float)
         y2 = np.asarray(y2, dtype=float)
-        return self._T.realify(y1, y2) + self._quad(y1, y2, self.n_nodes)
+        return self._P.realify(y1, y2) + 1j * self._quad(y1, y2, self.n_nodes)
 
-    def check_curl_free(self, radius, tol=1e-6, n_samples=8, step=1e-5):
-        """Central-difference curl of M - A at sample points inside the disc."""
+    def check_curl_free(self, radius, tol=1e-6, n_samples=8):
+        """curl(M - A) at sample points inside the disc: curl M = Lap phi is
+        the series 4 d_z d_w phi, curl A the central difference curl_fd."""
         x0 = self.sol.base_point
         ang = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-        worst = 0.0
-        for r in (0.3 * radius, 0.7 * radius):
-            y1, y2 = r * np.cos(ang), r * np.sin(ang)
-
-            def G2(u1, u2):
-                m1, m2 = self.M(u1, u2)
-                a1, a2 = self.field.A(x0[0] + u1, x0[1] + u2)
-                return m1 - a1, m2 - a2
-
-            _, g2p = G2(y1 + step, y2)
-            _, g2m = G2(y1 - step, y2)
-            g1p, _ = G2(y1, y2 + step)
-            g1m, _ = G2(y1, y2 - step)
-            curl = (g2p - g2m - g1p + g1m) / (2 * step)
-            worst = max(worst, float(np.max(np.abs(curl))))
+        r = radius * np.array([[0.3], [0.7]])
+        y1, y2 = r * np.cos(ang), r * np.sin(ang)
+        lap_phi = 4.0 * self.sol.phi.differentiate("z").differentiate("w")
+        curl = lap_phi.realify(y1, y2) - curl_fd(self.field.A, (x0[0] + y1, x0[1] + y2))
+        worst = float(np.max(np.abs(curl)))
         if worst > tol:
             raise GaugeConsistencyError(
                 f"curl(M - A) = {worst:.3e} > {tol:.1e}: the field's Taylor data "
@@ -218,18 +215,13 @@ class _ThetaEvaluator:
         return worst
 
 
-def _re_phase(sol, theta, y1, y2):
-    """Re P = Re S - Im theta at local points y."""
-    return sol.S.realify(y1, y2).real - theta(y1, y2).imag
-
-
-def _rep_quadratic(sol, theta, r, n_angles):
+def _rep_quadratic(phase, r, n_angles):
     """Least-squares (c11, c12, c22) with Re P ~ c11 y1^2 + c12 y1 y2 + c22 y2^2
     on the circle |y| = r."""
     ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
     rows = np.stack([y1**2, y1 * y2, y2**2], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, _re_phase(sol, theta, y1, y2), rcond=None)
+    coef, *_ = np.linalg.lstsq(rows, phase(y1, y2).real, rcond=None)
     return coef
 
 
@@ -250,12 +242,12 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
     Qmat = np.array([[report.Q1, -report.Q2], [-report.Q2, report.Q3]])
     lam_min = float(np.linalg.eigvalsh(Qmat)[0])
     M1 = 0.5 * lam_min
-    theta_ev = _ThetaEvaluator(field, sol)
+    phase = _ThetaEvaluator(field, sol)
     ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     ca, sa = np.cos(ang), np.sin(ang)
 
     def reP_over_r2(r):
-        return _re_phase(sol, theta_ev, r * ca, r * sa) / r**2
+        return phase(r * ca, r * sa).real / r**2
 
     d_max = min(0.5 * field.analytic_radius, 0.95 * sol.trusted_radius)
 
@@ -280,7 +272,7 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
                 return CutoffSpec(r_in=delta / 2, r_out=delta, delta=delta, M1=M1, M2=M2)
 
     # diagnose: fit the actual quadratic of Re P on a small circle
-    coef = _rep_quadratic(sol, theta_ev, min(d_max / 8, 0.05), n_angles)
+    coef = _rep_quadratic(phase, min(d_max / 8, 0.05), n_angles)
     fitted = np.array([[coef[0], coef[1] / 2], [coef[1] / 2, coef[2]]])
     eigs = np.linalg.eigvalsh(fitted)
     q2_printed = report.Q2
@@ -324,8 +316,8 @@ class Pseudomode:
         return max(n, 0)
 
     @functools.cached_property
-    def theta(self):
-        """The gauge evaluator of this pseudomode, built and calibrated once."""
+    def phase(self):
+        """The phase evaluator of this pseudomode, built and calibrated once."""
         return _ThetaEvaluator(self.field, self.sol)
 
 
@@ -334,7 +326,7 @@ def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
     cutoff = select_cutoff(field, sol, report=report, delta_override=delta_override)
     pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule=N_rule,
                     N_fixed=N, m_growth=m_growth)
-    pm.theta.check_curl_free(cutoff.r_out)
+    pm.phase.check_curl_free(cutoff.r_out)
     return pm
 
 
@@ -346,8 +338,7 @@ def _amplitude(sol, h, N):
 def _mode(pm, h, amp, y1, y2):
     """exp(-P/h), chi, the amplitude sum amp and u = chi exp(-P/h) amp at
     local points y."""
-    P = pm.sol.S.realify(y1, y2) + 1j * pm.theta(y1, y2)
-    E = np.exp(-P / h)
+    E = np.exp(-pm.phase(y1, y2) / h)
     chi = pm.cutoff.chi(np.hypot(y1, y2))
     a = amp.realify(y1, y2)
     return E, chi, a, chi * E * a
@@ -415,33 +406,30 @@ def _residual_terms(pm, h, N, amp, y1, y2):
     """u and the pointwise residual of (L_{h,A} - h mu) u_h from series data,
     split into its interior and cutoff terms, amp = sum_{j<=N} h^j a_j:
 
-    residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N) - 2 h^2 grad(chi) . grad(amp)
-                          + (-h^2 Lap(chi) + 2h (grad S + i M) . grad(chi)) amp ]
+    residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N) - 2 h^2 chi' d_r(amp)
+                          + (-h^2 Lap(chi) + 2h chi' (grad S + i M) . n) amp ]
+
+    with n = y / r; r d_r and r (grad S + i M) . n are the Euler-operator
+    series of the module docstring.
     """
     sol, cut = pm.sol, pm.cutoff
     E, chi, a, u = _mode(pm, h, amp, y1, y2)
     r = np.hypot(y1, y2)
     dchi = cut.chi_prime(r)
     lapchi = cut.chi_lap(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n1 = np.where(r > 0, y1 / np.maximum(r, 1e-300), 0.0)
-        n2 = np.where(r > 0, y2 / np.maximum(r, 1e-300), 0.0)
     lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
     interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
-    # grad(amp) and grad S + i M are needed only where grad(chi) != 0
+    # the radial factors are needed only where grad(chi) != 0, so r > 0
     ring = dchi != 0.0
-    yr1, yr2 = y1[ring], y2[ring]
-    da1, da2, lin1, lin2 = (np.zeros_like(u) for _ in range(4))
-    g1, g2 = real_gradient_series(amp)
-    dS1, dS2 = real_gradient_series(sol.S)
-    m1, m2 = pm.theta.M(yr1, yr2)
-    da1[ring] = g1.realify(yr1, yr2)
-    da2[ring] = g2.realify(yr1, yr2)
-    lin1[ring] = dS1.realify(yr1, yr2) + 1j * m1
-    lin2[ring] = dS2.realify(yr1, yr2) + 1j * m2
+    yr1, yr2, rr = y1[ring], y2[ring], r[ring]
+    p, q = np.indices(amp.coeffs.shape)
+    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap, amp.center)
+    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap, sol.S.center)
+    damp, lin = np.zeros_like(u), np.zeros_like(u)
+    damp[ring] = r_damp.realify(yr1, yr2) / rr
+    lin[ring] = r_lin.realify(yr1, yr2) / rr
     cutoff_term = E * (
-        -2.0 * h**2 * dchi * (n1 * da1 + n2 * da2)
-        + (-(h**2) * lapchi + 2.0 * h * (lin1 * dchi * n1 + lin2 * dchi * n2)) * a
+        -2.0 * h**2 * dchi * damp + (-(h**2) * lapchi + 2.0 * h * dchi * lin) * a
     )
     return u, interior, cutoff_term
 
@@ -556,13 +544,14 @@ def fit_decay(reports, model="power"):
 
 def canonical_field(field, sol):
     """The same field in the canonical gauge A := M (so theta == 0)."""
-    ev = _ThetaEvaluator(field, sol)
+    d1phi, d2phi = real_gradient_series(sol.phi)
     x0 = sol.base_point
 
     def A(x1, x2):
-        return ev.M(np.asarray(x1) - x0[0], np.asarray(x2) - x0[1])
+        y1, y2 = np.asarray(x1) - x0[0], np.asarray(x2) - x0[1]
+        return -d2phi.realify(y1, y2), d1phi.realify(y1, y2)
 
-    return replace(field, name=field.name + "_canonical", A=A, A_jac=None, divA=None)
+    return replace(field, name=field.name + "_canonical", A=A, A_jac=None)
 
 
 def amplitude_sum_bound(pm, h, n_samples=64):
@@ -581,7 +570,7 @@ def amplitude_sum_bound(pm, h, n_samples=64):
 def rep_quadratic_fit(pm, radius=None, n_angles=64):
     """Fitted quadratic (c11, c12, c22) of Re P on a small circle."""
     r = radius or min(0.05, pm.cutoff.r_out / 8)
-    return tuple(float(c) for c in _rep_quadratic(pm.sol, pm.theta, r, n_angles))
+    return tuple(float(c) for c in _rep_quadratic(pm.phase, r, n_angles))
 
 
 def rep_cubic_remainder(pm, report=None, n_samples=128):
@@ -597,6 +586,6 @@ def rep_cubic_remainder(pm, report=None, n_samples=128):
     r = pm.cutoff.r_out * np.cbrt(rng.uniform(1e-3, 1.0, n_samples))
     ang = rng.uniform(0, 2 * np.pi, n_samples)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    reP = _re_phase(pm.sol, pm.theta, y1, y2)
+    reP = pm.phase(y1, y2).real
     Q = report.Q1 * y1**2 - 2 * report.Q2 * y1 * y2 + report.Q3 * y2**2
     return float(np.max(np.abs(reP - Q) / r**3))

@@ -305,3 +305,13 @@ def test_make_field_dispatch():
     assert make_field("exponential", {"c": 0.2}).name == "exponential"
     with pytest.raises(ValueError):
         make_field("nope")
+
+
+def test_div_A_is_the_jacobian_trace():
+    # bit for bit the closed-form divergences of the builtins
+    x1, x2 = np.meshgrid(np.linspace(-1.3, 1.1, 33), np.linspace(-0.9, 1.4, 33))
+    osc = oscillating_field(X0)
+    assert np.array_equal(osc.div_A(x1, x2), -np.cos(x1) * x2 - 1j * np.sin(x2))
+    assert np.array_equal(exponential_field(0.4).div_A(x1, x2), np.zeros_like(x1) + 0j)
+    user = user_polynomial_field({(2, 1): 1.5j}, {(0, 3): 2.0}, cap=6)
+    assert np.array_equal(user.div_A(x1, x2), 3j * x1 * x2 + 6.0 * x2**2)

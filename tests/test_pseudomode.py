@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import BiSeries, UniSeries
+from cmag_wkb.cseries import BiSeries, UniSeries, real_gradient_series
 from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb import pseudomode
 from cmag_wkb.pseudomode import (
@@ -94,6 +94,16 @@ def test_cutoff_plateau_and_support():
 # gauge function
 # ----------------------------------------------------------------------------
 
+def _theta(phase, sol, y1, y2):
+    """theta = (P - S) / i from the phase evaluator."""
+    return (phase(y1, y2) - sol.S.realify(y1, y2)) / 1j
+
+
+def _canonical_M(sol, y1, y2):
+    d1phi, d2phi = real_gradient_series(sol.phi)
+    return -d2phi.realify(y1, y2), d1phi.realify(y1, y2)
+
+
 def test_theta_zero_in_canonical_gauge(work_setup):
     field, rep, sol, pm = work_setup
     canon = canonical_field(field, sol)
@@ -101,17 +111,20 @@ def test_theta_zero_in_canonical_gauge(work_setup):
     y1, y2 = (pts - np.array(sol.base_point)).T
     ev = pseudomode._ThetaEvaluator(canon, sol)
     ev.check_curl_free(float(np.max(np.hypot(y1, y2))))
-    assert np.max(np.abs(ev(y1, y2))) < 1e-10
+    assert np.max(np.abs(_theta(ev, sol, y1, y2))) < 1e-10
 
 
 def test_theta_gradient_reproduces_gauge_difference(work_setup):
     field, rep, sol, pm = work_setup
-    ev = pm.theta
     y = np.array([0.21, -0.13])
     d = 1e-5
-    g1 = (ev(y[0] + d, y[1]) - ev(y[0] - d, y[1])) / (2 * d)
-    g2 = (ev(y[0], y[1] + d) - ev(y[0], y[1] - d)) / (2 * d)
-    m1, m2 = ev.M(y[0], y[1])
+
+    def theta(u1, u2):
+        return _theta(pm.phase, sol, u1, u2)
+
+    g1 = (theta(y[0] + d, y[1]) - theta(y[0] - d, y[1])) / (2 * d)
+    g2 = (theta(y[0], y[1] + d) - theta(y[0], y[1] - d)) / (2 * d)
+    m1, m2 = _canonical_M(sol, y[0], y[1])
     a1, a2 = field.A(sol.base_point[0] + y[0], sol.base_point[1] + y[1])
     assert abs(g1 - (m1 - a1)) < 1e-6
     assert abs(g2 - (m2 - a2)) < 1e-6
@@ -119,42 +132,86 @@ def test_theta_gradient_reproduces_gauge_difference(work_setup):
 
 def _theta_by_quadrature(field, sol, y1, y2, n=64):
     """Reference theta: Gauss rule on (M - A)(x0 + t y) . y with M from phi."""
-    dzphi, dwphi = sol.phi.differentiate("z"), sol.phi.differentiate("w")
-    d1phi, d2phi = dzphi + dwphi, 1j * (dzphi - dwphi)
     x0 = sol.base_point
     tg, twt = np.polynomial.legendre.leggauss(n)
     acc = np.zeros_like(y1, dtype=complex)
     for t, wgt in zip(0.5 * (tg + 1.0), 0.5 * twt):
-        m1, m2 = -d2phi.realify(t * y1, t * y2), d1phi.realify(t * y1, t * y2)
+        m1, m2 = _canonical_M(sol, t * y1, t * y2)
         a1, a2 = field.A(x0[0] + t * y1, x0[1] + t * y2)
         acc = acc + wgt * ((m1 - a1) * y1 + (m2 - a2) * y2)
     return acc
 
 
-@pytest.mark.parametrize("case", ["workhorse", "oscillating"])
-def test_theta_matches_quadrature_reference(case, monkeypatch):
-    if case == "workhorse":
-        field = workhorse(cap=24)
-        pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
-    else:
-        field = oscillating_field(X0, cap=48)
-        pm = make_pseudomode(field, solve_wkb(field, N=1), N=1, delta_override=0.08)
+def _oscillating_pm():
+    field = oscillating_field(X0, cap=48)
+    return make_pseudomode(field, solve_wkb(field, N=1), N=1, delta_override=0.08)
+
+
+def _workhorse_pm():
+    field = workhorse(cap=24)
+    return make_pseudomode(field, solve_wkb(field, N=1), N=1)
+
+
+@pytest.mark.parametrize("make_pm", [_workhorse_pm, _oscillating_pm],
+                         ids=["workhorse", "oscillating"])
+def test_theta_matches_quadrature_reference(make_pm, monkeypatch):
+    pm = make_pm()
     rng = np.random.default_rng(3)
     r = pm.cutoff.r_out * np.sqrt(rng.uniform(0.0, 1.0, 200))
     ang = rng.uniform(0.0, 2 * np.pi, 200)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    ref = _theta_by_quadrature(field, pm.sol, y1, y2)
+    ref = _theta_by_quadrature(pm.field, pm.sol, y1, y2)
+    pm.phase(0.0, 0.0)  # calibrated
     calls = []
-    M = pseudomode._ThetaEvaluator.M
+    realify = BiSeries.realify
 
-    def counting_M(self, *args):
-        calls.append(args)
-        return M(self, *args)
+    def counting_realify(self, *args):
+        calls.append(self)
+        return realify(self, *args)
 
-    monkeypatch.setattr(pseudomode._ThetaEvaluator, "M", counting_M)
-    theta = pm.theta(y1, y2)
-    assert not calls  # the M part is a series, not a quadrature of M
+    monkeypatch.setattr(BiSeries, "realify", counting_realify)
+    P = pm.phase(y1, y2)
+    assert len(calls) == 1  # S + i T is one series
+    monkeypatch.undo()
+    theta = (P - pm.sol.S.realify(y1, y2)) / 1j
     assert np.max(np.abs(theta - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2):
+    """Reference commutator: the gradient pairs of amp and S, M from phi and
+    the unit normal n = y / r."""
+    sol, cut = pm.sol, pm.cutoff
+    r = np.hypot(y1, y2)
+    n1, n2 = y1 / r, y2 / r
+    dchi, lapchi = cut.chi_prime(r), cut.chi_lap(r)
+    E = np.exp(-pm.phase(y1, y2) / h)
+    g1, g2 = real_gradient_series(amp)
+    dS1, dS2 = real_gradient_series(sol.S)
+    m1, m2 = _canonical_M(sol, y1, y2)
+    lin1 = dS1.realify(y1, y2) + 1j * m1
+    lin2 = dS2.realify(y1, y2) + 1j * m2
+    return E * (
+        -2.0 * h**2 * dchi * (n1 * g1.realify(y1, y2) + n2 * g2.realify(y1, y2))
+        + (-(h**2) * lapchi + 2.0 * h * (lin1 * dchi * n1 + lin2 * dchi * n2))
+        * amp.realify(y1, y2)
+    )
+
+
+@pytest.mark.parametrize("make_pm", [_workhorse_pm, _oscillating_pm],
+                         ids=["workhorse", "oscillating"])
+def test_euler_commutator_matches_gradient_pairs(make_pm):
+    pm = make_pm()
+    cut = pm.cutoff
+    rng = np.random.default_rng(5)
+    r = rng.uniform(cut.r_in, cut.r_out, 300)
+    ang = rng.uniform(0.0, 2 * np.pi, 300)
+    y1, y2 = r * np.cos(ang), r * np.sin(ang)
+    for h in (0.1, 0.02):
+        N = pm.N_used(h)
+        amp = pseudomode._amplitude(pm.sol, h, N)
+        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2)[2]
+        ref = _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gauge_mismatch_raises():
@@ -182,22 +239,38 @@ def test_one_theta_evaluator_per_pseudomode(monkeypatch):
     residual_series_exact(pm, 0.05)
     assemble(pm, 0.1)(np.array([0.01, 0.02]), np.array([0.0, -0.01]))
     assert len(built) == 2
-    assert built[-1] is pm.theta
+    assert built[-1] is pm.phase
 
 
 def test_theta_second_derivative_identity_oscillating():
     # Im d1^2 theta(0) = -d1 Im A1(x0) (= 0 for the oscillating field)
     field = oscillating_field(X0, cap=20)
     sol = solve_wkb(field, N=1)
-    from cmag_wkb.pseudomode import _ThetaEvaluator
+    ev = pseudomode._ThetaEvaluator(field, sol)
 
-    ev = _ThetaEvaluator(field, sol)
+    def theta(u1, u2):
+        return _theta(ev, sol, u1, u2)
+
     d = 1e-4
-    d11 = (ev(d, 0.0) - 2 * ev(0.0, 0.0) + ev(-d, 0.0)) / d**2
+    d11 = (theta(d, 0.0) - 2 * theta(0.0, 0.0) + theta(-d, 0.0)) / d**2
     assert abs(d11.imag - 0.0) < 1e-6
     # and the mixed one equals Im B(x0)/2 - d1 Im A2(x0) = -1/2
-    d12 = (ev(d, d) - ev(d, -d) - ev(-d, d) + ev(-d, -d)) / (4 * d**2)
+    d12 = (theta(d, d) - theta(d, -d) - theta(-d, d) + theta(-d, -d)) / (4 * d**2)
     assert abs(d12.imag - (-0.5)) < 1e-5
+
+
+def test_unresolved_gauge_quadrature_raises():
+    # a curl-free term grad(sin(5000 x1)/5000) in A1 leaves B unchanged, but
+    # no Gauss rule up to 384 nodes resolves its radial integral
+    base = polynomial_field(1.0, 1j, 1.0, cap=12)
+
+    def A(x1, x2):
+        a1, a2 = base.A(x1, x2)
+        return a1 + np.cos(5000.0 * x1), a2
+
+    field = replace(base, A=A, A_jac=None)
+    with pytest.raises(QuadratureResolutionError, match="n=192"):
+        make_pseudomode(field, solve_wkb(field, N=1), N=1)
 
 
 # ----------------------------------------------------------------------------
