@@ -19,13 +19,15 @@ Examples
   cmag-wkb check-conditions --builtin exponential --c 0.4 --h 1 --region -3,3,-3,3
 
 Exit codes: 0 success, 2 config error, 3 admissibility rejection,
-4 internal identity failure, 5 quadrature resolution refusal.  The degree
+4 internal identity failure, 5 residual-grid quadrature refusal.  The degree
 cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 --adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 when the fd
-evaluator runs; violating either exits 2 before any work starts.
+evaluator runs; violating either exits 2 before any work starts.  A --delta
+outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
 
-Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1);
-outputs are gathered in sweep order regardless of completion order.
+Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
+integer, else exit 2); outputs are gathered in sweep order regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -234,8 +236,15 @@ def _sweep_worker(task):
     return residual_series_exact(pm, h)
 
 
-def run_sweep(pm, hs, field_cfg, cap):
-    workers = int(os.environ.get("CMAG_WKB_WORKERS", "1"))
+def _workers():
+    text = os.environ.get("CMAG_WKB_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"CMAG_WKB_WORKERS must be an integer, got {text!r}") from exc
+
+
+def run_sweep(pm, hs, field_cfg, cap, workers):
     if workers <= 1:
         return [residual_series_exact(pm, h) for h in hs]
     cut = pm.cutoff
@@ -299,6 +308,7 @@ def cmd_run(args):
     _check_order(n_solve, args.D)
     if args.evaluator in ("fd", "both") and args.grid_n < 16:
         raise ConfigError(f"--grid-n {args.grid_n} too small: need >= 16")
+    workers = _workers()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cap = args.D
@@ -352,7 +362,7 @@ def cmd_run(args):
     pm = make_pseudomode(field, sol, report=report, N_rule=rule, N=args.N,
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
-    reports = run_sweep(pm, hs, field_cfg, cap)
+    reports = run_sweep(pm, hs, field_cfg, cap, workers)
     if args.evaluator in ("fd", "both"):
         for h in ([hs[len(hs) // 2]] if args.evaluator == "both" else hs):
             reports.append(residual_finite_difference(pm, float(h), n=args.grid_n))
@@ -523,7 +533,7 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, pseudomode.CutoffRadiusError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DegenerateFieldError, SeriesDivisionError) as exc:

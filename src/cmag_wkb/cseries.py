@@ -23,11 +23,12 @@ Degree-wise arithmetic has one kernel.  ``parts()`` lists the homogeneous
 parts of a series: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by
 the z-degree (for a UniSeries it is the single coefficient c[k]).  The part of
 degree k of a product is the sum over j of ``np.convolve`` of part j with part
-k-j, so the bivariate product, ``exp`` (Euler-operator recurrence) and
-``reciprocal`` are per-degree convolution sums, and the per-degree readers
-(``degree_maxima``, the dropped-term flag of ``antiderivative``) reduce single
-parts.  The sums are direct, never FFTs: the roundoff of degree k is set by the
-magnitudes that enter degree k, which the per-degree identity scales rely on.
+k-j, so the bivariate product, ``exp`` and ``power`` (Euler-operator
+recurrences) and ``reciprocal`` are per-degree convolution sums, and the
+per-degree readers (``degree_maxima``, the dropped-term flag of
+``antiderivative``) reduce single parts.  The sums are direct, never FFTs:
+the roundoff of degree k is set by the magnitudes that enter degree k, which
+the per-degree identity scales rely on.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def _convolve_sum(xs, y, k, out):
 
 
 class _Series:
-    """Ring jobs shared by UniSeries and BiSeries; ``exp`` and ``reciprocal``
-    are recurrences over the homogeneous parts.
+    """Ring jobs shared by UniSeries and BiSeries; ``exp``, ``reciprocal``
+    and ``power`` are recurrences over the homogeneous parts.
 
     Subclasses provide ``_check(other)``, ``_new(coeffs)`` (same cap and
     center), ``parts()`` and ``_with_parts(parts)``.
@@ -137,6 +138,22 @@ class _Series:
         g = [1.0 / c[0]]
         for k in range(1, self.cap + 1):
             g.append(-_convolve_sum(cs, g, k, np.zeros_like(c[k])) / c0)
+        return self._with_parts(g)
+
+    def power(self, alpha):
+        """J.C.P. Miller's recurrence for g = c^alpha (principal branch):
+        k c_0 g_k = sum_{j>=1} ((alpha+1) j - k) c_j * g_{k-j}, g_0 = c_0^alpha
+        (Knuth, TAOCP vol. 2, 4.7)."""
+        c = self.parts()
+        c0 = c[0][0]
+        if abs(c0) == 0.0:
+            raise SeriesDivisionError("power of a series whose constant term is 0")
+        cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
+        jcs = [(j, (alpha + 1) * j * p) for j, p in cs]
+        g = [c[0] ** alpha]
+        for k in range(1, self.cap + 1):
+            acc = _convolve_sum(jcs, g, k, np.zeros_like(c[k]))
+            g.append((acc - k * _convolve_sum(cs, g, k, np.zeros_like(c[k]))) / (k * c0))
         return self._with_parts(g)
 
 
@@ -527,6 +544,12 @@ def complexify_real_taylor(breal, cap, center=(0.0, 0.0)):
             signed = binom[n] * (-1.0) ** np.arange(n, -1, -1)
             parts[m + n] += scale * np.convolve(binom[m], signed)
     return BiSeries.zeros(cap, center)._with_parts(parts)
+
+
+def real_coordinates(cap, center=(0.0, 0.0)):
+    """The complexified coordinates y1~ = (z+w)/2 and y2~ = (z-w)/(2i)."""
+    return (BiSeries.from_terms([(1, 0, 0.5), (0, 1, 0.5)], cap, center),
+            BiSeries.from_terms([(1, 0, -0.5j), (0, 1, 0.5j)], cap, center))
 
 
 def real_gradient_series(a):

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cseries import BiSeries, complexify_real_taylor
+from .cseries import BiSeries, complexify_real_taylor, real_coordinates
 
 GAMMA_TOL = 1e-9  # tau_Gamma: "=0"/"!=0" tolerance on evaluated quantities
 
@@ -105,7 +105,9 @@ class FieldSpec:
     partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to central
     differences when no closed form is given.  ``div_A`` is the trace of
     ``jac``.  ``B_taylor`` is the complexified series of curl A at
-    ``base_point``.
+    ``base_point``; ``A_taylor()`` returns the complexified pair (A1~, A2~) of
+    A there, at the same cap.  It is a function because only the phase of a
+    pseudomode needs it, and a raster builds thousands of fields.
     """
 
     name: str
@@ -115,6 +117,7 @@ class FieldSpec:
     B_taylor: BiSeries
     base_point: tuple
     analytic_radius: float
+    A_taylor: Callable
     A_jac: Optional[Callable] = None
 
     def __post_init__(self):
@@ -155,25 +158,6 @@ def curl_fd(A, x, step=1e-5):
     return (a2p - a2m) / (2 * step) - (a1p - a1m) / (2 * step)
 
 
-def numeric_taylor(Bfunc, base, cap, step):
-    """Least-squares Taylor extraction for user fields without closed forms."""
-    K = 2 * (cap + 2)
-    t = np.linspace(-1.0, 1.0, K) * step * (cap + 2)
-    X1, X2 = np.meshgrid(base[0] + t, base[1] + t, indexing="ij")
-    vals = Bfunc(X1, X2).ravel()
-    cols, expo = [], []
-    for m in range(cap + 1):
-        for n in range(cap + 1 - m):
-            cols.append(((X1 - base[0]) ** m * (X2 - base[1]) ** n).ravel())
-            expo.append((m, n))
-    M = np.stack(cols, axis=1)
-    coef, *_ = np.linalg.lstsq(M, vals, rcond=None)
-    out = np.zeros((cap + 1, cap + 1), dtype=complex)
-    for (m, n), c in zip(expo, coef):
-        out[m, n] = c
-    return out
-
-
 # ----------------------------------------------------------------------------
 # builtins
 # ----------------------------------------------------------------------------
@@ -184,6 +168,14 @@ def _trig_taylor(x0, cap, kind):
     return np.array(
         [np.sin(shift + x0 + k * np.pi / 2) / math.factorial(k) for k in range(cap + 1)]
     )
+
+
+def _shifted_coordinates(x0, cap):
+    """The complexified x0 + y and |x0 + y|^2 = |x0|^2 + 2 x0 . y~ + zw."""
+    y1, y2 = real_coordinates(cap)
+    rho = (BiSeries.from_terms([(1, 1, 1.0)], cap) + (2 * x0[0]) * y1 + (2 * x0[1]) * y2
+           + (x0[0] ** 2 + x0[1] ** 2))
+    return x0[0] + y1, x0[1] + y2, rho
 
 
 def oscillating_field(base_point, cap=24):
@@ -206,9 +198,21 @@ def oscillating_field(base_point, cap=24):
     breal[:, 0] += s1
     breal[0, :] += 1j * s2
     bt = complexify_real_taylor(breal, cap)
+
+    def A_taylor():
+        # -sin(x1) (x0[1] + y2) + i cos(x2) and i cos(x2), term by term
+        a1 = np.zeros((cap + 1, cap + 1), dtype=complex)
+        a2 = np.zeros((cap + 1, cap + 1), dtype=complex)
+        c2 = 1j * _trig_taylor(x0[1], cap, "cos")
+        a1[:, 0] = -x0[1] * s1
+        a1[:, 1] = -s1
+        a1[0, :] += c2
+        a2[0, :] = c2
+        return complexify_real_taylor(a1, cap), complexify_real_taylor(a2, cap)
+
     return FieldSpec(
         name="oscillating", params={}, A=A, B=B, B_taylor=bt, base_point=x0,
-        analytic_radius=1.0, A_jac=A_jac,
+        analytic_radius=1.0, A_taylor=A_taylor, A_jac=A_jac,
     )
 
 
@@ -264,11 +268,13 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     def B(x1, x2):
         return poly_eval(Bp, x1, x2) * np.ones_like(np.asarray(x1, dtype=float))
 
-    breal = _poly_to_array(poly_shift(Bp, x0), cap)
-    bt = complexify_real_taylor(breal, cap)
+    def taylor(p):
+        return complexify_real_taylor(_poly_to_array(poly_shift(p, x0), cap), cap)
+
     return FieldSpec(
-        name=name, params=params, A=A, B=B, B_taylor=bt, base_point=x0,
-        analytic_radius=analytic_radius, A_jac=A_jac,
+        name=name, params=params, A=A, B=B, B_taylor=taylor(Bp), base_point=x0,
+        analytic_radius=analytic_radius, A_taylor=lambda: (taylor(A1p), taylor(A2p)),
+        A_jac=A_jac,
     )
 
 
@@ -289,12 +295,14 @@ def miller_simon_field(c, alpha, base_point=(1.0, 0.5), cap=3):
 
     if math.hypot(*x0) < 1e-9:
         raise ValueError("miller_simon base point must avoid the origin (|x| kink)")
-    radius = 0.5 * min(1.0, math.hypot(*x0))
-    breal = numeric_taylor(B, x0, cap, 1e-2 * radius)
-    bt = complexify_real_taylor(breal, cap)
+    X1, X2, rho = _shifted_coordinates(x0, cap)
+    r = rho.power(0.5)
+    f = c * (1 + r).power(-alpha)
+    bt = f * (2 - alpha * r * (1 + r).reciprocal())
     return FieldSpec(
         name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B,
-        B_taylor=bt, base_point=x0, analytic_radius=radius,
+        B_taylor=bt, base_point=x0, analytic_radius=0.5 * min(1.0, math.hypot(*x0)),
+        A_taylor=lambda: (-f * X2, f * X1),
     )
 
 
@@ -318,16 +326,13 @@ def exponential_field(c, base_point=(0.0, 0.0), cap=24):
             1j * c * e * (1 + 2 * x1**2), 2j * c * e * x1 * x2,
         )
 
-    if x0 == (0.0, 0.0):
-        # B~ = 2ic (1 + zw) e^{zw}: assemble exactly
-        ew = BiSeries.from_terms([(1, 1, 1.0)], cap)
-        bt = (BiSeries.constant(1.0, cap) + ew) * ew.exp() * (2j * c)
-    else:
-        breal = numeric_taylor(B, x0, min(cap, 4), 1e-3)
-        bt = complexify_real_taylor(breal, min(cap, 4))
+    # B~ = 2ic (1 + rho) e^rho and A~ = ic e^rho (-X2~, X1~), rho = |x|^2~
+    X1, X2, rho = _shifted_coordinates(x0, cap)
+    e = rho.exp()
     return FieldSpec(
-        name="exponential", params={"c": c}, A=A, B=B, B_taylor=bt,
-        base_point=x0, analytic_radius=1.0, A_jac=A_jac,
+        name="exponential", params={"c": c}, A=A, B=B, B_taylor=(1 + rho) * e * (2j * c),
+        base_point=x0, analytic_radius=1.0,
+        A_taylor=lambda: (e * X2 * (-1j * c), e * X1 * (1j * c)), A_jac=A_jac,
     )
 
 

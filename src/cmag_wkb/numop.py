@@ -65,25 +65,6 @@ class GridFunction:
     def norm(self):
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing**2)
 
-    # -- binary round trip: text header, then little-endian float64 pairs ----
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(f"cmag-wkb-grid n={self.grid.n} L={self.grid.L!r} "
-                     f"layout=row-major complex=interleaved byteorder=little\n".encode())
-            inter = np.empty((self.grid.n, self.grid.n, 2), dtype="<f8")
-            inter[..., 0] = self.values.real
-            inter[..., 1] = self.values.imag
-            inter.tofile(fh)
-
-    @staticmethod
-    def load(path):
-        with open(path, "rb") as fh:
-            header = fh.readline().decode().split()
-            n = int(header[1].split("=")[1])
-            L = float(header[2].split("=")[1])
-            raw = np.fromfile(fh, dtype="<f8", count=2 * n * n).reshape(n, n, 2)
-        return GridFunction(values=raw[..., 0] + 1j * raw[..., 1], grid=Grid2D(L=L, n=n))
-
 
 def _d1(u, axis, s):
     out = np.zeros_like(u)

@@ -4,11 +4,12 @@ The phase is P = S + i*theta, where S comes from the series construction and
 theta is the gauge function with grad theta = M - A, M = (-d2 phi, d1 phi)
 the canonical potential of the Poisson solution.  theta is the radial
 homotopy integral int_0^1 (M - A)(x0 + t y) . y dt, normalized to
-theta(x0) = 0 (the constant cancels in every ratio).  Its M part is one exact
-series: i M . y = (z d_z - w d_w) phi, and the integral divides the degree-k
-part by k.  Each pseudomode owns one phase evaluator: S + i * (that series)
-is one series, built once, and only the closed-form A is integrated by
-Gauss-Legendre quadrature along radial segments from the base point.
+theta(x0) = 0 (the constant cancels in every ratio).  Both parts are exact
+series: i M . y = (z d_z - w d_w) phi, A . y is the product of the field's
+Taylor pair A~ with y~ = ((z+w)/2, (z-w)/(2i)), and the integral divides the
+degree-k part by k.  Each pseudomode owns one phase evaluator: P is one
+series, built once, after one gauge check that A~ is the Taylor data of both
+B and the callable A.
 
 The pseudomode is u_h = chi * exp(-P/h) * sum_j h^j a_j with a plateau
 cutoff chi; the amplitude sum is one series per h.  Its residual splits into
@@ -27,14 +28,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cseries import BiSeries, real_gradient_series
-from .fieldmodel import FieldSpec, compute_Q, curl_fd
-from .wkb import WKBSolution
+from .cseries import (BiSeries, degree_maxima, degree_scale, real_coordinates,
+                      real_gradient_series)
+from .fieldmodel import FieldSpec, compute_Q
+from .wkb import IDENTITY_RTOL, WKBSolution
 
 log = logging.getLogger(__name__)
 
@@ -44,12 +46,15 @@ class PhaseNotPositiveError(RuntimeError):
 
 
 class QuadratureResolutionError(RuntimeError):
-    """A quadrature is unresolved: the Gaussian scale sqrt(h) by the allowed
-    grid, or the gauge integral of A by the largest Gauss rule."""
+    """The residual grid does not resolve the Gaussian scale sqrt(h)."""
 
 
 class GaugeConsistencyError(RuntimeError):
-    """M - A is not numerically curl-free: Taylor data does not match A."""
+    """The Taylor pair A~ disagrees with B~ (curl A~ != B~) or with A."""
+
+
+class CutoffRadiusError(ValueError):
+    """A cutoff radius override outside (0, d_max]."""
 
 
 # ----------------------------------------------------------------------------
@@ -139,120 +144,99 @@ class _ThetaEvaluator:
     """The phase P(y) = S(y) + i theta(y) on arrays of local points, with
     theta(x) = int_0^1 (M - A)(x0 + t y) . y dt.
 
-    The M part of theta is the series T: i M . y = (z d_z - w d_w) phi, and
-    the degree-k part of that integrand carries t^(k-1), so
-    T[a, b] = -i (a - b) / (a + b) * phi[a, b].  S + i T is one series, built
-    once.  The A part is a Gauss rule whose node count adapts once, on a
-    spot-check ring, not per call: A is analytic, so a fixed rule is exact to
-    roundoff once the count clears the field's scale.
+    The degree-k part of the integrand carries t^(k-1), so theta is the
+    series T + T_A with T[a, b] = -i (a - b) / (a + b) * phi[a, b] and
+    T_A[a, b] = -(A~ . y~)[a, b] / (a + b).  P = S + i (T + T_A) is built
+    once; ``d_max`` is the largest admissible cutoff radius.
     """
 
-    def __init__(self, field, sol, n_nodes=24, check_radius=None):
+    def __init__(self, field, sol):
         self.field = field
         self.sol = sol
+        self.d_max = min(0.5 * field.analytic_radius, 0.95 * sol.trusted_radius)
+        self.A_taylor = field.A_taylor()
         phi = sol.phi
+        a1, a2 = self.A_taylor
+        y1, y2 = real_coordinates(a1.cap, a1.center)
         a, b = np.indices(phi.coeffs.shape)
-        T = -1j * (a - b) / np.maximum(a + b, 1) * phi.coeffs
-        self._P = sol.S + 1j * BiSeries(T, phi.cap, phi.center)
-        self.n_nodes = n_nodes
-        self._calibrated = False
-        self._check_radius = check_radius or 0.5 * sol.trusted_radius
-
-    def _quad(self, y1, y2, n):
-        """-int_0^1 A(x0 + t y) . y dt by an n-node Gauss rule."""
-        tg, twt = np.polynomial.legendre.leggauss(n)
-        tt = 0.5 * (tg + 1.0)
-        tw = 0.5 * twt
-        x0 = self.sol.base_point
-        acc = np.zeros(np.broadcast(y1, y2).shape, dtype=complex)
-        for t, wgt in zip(tt, tw):
-            a1, a2 = self.field.A(x0[0] + t * y1, x0[1] + t * y2)
-            acc = acc - wgt * (a1 * y1 + a2 * y2)
-        return acc
+        T = (-1j * (a - b) * phi.coeffs - (a1 * y1 + a2 * y2).coeffs) / np.maximum(a + b, 1)
+        self.P = sol.S + 1j * BiSeries(T, phi.cap, phi.center)
+        self._calibrate()
 
     def _calibrate(self):
-        """Adopt the first n of n_nodes * (1, 2, 4, 8) whose rule agrees with
-        the 2n rule to 1e-10 on the check ring; refuse when none does."""
+        """The gauge check: curl A~ = B~ per degree up to cap - 2, and A~
+        reproduces the callable A on rings at 0.3, 0.7 and 1 x d_max."""
+        a1, a2 = self.A_taylor
+        B = self.field.B_taylor
+        d1a2, d2a1 = real_gradient_series(a2)[0], real_gradient_series(a1)[1]
+        res = degree_maxima(d1a2 - d2a1 - B)[:B.cap - 1]
+        scale = degree_scale([d1a2, d2a1, B])[:B.cap - 1]
+        if not np.all(res <= IDENTITY_RTOL * scale):  # a NaN fails too
+            k = int(np.argmax(res / scale))
+            raise GaugeConsistencyError(
+                f"curl A~ - B~ = {res[k]:.3e} at degree {k} exceeds {IDENTITY_RTOL:.0e} x "
+                f"{scale[k]:.3e}: the field's Taylor data of B and A disagree"
+            )
         ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-        r = self._check_radius
+        r = self.d_max * np.array([[0.3], [0.7], [1.0]])
         y1, y2 = r * np.cos(ang), r * np.sin(ang)
-        v = self._quad(y1, y2, self.n_nodes)
-        for n in [self.n_nodes * 2**k for k in range(4)]:
-            v2 = self._quad(y1, y2, 2 * n)
-            err = float(np.max(np.abs(v - v2)))
-            if err <= 1e-10 * max(1.0, float(np.max(np.abs(v2)))):
-                self.n_nodes = n
-                self._calibrated = True
-                return
-            v = v2
-        raise QuadratureResolutionError(
-            f"gauge quadrature of A unresolved at n={n}: |I_n - I_2n| = {err:.3e} "
-            f"on the check ring |y| = {r:.3g}"
-        )
+        x0 = self.sol.base_point
+        A = self.field.A(x0[0] + y1, x0[1] + y2)
+        worst = max(float(np.max(np.abs(ai - ti.realify(y1, y2)))) for ai, ti in zip(A, (a1, a2)))
+        tol = 1e-6 * max(1.0, *(float(np.max(np.abs(ai))) for ai in A))
+        if not worst <= tol:
+            raise GaugeConsistencyError(
+                f"|A - A~| = {worst:.3e} > {tol:.1e} on |y| <= d_max = {self.d_max:.3g}: "
+                f"the field's Taylor data does not match its potential A"
+            )
 
     def __call__(self, y1, y2):
-        if not self._calibrated:
-            self._calibrate()
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        return self._P.realify(y1, y2) + 1j * self._quad(y1, y2, self.n_nodes)
-
-    def check_curl_free(self, radius, tol=1e-6, n_samples=8):
-        """curl(M - A) at sample points inside the disc: curl M = Lap phi is
-        the series 4 d_z d_w phi, curl A the central difference curl_fd."""
-        x0 = self.sol.base_point
-        ang = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-        r = radius * np.array([[0.3], [0.7]])
-        y1, y2 = r * np.cos(ang), r * np.sin(ang)
-        lap_phi = 4.0 * self.sol.phi.differentiate("z").differentiate("w")
-        curl = lap_phi.realify(y1, y2) - curl_fd(self.field.A, (x0[0] + y1, x0[1] + y2))
-        worst = float(np.max(np.abs(curl)))
-        if worst > tol:
-            raise GaugeConsistencyError(
-                f"curl(M - A) = {worst:.3e} > {tol:.1e}: the field's Taylor data "
-                f"does not match its potential A"
-            )
-        return worst
+        return self.P.realify(y1, y2)
 
 
-def _rep_quadratic(phase, r, n_angles):
-    """Least-squares (c11, c12, c22) with Re P ~ c11 y1^2 + c12 y1 y2 + c22 y2^2
-    on the circle |y| = r."""
-    ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    rows = np.stack([y1**2, y1 * y2, y2**2], axis=1)
-    coef, *_ = np.linalg.lstsq(rows, phase(y1, y2).real, rcond=None)
-    return coef
+def _rep_quadratic(P):
+    """(c11, c12, c22) with Re P = c11 y1^2 + c12 y1 y2 + c22 y2^2 + O(|y|^3),
+    read off the degree-2 part: on w = conj(z), z^2, zw and w^2 are
+    y1^2 - y2^2 + 2i y1 y2, y1^2 + y2^2 and y1^2 - y2^2 - 2i y1 y2."""
+    p20, p11, p02 = P.coeffs[2, 0], P.coeffs[1, 1], P.coeffs[0, 2]
+    return (float((p20 + p11 + p02).real), float((2j * (p20 - p02)).real),
+            float((-p20 + p11 - p02).real))
 
 
 # ----------------------------------------------------------------------------
 # cutoff selection
 # ----------------------------------------------------------------------------
 
-def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
-    """Pick delta as the largest radius <= min(analytic_radius/2, trusted
-    radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2.
+def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
+    """Pick delta as the largest radius <= d_max = min(analytic_radius/2,
+    0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
+    ``phase`` is the pseudomode's phase evaluator.
 
-    Raises PhaseNotPositiveError with the fitted Re P quadratic when no disc
-    works (this is exactly the situation where the printed Q2 formula and the
+    Raises CutoffRadiusError for an override outside (0, d_max], and
+    PhaseNotPositiveError with the exact Re P quadratic when no disc works
+    (this is exactly the situation where the printed Q2 formula and the
     constructed phase disagree; both readings are included for diagnosis).
     """
     if report is None:
-        report = compute_Q(field)
+        report = compute_Q(phase.field)
     Qmat = np.array([[report.Q1, -report.Q2], [-report.Q2, report.Q3]])
     lam_min = float(np.linalg.eigvalsh(Qmat)[0])
     M1 = 0.5 * lam_min
-    phase = _ThetaEvaluator(field, sol)
     ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
     ca, sa = np.cos(ang), np.sin(ang)
 
     def reP_over_r2(r):
         return phase(r * ca, r * sa).real / r**2
 
-    d_max = min(0.5 * field.analytic_radius, 0.95 * sol.trusted_radius)
+    d_max = phase.d_max
 
     if delta_override is not None:
         delta = float(delta_override)
+        if not 0 < delta <= d_max:
+            raise CutoffRadiusError(
+                f"delta override {delta:.6g} outside (0, d_max], d_max = min(analytic_radius/2, "
+                f"0.95 trusted_radius) = {d_max:.6g}: the series are not trusted there"
+            )
         samples = [reP_over_r2(r) for r in np.linspace(delta / 8, delta, 8)]
         m_lo = float(np.min(samples))
         m_hi = float(np.max(samples))
@@ -271,17 +255,14 @@ def select_cutoff(field, sol, report=None, delta_override=None, n_angles=64):
                 M2 = float(max(np.max(v) for v in vals))
                 return CutoffSpec(r_in=delta / 2, r_out=delta, delta=delta, M1=M1, M2=M2)
 
-    # diagnose: fit the actual quadratic of Re P on a small circle
-    coef = _rep_quadratic(phase, min(d_max / 8, 0.05), n_angles)
-    fitted = np.array([[coef[0], coef[1] / 2], [coef[1] / 2, coef[2]]])
-    eigs = np.linalg.eigvalsh(fitted)
-    q2_printed = report.Q2
-    q2_from_fit = -coef[1] / 2.0
+    # diagnose: the actual quadratic of Re P
+    c11, c12, c22 = _rep_quadratic(phase.P)
+    eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     raise PhaseNotPositiveError(
-        f"no disc with Re P >= {M1:.4g}|x|^2: fitted Re P quadratic "
-        f"(c11, c12, c22) = ({coef[0]:.6g}, {coef[1]:.6g}, {coef[2]:.6g}), "
+        f"no disc with Re P >= {M1:.4g}|x|^2: Re P quadratic "
+        f"(c11, c12, c22) = ({c11:.6g}, {c12:.6g}, {c22:.6g}), "
         f"eigenvalues {eigs[0]:.4g}, {eigs[1]:.4g}; Q2 printed formula gives "
-        f"{q2_printed:.6g}, the constructed phase corresponds to Q2 = {q2_from_fit:.6g}. "
+        f"{report.Q2:.6g}, the constructed phase corresponds to Q2 = {-c12 / 2:.6g}. "
         f"A decaying pseudomode does not exist at this base point."
     )
 
@@ -317,16 +298,17 @@ class Pseudomode:
 
     @functools.cached_property
     def phase(self):
-        """The phase evaluator of this pseudomode, built and calibrated once."""
+        """The phase evaluator of this pseudomode, built and checked once."""
         return _ThetaEvaluator(self.field, self.sol)
 
 
 def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
                     delta_override=None):
-    cutoff = select_cutoff(field, sol, report=report, delta_override=delta_override)
+    phase = _ThetaEvaluator(field, sol)
+    cutoff = select_cutoff(phase, report=report, delta_override=delta_override)
     pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule=N_rule,
                     N_fixed=N, m_growth=m_growth)
-    pm.phase.check_curl_free(cutoff.r_out)
+    object.__setattr__(pm, "phase", phase)  # the cached property's slot
     return pm
 
 
@@ -536,56 +518,3 @@ def fit_decay(reports, model="power"):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(model=model, slope=float(coef[0]), constant=float(coef[1]),
                     r_squared=r2)
-
-
-# ----------------------------------------------------------------------------
-# gauge helpers and diagnostics
-# ----------------------------------------------------------------------------
-
-def canonical_field(field, sol):
-    """The same field in the canonical gauge A := M (so theta == 0)."""
-    d1phi, d2phi = real_gradient_series(sol.phi)
-    x0 = sol.base_point
-
-    def A(x1, x2):
-        y1, y2 = np.asarray(x1) - x0[0], np.asarray(x2) - x0[1]
-        return -d2phi.realify(y1, y2), d1phi.realify(y1, y2)
-
-    return replace(field, name=field.name + "_canonical", A=A, A_jac=None)
-
-
-def amplitude_sum_bound(pm, h, n_samples=64):
-    """Fitted C1 with sum_{j>=1} h^j |a_j(x)| <= C1 |x| near the base point."""
-    cut, sol = pm.cutoff, pm.sol
-    rng = np.random.default_rng(7)
-    r = cut.r_out * np.sqrt(rng.uniform(0.001, 1.0, n_samples))
-    ang = rng.uniform(0, 2 * np.pi, n_samples)
-    y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    total = np.zeros(n_samples)
-    for j in range(1, pm.N_used(h) + 1):
-        total = total + h**j * np.abs(sol.amplitudes[j].realify(y1, y2))
-    return float(np.max(total / r))
-
-
-def rep_quadratic_fit(pm, radius=None, n_angles=64):
-    """Fitted quadratic (c11, c12, c22) of Re P on a small circle."""
-    r = radius or min(0.05, pm.cutoff.r_out / 8)
-    return tuple(float(c) for c in _rep_quadratic(pm.phase, r, n_angles))
-
-
-def rep_cubic_remainder(pm, report=None, n_samples=128):
-    """Fitted K with |Re P(x) - Q(x - x0)| <= K |x - x0|^3 on samples.
-
-    Q is the admissibility quadratic form from the field report; finite K is
-    the O(|x|^3) agreement diagnostic (it blows up exactly when the report's
-    cross-coefficient and the assembled phase disagree).
-    """
-    if report is None:
-        report = compute_Q(pm.field)
-    rng = np.random.default_rng(11)
-    r = pm.cutoff.r_out * np.cbrt(rng.uniform(1e-3, 1.0, n_samples))
-    ang = rng.uniform(0, 2 * np.pi, n_samples)
-    y1, y2 = r * np.cos(ang), r * np.sin(ang)
-    reP = pm.phase(y1, y2).real
-    Q = report.Q1 * y1**2 - 2 * report.Q2 * y1 * y2 + report.Q3 * y2**2
-    return float(np.max(np.abs(reP - Q) / r**3))

@@ -37,6 +37,7 @@ from cmag_wkb.numop import verify_magnetic_inequalities
 from cmag_wkb.pseudomode import (
     PhaseNotPositiveError,
     Pseudomode,
+    _ThetaEvaluator,
     fit_decay,
     make_pseudomode,
     residual_finite_difference,
@@ -168,7 +169,7 @@ def test_criterion_04_residual_order_oscillating():
     except PhaseNotPositiveError as exc:
         rejected = True
         print(f"\n  [criterion 4 diagnostic] {exc}")
-    cutoff = select_cutoff(field, sol, report=rep, delta_override=0.08)
+    cutoff = select_cutoff(_ThetaEvaluator(field, sol), report=rep, delta_override=0.08)
     hs = np.geomspace(0.1, 0.003, 8)
     slopes = {}
     for N in (0, 1, 2):
@@ -192,7 +193,7 @@ def test_criterion_04s_residual_order_supplementary(workhorse_sweep):
     # L2 ratio), confirming the O(h^{N+2}) bound with margin
     field, rep, sol, bf, hs, fixed, adaptive = workhorse_sweep
     small = np.geomspace(0.02, 0.002, 6)
-    cutoff = select_cutoff(field, sol, report=rep)
+    cutoff = select_cutoff(_ThetaEvaluator(field, sol), report=rep)
     slopes = {}
     for N in (0, 1, 2):
         pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule="fixed", N_fixed=N)

@@ -206,6 +206,25 @@ def test_run_user_polynomial_field_from_config(tmp_path):
     assert rep["in_gamma"] is True
 
 
+def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
+    # d_max = min(analytic_radius/2, 0.95 trusted radius) = 0.647 here; the
+    # series are not trusted beyond it (tail_estimate would read inf)
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
+                 "--delta", "5", "--out", str(tmp_path / "d")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "d_max" in err and "Traceback" not in err
+    assert not (tmp_path / "d" / "residuals.csv").exists()
+
+
+def test_run_refuses_non_integer_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CMAG_WKB_WORKERS", "x")
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
+                 "--out", str(tmp_path / "w")])
+    assert code == EXIT_CONFIG
+    assert "CMAG_WKB_WORKERS" in capsys.readouterr().err
+
+
 def test_run_phase_positivity_failure_exit_code(tmp_path):
     # admissible per the (Q1,Q2,Q3) report, but the assembled phase is
     # indefinite: internal identity failure (exit 4)

@@ -130,7 +130,7 @@ def test_antiderivative_truncation_flag():
 
 
 # ----------------------------------------------------------------------------
-# exp / reciprocal
+# exp / reciprocal / power
 # ----------------------------------------------------------------------------
 
 def test_exp_of_zero():
@@ -171,6 +171,34 @@ def test_reciprocal_zero_constant_term_raises():
     for a in (bi([(1, 0, 1.0)]), uni([0.0, 1.0])):
         with pytest.raises(SeriesDivisionError, match="reciprocal of a0"):
             a.reciprocal("a0")
+
+
+def _power_operands():
+    return (bi([(0, 0, 2.0 - 1j), (1, 0, 0.5), (0, 1, 0.25j), (2, 1, -0.125)], cap=10),
+            uni([2.0 - 1j, 0.5, 0.25j, -0.125], cap=10))
+
+
+def test_power_inverse_pair():
+    # f^alpha * f^(-alpha) = 1, degree by degree
+    for f in _power_operands():
+        for alpha in (0.5, -1.3, 2.7):
+            res = f.power(alpha) * f.power(-alpha) - type(f).constant(1.0, 10)
+            assert np.max(degree_maxima(res)) < 1e-13
+
+
+def test_power_square_root_squares_back():
+    for f in _power_operands():
+        root = f.power(0.5)
+        assert np.max(degree_maxima(root * root - f)) < 1e-14
+        # integer powers agree with products, and power(-1) with reciprocal
+        assert np.max(np.abs((f.power(3) - f * f * f).coeffs)) < 1e-13
+        assert np.max(np.abs((f.power(-1) - f.reciprocal()).coeffs)) < 1e-14
+
+
+def test_power_zero_constant_term_raises():
+    for a in (bi([(1, 0, 1.0)]), uni([0.0, 1.0])):
+        with pytest.raises(SeriesDivisionError, match="power"):
+            a.power(0.5)
 
 
 # ----------------------------------------------------------------------------

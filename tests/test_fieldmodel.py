@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmag_wkb.cseries import degree_maxima, real_gradient_series
 from cmag_wkb.fieldmodel import (
     ConditionCheckConfig,
     FieldConsistencyError,
@@ -298,6 +299,27 @@ def test_consistency_check_rejects_mismatched_taylor():
     from dataclasses import replace
     with pytest.raises(FieldConsistencyError):
         replace(good, A=lambda x1, x2: (np.zeros_like(x1), 5.0 * x1))
+
+
+@pytest.mark.parametrize("field", [
+    miller_simon_field(1 + 1j, 1.0, cap=16),
+    miller_simon_field(0.5 - 2j, 2.5, base_point=(-0.4, 0.9), cap=16),
+    exponential_field(0.4, base_point=(0.3, -0.5), cap=24),
+], ids=["miller_simon", "miller_simon_alpha", "exponential_off_origin"])
+def test_taylor_pairs_match_callables_on_a_ring(field):
+    # A~ and B~ are exact series (power and exp recurrences), so on a ring at
+    # half the analytic radius they reproduce A and B to roundoff, and
+    # curl A~ = B~ below the cap
+    r = 0.5 * field.analytic_radius
+    ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    y1, y2 = r * np.cos(ang), r * np.sin(ang)
+    x1, x2 = field.base_point[0] + y1, field.base_point[1] + y2
+    a1, a2 = field.A_taylor()
+    for got, want in ((a1, field.A(x1, x2)[0]), (a2, field.A(x1, x2)[1]),
+                      (field.B_taylor, field.B(x1, x2))):
+        assert np.max(np.abs(got.realify(y1, y2) - want)) < 1e-10 * np.max(np.abs(want))
+    curl = real_gradient_series(a2)[0] - real_gradient_series(a1)[1] - field.B_taylor
+    assert np.max(degree_maxima(curl)[:-2]) < 1e-13 * field.B_taylor.max_abs()
 
 
 def test_make_field_dispatch():

@@ -163,14 +163,3 @@ def test_near_tightness_constant_field_observation(capsys):
     print(f"landau-bump slack/RHS = {rel_slack:.4f}")
     assert rel_slack >= -1e-6  # the theorem-side bound still holds
 
-
-def test_grid_function_binary_round_trip(tmp_path):
-    grid = Grid2D(L=2.0, n=32)
-    rng = np.random.default_rng(5)
-    vals = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    gf = GridFunction(vals, grid)
-    path = tmp_path / "field.bin"
-    gf.save(path)
-    back = GridFunction.load(path)
-    assert np.array_equal(back.values, gf.values)
-    assert back.grid == grid

@@ -16,12 +16,9 @@ from cmag_wkb.pseudomode import (
     Pseudomode,
     QuadratureResolutionError,
     ResidualReport,
-    amplitude_sum_bound,
     assemble,
-    canonical_field,
     fit_decay,
     make_pseudomode,
-    rep_quadratic_fit,
     residual_series_exact,
     select_cutoff,
     smooth_step,
@@ -104,13 +101,20 @@ def _canonical_M(sol, y1, y2):
     return -d2phi.realify(y1, y2), d1phi.realify(y1, y2)
 
 
+def _canonical_field(field, sol):
+    """The same field in the canonical gauge A := M (so theta == 0)."""
+    d1phi, d2phi = real_gradient_series(sol.phi)
+    x0 = sol.base_point
+    return replace(field, A=lambda x1, x2: _canonical_M(sol, x1 - x0[0], x2 - x0[1]),
+                   A_jac=None, A_taylor=lambda: (-d2phi, d1phi))
+
+
 def test_theta_zero_in_canonical_gauge(work_setup):
     field, rep, sol, pm = work_setup
-    canon = canonical_field(field, sol)
+    canon = _canonical_field(field, sol)
     pts = np.array([[0.1, 0.0], [0.0, -0.2], [0.15, 0.1]])
     y1, y2 = (pts - np.array(sol.base_point)).T
     ev = pseudomode._ThetaEvaluator(canon, sol)
-    ev.check_curl_free(float(np.max(np.hypot(y1, y2))))
     assert np.max(np.abs(_theta(ev, sol, y1, y2))) < 1e-10
 
 
@@ -223,8 +227,8 @@ def test_gauge_mismatch_raises():
 
 
 def test_one_theta_evaluator_per_pseudomode(monkeypatch):
-    # select_cutoff builds one before the pseudomode exists; every later use
-    # (curl check, residuals, assembly) shares the pseudomode's own
+    # make_pseudomode builds one and hands it to select_cutoff; every later
+    # use (residuals, assembly) shares it
     built = []
     init = pseudomode._ThetaEvaluator.__init__
 
@@ -238,7 +242,7 @@ def test_one_theta_evaluator_per_pseudomode(monkeypatch):
     residual_series_exact(pm, 0.1)
     residual_series_exact(pm, 0.05)
     assemble(pm, 0.1)(np.array([0.01, 0.02]), np.array([0.0, -0.01]))
-    assert len(built) == 2
+    assert len(built) == 1
     assert built[-1] is pm.phase
 
 
@@ -261,7 +265,7 @@ def test_theta_second_derivative_identity_oscillating():
 
 def test_unresolved_gauge_quadrature_raises():
     # a curl-free term grad(sin(5000 x1)/5000) in A1 leaves B unchanged, but
-    # no Gauss rule up to 384 nodes resolves its radial integral
+    # the Taylor pair A~ does not carry it: the gauge check refuses
     base = polynomial_field(1.0, 1j, 1.0, cap=12)
 
     def A(x1, x2):
@@ -269,7 +273,7 @@ def test_unresolved_gauge_quadrature_raises():
         return a1 + np.cos(5000.0 * x1), a2
 
     field = replace(base, A=A, A_jac=None)
-    with pytest.raises(QuadratureResolutionError, match="n=192"):
+    with pytest.raises(GaugeConsistencyError, match="potential A"):
         make_pseudomode(field, solve_wkb(field, N=1), N=1)
 
 
@@ -288,8 +292,12 @@ def test_select_cutoff_positive_definite_case(work_setup):
 
 
 def test_rep_quadratic_matches_gamma_report(work_setup):
+    # Re P = Q1 y1^2 - 2 Q2 y1 y2 + Q3 y2^2 + O(|y|^3): P has no part of
+    # degree 0 or 1, and its degree-2 part is the report's form
     field, rep, sol, pm = work_setup
-    c11, c12, c22 = rep_quadratic_fit(pm)
+    P = pm.phase.P.coeffs
+    assert P[0, 0] == 0 and P[1, 0] == 0 and P[0, 1] == 0
+    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P)
     assert abs(c11 - rep.Q1) < 1e-8
     assert abs(c12 - (-2 * rep.Q2)) < 1e-8
     assert abs(c22 - rep.Q3) < 1e-8
@@ -303,7 +311,7 @@ def test_oscillating_phase_not_positive_is_diagnosed():
     assert rep.in_gamma  # the printed formulas admit the point...
     sol = solve_wkb(field, N=1)
     with pytest.raises(PhaseNotPositiveError) as exc:
-        select_cutoff(field, sol, report=rep)
+        select_cutoff(pseudomode._ThetaEvaluator(field, sol), report=rep)
     msg = str(exc.value)
     assert "Q2" in msg and "does not exist" in msg
 
@@ -311,7 +319,8 @@ def test_oscillating_phase_not_positive_is_diagnosed():
 def test_delta_override_allows_diagnostics():
     field = oscillating_field(X0, cap=24)
     sol = solve_wkb(field, N=1)
-    cut = select_cutoff(field, sol, report=compute_Q(field), delta_override=0.08)
+    cut = select_cutoff(pseudomode._ThetaEvaluator(field, sol), report=compute_Q(field),
+                        delta_override=0.08)
     assert cut.r_out == pytest.approx(0.08)
 
 
@@ -333,12 +342,6 @@ def test_pseudomode_vanishes_outside_support(work_setup):
     xs = np.array([sol.base_point[0] + 1.01 * r, sol.base_point[0] - 2 * r])
     ys = np.array([sol.base_point[1], sol.base_point[1] + 1.5 * r])
     assert np.all(u(xs, ys) == 0.0)
-
-
-def test_amplitude_sum_linear_bound(work_setup):
-    field, rep, sol, pm = work_setup
-    c1 = amplitude_sum_bound(pm, h=0.05)
-    assert np.isfinite(c1) and c1 > 0
 
 
 # ----------------------------------------------------------------------------
@@ -408,7 +411,7 @@ def test_gauge_ratio_invariance(work_setup):
     field, rep, sol, pm = work_setup
     h = 0.03
     r_orig = residual_series_exact(pm, h)
-    canon = canonical_field(field, sol)
+    canon = _canonical_field(field, sol)
     pm2 = Pseudomode(field=canon, sol=sol, cutoff=pm.cutoff, N_rule="fixed", N_fixed=1)
     r_canon = residual_series_exact(pm2, h)
     assert abs(r_canon.ratio - r_orig.ratio) < 0.02 * r_orig.ratio
@@ -485,10 +488,3 @@ def test_fit_decay_refuses_thin_data():
     with pytest.raises(ValueError):
         fit_decay(_fake_reports(hs, hs**2))
 
-
-def test_rep_cubic_remainder_finite_when_phase_matches(work_setup):
-    from cmag_wkb.pseudomode import rep_cubic_remainder
-
-    field, rep, sol, pm = work_setup
-    K = rep_cubic_remainder(pm, report=rep)
-    assert np.isfinite(K) and K < 50.0
