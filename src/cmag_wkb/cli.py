@@ -18,12 +18,26 @@ Examples
   (use the --option=value form for values that begin with a minus sign)
   cmag-wkb check-conditions --builtin exponential --c 0.4 --h 1 --region -3,3,-3,3
 
+Fields: every parameter left out takes the default in the builder's signature
+(fieldmodel.polynomial_field and so on), the base point included.  Only the
+field flags that are typed reach the builder, and a flag the builtin does not
+take (say --alpha with --builtin polynomial) exits 2.  `run --config FILE`
+reads a JSON object {"builtin": ..., "params": {...}, "x0": [x1, x2]}; params
+are the builder's keywords, each value a number, an [re, im] pair or a string
+in pi or i form ("pi/3", "0.3+i"), and the tables R, A1, A2 are lists of
+[m, n, value] rows (or [m, n, re, im]); a value of another shape exits 2.
+Typed flags override the file.  The "field" block of the config.json that
+run writes is such an object, defaults filled in, and replays the run's
+field exactly.
+
 Exit codes: 0 success, 2 config error, 3 admissibility rejection,
 4 internal identity failure, 5 residual-grid quadrature refusal.  The degree
 cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 --adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 when the fd
 evaluator runs; violating either exits 2 before any work starts.  A --delta
 outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
+So does a Miller-Simon field based at the origin, for run and for a raster
+through it, and --x0 given to gamma-scan (the raster sets the base point).
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
 integer, else exit 2); outputs are gathered in sweep order regardless of
@@ -39,7 +53,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +105,12 @@ def parse_scalar(tok):
         raise ConfigError(f"cannot parse number {tok!r}") from exc
 
 
-def parse_point(text):
-    parts = text.split(",")
+def parse_point(point):
+    """'x1,x2' (pi allowed), or a pair of such strings or of numbers."""
+    parts = point.split(",") if isinstance(point, str) else point
     if len(parts) != 2:
-        raise ConfigError(f"point must be 'x1,x2', got {text!r}")
-    return (parse_scalar(parts[0]), parse_scalar(parts[1]))
+        raise ConfigError(f"point must be 'x1,x2' or [x1, x2], got {point!r}")
+    return tuple(parse_scalar(t) if isinstance(t, str) else t for t in parts)
 
 
 def parse_region(text):
@@ -132,32 +146,84 @@ def parse_sweep(text):
 # field construction from config
 # ----------------------------------------------------------------------------
 
+_FIELD_FLAGS = ("a", "b", "c", "alpha", "R")
+_TABLES = ("R", "A1", "A2")
+
+
+def _value(v):
+    """A number, an [re, im] pair, or a string in pi or i form."""
+    if isinstance(v, str):
+        try:
+            return parse_scalar(v)
+        except ConfigError:
+            return parse_complex(v)
+    if isinstance(v, (int, float, complex)):
+        return v
+    if isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
+        return complex(*v)
+    raise ConfigError(f"expected a number, [re, im] or a string, got {v!r}")
+
+
+def _table(rows):
+    """[[m, n, value] or [m, n, re, im], ...] (or its JSON text) -> {(m, n): value}."""
+    if isinstance(rows, str):
+        try:
+            rows = json.loads(rows)
+        except ValueError as exc:
+            raise ConfigError(f"coefficient table is not JSON: {exc}") from exc
+    if not isinstance(rows, list):
+        raise ConfigError(f"a coefficient table is a list of rows, got {rows!r}")
+    table = {}
+    for row in rows:
+        if not (isinstance(row, list) and len(row) in (3, 4)
+                and all(isinstance(k, int) for k in row[:2])):
+            raise ConfigError(f"table rows are [m, n, value] or [m, n, re, im], got {row!r}")
+        table[row[0], row[1]] = _value(row[2] if len(row) == 3 else row[2:])
+    return table
+
+
 def field_from_config(cfg, cap):
-    name = cfg.get("builtin") or cfg.get("field")
-    if not name:
-        raise ConfigError("no field given (--builtin or config 'builtin')")
-    params = dict(cfg.get("params") or {})
-    x0 = tuple(cfg.get("x0") or (0.0, 0.0))
-    if name == "polynomial":
-        defaults = {"a": 1.0, "b": 1j, "c": 1.0}
-        for k, dv in defaults.items():
-            if params.get(k) is None:
-                params[k] = dv
-            params[k] = parse_complex(params[k]) if isinstance(params[k], str) else complex(params[k])
-        if "R" in params and params["R"] is not None:
-            params["R"] = {
-                (int(m), int(n)): float(v)
-                for (m, n), v in (
-                    params["R"].items() if isinstance(params["R"], dict)
-                    else (((r[0], r[1]), r[2]) for r in params["R"])
-                )
-            }
-    if name == "miller_simon" and isinstance(params.get("c"), str):
-        params["c"] = parse_complex(params["c"])
+    """The field of a config {"builtin", "params", "x0"}; what is left out
+    takes the builder's default, and every failure is a ConfigError."""
+    kwargs = {k: (_table if k in _TABLES else _value)(v)
+              for k, v in cfg["params"].items() if v is not None}
+    if cfg.get("x0") is not None:
+        kwargs["base_point"] = parse_point(cfg["x0"])
     try:
-        return make_field(name, params, base_point=x0, cap=cap)
-    except (ValueError, fieldmodel.FieldConsistencyError) as exc:
+        return make_field(cfg["builtin"], kwargs, cap=cap)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _field_config(args):
+    """The field request of a subcommand: --config (run only), typed flags over it."""
+    cfg = {}
+    if getattr(args, "config", None):
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
+        if not (isinstance(cfg, dict) and set(cfg) <= {"builtin", "params", "x0"}
+                and isinstance(cfg.get("params", {}), dict)
+                and isinstance(cfg.get("x0", ""), (str, list))):
+            raise ConfigError(f"--config {args.config}: need one object with the keys "
+                              f"builtin, params (an object) and x0")
+    typed = {k: getattr(args, k) for k in _FIELD_FLAGS if getattr(args, k) is not None}
+    return {"builtin": args.builtin or cfg.get("builtin", "oscillating"),
+            "params": {**cfg.get("params", {}), **typed},
+            "x0": args.x0 if args.x0 is not None else cfg.get("x0")}
+
+
+def _field_record(field):
+    """The config that rebuilds ``field``: complex values as [re, im], tables
+    as [m, n, value] rows."""
+    def value(v):
+        if isinstance(v, dict):
+            return [[m, n, value(c)] for (m, n), c in v.items()]
+        return [v.real, v.imag] if isinstance(v, complex) else v
+
+    return {"builtin": field.name, "params": {k: value(v) for k, v in field.params.items()},
+            "x0": list(field.base_point)}
 
 
 def _check_order(N, cap):
@@ -167,21 +233,6 @@ def _check_order(N, cap):
     if N > wkb.max_transport_order(cap):
         raise ConfigError(f"--D {cap} too small for transport order {N}: "
                           f"need --D >= 3(N+2) = {3 * (N + 2)}")
-
-
-def _field_config(args, x0):
-    params = {}
-    if args.builtin == "polynomial":
-        params = {"a": args.a if args.a is not None else 1.0,
-                  "b": args.b if args.b is not None else 1j,
-                  "c": parse_complex(args.c) if args.c else 1.0}
-        if args.R:
-            params["R"] = json.loads(args.R)
-    elif args.builtin == "miller_simon":
-        params = {"c": parse_complex(args.c) if args.c else 1 + 1j, "alpha": args.alpha}
-    elif args.builtin == "exponential":
-        params = {"c": parse_scalar(args.c) if args.c else 0.4}
-    return {"builtin": args.builtin, "params": params, "x0": list(x0)}
 
 
 # ----------------------------------------------------------------------------
@@ -262,46 +313,6 @@ def run_sweep(pm, hs, field_cfg, cap, workers):
 # subcommands
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved run configuration (emitted with the artifacts)."""
-
-    field: dict
-    base_point: tuple
-    degree_cap: int
-    N: int
-    adaptive: bool
-    h_max: float
-    h_min: float
-    h_count: int
-    delta_override: float | None
-    evaluator: str
-    grid_n: int
-    out_dir: str
-
-    def __post_init__(self):
-        if not self.h_min < self.h_max:
-            raise ConfigError("need h_min < h_max")
-        if self.h_count < 2:
-            raise ConfigError("need at least 2 sweep points")
-
-    def to_json(self):
-        d = dict(self.__dict__)
-        d["field"] = _jsonable(self.field)
-        d["base_point"] = list(self.base_point)
-        return json.dumps(d, indent=1, sort_keys=True, default=str)
-
-
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def cmd_run(args):
     n_solve = max(args.N, args.jmax) if args.adaptive else args.N
     _check_order(args.N, args.D)
@@ -309,42 +320,24 @@ def cmd_run(args):
     if args.evaluator in ("fd", "both") and args.grid_n < 16:
         raise ConfigError(f"--grid-n {args.grid_n} too small: need >= 16")
     workers = _workers()
+    cap = args.D
+    field = field_from_config(_field_config(args), cap)
+    hs = parse_sweep(args.h)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cap = args.D
-    if args.config:
-        # config file first; explicitly given flags override its entries
-        field_cfg = json.loads(Path(args.config).read_text())
-        if args.builtin is not None:
-            field_cfg["builtin"] = args.builtin
-        if args.x0 is not None:
-            field_cfg["x0"] = list(parse_point(args.x0))
-        params = dict(field_cfg.get("params") or {})
-        for key, val in (("a", args.a), ("b", args.b), ("c", args.c)):
-            if val is not None:
-                params[key] = val
-        if args.R:
-            params["R"] = json.loads(args.R)
-        field_cfg["params"] = params
-        x0 = tuple(field_cfg.get("x0") or (0.0, 0.0))
-    else:
-        x0 = parse_point(args.x0 or "0,0")
-        ns = argparse.Namespace(**{**vars(args), "builtin": args.builtin or "oscillating"})
-        field_cfg = _field_config(ns, x0)
-    field = field_from_config(field_cfg, cap)
-    hs = parse_sweep(args.h)
-    cfg = ExperimentConfig(
-        field=field_cfg, base_point=tuple(x0), degree_cap=cap, N=args.N,
-        adaptive=bool(args.adaptive), h_max=float(hs[0]), h_min=float(hs[-1]),
-        h_count=len(hs), delta_override=args.delta, evaluator=args.evaluator,
-        grid_n=args.grid_n, out_dir=str(out),
-    )
-    (out / "config.json").write_text(cfg.to_json())
+    # the field block replays through --config: defaults filled in, values exact
+    field_cfg = _field_record(field)
+    (out / "config.json").write_text(json.dumps({
+        "field": field_cfg, "degree_cap": cap, "N": args.N, "adaptive": bool(args.adaptive),
+        "h_max": float(hs[0]), "h_min": float(hs[-1]), "h_count": len(hs),
+        "delta_override": args.delta, "evaluator": args.evaluator, "grid_n": args.grid_n,
+        "out_dir": str(out),
+    }, indent=1, sort_keys=True))
 
     report = compute_Q(field)
     (out / "gamma_report.json").write_text(json.dumps(gamma_report_dict(report), indent=1, sort_keys=True))
     if not report.in_gamma:
-        print(f"base point {x0} rejected: {', '.join(report.failed_conditions)}")
+        print(f"base point {field.base_point} rejected: {', '.join(report.failed_conditions)}")
         return EXIT_GAMMA
 
     sol = solve_wkb(field, N=n_solve)
@@ -388,12 +381,12 @@ def cmd_run(args):
 
 def cmd_gamma_scan(args):
     region = parse_region(args.region)
-    params_cfg = _field_config(args, (0.0, 0.0))
+    if args.x0 is not None:
+        raise ConfigError("gamma-scan bases the field at each raster point; --x0 is not taken")
+    cfg = _field_config(args)
 
     def field_at(u, v):
-        cfg = dict(params_cfg)
-        cfg["x0"] = (u, v)
-        return field_from_config(cfg, cap=2)
+        return field_from_config({**cfg, "x0": (u, v)}, cap=2)
 
     xs, ys, reports = fieldmodel.gamma_scan(field_at, region, args.n)
     write_gamma_csv(args.out, xs, ys, reports)
@@ -403,8 +396,7 @@ def cmd_gamma_scan(args):
 
 
 def cmd_check_conditions(args):
-    x0 = parse_point(args.x0)
-    field = field_from_config(_field_config(args, x0), cap=4)
+    field = field_from_config(_field_config(args), cap=4)
     region = parse_region(args.region)
     lines = [CSV_HEADER, "check,sign,passed,min_slack,at"]
     for which, eps, cconst in (("C1", args.epsilon1, args.C1_const),
@@ -435,8 +427,7 @@ def cmd_check_conditions(args):
 
 def cmd_bound_fit(args):
     _check_order(args.jmax, args.D)
-    x0 = parse_point(args.x0)
-    field = field_from_config(_field_config(args, x0), cap=args.D)
+    field = field_from_config(_field_config(args), cap=args.D)
     sol = solve_wkb(field, N=args.jmax)
     bound = fit_growth(sol)
     payload = {
@@ -455,21 +446,17 @@ def cmd_bound_fit(args):
 # argument plumbing
 # ----------------------------------------------------------------------------
 
-def _add_field_args(p, concrete_defaults=True):
-    # the run subcommand keeps None defaults so config-file entries are only
-    # overridden by flags the user actually typed
-    p.add_argument("--builtin",
-                   default="oscillating" if concrete_defaults else None,
-                   choices=sorted(fieldmodel.BUILTIN_FIELDS))
-    p.add_argument("--a", type=parse_complex,
-                   default=1.0 if concrete_defaults else None)
-    p.add_argument("--b", type=parse_complex,
-                   default=1j if concrete_defaults else None)
-    p.add_argument("--c", default=None, help="complex parameter (polynomial c, miller_simon c, exponential c)")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--R", default=None, help="JSON list [[m,n,coeff],...] for the polynomial tail")
-    p.add_argument("--x0", default="0,0" if concrete_defaults else None,
-                   help="base point, e.g. 'pi/3,-pi/2'")
+def _add_field_args(p):
+    # no defaults here: a flag that is not typed leaves the config file's
+    # entry or the builder's default in place
+    p.add_argument("--builtin", choices=sorted(fieldmodel.BUILTIN_FIELDS),
+                   help="field (default oscillating)")
+    p.add_argument("--a", help="polynomial a (complex, e.g. 0.3+i)")
+    p.add_argument("--b", help="polynomial b (complex)")
+    p.add_argument("--c", help="complex parameter (polynomial c, miller_simon c, exponential c)")
+    p.add_argument("--alpha", help="miller_simon decay exponent")
+    p.add_argument("--R", help="JSON table [[m,n,coeff],...] for the polynomial tail")
+    p.add_argument("--x0", help="base point, e.g. 'pi/3,-pi/2'")
 
 
 def build_parser():
@@ -478,8 +465,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="full pipeline at one base point")
-    _add_field_args(p, concrete_defaults=False)
-    p.add_argument("--config", default=None, help="JSON config file (flags override)")
+    _add_field_args(p)
+    p.add_argument("--config", default=None, help="JSON field config (flags override)")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--jmax", type=int, default=3, help="transport order computed for adaptive runs")
     p.add_argument("--adaptive", action="store_true", help="use N(h) = floor((e m h)^(-1/7))")

@@ -107,7 +107,10 @@ class FieldSpec:
     ``jac``.  ``B_taylor`` is the complexified series of curl A at
     ``base_point``; ``A_taylor()`` returns the complexified pair (A1~, A2~) of
     A there, at the same cap.  It is a function because only the phase of a
-    pseudomode needs it, and a raster builds thousands of fields.
+    pseudomode needs it, and a raster builds thousands of fields.  ``params``
+    holds every keyword of the builder but ``base_point`` and ``cap``, its
+    defaults included, so ``make_field(name, params, base_point=..., cap=...)``
+    rebuilds the field.
     """
 
     name: str
@@ -178,7 +181,7 @@ def _shifted_coordinates(x0, cap):
     return x0[0] + y1, x0[1] + y2, rho
 
 
-def oscillating_field(base_point, cap=24):
+def oscillating_field(base_point=(0.0, 0.0), cap=24):
     """B = sin x1 + i sin x2 with A = (-sin(x1) x2 + i cos x2, i cos x2)."""
     x0 = (float(base_point[0]), float(base_point[1]))
 
@@ -216,18 +219,16 @@ def oscillating_field(base_point, cap=24):
     )
 
 
-DEFAULT_R_COEFFS = {(6, 0): 1.0, (4, 2): 3.0, (2, 4): 3.0, (0, 6): 1.0}  # (x1^2+x2^2)^3
-
-
-def polynomial_field(a, b, c, R_coeffs=None, base_point=(0.0, 0.0), cap=24):
+def polynomial_field(a=1.0, b=1j, c=1.0, R=None, base_point=(0.0, 0.0), cap=24):
     """B = a + b x1 + c x2 + R(x) with the gauge A = (0, ∫_0^{x1} B(s, x2) ds).
 
-    R must be a real-coefficient polynomial (dict {(m, n): coeff}).
+    R must be a real-coefficient polynomial (dict {(m, n): coeff}); None
+    stands for (x1^2 + x2^2)^3.
     """
-    if R_coeffs is None:
-        R_coeffs = dict(DEFAULT_R_COEFFS)
+    if R is None:
+        R = {(6, 0): 1.0, (4, 2): 3.0, (2, 4): 3.0, (0, 6): 1.0}
     Bp = {(0, 0): complex(a), (1, 0): complex(b), (0, 1): complex(c)}
-    for (m, n), v in R_coeffs.items():
+    for (m, n), v in R.items():
         if abs(complex(v).imag) > 0:
             raise ValueError("R must be real-valued")
         Bp[(m, n)] = Bp.get((m, n), 0.0) + complex(v)
@@ -235,16 +236,16 @@ def polynomial_field(a, b, c, R_coeffs=None, base_point=(0.0, 0.0), cap=24):
     A2p = {(m + 1, n): v / (m + 1) for (m, n), v in Bp.items()}
     return _field_from_polys(
         "polynomial",
-        {"a": complex(a), "b": complex(b), "c": complex(c), "R": dict(R_coeffs)},
+        {"a": complex(a), "b": complex(b), "c": complex(c), "R": dict(R)},
         {}, A2p, base_point, cap, analytic_radius=2.0,
     )
 
 
-def user_polynomial_field(A1_coeffs, A2_coeffs, base_point=(0.0, 0.0), cap=24,
-                          analytic_radius=2.0, name="user_polynomial"):
+def user_polynomial_field(A1, A2, base_point=(0.0, 0.0), cap=24, analytic_radius=2.0):
+    """A = (A1, A2) given as coefficient tables {(m, n): complex coeff}."""
     return _field_from_polys(
-        name, {"A1": dict(A1_coeffs), "A2": dict(A2_coeffs)},
-        dict(A1_coeffs), dict(A2_coeffs), base_point, cap, analytic_radius,
+        "user_polynomial", {"A1": dict(A1), "A2": dict(A2), "analytic_radius": analytic_radius},
+        dict(A1), dict(A2), base_point, cap, analytic_radius,
     )
 
 
@@ -278,7 +279,7 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     )
 
 
-def miller_simon_field(c, alpha, base_point=(1.0, 0.5), cap=3):
+def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
     """A = c (-x2, x1) / (1+|x|)^alpha; bounded field, bounded potential."""
     c = complex(c)
     alpha = float(alpha)
@@ -306,7 +307,7 @@ def miller_simon_field(c, alpha, base_point=(1.0, 0.5), cap=3):
     )
 
 
-def exponential_field(c, base_point=(0.0, 0.0), cap=24):
+def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     """A = i c e^{|x|^2} (-x2, x1); Im B = 2c(1+|x|^2)e^{|x|^2}."""
     c = float(c)
     x0 = (float(base_point[0]), float(base_point[1]))
@@ -341,37 +342,17 @@ BUILTIN_FIELDS = {
     "polynomial": polynomial_field,
     "miller_simon": miller_simon_field,
     "exponential": exponential_field,
+    "user_polynomial": user_polynomial_field,
 }
 
 
-def make_field(name, params=None, base_point=(0.0, 0.0), cap=24):
-    params = dict(params or {})
-    if name == "oscillating":
-        return oscillating_field(base_point, cap=cap)
-    if name == "polynomial":
-        return polynomial_field(
-            params.get("a", 1.0), params.get("b", 1j), params.get("c", 1.0),
-            params.get("R"), base_point=base_point, cap=cap,
-        )
-    if name == "miller_simon":
-        return miller_simon_field(params.get("c", 1 + 1j), params.get("alpha", 1.0),
-                                  base_point=base_point if base_point != (0.0, 0.0) else (1.0, 0.5))
-    if name == "exponential":
-        return exponential_field(params.get("c", 0.4), base_point=base_point, cap=cap)
-    if name == "user_polynomial":
-        return user_polynomial_field(
-            _records_to_poly(params["A1"]), _records_to_poly(params["A2"]),
-            base_point=base_point, cap=cap,
-        )
-    raise ValueError(f"unknown field {name!r}; builtins: {sorted(BUILTIN_FIELDS)}")
-
-
-def _records_to_poly(records):
-    """[[m, n, re, im], ...] -> {(m, n): complex}."""
-    if isinstance(records, dict):
-        return {tuple(map(int, k.split(","))) if isinstance(k, str) else k: complex(v)
-                for k, v in records.items()}
-    return {(int(m), int(n)): complex(re, im) for m, n, re, im in records}
+def make_field(name, params=None, **where):
+    """The builtin ``name`` built from its keyword ``params`` and ``where``
+    (``base_point``, ``cap``); whatever is left out takes the builder's default."""
+    builder = BUILTIN_FIELDS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown field {name!r}; builtins: {sorted(BUILTIN_FIELDS)}")
+    return builder(**(params or {}), **where)
 
 
 # ----------------------------------------------------------------------------
@@ -562,34 +543,22 @@ def check_H(field, radii, n_angles=64):
 # principal symbol and Poisson bracket
 # ----------------------------------------------------------------------------
 
-def weyl_bracket(field, x, xi, step=1e-4):
+def weyl_bracket(field, x, xi):
     """Principal symbol p(x, xi) and the canonical bracket {Re p, Im p}.
 
     p = |xi - Re A|^2 - |Im A|^2 - 2i <xi - Re A, Im A>; x-partials of the
-    two real symbols are taken by central differences, xi-partials exactly.
+    two real symbols come from ``field.jac`` (closed forms where the builder
+    gives them), xi-partials are exact.
     Bracket convention: {f, g} = grad_xi f . grad_x g - grad_x f . grad_xi g.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-
-    def symbol(xp):
-        a1, a2 = field.A(xp[0], xp[1])
-        re = np.array([complex(a1).real, complex(a2).real])
-        im = np.array([complex(a1).imag, complex(a2).imag])
-        v = xi - re
-        return v @ v - im @ im - 2j * (v @ im), v, im
-
-    p, v, im = symbol(x)
-    grad_xi_re = 2.0 * v
-    grad_xi_im = -2.0 * im
-    grad_x_re = np.zeros(2)
-    grad_x_im = np.zeros(2)
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = step
-        pp, _, _ = symbol(x + e)
-        pm, _, _ = symbol(x - e)
-        grad_x_re[k] = (pp.real - pm.real) / (2 * step)
-        grad_x_im[k] = (pp.imag - pm.imag) / (2 * step)
-    bracket = float(grad_xi_re @ grad_x_im - grad_x_re @ grad_xi_im)
+    x1, x2 = np.asarray(x, dtype=float)
+    a = np.array([complex(c) for c in field.A(x1, x2)])
+    dA = np.array([complex(c) for c in field.jac(x1, x2)]).reshape(2, 2)  # [j, k] = d_k A_j
+    v = np.asarray(xi, dtype=float) - a.real
+    im = a.imag
+    p = v @ v - im @ im - 2j * (v @ im)
+    grad_x_re = -2.0 * (v @ dA.real + im @ dA.imag)
+    grad_x_im = -2.0 * (v @ dA.imag - im @ dA.real)
+    # grad_xi Re p = 2v, grad_xi Im p = -2 Im A
+    bracket = float(2.0 * v @ grad_x_im + 2.0 * im @ grad_x_re)
     return complex(p), bracket

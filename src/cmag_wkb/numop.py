@@ -12,7 +12,6 @@ imposed; correctness relies on the input being supported well inside the box
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +60,6 @@ class GridFunction:
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values shape {v.shape} does not match grid n={self.grid.n}")
         object.__setattr__(self, "values", v)
-
-    def norm(self):
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing**2)
 
 
 def _d1(u, axis, s):

@@ -62,7 +62,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def workhorse_sweep():
     """Sweeps on a well-conditioned polynomial-class field, shared by 6 and 9."""
-    field = polynomial_field(8.0, 0.3 + 1j, 1.0, R_coeffs=WORK_R, cap=24)
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0, R=WORK_R, cap=24)
     rep = compute_Q(field)
     sol = solve_wkb(field, N=6)
     bf = fit_growth(sol)

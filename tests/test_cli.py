@@ -242,3 +242,52 @@ def test_worker_pool_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("CMAG_WKB_WORKERS", "2")
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
+
+
+def test_run_config_json_field_block_replays(tmp_path):
+    # fd-crosscheck's seed-0 run, then the field block of its config.json fed
+    # back through --config: the same field, bit for bit
+    rest = ["--N", "1", "--h", "0.1:0.05:2", "--evaluator", "both", "--grid-n", "192"]
+    out1, out2 = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", "--builtin", "polynomial", "--a", "1", "--b", "i", "--c", "1",
+                 "--x0", "0,0", *rest, "--out", str(out1)]) == EXIT_OK
+    field = json.loads((out1 / "config.json").read_text())["field"]
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps(field))
+    assert main(["run", "--config", str(cfg), *rest, "--out", str(out2)]) == EXIT_OK
+    assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
+    assert json.loads((out2 / "config.json").read_text())["field"] == field
+    # the builder's defaults are written out, the tail R included
+    assert field["params"]["R"] == [[6, 0, 1.0], [4, 2, 3.0], [2, 4, 3.0], [0, 6, 1.0]]
+
+
+@pytest.mark.parametrize("params", [{"a": [1]}, {"a": {}}, {"R": {}}, {"R": [[6, 0]]}])
+def test_run_malformed_config_values_exit_2(tmp_path, capsys, params):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"builtin": "polynomial", "params": params}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_field_flag_the_builtin_does_not_take_exits_2(tmp_path, capsys):
+    assert main(["run", "--builtin", "oscillating", "--a", "2",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main(["bound-fit", "--builtin", "polynomial", "--alpha", "2"]) == EXIT_CONFIG
+    assert main(["gamma-scan", "--x0", "5,5", "--region=-1,1,-1,1", "--n", "3",
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'a'" in err and "'alpha'" in err and "--x0" in err and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_miller_simon_base_point_from_the_builder(tmp_path, capsys):
+    # the origin is refused with the builder's message, for a run and for a
+    # raster through it; without --x0 the builder's default point is used
+    assert main(["run", "--builtin", "miller_simon", "--x0", "0,0",
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert main(["gamma-scan", "--builtin", "miller_simon", "--region=-1,1,-1,1",
+                 "--n", "3", "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("avoid the origin") == 2 and "Traceback" not in err
+    assert main(["check-conditions", "--builtin", "miller_simon", "--n", "16"]) == EXIT_OK

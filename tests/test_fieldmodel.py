@@ -38,7 +38,7 @@ def test_wirtinger_oscillating_on_admissible_line():
 
 
 def test_wirtinger_constant_field():
-    field = polynomial_field(2.0, 0.0, 0.0, R_coeffs={}, cap=6)
+    field = polynomial_field(2.0, 0.0, 0.0, R={}, cap=6)
     assert wirtinger_at(field) == (0.0, 0.0)
 
 
@@ -286,7 +286,7 @@ def test_bracket_generic_point_matches_symbolic_oracle():
     ])
     oracle = float(2 * v @ (-2 * grad_inner) - grad_sq @ (-2 * imA))
     p, bracket = weyl_bracket(field, x, xi)
-    assert abs(bracket - oracle) < 1e-6 * max(1.0, abs(oracle))
+    assert abs(bracket - oracle) < 1e-12 * max(1.0, abs(oracle))
     assert abs(bracket) > 1e-3  # genuinely nonzero off the admissible set
 
 
@@ -327,6 +327,22 @@ def test_make_field_dispatch():
     assert make_field("exponential", {"c": 0.2}).name == "exponential"
     with pytest.raises(ValueError):
         make_field("nope")
+    # params, base point and cap reach the builder unchanged; what is left
+    # out takes the builder's default
+    ms = make_field("miller_simon", cap=12)
+    assert (ms.B_taylor.cap, ms.base_point) == (12, (1.0, 0.5))
+    assert ms.params == {"c": 1 + 1j, "alpha": 1.0}
+    ms = make_field("miller_simon", {"alpha": 2.0}, base_point=(-0.4, 0.9), cap=5)
+    assert (ms.B_taylor.cap, ms.base_point, ms.params["alpha"]) == (5, (-0.4, 0.9), 2.0)
+    with pytest.raises(ValueError, match="avoid the origin"):
+        make_field("miller_simon", base_point=(0.0, 0.0))
+    with pytest.raises(TypeError):
+        make_field("oscillating", {"a": 2.0})
+    poly = make_field("polynomial", {"b": 0.5})
+    assert poly.params["a"] == 1.0 and poly.params["b"] == 0.5 and poly.params["c"] == 1.0
+    # params hold every keyword but base_point and cap: they rebuild the field
+    again = make_field(poly.name, poly.params, base_point=poly.base_point, cap=poly.B_taylor.cap)
+    assert np.array_equal(again.B_taylor.coeffs, poly.B_taylor.coeffs)
 
 
 def test_div_A_is_the_jacobian_trace():

@@ -33,7 +33,7 @@ WORK_R = {(6, 0): 0.05, (4, 2): 0.15, (2, 4): 0.15, (0, 6): 0.05}
 
 
 def workhorse(cap=24):
-    return polynomial_field(8.0, 0.3 + 1j, 1.0, R_coeffs=WORK_R, cap=cap)
+    return polynomial_field(8.0, 0.3 + 1j, 1.0, R=WORK_R, cap=cap)
 
 
 @pytest.fixture(scope="module")
