@@ -368,19 +368,6 @@ class BiSeries(_Series):
             "coeffs": recs,
         }
 
-    @staticmethod
-    def from_records(d):
-        cap = int(d["cap"])
-        (cr, ci), (dr, di) = d["center"]
-        center = (
-            complex(float.fromhex(cr), float.fromhex(ci)),
-            complex(float.fromhex(dr), float.fromhex(di)),
-        )
-        c = np.zeros((cap + 1, cap + 1), dtype=complex)
-        for a, b, re, im in d["coeffs"]:
-            c[int(a), int(b)] = complex(float.fromhex(re), float.fromhex(im))
-        return BiSeries(c, cap, center)
-
 
 # ----------------------------------------------------------------------------
 # curve restriction and per-degree magnitudes

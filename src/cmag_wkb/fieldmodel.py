@@ -27,6 +27,7 @@ plus user fields given by polynomial coefficient tables for A1, A2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -110,7 +111,9 @@ class FieldSpec:
     pseudomode needs it, and a raster builds thousands of fields.  ``params``
     holds every keyword of the builder but ``base_point`` and ``cap``, its
     defaults included, so ``make_field(name, params, base_point=..., cap=...)``
-    rebuilds the field.
+    rebuilds the field.  That call is also how a field pickles: the callables
+    are closures, so a field travels as its name, ``params``, base point and
+    cap, and a field edited with ``dataclasses.replace`` pickles as its builtin.
     """
 
     name: str
@@ -132,6 +135,11 @@ class FieldSpec:
             raise FieldConsistencyError(
                 f"curl A at base point = {b_num}, Taylor constant term = {b0}"
             )
+
+    def __reduce__(self):
+        rebuild = functools.partial(make_field, base_point=self.base_point,
+                                    cap=self.B_taylor.cap)
+        return rebuild, (self.name, self.params)
 
     def jac(self, x1, x2, step=1e-6):
         if self.A_jac is not None:

@@ -25,7 +25,6 @@ grad theta, which matters numerically when |A(x0)| is large).
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -109,13 +108,12 @@ class CutoffSpec:
 
     r_in: float
     r_out: float
-    delta: float
     M1: float
     M2: float
 
     def __post_init__(self):
-        if not (0 < self.r_in < self.r_out <= self.delta * (1 + 1e-12)):
-            raise ValueError("need 0 < r_in < r_out <= delta")
+        if not 0 < self.r_in < self.r_out:
+            raise ValueError("need 0 < r_in < r_out")
         if not self.M1 > 0:
             raise ValueError("M1 must be positive")
 
@@ -243,7 +241,7 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
-        return CutoffSpec(r_in=delta / 2, r_out=delta, delta=delta,
+        return CutoffSpec(r_in=delta / 2, r_out=delta,
                           M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12),
                           M2=max(m_hi, 1e-12))
 
@@ -253,7 +251,7 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
             vals = [reP_over_r2(r) for r in radii]
             if all(np.min(v) >= M1 for v in vals):
                 M2 = float(max(np.max(v) for v in vals))
-                return CutoffSpec(r_in=delta / 2, r_out=delta, delta=delta, M1=M1, M2=M2)
+                return CutoffSpec(r_in=delta / 2, r_out=delta, M1=M1, M2=M2)
 
     # diagnose: the actual quadratic of Re P
     c11, c12, c22 = _rep_quadratic(phase.P)
@@ -273,9 +271,16 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
 
 @dataclass(frozen=True)
 class Pseudomode:
+    """A cutoff pseudomode with its phase evaluator, built and checked once.
+
+    It pickles as it is (the field as its builder call), so sweep workers
+    receive the checked phase rather than building their own.
+    """
+
     field: FieldSpec
     sol: WKBSolution
     cutoff: CutoffSpec
+    phase: _ThetaEvaluator
     N_rule: str = "fixed"          # "fixed" | "adaptive"
     N_fixed: int = 1
     m_growth: Optional[float] = None
@@ -296,20 +301,13 @@ class Pseudomode:
             n = self.sol.N
         return max(n, 0)
 
-    @functools.cached_property
-    def phase(self):
-        """The phase evaluator of this pseudomode, built and checked once."""
-        return _ThetaEvaluator(self.field, self.sol)
-
 
 def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
                     delta_override=None):
     phase = _ThetaEvaluator(field, sol)
     cutoff = select_cutoff(phase, report=report, delta_override=delta_override)
-    pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule=N_rule,
-                    N_fixed=N, m_growth=m_growth)
-    object.__setattr__(pm, "phase", phase)  # the cached property's slot
-    return pm
+    return Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule=N_rule,
+                      N_fixed=N, m_growth=m_growth)
 
 
 def _amplitude(sol, h, N):

@@ -303,6 +303,7 @@ class WKBSolution:
 
     # -- serialization ----------------------------------------------------
     def to_json(self):
+        """The written record of wkb_solution.json; nothing reads it back."""
         d = {
             "mu": [float(self.mu.real).hex(), float(self.mu.imag).hex()],
             "N": int(self.N),
@@ -322,27 +323,6 @@ class WKBSolution:
         }
         return json.dumps(d, indent=1, sort_keys=True)
 
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        return WKBSolution(
-            phi=BiSeries.from_records(d["phi"]),
-            w_curve=_uni_from_records(d["w_curve"]),
-            f=_uni_from_records(d["f"]),
-            S=BiSeries.from_records(d["S"]),
-            V=BiSeries.from_records(d["V"]),
-            F=BiSeries.from_records(d["F"]),
-            J=BiSeries.from_records(d["J"]),
-            A0=_uni_from_records(d["A0"]),
-            amplitudes=tuple(BiSeries.from_records(r) for r in d["amplitudes"]),
-            mu=complex(float.fromhex(d["mu"][0]), float.fromhex(d["mu"][1])),
-            N=int(d["N"]),
-            trusted_radius=float(d["trusted_radius"]),
-            trusted_degrees=tuple(d["trusted_degrees"]),
-            base_point=tuple(d["base_point"]),
-            residual_maxima=dict(d["residual_maxima"]),
-        )
-
 
 def _uni_records(u):
     return {
@@ -350,13 +330,6 @@ def _uni_records(u):
         "coeffs": [[int(k), float(c.real).hex(), float(c.imag).hex()]
                    for k, c in enumerate(u.coeffs) if c != 0],
     }
-
-
-def _uni_from_records(d):
-    c = np.zeros(int(d["cap"]) + 1, dtype=complex)
-    for k, re, im in d["coeffs"]:
-        c[int(k)] = complex(float.fromhex(re), float.fromhex(im))
-    return UniSeries(c, int(d["cap"]))
 
 
 def max_transport_order(cap):

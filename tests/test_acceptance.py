@@ -68,7 +68,7 @@ def workhorse_sweep():
     bf = fit_growth(sol)
     hs = np.geomspace(0.1, 0.003, 8)
     pm_fixed = make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
-    pm_adapt = Pseudomode(field=field, sol=sol, cutoff=pm_fixed.cutoff,
+    pm_adapt = Pseudomode(field=field, sol=sol, cutoff=pm_fixed.cutoff, phase=pm_fixed.phase,
                           N_rule="adaptive", m_growth=bf.m_fitted)
     fixed = [residual_series_exact(pm_fixed, float(h)) for h in hs]
     adaptive = [residual_series_exact(pm_adapt, float(h)) for h in hs]
@@ -169,11 +169,13 @@ def test_criterion_04_residual_order_oscillating():
     except PhaseNotPositiveError as exc:
         rejected = True
         print(f"\n  [criterion 4 diagnostic] {exc}")
-    cutoff = select_cutoff(_ThetaEvaluator(field, sol), report=rep, delta_override=0.08)
+    phase = _ThetaEvaluator(field, sol)
+    cutoff = select_cutoff(phase, report=rep, delta_override=0.08)
     hs = np.geomspace(0.1, 0.003, 8)
     slopes = {}
     for N in (0, 1, 2):
-        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule="fixed", N_fixed=N)
+        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule="fixed",
+                        N_fixed=N)
         t0 = time.monotonic()
         reports = [residual_series_exact(pm, float(h)) for h in hs]
         elapsed = time.monotonic() - t0
@@ -193,10 +195,12 @@ def test_criterion_04s_residual_order_supplementary(workhorse_sweep):
     # L2 ratio), confirming the O(h^{N+2}) bound with margin
     field, rep, sol, bf, hs, fixed, adaptive = workhorse_sweep
     small = np.geomspace(0.02, 0.002, 6)
-    cutoff = select_cutoff(_ThetaEvaluator(field, sol), report=rep)
+    phase = _ThetaEvaluator(field, sol)
+    cutoff = select_cutoff(phase, report=rep)
     slopes = {}
     for N in (0, 1, 2):
-        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, N_rule="fixed", N_fixed=N)
+        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule="fixed",
+                        N_fixed=N)
         reports = [residual_series_exact(pm, float(h)) for h in small]
         slopes[N] = fit_decay(reports, model="power").slope
     ok = all(slopes[N] >= N + 2.0 for N in (0, 1, 2))

@@ -11,6 +11,7 @@ from cmag_wkb.cli import (
     EXIT_CONFIG,
     EXIT_GAMMA,
     EXIT_OK,
+    EXIT_QUADRATURE,
     ConfigError,
     main,
     parse_complex,
@@ -244,6 +245,35 @@ def test_worker_pool_determinism(tmp_path, monkeypatch):
     assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_quadrature_refusal_exit_5(tmp_path, monkeypatch, capsys, workers):
+    # a = 400 narrows the Gaussian below the smallest residual grid; with two
+    # workers the refusal is raised in a worker and reaches main through the pool
+    monkeypatch.setenv("CMAG_WKB_WORKERS", workers)
+    code = main(["run", "--builtin", "polynomial", "--a", "400", "--N", "1",
+                 "--h", "0.1:0.05:2", "--out", str(tmp_path / "q")])
+    assert code == EXIT_QUADRATURE
+    err = capsys.readouterr().err
+    assert "quadrature refusal: residual quadrature unresolved" in err
+    assert "Traceback" not in err
+
+
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_bound_fit_json_is_strict_when_sigma_is_not_fitted(tmp_path):
+    # three norms are too few for the sigma fit: null, not NaN (the run of
+    # test_run_config_json_field_block_replays checks the same in run)
+    out = tmp_path / "bound.json"
+    assert main(["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2",
+                 "--jmax", "2", "--D", "12", "--out", str(out)]) == EXIT_OK
+    assert _strict_json(out)["sigma_fitted"] is None
+
+
 def test_run_config_json_field_block_replays(tmp_path):
     # fd-crosscheck's seed-0 run, then the field block of its config.json fed
     # back through --config: the same field, bit for bit
@@ -257,6 +287,8 @@ def test_run_config_json_field_block_replays(tmp_path):
     assert main(["run", "--config", str(cfg), *rest, "--out", str(out2)]) == EXIT_OK
     assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
     assert json.loads((out2 / "config.json").read_text())["field"] == field
+    # two per-j norms leave sigma unfitted: strict JSON writes null
+    assert _strict_json(out1 / "bound_fit.json")["sigma_fitted"] is None
     # the builder's defaults are written out, the tail R included
     assert field["params"]["R"] == [[6, 0, 1.0], [4, 2, 3.0], [2, 4, 3.0], [0, 6, 1.0]]
 

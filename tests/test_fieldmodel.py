@@ -1,5 +1,7 @@
 """Field admissibility data, condition checkers, and the principal symbol."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,28 @@ def test_make_field_dispatch():
     # params hold every keyword but base_point and cap: they rebuild the field
     again = make_field(poly.name, poly.params, base_point=poly.base_point, cap=poly.B_taylor.cap)
     assert np.array_equal(again.B_taylor.coeffs, poly.B_taylor.coeffs)
+
+
+PICKLE_CASES = {
+    "oscillating": ({}, X0),
+    "polynomial": ({"a": 8.0, "b": 0.3 + 1j}, (0.1, -0.2)),
+    "miller_simon": ({"c": 0.5 + 1j, "alpha": 1.5}, (1.0, -0.5)),
+    "exponential": ({"c": 0.3}, (0.2, 0.1)),
+    "user_polynomial": ({"A1": {(0, 1): -1.0}, "A2": {(1, 0): 1.0 + 0.5j, (2, 1): 0.3}},
+                        (0.4, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PICKLE_CASES))
+def test_field_pickles_as_its_builder_call(name):
+    params, x0 = PICKLE_CASES[name]
+    field = make_field(name, params, base_point=x0, cap=12)
+    back = pickle.loads(pickle.dumps(field))
+    assert (back.name, back.params, back.base_point) == (name, field.params, field.base_point)
+    assert back.B_taylor.coeffs.tobytes() == field.B_taylor.coeffs.tobytes()
+    x1, x2 = x0[0] + np.array([0.1, -0.3, 0.2]), x0[1] + np.array([0.25, 0.05, -0.35])
+    for got, want in zip(back.A(x1, x2), field.A(x1, x2)):
+        assert np.array_equal(got, want)
 
 
 def test_div_A_is_the_jacobian_trace():

@@ -1,6 +1,7 @@
 """Gauge function, cutoff selection, residual ratios, decay fits."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_smooth_step_second_integrates_to_first_derivative():
 
 
 def test_cutoff_plateau_and_support():
-    cut = CutoffSpec(r_in=0.5, r_out=1.0, delta=1.0, M1=0.2, M2=1.0)
+    cut = CutoffSpec(r_in=0.5, r_out=1.0, M1=0.2, M2=1.0)
     assert cut.chi(0.3) == 1.0 and cut.chi(0.0) == 1.0
     assert cut.chi(1.1) == 0.0
     assert cut.chi_prime(0.2) == 0.0 and cut.chi_prime(1.2) == 0.0
@@ -246,6 +247,21 @@ def test_one_theta_evaluator_per_pseudomode(monkeypatch):
     assert built[-1] is pm.phase
 
 
+def test_pseudomode_pickle_round_trip(monkeypatch):
+    # what a sweep worker receives: the field rebuilds through its builder,
+    # the checked phase travels as it is and is not built again
+    field = workhorse()
+    pm = make_pseudomode(field, solve_wkb(field, N=2), N=2)
+    data = pickle.dumps(pm)
+    built = []
+    monkeypatch.setattr(pseudomode._ThetaEvaluator, "__init__",
+                        lambda self, *args: built.append(self))
+    back = pickle.loads(data)
+    assert not built
+    assert back.phase.field is back.field
+    assert residual_series_exact(back, 0.05) == residual_series_exact(pm, 0.05)
+
+
 def test_theta_second_derivative_identity_oscillating():
     # Im d1^2 theta(0) = -d1 Im A1(x0) (= 0 for the oscillating field)
     field = oscillating_field(X0, cap=20)
@@ -285,7 +301,7 @@ def test_select_cutoff_positive_definite_case(work_setup):
     field, rep, sol, pm = work_setup
     cut = pm.cutoff
     assert cut.M1 > 0 and cut.M2 >= cut.M1
-    assert cut.r_in == pytest.approx(cut.delta / 2)
+    assert cut.r_in == pytest.approx(cut.r_out / 2)
     lam_min = float(np.linalg.eigvalsh(
         np.array([[rep.Q1, -rep.Q2], [-rep.Q2, rep.Q3]]))[0])
     assert cut.M1 == pytest.approx(0.5 * lam_min)
@@ -388,8 +404,9 @@ def test_interior_residual_zero_when_top_amplitude_vanishes():
         residual_maxima=ws.residual_maxima,
     )
     field = user_polynomial_field({(0, 1): -1.0}, {(1, 0): 1.0}, cap=cap)  # A = M, B = 2
-    cut = CutoffSpec(r_in=0.5, r_out=1.0, delta=1.0, M1=0.5, M2=0.51)
-    pm = Pseudomode(field=field, sol=sol, cutoff=cut, N_rule="fixed", N_fixed=1)
+    cut = CutoffSpec(r_in=0.5, r_out=1.0, M1=0.5, M2=0.51)
+    phase = pseudomode._ThetaEvaluator(field, sol)
+    pm = Pseudomode(field=field, sol=sol, cutoff=cut, phase=phase, N_rule="fixed", N_fixed=1)
     r1 = residual_series_exact(pm, 0.05)
     assert r1.interior_norm == 0.0
     assert r1.ratio == pytest.approx(r1.cutoff_norm / r1.u_norm)
@@ -412,7 +429,8 @@ def test_gauge_ratio_invariance(work_setup):
     h = 0.03
     r_orig = residual_series_exact(pm, h)
     canon = _canonical_field(field, sol)
-    pm2 = Pseudomode(field=canon, sol=sol, cutoff=pm.cutoff, N_rule="fixed", N_fixed=1)
+    pm2 = Pseudomode(field=canon, sol=sol, cutoff=pm.cutoff,
+                     phase=pseudomode._ThetaEvaluator(canon, sol), N_rule="fixed", N_fixed=1)
     r_canon = residual_series_exact(pm2, h)
     assert abs(r_canon.ratio - r_orig.ratio) < 0.02 * r_orig.ratio
 
@@ -435,7 +453,7 @@ def test_fd_evaluator_agrees_with_series():
 
 def test_adaptive_rule_and_budget_clip(work_setup, caplog):
     field, rep, sol, pm = work_setup
-    pma = Pseudomode(field=field, sol=sol, cutoff=pm.cutoff,
+    pma = Pseudomode(field=field, sol=sol, cutoff=pm.cutoff, phase=pm.phase,
                      N_rule="adaptive", m_growth=1.0)
     # (e m h)^(-1/7) at h = 1e-9 is ~ 16, far beyond the computed budget
     import logging
