@@ -341,8 +341,7 @@ def cmd_run(args):
     bound = fit_growth(sol)
     (out / "bound_fit.json").write_text(json.dumps(bound_fit_dict(bound), indent=1, sort_keys=True))
 
-    rule = "adaptive" if args.adaptive else "fixed"
-    pm = make_pseudomode(field, sol, report=report, N_rule=rule, N=args.N,
+    pm = make_pseudomode(field, sol, report=report, N=args.N,
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
     reports = run_sweep(pm, hs, workers)

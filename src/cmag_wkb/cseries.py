@@ -25,10 +25,9 @@ the z-degree (for a UniSeries it is the single coefficient c[k]).  The part of
 degree k of a product is the sum over j of ``np.convolve`` of part j with part
 k-j, so the bivariate product, ``exp`` and ``power`` (Euler-operator
 recurrences) and ``reciprocal`` are per-degree convolution sums, and the
-per-degree readers (``degree_maxima``, the dropped-term flag of
-``antiderivative``) reduce single parts.  The sums are direct, never FFTs:
-the roundoff of degree k is set by the magnitudes that enter degree k, which
-the per-degree identity scales rely on.
+per-degree reader ``degree_maxima`` reduces single parts.  The sums are
+direct, never FFTs: the roundoff of degree k is set by the magnitudes that
+enter degree k, which the per-degree identity scales rely on.
 """
 
 from __future__ import annotations
@@ -44,9 +43,12 @@ DEFAULT_CAP = 24
 #: relative tolerance for the exact-division remainder check
 DIV_RTOL = 1e-10
 
+#: relative tolerance for the implicit-curve residual check
+CURVE_RTOL = 1e-11
+
 
 class SeriesStructureError(ValueError):
-    """Operands disagree on cap or expansion center."""
+    """Operands disagree on cap, or coefficients do not fit the cap."""
 
 
 class SeriesDivisionError(ZeroDivisionError):
@@ -88,9 +90,17 @@ class _Series:
     """Ring jobs shared by UniSeries and BiSeries; ``exp``, ``reciprocal``
     and ``power`` are recurrences over the homogeneous parts.
 
-    Subclasses provide ``_check(other)``, ``_new(coeffs)`` (same cap and
-    center), ``parts()`` and ``_with_parts(parts)``.
+    A series is its ``coeffs`` and its ``cap``, in local coordinates about
+    the field's base point.  Subclasses provide ``parts()`` and
+    ``_with_parts(parts)``.
     """
+
+    def _check(self, other):
+        if self.cap != other.cap:
+            raise SeriesStructureError(f"cap mismatch: {self.cap} vs {other.cap}")
+
+    def _new(self, coeffs):
+        return type(self)(coeffs, self.cap)
 
     def __add__(self, other):
         if np.isscalar(other):
@@ -117,6 +127,14 @@ class _Series:
 
     def max_abs(self):
         return float(np.max(np.abs(self.coeffs)))
+
+    def to_records(self):
+        """Structured-text form: bit-exact hex floats, exponents in row-major
+        order, one row per nonzero coefficient."""
+        idx = np.nonzero(self.coeffs)
+        rows = zip(*(i.tolist() for i in idx), self.coeffs[idx].tolist())
+        return {"cap": int(self.cap),
+                "coeffs": [[*exps, v.real.hex(), v.imag.hex()] for *exps, v in rows]}
 
     def exp(self):
         """Euler-operator recurrence k g_k = sum_{j>=1} j n_j * g_{k-j},
@@ -190,13 +208,6 @@ class UniSeries(_Series):
         return UniSeries(c, cap)
 
     # -- ring operations -------------------------------------------------
-    def _check(self, other):
-        if self.cap != other.cap:
-            raise SeriesStructureError(f"cap mismatch: {self.cap} vs {other.cap}")
-
-    def _new(self, coeffs):
-        return UniSeries(coeffs, self.cap)
-
     def __mul__(self, other):
         if np.isscalar(other):
             return self._new(self.coeffs * other)
@@ -214,9 +225,7 @@ class UniSeries(_Series):
         """Term-wise integral vanishing at 0; the top coefficient is dropped."""
         c = np.zeros(self.cap + 1, dtype=complex)
         c[1:] = self.coeffs[:-1] / np.arange(1, self.cap + 1)
-        out = UniSeries(c, self.cap)
-        object.__setattr__(out, "truncation_dropped", bool(self.coeffs[-1] != 0))
-        return out
+        return UniSeries(c, self.cap)
 
     def parts(self):
         """Homogeneous parts: entry k is the one-element array c[k:k+1]."""
@@ -228,11 +237,11 @@ class UniSeries(_Series):
     def __call__(self, z):
         return _npoly.polyval(z, self.coeffs)
 
-    def as_biseries(self, center=(0.0, 0.0)):
+    def as_biseries(self):
         """Embed as a w-independent BiSeries (same cap)."""
         c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
         c[:, 0] = self.coeffs
-        return BiSeries(c, self.cap, center)
+        return BiSeries(c, self.cap)
 
 
 # ----------------------------------------------------------------------------
@@ -245,7 +254,6 @@ class BiSeries(_Series):
 
     coeffs: np.ndarray
     cap: int
-    center: tuple = (0.0 + 0.0j, 0.0 + 0.0j)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -256,45 +264,33 @@ class BiSeries(_Series):
         c = np.where(_mask(self.cap), c, 0.0)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "center", (complex(self.center[0]), complex(self.center[1])))
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def zeros(cap, center=(0.0, 0.0)):
-        return BiSeries(np.zeros((cap + 1, cap + 1), dtype=complex), cap, center)
+    def zeros(cap):
+        return BiSeries(np.zeros((cap + 1, cap + 1), dtype=complex), cap)
 
     @staticmethod
-    def constant(value, cap, center=(0.0, 0.0)):
+    def constant(value, cap):
         c = np.zeros((cap + 1, cap + 1), dtype=complex)
         c[0, 0] = value
-        return BiSeries(c, cap, center)
+        return BiSeries(c, cap)
 
     @staticmethod
-    def from_terms(terms, cap, center=(0.0, 0.0)):
+    def from_terms(terms, cap):
         """terms: iterable of (a, b, coefficient)."""
         c = np.zeros((cap + 1, cap + 1), dtype=complex)
         for a, b, v in terms:
             if a + b > cap:
                 raise SeriesStructureError(f"term z^{a} w^{b} exceeds cap {cap}")
             c[a, b] = v
-        return BiSeries(c, cap, center)
+        return BiSeries(c, cap)
 
     # -- structure ------------------------------------------------------
-    def _check(self, other):
-        if self.cap != other.cap:
-            raise SeriesStructureError(f"cap mismatch: {self.cap} vs {other.cap}")
-        if self.center != other.center:
-            raise SeriesStructureError(
-                f"center mismatch: {self.center} vs {other.center}"
-            )
-
     def parts(self):
         """Homogeneous parts: entry k is the 1-D array of c[a, k-a], a = 0..k."""
         flat = self.coeffs[_graded_index(self.cap)]
         return [flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(self.cap + 1)]
-
-    def _new(self, coeffs):
-        return BiSeries(coeffs, self.cap, self.center)
 
     def _with_parts(self, parts):
         c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
@@ -324,10 +320,10 @@ class BiSeries(_Series):
             c[:, :-1] = self.coeffs[:, 1:] * np.arange(1, D + 1)[None, :]
         else:
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
-        return BiSeries(c, D, self.center)
+        return self._new(c)
 
     def antiderivative(self, var):
-        """Term-wise integral vanishing at the center; top-degree input terms drop."""
+        """Term-wise integral vanishing at 0; top-degree input terms drop."""
         D = self.cap
         c = np.zeros((D + 1, D + 1), dtype=complex)
         if var == "z":
@@ -336,9 +332,7 @@ class BiSeries(_Series):
             c[:, 1:] = self.coeffs[:, :-1] / np.arange(1, D + 1)[None, :]
         else:
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
-        out = BiSeries(c, D, self.center)
-        object.__setattr__(out, "truncation_dropped", bool(self.parts()[-1].any()))
-        return out
+        return self._new(c)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, z, w):
@@ -349,24 +343,6 @@ class BiSeries(_Series):
         """Value on the real slice w = conj(z), z = x1 + i x2 (local coords)."""
         z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
         return self.evaluate(z, np.conj(z))
-
-    # -- serialization ----------------------------------------------------
-    def to_records(self):
-        """Structured-text form: bit-exact hex floats, sorted exponents."""
-        recs = []
-        for a in range(self.cap + 1):
-            for b in range(self.cap + 1 - a):
-                v = self.coeffs[a, b]
-                if v != 0:
-                    recs.append([int(a), int(b), float(v.real).hex(), float(v.imag).hex()])
-        return {
-            "cap": int(self.cap),
-            "center": [
-                [float(self.center[0].real).hex(), float(self.center[0].imag).hex()],
-                [float(self.center[1].real).hex(), float(self.center[1].imag).hex()],
-            ],
-            "coeffs": recs,
-        }
 
 
 # ----------------------------------------------------------------------------
@@ -419,12 +395,12 @@ def abs_compose_w(a, w_of_z):
     return compose_w(abs(a), abs(w_of_z))
 
 
-def exact_divide_by_curve(num, w_of_z, rtol=DIV_RTOL):
+def exact_divide_by_curve(num, w_of_z):
     """Factor (w - w(z)) out of a series vanishing on the curve w = w(z).
 
     Synthetic division in w.  The remainder (the restriction of ``num`` to
     the curve) must vanish: its degree-k coefficient is compared against
-    rtol times the degree-k magnitude of the quantities entering the
+    DIV_RTOL times the degree-k magnitude of the quantities entering the
     recursion (numerator and |w|*|q| products), so genuine low-degree
     non-vanishing is caught while high-degree roundoff along a small-radius
     curve is tolerated.
@@ -447,16 +423,16 @@ def exact_divide_by_curve(num, w_of_z, rtol=DIV_RTOL):
     scale = np.maximum.accumulate(
         np.maximum(mag, np.maximum(np.abs(num.coeffs[:, 0]), num.max_abs() * 1e-6))
     )
-    if not np.all(rem <= rtol * np.maximum(scale, 1e-300)):
+    if not np.all(rem <= DIV_RTOL * np.maximum(scale, 1e-300)):
         k = int(np.argmax(rem / np.maximum(scale, 1e-300)))
         raise CurveDivisionError(
             f"series does not vanish on the curve: remainder {rem[k]:.3e} at "
-            f"z-degree {k} exceeds {rtol:.1e} x scale {scale[k]:.3e}"
+            f"z-degree {k} exceeds {DIV_RTOL:.1e} x scale {scale[k]:.3e}"
         )
-    return BiSeries(q, D, num.center)
+    return BiSeries(q, D)
 
 
-def implicit_w(Btilde, rtol=1e-11):
+def implicit_w(Btilde):
     """The unique curve w(z), w(0)=0, with B̃(z, w(z)) constant up to cap.
 
     Degree-by-degree Newton correction: the coefficient of z^n in the
@@ -480,7 +456,7 @@ def implicit_w(Btilde, rtol=1e-11):
     resid = np.abs(compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0])
     scale = np.maximum.accumulate(np.maximum(abs_compose_w(Btilde, wz).coeffs.real,
                                              Btilde.max_abs() * 1e-6))
-    if not np.all(resid <= rtol * np.maximum(scale, 1e-300)):
+    if not np.all(resid <= CURVE_RTOL * np.maximum(scale, 1e-300)):
         k = int(np.argmax(resid / np.maximum(scale, 1e-300)))
         raise CurveDivisionError(
             f"implicit curve solve did not converge: residual {resid[k]:.3e} "
@@ -500,7 +476,7 @@ def curve_integral_w(g, w_of_z):
     evaluated between the limits; no quadrature enters the symbolic core.
     """
     G = g.antiderivative("w")
-    return G - compose_w(G, w_of_z).as_biseries(G.center)
+    return G - compose_w(G, w_of_z).as_biseries()
 
 
 def t_average(g, w_of_z):
@@ -512,7 +488,7 @@ def t_average(g, w_of_z):
     return exact_divide_by_curve(curve_integral_w(g, w_of_z), w_of_z)
 
 
-def complexify_real_taylor(breal, cap, center=(0.0, 0.0)):
+def complexify_real_taylor(breal, cap):
     """Turn real-Taylor data b[m, n] (coefficients of y1^m y2^n) into the
     series of the complexified function a((z+w)/2, (z-w)/(2i)).
 
@@ -530,13 +506,13 @@ def complexify_real_taylor(breal, cap, center=(0.0, 0.0)):
             scale = breal[m, n] / 2.0 ** (m + n) * (1, -1j, -1, 1j)[n % 4]
             signed = binom[n] * (-1.0) ** np.arange(n, -1, -1)
             parts[m + n] += scale * np.convolve(binom[m], signed)
-    return BiSeries.zeros(cap, center)._with_parts(parts)
+    return BiSeries.zeros(cap)._with_parts(parts)
 
 
-def real_coordinates(cap, center=(0.0, 0.0)):
+def real_coordinates(cap):
     """The complexified coordinates y1~ = (z+w)/2 and y2~ = (z-w)/(2i)."""
-    return (BiSeries.from_terms([(1, 0, 0.5), (0, 1, 0.5)], cap, center),
-            BiSeries.from_terms([(1, 0, -0.5j), (0, 1, 0.5j)], cap, center))
+    return (BiSeries.from_terms([(1, 0, 0.5), (0, 1, 0.5)], cap),
+            BiSeries.from_terms([(1, 0, -0.5j), (0, 1, 0.5j)], cap))
 
 
 def real_gradient_series(a):

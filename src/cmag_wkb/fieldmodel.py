@@ -387,7 +387,7 @@ def wirtinger_at(field):
     return complex(field.B_taylor.coeffs[1, 0]), complex(field.B_taylor.coeffs[0, 1])
 
 
-def compute_Q(field, tol=GAMMA_TOL):
+def compute_Q(field):
     """Admissibility coefficients and membership verdict at the base point.
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
@@ -402,11 +402,11 @@ def compute_Q(field, tol=GAMMA_TOL):
     d1a1, d2a1, d1a2, d2a2 = field.jac(np.float64(x1), np.float64(x2))
 
     failed = []
-    if imA_norm > tol:
+    if imA_norm > GAMMA_TOL:
         failed.append("im_A_nonzero")
-    if abs(B0) <= tol:
+    if abs(B0) <= GAMMA_TOL:
         failed.append("B_zero")
-    if abs(dzbarB) <= tol:
+    if abs(dzbarB) <= GAMMA_TOL:
         failed.append("dzbar_B_zero")
         rho = 0.0 + 0.0j
     else:
@@ -415,9 +415,9 @@ def compute_Q(field, tol=GAMMA_TOL):
     Q2 = 0.25 * (B0 * rho).imag + 0.25 * (complex(d1a2).imag + complex(d2a1).imag)
     Q3 = 0.25 * (B0 * (1.0 - rho)).real + 0.5 * complex(d2a2).imag
     det2 = Q1 * Q3 - Q2 * Q2
-    if not Q1 > tol:
+    if not Q1 > GAMMA_TOL:
         failed.append("Q1_nonpositive")
-    if not det2 > tol:
+    if not det2 > GAMMA_TOL:
         failed.append("det_nonpositive")
     return GammaReport(
         Q1=Q1, Q2=Q2, Q3=Q3, det2=det2, imA_norm=imA_norm, B0=B0,
@@ -425,7 +425,7 @@ def compute_Q(field, tol=GAMMA_TOL):
     )
 
 
-def gamma_scan(make_field_at, region, n, tol=GAMMA_TOL):
+def gamma_scan(make_field_at, region, n):
     """Per-gridpoint membership raster.
 
     ``make_field_at(x1, x2)`` must return a FieldSpec based at that point
@@ -438,7 +438,7 @@ def gamma_scan(make_field_at, region, n, tol=GAMMA_TOL):
     reports = np.empty((n, n), dtype=object)
     for i, u in enumerate(xs):
         for j, v in enumerate(ys):
-            reports[i, j] = compute_Q(make_field_at(u, v), tol=tol)
+            reports[i, j] = compute_Q(make_field_at(u, v))
     return xs, ys, reports
 
 

@@ -62,30 +62,24 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
+def _shifted(u, axis, k):
+    """View of u at the points 2..n-3 along ``axis``, moved by k."""
+    idx = [slice(None)] * u.ndim
+    idx[axis] = slice(2 + k, u.shape[axis] - 2 + k or None)
+    return u[tuple(idx)]
+
+
 def _d1(u, axis, s):
     out = np.zeros_like(u)
-    sl = [slice(None)] * u.ndim
-
-    def sh(k):
-        sli = list(sl)
-        sli[axis] = slice(2 + k, u.shape[axis] - 2 + k or None)
-        return tuple(sli)
-
-    core = tuple(slice(2, -2) if a == axis else slice(None) for a in range(u.ndim))
-    out[core] = (-u[sh(2)] + 8 * u[sh(1)] - 8 * u[sh(-1)] + u[sh(-2)]) / (12 * s)
+    p2, p1, m1, m2 = (_shifted(u, axis, k) for k in (2, 1, -1, -2))
+    _shifted(out, axis, 0)[...] = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * s)
     return out
 
 
 def _d2(u, axis, s):
     out = np.zeros_like(u)
-
-    def sh(k):
-        sli = [slice(None)] * u.ndim
-        sli[axis] = slice(2 + k, u.shape[axis] - 2 + k or None)
-        return tuple(sli)
-
-    core = tuple(slice(2, -2) if a == axis else slice(None) for a in range(u.ndim))
-    out[core] = (-u[sh(2)] + 16 * u[sh(1)] - 30 * u[sh(0)] + 16 * u[sh(-1)] - u[sh(-2)]) / (12 * s**2)
+    p2, p1, c, m1, m2 = (_shifted(u, axis, k) for k in (2, 1, 0, -1, -2))
+    _shifted(out, axis, 0)[...] = (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * s**2)
     return out
 
 

@@ -39,6 +39,9 @@ from .wkb import IDENTITY_RTOL, WKBSolution
 
 log = logging.getLogger(__name__)
 
+#: relative tolerance between the u-norms on the n- and 2n-point Gauss grids
+QUAD_RTOL = 0.01
+
 
 class PhaseNotPositiveError(RuntimeError):
     """Re P fails the quadratic lower bound on every candidate disc."""
@@ -155,10 +158,10 @@ class _ThetaEvaluator:
         self.A_taylor = field.A_taylor()
         phi = sol.phi
         a1, a2 = self.A_taylor
-        y1, y2 = real_coordinates(a1.cap, a1.center)
+        y1, y2 = real_coordinates(a1.cap)
         a, b = np.indices(phi.coeffs.shape)
         T = (-1j * (a - b) * phi.coeffs - (a1 * y1 + a2 * y2).coeffs) / np.maximum(a + b, 1)
-        self.P = sol.S + 1j * BiSeries(T, phi.cap, phi.center)
+        self.P = sol.S + 1j * BiSeries(T, phi.cap)
         self._calibrate()
 
     def _calibrate(self):
@@ -274,26 +277,25 @@ class Pseudomode:
     """A cutoff pseudomode with its phase evaluator, built and checked once.
 
     It pickles as it is (the field as its builder call), so sweep workers
-    receive the checked phase rather than building their own.
+    receive the checked phase rather than building their own.  The order is
+    N when ``m_growth`` is None, else floor((e m_growth h)^(-1/7)), clipped
+    to the solved order.
     """
 
     field: FieldSpec
     sol: WKBSolution
     cutoff: CutoffSpec
     phase: _ThetaEvaluator
-    N_rule: str = "fixed"          # "fixed" | "adaptive"
-    N_fixed: int = 1
+    N: int = 1
     m_growth: Optional[float] = None
 
     def __post_init__(self):
-        if self.N_rule not in ("fixed", "adaptive"):
-            raise ValueError("N_rule must be 'fixed' or 'adaptive'")
-        if self.N_rule == "adaptive" and not self.m_growth:
-            raise ValueError("adaptive N rule needs m_growth from fit_growth")
+        if self.m_growth is not None and not self.m_growth > 0:
+            raise ValueError(f"adaptive N rule needs m_growth > 0, got {self.m_growth}")
 
     def N_used(self, h):
-        if self.N_rule == "fixed":
-            n = self.N_fixed
+        if self.m_growth is None:
+            n = self.N
         else:
             n = int(math.floor((math.e * self.m_growth * h) ** (-1.0 / 7.0)))
         if n > self.sol.N:
@@ -302,12 +304,11 @@ class Pseudomode:
         return max(n, 0)
 
 
-def make_pseudomode(field, sol, report=None, N_rule="fixed", N=1, m_growth=None,
-                    delta_override=None):
+def make_pseudomode(field, sol, report=None, N=1, m_growth=None, delta_override=None):
     phase = _ThetaEvaluator(field, sol)
     cutoff = select_cutoff(phase, report=report, delta_override=delta_override)
-    return Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule=N_rule,
-                      N_fixed=N, m_growth=m_growth)
+    return Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N=N,
+                      m_growth=m_growth)
 
 
 def _amplitude(sol, h, N):
@@ -403,8 +404,8 @@ def _residual_terms(pm, h, N, amp, y1, y2):
     ring = dchi != 0.0
     yr1, yr2, rr = y1[ring], y2[ring], r[ring]
     p, q = np.indices(amp.coeffs.shape)
-    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap, amp.center)
-    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap, sol.S.center)
+    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap)
+    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap)
     damp, lin = np.zeros_like(u), np.zeros_like(u)
     damp[ring] = r_damp.realify(yr1, yr2) / rr
     lin[ring] = r_lin.realify(yr1, yr2) / rr
@@ -414,13 +415,13 @@ def _residual_terms(pm, h, N, amp, y1, y2):
     return u, interior, cutoff_term
 
 
-def residual_series_exact(pm, h, n=None, rtol=0.01):
+def residual_series_exact(pm, h, n=None):
     """ResidualReport for one h via the series-exact route.
 
     The residual is evaluated on the doubled grid only; the coarse grid
     serves the Richardson consistency estimate of the u-norm (the residual
     integrand has the same Gaussian scale).  Refuses with
-    QuadratureResolutionError when the two u-norms differ by more than rtol.
+    QuadratureResolutionError when the two u-norms differ by more than QUAD_RTOL.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -440,9 +441,10 @@ def residual_series_exact(pm, h, n=None, rtol=0.01):
     u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2)
     un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))
                           for v in (u, interior + cutoff_term, interior, cutoff_term))
-    if abs(un2 - un1) > rtol * un2:
+    if abs(un2 - un1) > QUAD_RTOL * un2:
         raise QuadratureResolutionError(
-            f"residual quadrature unresolved at n={n}: retry with n >= {4 * n}"
+            f"residual quadrature unresolved at h={h:g}: |I_2n - I_n|/I_2n = "
+            f"{abs(un2 - un1) / un2:.3e} with n={n} exceeds the tolerance {QUAD_RTOL:g}"
         )
     return ResidualReport(
         h=h, N_used=N, u_norm=math.sqrt(un2), residual_norm=math.sqrt(rn2),

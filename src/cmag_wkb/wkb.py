@@ -70,21 +70,21 @@ def _curve_check_scale(series, w_curve, parent_scale=0.0):
     return np.maximum(sc, 1e-6 * max(sc[-1], series.max_abs(), parent_scale))
 
 
-def _assert_small(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
+def _assert_small(res, trusted_deg, scale_vec, equation):
     """Per-degree check: coefficients of degree k <= trusted_deg must stay
-    below rtol * scale_vec[k] (scale_vec from the terms of the identity)."""
-    return _assert_small_uni(degree_maxima(res), trusted_deg, scale_vec, equation, rtol)
+    below IDENTITY_RTOL * scale_vec[k] (scale_vec from the identity's terms)."""
+    return _assert_small_uni(degree_maxima(res), trusted_deg, scale_vec, equation)
 
 
-def _assert_small_uni(res, trusted_deg, scale_vec, equation, rtol=IDENTITY_RTOL):
+def _assert_small_uni(res, trusted_deg, scale_vec, equation):
     n = min(trusted_deg + 1, len(res))
     if n <= 0:
         return 0.0
     sel = np.abs(res[:n])
     rel = sel / np.maximum(np.asarray(scale_vec)[:n], 1e-300)
     k = int(np.argmax(rel))
-    if not rel[k] <= rtol:  # a NaN fails too
-        raise TransportIdentityError(equation, float(sel[k]), k, rtol * scale_vec[k])
+    if not rel[k] <= IDENTITY_RTOL:  # a NaN fails too
+        raise TransportIdentityError(equation, float(sel[k]), k, IDENTITY_RTOL * scale_vec[k])
     return float(rel[k])
 
 
@@ -98,7 +98,7 @@ def poisson_series(Btilde):
     c = np.zeros((D + 1, D + 1), dtype=complex)
     a = np.arange(1, D + 1, dtype=float)
     c[1:, 1:] = Btilde.coeffs[:-1, :-1] / (4.0 * np.outer(a, a))
-    return BiSeries(c, D, Btilde.center)
+    return BiSeries(c, D)
 
 
 def eikonal_phase(phi, w_curve):
@@ -111,7 +111,7 @@ def eikonal_phase(phi, w_curve):
     dzphi = phi.differentiate("z")
     fprime = -2.0 * compose_w(dzphi, w_curve)
     f = fprime.antiderivative()
-    S = phi + f.as_biseries(phi.center)
+    S = phi + f.as_biseries()
     # transport coefficient must vanish on the curve by construction
     coeff_on_curve = 2.0 * compose_w(dzphi, w_curve) + fprime
     scale = np.maximum.accumulate(
@@ -130,9 +130,9 @@ def divided_data(phi, Btilde, w_curve):
     quadrature).
     """
     dzphi = phi.differentiate("z")
-    numV = dzphi - compose_w(dzphi, w_curve).as_biseries(phi.center)
+    numV = dzphi - compose_w(dzphi, w_curve).as_biseries()
     V = exact_divide_by_curve(numV, w_curve)
-    numF = Btilde - compose_w(Btilde, w_curve).as_biseries(phi.center)
+    numF = Btilde - compose_w(Btilde, w_curve).as_biseries()
     F = exact_divide_by_curve(numF, w_curve)
     return V, F
 
@@ -158,13 +158,13 @@ def first_transport(Btilde, phi, w_curve, V, F):
             # F == 0 case (constant-on-curve J): the constraint is vacuous
             # and the normalized choice is A_0 == 1.
             A0 = UniSeries.constant(1.0, J.cap)
-            return mu, J, A0, A0.as_biseries(J.center) * J
+            return mu, J, A0, A0.as_biseries() * J
         raise DegenerateFieldError(
             "d_w J vanishes on the curve at 0; the input series is degenerate"
         )
     v0 = compose_w(dwJ.differentiate("z"), w_curve)
     A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative()).exp()
-    a0 = A0.as_biseries(J.center) * J
+    a0 = A0.as_biseries() * J
     return mu, J, A0, a0
 
 
@@ -182,7 +182,7 @@ class _Workspace:
         self.A0 = A0
         self.amplitudes = [a0]
         self.trusted = [trusted0]
-        self.c4 = 8.0 * phi.differentiate("z") + (4.0 * fprime).as_biseries(phi.center)
+        self.c4 = 8.0 * phi.differentiate("z") + (4.0 * fprime).as_biseries()
         self.u0 = compose_w(J.differentiate("w"), w_curve)
         self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
         if abs(self.u0.coeffs[0]) == 0.0:
@@ -218,7 +218,7 @@ class _Workspace:
         if j:
             rhs = 4.0 * self.amplitudes[j - 1].differentiate("w").differentiate("z")
         else:
-            rhs = BiSeries.zeros(a_new.cap, a_new.center)
+            rhs = BiSeries.zeros(a_new.cap)
         res = lhs - rhs
         deg = self.trusted[j] - 1
         worst = _assert_small(res, deg, self.residual_scale(a_new, rhs),
@@ -259,7 +259,7 @@ def transport_step(ws, j):
     else:
         Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative()
     A_next = ws.A0 * Psi
-    a_next = particular + A_next.as_biseries(ws.J.center) * ws.J
+    a_next = particular + A_next.as_biseries() * ws.J
     ws.amplitudes.append(a_next)
     ws.trusted.append(ws.trusted[j] - 3)
     ws.verify_step(j + 1)
@@ -311,25 +311,17 @@ class WKBSolution:
             "trusted_radius": float(self.trusted_radius),
             "trusted_degrees": [int(t) for t in self.trusted_degrees],
             "phi": self.phi.to_records(),
-            "w_curve": _uni_records(self.w_curve),
-            "f": _uni_records(self.f),
+            "w_curve": self.w_curve.to_records(),
+            "f": self.f.to_records(),
             "S": self.S.to_records(),
             "V": self.V.to_records(),
             "F": self.F.to_records(),
             "J": self.J.to_records(),
-            "A0": _uni_records(self.A0),
+            "A0": self.A0.to_records(),
             "amplitudes": [a.to_records() for a in self.amplitudes],
             "residual_maxima": {k: float(v) for k, v in sorted(self.residual_maxima.items())},
         }
         return json.dumps(d, indent=1, sort_keys=True)
-
-
-def _uni_records(u):
-    return {
-        "cap": int(u.cap),
-        "coeffs": [[int(k), float(c.real).hex(), float(c.imag).hex()]
-                   for k, c in enumerate(u.coeffs) if c != 0],
-    }
 
 
 def max_transport_order(cap):
@@ -337,19 +329,13 @@ def max_transport_order(cap):
     return cap // 3 - 2
 
 
-def solve_wkb(field_or_series, N=3, base_point=None):
+def solve_wkb(field, N=3):
     """Run the full construction to transport order N.
 
-    Accepts a FieldSpec (only its B_taylor is used: the phase and amplitude
-    data are gauge-independent) or a bare complexified BiSeries.
+    Only the field's B_taylor and base point are used: the phase and
+    amplitude data are gauge-independent.
     """
-    if isinstance(field_or_series, BiSeries):
-        Btilde = field_or_series
-        x0 = tuple(base_point) if base_point is not None else (0.0, 0.0)
-    else:
-        Btilde = field_or_series.B_taylor
-        x0 = field_or_series.base_point
-
+    Btilde = field.B_taylor
     cap = Btilde.cap
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -384,7 +370,7 @@ def solve_wkb(field_or_series, N=3, base_point=None):
         amplitudes=tuple(ws.amplitudes), mu=mu, N=N,
         trusted_radius=_trusted_radius(_last_diagonal(S, J, *ws.amplitudes), cap),
         trusted_degrees=tuple(ws.trusted),
-        base_point=tuple(x0), residual_maxima=dict(ws.residual_maxima),
+        base_point=tuple(field.base_point), residual_maxima=dict(ws.residual_maxima),
     )
 
 

@@ -67,9 +67,9 @@ def workhorse_sweep():
     sol = solve_wkb(field, N=6)
     bf = fit_growth(sol)
     hs = np.geomspace(0.1, 0.003, 8)
-    pm_fixed = make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
+    pm_fixed = make_pseudomode(field, sol, report=rep, N=1)
     pm_adapt = Pseudomode(field=field, sol=sol, cutoff=pm_fixed.cutoff, phase=pm_fixed.phase,
-                          N_rule="adaptive", m_growth=bf.m_fitted)
+                          m_growth=bf.m_fitted)
     fixed = [residual_series_exact(pm_fixed, float(h)) for h in hs]
     adaptive = [residual_series_exact(pm_adapt, float(h)) for h in hs]
     return field, rep, sol, bf, hs, fixed, adaptive
@@ -165,7 +165,7 @@ def test_criterion_04_residual_order_oscillating():
     sol = solve_wkb(field, N=2)
     rejected = False
     try:
-        make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
+        make_pseudomode(field, sol, report=rep, N=1)
     except PhaseNotPositiveError as exc:
         rejected = True
         print(f"\n  [criterion 4 diagnostic] {exc}")
@@ -174,8 +174,7 @@ def test_criterion_04_residual_order_oscillating():
     hs = np.geomspace(0.1, 0.003, 8)
     slopes = {}
     for N in (0, 1, 2):
-        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule="fixed",
-                        N_fixed=N)
+        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N=N)
         t0 = time.monotonic()
         reports = [residual_series_exact(pm, float(h)) for h in hs]
         elapsed = time.monotonic() - t0
@@ -199,8 +198,7 @@ def test_criterion_04s_residual_order_supplementary(workhorse_sweep):
     cutoff = select_cutoff(phase, report=rep)
     slopes = {}
     for N in (0, 1, 2):
-        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N_rule="fixed",
-                        N_fixed=N)
+        pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N=N)
         reports = [residual_series_exact(pm, float(h)) for h in small]
         slopes[N] = fit_decay(reports, model="power").slope
     ok = all(slopes[N] >= N + 2.0 for N in (0, 1, 2))
@@ -217,7 +215,7 @@ def test_criterion_05_cross_evaluator():
     field = polynomial_field(1.0, 1j, 1.0, cap=24)
     rep = compute_Q(field)
     sol = solve_wkb(field, N=1)
-    pm = make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
+    pm = make_pseudomode(field, sol, report=rep, N=1)
     h = 0.05
     rs = residual_series_exact(pm, h)
     rf = residual_finite_difference(pm, h, n=512, L=2 * pm.cutoff.r_out)

@@ -255,6 +255,8 @@ def test_run_quadrature_refusal_exit_5(tmp_path, monkeypatch, capsys, workers):
     assert code == EXIT_QUADRATURE
     err = capsys.readouterr().err
     assert "quadrature refusal: residual quadrature unresolved" in err
+    # the message states the measured mismatch, not a retry no flag can reach
+    assert "|I_2n - I_n|/I_2n = " in err and "retry" not in err
     assert "Traceback" not in err
 
 

@@ -42,7 +42,7 @@ def work_setup():
     field = workhorse()
     rep = compute_Q(field)
     sol = solve_wkb(field, N=3)
-    pm = make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
+    pm = make_pseudomode(field, sol, report=rep, N=1)
     return field, rep, sol, pm
 
 
@@ -406,7 +406,7 @@ def test_interior_residual_zero_when_top_amplitude_vanishes():
     field = user_polynomial_field({(0, 1): -1.0}, {(1, 0): 1.0}, cap=cap)  # A = M, B = 2
     cut = CutoffSpec(r_in=0.5, r_out=1.0, M1=0.5, M2=0.51)
     phase = pseudomode._ThetaEvaluator(field, sol)
-    pm = Pseudomode(field=field, sol=sol, cutoff=cut, phase=phase, N_rule="fixed", N_fixed=1)
+    pm = Pseudomode(field=field, sol=sol, cutoff=cut, phase=phase, N=1)
     r1 = residual_series_exact(pm, 0.05)
     assert r1.interior_norm == 0.0
     assert r1.ratio == pytest.approx(r1.cutoff_norm / r1.u_norm)
@@ -430,7 +430,7 @@ def test_gauge_ratio_invariance(work_setup):
     r_orig = residual_series_exact(pm, h)
     canon = _canonical_field(field, sol)
     pm2 = Pseudomode(field=canon, sol=sol, cutoff=pm.cutoff,
-                     phase=pseudomode._ThetaEvaluator(canon, sol), N_rule="fixed", N_fixed=1)
+                     phase=pseudomode._ThetaEvaluator(canon, sol), N=1)
     r_canon = residual_series_exact(pm2, h)
     assert abs(r_canon.ratio - r_orig.ratio) < 0.02 * r_orig.ratio
 
@@ -443,7 +443,7 @@ def test_fd_evaluator_agrees_with_series():
     field = polynomial_field(1.0, 1j, 1.0, cap=24)
     rep = compute_Q(field)
     sol = solve_wkb(field, N=1)
-    pm = make_pseudomode(field, sol, report=rep, N_rule="fixed", N=1)
+    pm = make_pseudomode(field, sol, report=rep, N=1)
     h = 0.05
     r_series = residual_series_exact(pm, h)
     r_fd = residual_finite_difference(pm, h, n=384)
@@ -453,8 +453,7 @@ def test_fd_evaluator_agrees_with_series():
 
 def test_adaptive_rule_and_budget_clip(work_setup, caplog):
     field, rep, sol, pm = work_setup
-    pma = Pseudomode(field=field, sol=sol, cutoff=pm.cutoff, phase=pm.phase,
-                     N_rule="adaptive", m_growth=1.0)
+    pma = Pseudomode(field=field, sol=sol, cutoff=pm.cutoff, phase=pm.phase, m_growth=1.0)
     # (e m h)^(-1/7) at h = 1e-9 is ~ 16, far beyond the computed budget
     import logging
 
