@@ -31,7 +31,8 @@ run writes is such an object, defaults filled in, and replays the run's
 field exactly.
 
 Exit codes: 0 success, 2 config error, 3 admissibility rejection,
-4 internal identity failure, 5 residual-grid quadrature refusal.  The degree
+4 internal identity failure, 5 residual-grid quadrature refusal (residuals.csv
+keeps the rows of the h before the refused one).  The degree
 cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 --adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 when the fd
 evaluator runs; violating either exits 2 before any work starts.  A --delta
@@ -293,13 +294,24 @@ def _workers():
 
 
 def run_sweep(pm, hs, workers):
+    """The reports of the sweep in order, up to the first h whose residual
+    grid is refused, and that refusal (None when every h passed)."""
     # residual_series_exact is looked up by name on each serial call:
     # perfbench/child.py times the first call with a module-attribute hook
     # that puts the original back, which a reference bound earlier would miss
-    if workers <= 1:
-        return [residual_series_exact(pm, h) for h in hs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(residual_series_exact, pm), hs))
+    reports = []
+    try:
+        if workers <= 1:
+            for h in hs:
+                reports.append(residual_series_exact(pm, h))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # map yields in sweep order; a refusal cancels the h not yet started
+                for r in pool.map(functools.partial(residual_series_exact, pm), hs):
+                    reports.append(r)
+    except QuadratureResolutionError as exc:
+        return reports, exc
+    return reports, None
 
 
 # ----------------------------------------------------------------------------
@@ -344,7 +356,10 @@ def cmd_run(args):
     pm = make_pseudomode(field, sol, report=report, N=args.N,
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
-    reports = run_sweep(pm, hs, workers)
+    reports, refusal = run_sweep(pm, hs, workers)
+    if refusal is not None:  # keep the rows that finished, then exit 5
+        write_residual_csv(out / "residuals.csv", reports)
+        raise refusal
     if args.evaluator in ("fd", "both"):
         for h in ([hs[len(hs) // 2]] if args.evaluator == "both" else hs):
             reports.append(residual_finite_difference(pm, float(h), n=args.grid_n))

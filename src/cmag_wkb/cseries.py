@@ -28,6 +28,19 @@ recurrences) and ``reciprocal`` are per-degree convolution sums, and the
 per-degree reader ``degree_maxima`` reduces single parts.  The sums are
 direct, never FFTs: the roundoff of degree k is set by the magnitudes that
 enter degree k, which the per-degree identity scales rely on.
+
+Evaluation has two routes.  Scattered points (the gauge check's rings, the
+cutoff search's polar samples, the phase evaluator, ``assemble(pm, h)`` on
+arrays a caller gives) go through Horner: ``evaluate`` and ``realify``, by
+``polyval2d``.  Every product of two 1-D axes (the Gauss squares and the
+uniform grid of the two residual routes, the polydisc torus of the growth
+fit) goes through one tensor kernel, V(s) @ C @ V(t)^T with V the increasing
+Vandermonde matrix of an axis: ``evaluate_grid`` takes C = c[a, b] itself,
+and ``realify_grid`` the coefficients R[m, n] of y1^m y2^n on the real slice
+(``real_coeffs``), the inverse of ``complexify_real_taylor``; both maps are
+per-degree blocks of binomial rows.  In the real monomials degree k can lose
+up to 2^(k/2) more to roundoff than Horner at the same point y: their
+magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
 """
 
 from __future__ import annotations
@@ -71,6 +84,42 @@ def _graded_index(cap):
     k = np.repeat(np.arange(cap + 1), np.arange(1, cap + 2))
     a = np.concatenate([np.arange(d + 1) for d in range(cap + 1)])
     return a, k - a
+
+
+@lru_cache(maxsize=None)
+def _real_blocks(cap):
+    """Per degree k = 0..cap, the pair (U_k, i^(k-m) for m = 0..k) that maps
+    part k of a series (c[a, k-a] of z^a w^(k-a), by a) to part k of its
+    real coefficients on w = conj(z) (R[m, k-m] of y1^m y2^(k-m), by m) and
+    back: R_k = i^(k-m) U_k c_k and c_k = U_k ((-i)^(k-m) R_k) / 2^k.
+
+    Column m of the integer matrix U_k holds (z+w)^m (z-w)^(k-m) by z-degree,
+    because y1^m y2^n = 2^-k (-i)^n (z+w)^m (z-w)^n, and with i y2 for y2 the
+    same matrix expands z^a w^b = (y1 + i y2)^a (y1 - i y2)^b; U_k^2 = 2^k.
+    Each degree's columns are the last degree's times one more linear factor,
+    a shift and add of binomial rows, exact for cap <= 52.
+    """
+    def times(c, beta):  # (z + beta w) times the columns c[a] of z^a w^(k-a)
+        out = np.zeros((c.shape[0] + 1, c.shape[1]))
+        out[1:] += c
+        out[:-1] += beta * c
+        return out
+
+    unit = np.array([1.0, 1j, -1.0, -1j])
+    U = np.ones((1, 1))
+    blocks = []
+    for k in range(cap + 1):
+        blocks.append((U, unit[np.arange(k, -1, -1) % 4]))
+        U = np.hstack([times(U, -1.0), times(U[:, -1:], 1.0)])
+    return blocks
+
+
+def _tensor(coeffs, s, t):
+    """sum_ab coeffs[a, b] s_i^a t_j^b at every node (s_i, t_j) of the product
+    grid of two 1-D axes: V(s) @ coeffs @ V(t)^T, with V the increasing
+    Vandermonde matrix (sum factorization)."""
+    m = coeffs.shape[0]
+    return np.vander(s, m, increasing=True) @ coeffs @ np.vander(t, m, increasing=True).T
 
 
 def _convolve_sum(xs, y, k, out):
@@ -336,13 +385,33 @@ class BiSeries(_Series):
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, z, w):
-        """Horner-scheme value at (z, w); accepts arrays (local coordinates)."""
+        """Horner-scheme value at scattered points (z, w); accepts arrays
+        (local coordinates)."""
         return _npoly.polyval2d(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), self.coeffs)
 
     def realify(self, x1, x2):
-        """Value on the real slice w = conj(z), z = x1 + i x2 (local coords)."""
+        """Value on the real slice w = conj(z), z = x1 + i x2, at scattered
+        points (local coords)."""
         z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
         return self.evaluate(z, np.conj(z))
+
+    def evaluate_grid(self, z, w):
+        """Values at every node (z_i, w_j) of the product of two 1-D axes,
+        as a (len z, len w) array."""
+        return _tensor(self.coeffs, np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+
+    def realify_grid(self, s, t):
+        """Values on the real slice at every node y1 = s_i, y2 = t_j of the
+        product of two real 1-D axes, as a (len s, len t) array."""
+        return _tensor(self.real_coeffs(), np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+
+    def real_coeffs(self):
+        """Coefficients R[m, n] of y1^m y2^n of the series on w = conj(z),
+        z = y1 + i y2 (a dense triangular complex array)."""
+        R = np.zeros_like(self.coeffs)
+        R[_graded_index(self.cap)] = np.concatenate(
+            [phase * (U @ p) for (U, phase), p in zip(_real_blocks(self.cap), self.parts())])
+        return R
 
 
 # ----------------------------------------------------------------------------
@@ -492,21 +561,16 @@ def complexify_real_taylor(breal, cap):
     """Turn real-Taylor data b[m, n] (coefficients of y1^m y2^n) into the
     series of the complexified function a((z+w)/2, (z-w)/(2i)).
 
-    Closed form per term: y1^m y2^n = 2^-m (2i)^-n (z+w)^m (z-w)^n, whose
-    degree-(m+n) part is the convolution of two binomial rows (in the part
-    order, (z-w)^n has C(n, a) (-1)^(n-a) at z-degree a).
+    Per degree through ``_real_blocks``, the inverse of
+    ``BiSeries.real_coeffs``.
     """
-    breal = np.asarray(breal, dtype=complex)
-    binom = [np.ones(1)]
-    for _ in range(cap):
-        binom.append(np.convolve(binom[-1], [1.0, 1.0]))
-    parts = [np.zeros(k + 1, dtype=complex) for k in range(cap + 1)]
-    for m, n in zip(*np.nonzero(breal[: cap + 1, : cap + 1])):
-        if m + n <= cap:
-            scale = breal[m, n] / 2.0 ** (m + n) * (1, -1j, -1, 1j)[n % 4]
-            signed = binom[n] * (-1.0) ** np.arange(n, -1, -1)
-            parts[m + n] += scale * np.convolve(binom[m], signed)
-    return BiSeries.zeros(cap)._with_parts(parts)
+    b = np.zeros((cap + 1, cap + 1), dtype=complex)
+    src = np.asarray(breal, dtype=complex)[: cap + 1, : cap + 1]
+    b[: src.shape[0], : src.shape[1]] = src
+    parts = BiSeries(b, cap).parts()
+    return BiSeries.zeros(cap)._with_parts(
+        [U @ (p * phase.conj()) / 2.0**k
+         for k, ((U, phase), p) in enumerate(zip(_real_blocks(cap), parts))])
 
 
 def real_coordinates(cap):

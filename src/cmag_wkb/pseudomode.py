@@ -214,9 +214,11 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
     ``phase`` is the pseudomode's phase evaluator.
 
     Raises CutoffRadiusError for an override outside (0, d_max], and
-    PhaseNotPositiveError with the exact Re P quadratic when no disc works
-    (this is exactly the situation where the printed Q2 formula and the
-    constructed phase disagree; both readings are included for diagnosis).
+    PhaseNotPositiveError with the exact Re P quadratic when no disc works:
+    at once when that quadratic (the degree-2 part of P) is not positive
+    definite, else after the search (this is exactly the situation where the
+    printed Q2 formula and the constructed phase disagree; both readings are
+    included for diagnosis).
     """
     if report is None:
         report = compute_Q(phase.field)
@@ -248,7 +250,10 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
                           M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12),
                           M2=max(m_hi, 1e-12))
 
-    if lam_min > 0:
+    # the actual quadratic of Re P: no disc works unless it is positive definite
+    c11, c12, c22 = _rep_quadratic(phase.P)
+    eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
+    if lam_min > 0 and eigs[0] > 0:
         for delta in np.geomspace(d_max, d_max / 64.0, 24):
             radii = np.linspace(delta / 8, delta, 8)
             vals = [reP_over_r2(r) for r in radii]
@@ -256,9 +261,6 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
                 M2 = float(max(np.max(v) for v in vals))
                 return CutoffSpec(r_in=delta / 2, r_out=delta, M1=M1, M2=M2)
 
-    # diagnose: the actual quadratic of Re P
-    c11, c12, c22 = _rep_quadratic(phase.P)
-    eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     raise PhaseNotPositiveError(
         f"no disc with Re P >= {M1:.4g}|x|^2: Re P quadratic "
         f"(c11, c12, c22) = ({c11:.6g}, {c12:.6g}, {c22:.6g}), "
@@ -316,34 +318,49 @@ def _amplitude(sol, h, N):
     return sum((h**j * sol.amplitudes[j] for j in range(1, N + 1)), sol.amplitudes[0])
 
 
-def _mode(pm, h, amp, y1, y2):
+def _horner(y1, y2):
+    """The value map of series at scattered local points y (Horner)."""
+    return lambda series: series.realify(y1, y2)
+
+
+def _on_grid(s, t, keep):
+    """The value map of series at the nodes y1 = s_i, y2 = t_j of a product
+    grid that the mask ``keep`` selects, in row-major order (tensor kernel)."""
+    return lambda series: series.realify_grid(s, t)[keep]
+
+
+def _mode(pm, h, amp, r, values):
     """exp(-P/h), chi, the amplitude sum amp and u = chi exp(-P/h) amp at
-    local points y."""
-    E = np.exp(-pm.phase(y1, y2) / h)
-    chi = pm.cutoff.chi(np.hypot(y1, y2))
-    a = amp.realify(y1, y2)
+    local points at radius r, where ``values`` maps a series to its values
+    at those points."""
+    E = np.exp(-values(pm.phase.P) / h)
+    chi = pm.cutoff.chi(r)
+    a = values(amp)
     return E, chi, a, chi * E * a
+
+
+def _cut_mode(pm, h, amp, r, values_at):
+    """u at local points at radius r (an array of any shape), zero outside
+    D(0, r_out); ``values_at(inside)`` is the value map at the points inside."""
+    inside = r < pm.cutoff.r_out
+    out = np.zeros(r.shape, dtype=complex)
+    if np.any(inside):
+        out[inside] = _mode(pm, h, amp, r[inside], values_at(inside))[-1]
+    return out
 
 
 def assemble(pm, h):
     """Evaluable u_h(x1, x2) (global coordinates); zero outside D(x0, r_out)."""
     if not h > 0:
         raise ValueError("h must be positive")
-    sol, cut = pm.sol, pm.cutoff
+    sol = pm.sol
     amp = _amplitude(sol, h, pm.N_used(h))
 
     def u(x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        y1 = x1 - sol.base_point[0]
-        y2 = x2 - sol.base_point[1]
-        r = np.hypot(y1, y2)
-        inside = r < cut.r_out
-        out = np.zeros(np.broadcast(y1, y2).shape, dtype=complex)
-        if not np.any(inside):
-            return out
-        out[inside] = _mode(pm, h, amp, y1[inside], y2[inside])[-1]
-        return out
+        y1 = np.asarray(x1, dtype=float) - sol.base_point[0]
+        y2 = np.asarray(x2, dtype=float) - sol.base_point[1]
+        return _cut_mode(pm, h, amp, np.hypot(y1, y2),
+                         lambda inside: _horner(y1[inside], y2[inside]))
 
     return u
 
@@ -351,15 +368,6 @@ def assemble(pm, h):
 # ----------------------------------------------------------------------------
 # residual evaluation (series-exact route)
 # ----------------------------------------------------------------------------
-
-def _gl_grid(r_out, n):
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    x = r_out * xg
-    w = r_out * wg
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    W = np.outer(w, w)
-    return X1, X2, W
-
 
 def quadrature_points(h, r_out, n_min=64, factor=8.0):
     return max(n_min, int(math.ceil(factor * r_out / math.sqrt(h))))
@@ -383,9 +391,10 @@ class ResidualReport:
             raise ValueError("pseudomode norm must be positive")
 
 
-def _residual_terms(pm, h, N, amp, y1, y2):
+def _residual_terms(pm, h, N, amp, y1, y2, values):
     """u and the pointwise residual of (L_{h,A} - h mu) u_h from series data,
-    split into its interior and cutoff terms, amp = sum_{j<=N} h^j a_j:
+    split into its interior and cutoff terms, amp = sum_{j<=N} h^j a_j, at
+    local points y where ``values`` maps a series to its values:
 
     residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N) - 2 h^2 chi' d_r(amp)
                           + (-h^2 Lap(chi) + 2h chi' (grad S + i M) . n) amp ]
@@ -394,21 +403,21 @@ def _residual_terms(pm, h, N, amp, y1, y2):
     series of the module docstring.
     """
     sol, cut = pm.sol, pm.cutoff
-    E, chi, a, u = _mode(pm, h, amp, y1, y2)
     r = np.hypot(y1, y2)
+    E, chi, a, u = _mode(pm, h, amp, r, values)
     dchi = cut.chi_prime(r)
     lapchi = cut.chi_lap(r)
     lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
-    interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
+    interior = chi * E * h ** (N + 2) * (-values(lap_aN))
     # the radial factors are needed only where grad(chi) != 0, so r > 0
     ring = dchi != 0.0
-    yr1, yr2, rr = y1[ring], y2[ring], r[ring]
+    rr = r[ring]
     p, q = np.indices(amp.coeffs.shape)
     r_damp = BiSeries((p + q) * amp.coeffs, amp.cap)
     r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap)
     damp, lin = np.zeros_like(u), np.zeros_like(u)
-    damp[ring] = r_damp.realify(yr1, yr2) / rr
-    lin[ring] = r_lin.realify(yr1, yr2) / rr
+    damp[ring] = values(r_damp)[ring] / rr
+    lin[ring] = values(r_lin)[ring] / rr
     cutoff_term = E * (
         -2.0 * h**2 * dchi * damp + (-(h**2) * lapchi + 2.0 * h * dchi * lin) * a
     )
@@ -431,14 +440,17 @@ def residual_series_exact(pm, h, n=None):
     n = n or quadrature_points(h, cut.r_out)
 
     def disc_nodes(m):
-        X1, X2, W = _gl_grid(cut.r_out, m)
-        mask = np.hypot(X1, X2) < cut.r_out
-        return X1[mask], X2[mask], W[mask]
+        """The Gauss square's nodes inside the disc, their weights and value map."""
+        xg, wg = np.polynomial.legendre.leggauss(m)
+        x, wx = cut.r_out * xg, cut.r_out * wg
+        Y1, Y2 = np.meshgrid(x, x, indexing="ij")
+        keep = np.hypot(Y1, Y2) < cut.r_out
+        return Y1[keep], Y2[keep], np.outer(wx, wx)[keep], _on_grid(x, x, keep)
 
-    y1, y2, w = disc_nodes(n)
-    un1 = float(np.sum(np.abs(_mode(pm, h, amp, y1, y2)[-1]) ** 2 * w))
-    y1, y2, w = disc_nodes(2 * n)
-    u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2)
+    y1, y2, w, values = disc_nodes(n)
+    un1 = float(np.sum(np.abs(_mode(pm, h, amp, np.hypot(y1, y2), values)[-1]) ** 2 * w))
+    y1, y2, w, values = disc_nodes(2 * n)
+    u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
     un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))
                           for v in (u, interior + cutoff_term, interior, cutoff_term))
     if abs(un2 - un1) > QUAD_RTOL * un2:
@@ -461,10 +473,15 @@ def residual_finite_difference(pm, h, n=512, L=None):
     if L is None:
         L = 2.0 * pm.cutoff.r_out
     grid = numop.Grid2D(L=L, n=n)
-    X1, X2 = grid.meshgrid(center=pm.sol.base_point)
-    u = assemble(pm, h)(X1, X2)
+    x0 = pm.sol.base_point
+    x = grid.axis()
+    # the local axes of grid.meshgrid(center=x0)
+    s, t = (x0[0] + x) - x0[0], (x0[1] + x) - x0[1]
+    Y1, Y2 = np.meshgrid(s, t, indexing="ij")
+    amp = _amplitude(pm.sol, h, pm.N_used(h))
+    u = _cut_mode(pm, h, amp, np.hypot(Y1, Y2), lambda inside: _on_grid(s, t, inside))
     gf = numop.GridFunction(values=u, grid=grid)
-    Lu = numop.apply_L(pm.field, h, gf, center=pm.sol.base_point)
+    Lu = numop.apply_L(pm.field, h, gf, center=x0)
     res = Lu.values - h * pm.sol.mu * u
     w = grid.spacing**2
     un = math.sqrt(float(np.sum(np.abs(u) ** 2)) * w)

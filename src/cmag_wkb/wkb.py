@@ -409,17 +409,16 @@ def fit_growth(sol, polydisc=None, mesh=32):
     with ||a~_j|| <= m^(j+1) j^(7j), plus the empirical stretched exponent.
 
     The sup over the closed polydisc of a polynomial is attained on the
-    distinguished boundary |z| = R1, |w| = R2, sampled on a mesh x mesh grid.
+    distinguished boundary |z| = R1, |w| = R2, sampled on a mesh x mesh product
+    grid (the tensor kernel of ``BiSeries.evaluate_grid``).
     """
     if polydisc is None:
         r = 0.25 * sol.trusted_radius
         polydisc = (r, r)
     R1, R2 = polydisc
     ang = np.linspace(0.0, 2 * np.pi, mesh, endpoint=False)
-    Z, W = np.meshgrid(R1 * np.exp(1j * ang), R2 * np.exp(1j * ang), indexing="ij")
-    norms = []
-    for a in sol.amplitudes:
-        norms.append(float(np.max(np.abs(a.evaluate(Z, W)))))
+    z, w = R1 * np.exp(1j * ang), R2 * np.exp(1j * ang)
+    norms = [float(np.max(np.abs(a.evaluate_grid(z, w)))) for a in sol.amplitudes]
     m = 0.0
     for j, nrm in enumerate(norms):
         jj = 1.0 if j == 0 else float(j) ** (7 * j)

@@ -260,6 +260,21 @@ def test_run_quadrature_refusal_exit_5(tmp_path, monkeypatch, capsys, workers):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_refusal_keeps_the_finished_rows(tmp_path, monkeypatch, capsys, workers):
+    # a = 100: h = 0.1 is resolved and h = 0.05 is refused; the row of 0.1 is
+    # written before the exit, and nothing of the h after the refused one
+    monkeypatch.setenv("CMAG_WKB_WORKERS", workers)
+    out = tmp_path / "q"
+    code = main(["run", "--builtin", "polynomial", "--a", "100", "--N", "1",
+                 "--h", "0.1:0.025:3", "--out", str(out)])
+    assert code == EXIT_QUADRATURE
+    assert "unresolved at h=0.05:" in capsys.readouterr().err
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+    assert lines[2].startswith("0.1,1,series_exact,")
+
+
 def _strict_json(path):
     def refuse(token):
         raise ValueError(f"{path.name} holds the non-JSON token {token}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.polynomial.polynomial import polyval2d
 
 from cmag_wkb.cseries import (
     BiSeries,
@@ -311,6 +312,76 @@ def test_realify_zw_and_z():
     z = bi([(1, 0, 1.0)])
     assert zw.realify(0.6, -0.8) == pytest.approx(1.0)
     assert z.realify(0.6, -0.8) == pytest.approx(0.6 - 0.8j)
+
+
+def test_real_coeffs_of_z_and_zw():
+    # z = y1 + i y2 and z w = y1^2 + y2^2
+    z, zw = bi([(1, 0, 1.0)], cap=3), bi([(1, 1, 1.0)], cap=3)
+    assert np.array_equal(z.real_coeffs(), bi([(1, 0, 1.0), (0, 1, 1j)], cap=3).coeffs)
+    assert np.array_equal(zw.real_coeffs(), bi([(2, 0, 1.0), (0, 2, 1.0)], cap=3).coeffs)
+
+
+# ----------------------------------------------------------------------------
+# the tensor kernel on product grids against Horner (polyval2d)
+# ----------------------------------------------------------------------------
+
+@st.composite
+def _grid_cases(draw):
+    """A series with random coefficients (whole homogeneous parts often zero)
+    and two axes of random length inside [-radius, radius], radius <= 1."""
+    cap = draw(st.sampled_from([0, 1, 2, 24, 48]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.uniform(-1, 1, (cap + 1, cap + 1)) + 1j * rng.uniform(-1, 1, (cap + 1, cap + 1))
+    degree = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
+    c[np.isin(degree, rng.choice(cap + 1, size=cap // 2, replace=False))] = 0.0
+    radius = draw(st.floats(0.01, 1.0))
+    s, t = (rng.uniform(-radius, radius, draw(st.integers(1, 9))) for _ in range(2))
+    return BiSeries(c, cap), s, t
+
+
+def _majorant(series, r):
+    """sum |c_ab| r^(a+b)."""
+    degree = np.add.outer(np.arange(series.cap + 1), np.arange(series.cap + 1))
+    return float(np.sum(np.abs(series.coeffs) * r**degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_cases())
+def test_grid_values_match_horner(case):
+    a, s, t = case
+    S, T = np.meshgrid(s, t, indexing="ij")
+    # real slice: the kernel sums real monomials y1^m y2^n, and at a node
+    # their magnitudes add up to at most sum |c_ab| (|y1| + |y2|)^(a+b), up to
+    # 2^((a+b)/2) more than at |y|; so the majorant's radius is the l1 radius
+    ref = polyval2d(S + 1j * T, S - 1j * T, a.coeffs)
+    r1 = np.max(np.abs(s)) + np.max(np.abs(t))
+    assert np.max(np.abs(a.realify_grid(s, t) - ref)) <= 1e-13 * _majorant(a, r1)
+    # complex tensor form on a torus-like grid z = s e^{i s}, w = t e^{-i t}
+    z, w = s * np.exp(1j * s), t * np.exp(-1j * t)
+    Z, W = np.meshgrid(z, w, indexing="ij")
+    r = max(np.max(np.abs(z)), np.max(np.abs(w)))
+    got = a.evaluate_grid(z, w)
+    assert got.shape == (len(z), len(w))
+    assert np.max(np.abs(got - a.evaluate(Z, W))) <= 1e-13 * _majorant(a, r)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 24, 48])
+def test_real_coeffs_and_complexify_round_trip(cap):
+    # part k of the real monomial basis is conditioned like 2^(k/2) relative
+    # to the complex one: each degree comes back to 1e-14 of its largest
+    # coefficient times that factor, which is 1e-14 itself for k <= 1
+    rng = np.random.default_rng(cap)
+    for _ in range(5):
+        c = rng.uniform(-1, 1, (cap + 1, cap + 1)) + 1j * rng.uniform(-1, 1, (cap + 1, cap + 1))
+        a = BiSeries(c, cap)
+        R = a.real_coeffs()
+        back = complexify_real_taylor(R, cap)
+        for k, (p, q) in enumerate(zip(a.parts(), back.parts())):
+            assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
+        # and the other way: real coefficients through the complexified series
+        again = BiSeries(complexify_real_taylor(R, cap).real_coeffs(), cap)
+        for k, (p, q) in enumerate(zip(BiSeries(R, cap).parts(), again.parts())):
+            assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
 
 
 # ----------------------------------------------------------------------------

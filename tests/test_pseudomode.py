@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import BiSeries, UniSeries, real_gradient_series
+from cmag_wkb.cseries import BiSeries, UniSeries, complexify_real_taylor, real_gradient_series
 from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb import pseudomode
 from cmag_wkb.pseudomode import (
@@ -214,7 +214,7 @@ def test_euler_commutator_matches_gradient_pairs(make_pm):
     for h in (0.1, 0.02):
         N = pm.N_used(h)
         amp = pseudomode._amplitude(pm.sol, h, N)
-        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2)[2]
+        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2, pseudomode._horner(y1, y2))[2]
         ref = _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -332,6 +332,35 @@ def test_oscillating_phase_not_positive_is_diagnosed():
     assert "Q2" in msg and "does not exist" in msg
 
 
+class _StubPhase:
+    """A phase evaluator with a given series P and d_max."""
+
+    def __init__(self, P, d_max):
+        self.P, self.d_max = P, d_max
+
+    def __call__(self, y1, y2):
+        return self.P.realify(y1, y2)
+
+
+def test_select_cutoff_refuses_indefinite_quadratic_before_the_search():
+    # Re P = y1^2 - 0.01 y2^2 + K |y|^4 is indefinite at 0, but with K large
+    # every sample at radii >= delta/8 clears M1 |y|^2: only the degree-2
+    # part of P shows that no disc works
+    rep = compute_Q(polynomial_field(1.0, 1j, 1.0))
+    M1 = 0.5 * float(np.linalg.eigvalsh(np.array([[rep.Q1, -rep.Q2], [-rep.Q2, rep.Q3]]))[0])
+    d_max = 0.5
+    K = 2 * 64 * (M1 + 0.01) / d_max**2
+    breal = np.zeros((5, 5))
+    breal[2, 0], breal[0, 2] = 1.0, -0.01
+    breal[4, 0], breal[2, 2], breal[0, 4] = K, 2 * K, K
+    phase = _StubPhase(complexify_real_taylor(breal, 8), d_max)
+    r = np.linspace(d_max / 8, d_max, 8)[:, None]
+    ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    assert np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2) >= M1
+    with pytest.raises(PhaseNotPositiveError, match=r"\(c11, c12, c22\) = \(1, 0, -0.01\)"):
+        select_cutoff(phase, report=rep)
+
+
 def test_delta_override_allows_diagnostics():
     field = oscillating_field(X0, cap=24)
     sol = solve_wkb(field, N=1)
@@ -371,6 +400,44 @@ def test_norm_refuses_unresolved_scale():
     with pytest.raises(QuadratureResolutionError):
         residual_series_exact(pm, 0.003, n=8)
     assert residual_series_exact(pm, 0.003, n=16).ratio > 0
+
+
+def _pointwise_residual(pm, h):
+    """u-norm and ratio of the series-exact route evaluated point by point:
+    Horner (realify) at each node of the 2n-point Gauss square inside the disc."""
+    sol, cut = pm.sol, pm.cutoff
+    N = pm.N_used(h)
+    amp = pseudomode._amplitude(sol, h, N)
+    xg, wg = np.polynomial.legendre.leggauss(2 * pseudomode.quadrature_points(h, cut.r_out))
+    x, wx = cut.r_out * xg, cut.r_out * wg
+    Y1, Y2 = np.meshgrid(x, x, indexing="ij")
+    keep = np.hypot(Y1, Y2) < cut.r_out
+    y1, y2, w = Y1[keep], Y2[keep], np.outer(wx, wx)[keep]
+    r = np.hypot(y1, y2)
+    E, chi, a = np.exp(-pm.phase(y1, y2) / h), cut.chi(r), amp.realify(y1, y2)
+    u = chi * E * a
+    lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
+    interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
+    p, q = np.indices(amp.coeffs.shape)
+    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap).realify(y1, y2) / r
+    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap).realify(y1, y2) / r
+    dchi, lapchi = cut.chi_prime(r), cut.chi_lap(r)
+    cutoff_term = E * (-2.0 * h**2 * dchi * r_damp
+                       + (-(h**2) * lapchi + 2.0 * h * dchi * r_lin) * a)
+    un = float(np.sum(np.abs(u) ** 2 * w))
+    rn = float(np.sum(np.abs(interior + cutoff_term) ** 2 * w))
+    return math.sqrt(un), math.sqrt(rn / un)
+
+
+def test_small_h_residual_matches_pointwise_reference():
+    # the workhorse at h = 1e-3 (185 k disc nodes): the tensor kernel on the
+    # Gauss square against Horner at each node
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0)
+    pm = make_pseudomode(field, solve_wkb(field, N=2), N=2)
+    got = residual_series_exact(pm, 1e-3)
+    u_norm, ratio = _pointwise_residual(pm, 1e-3)
+    assert abs(got.u_norm - u_norm) <= 1e-10 * u_norm
+    assert abs(got.ratio - ratio) <= 1e-10 * ratio
 
 
 def test_residual_report_fields(work_setup):
