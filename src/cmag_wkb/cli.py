@@ -39,6 +39,9 @@ evaluator runs; violating either exits 2 before any work starts.  A --delta
 outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
 So does a Miller-Simon field based at the origin, for run and for a raster
 through it, and --x0 given to gamma-scan (the raster sets the base point).
+A sample count --n below 1 (gamma-scan, check-conditions) and an --out that
+cannot be written (a file in a missing directory, or for run a path at or
+below an existing file) exit 2 before any work starts.
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
 integer, else exit 2).  The workers receive the checked pseudomode itself,
@@ -227,6 +230,41 @@ def _field_record(field):
             "x0": list(field.base_point)}
 
 
+def _check_count(n):
+    """Refuse a raster or sample count below one."""
+    if n < 1:
+        raise ConfigError(f"--n {n} must be >= 1")
+
+
+def _check_out_file(path):
+    """Refuse an --out file that cannot be written (None: no file is
+    written), before any work starts."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir():
+        reason = "is a directory"
+    elif not out.parent.is_dir():
+        reason = f"no directory {out.parent}"
+    elif not os.access(out.parent, os.W_OK) or (out.exists() and not os.access(out, os.W_OK)):
+        reason = "not writable"
+    else:
+        return
+    raise ConfigError(f"cannot write --out {path}: {reason}")
+
+
+def _make_out_dir(path):
+    """The run's --out directory, created before any work starts."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {path}: {exc.strerror}") from exc
+    if not os.access(out, os.W_OK):
+        raise ConfigError(f"cannot write --out {path}: not writable")
+    return out
+
+
 def _check_order(N, cap):
     """Refuse a transport order that is negative or exceeds the degree budget."""
     if N < 0:
@@ -328,8 +366,7 @@ def cmd_run(args):
     cap = args.D
     field = field_from_config(_field_config(args), cap)
     hs = parse_sweep(args.h)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     # the field block replays through --config: defaults filled in, values exact
     field_cfg = _field_record(field)
     (out / "config.json").write_text(json.dumps({
@@ -387,6 +424,8 @@ def cmd_gamma_scan(args):
     region = parse_region(args.region)
     if args.x0 is not None:
         raise ConfigError("gamma-scan bases the field at each raster point; --x0 is not taken")
+    _check_count(args.n)
+    _check_out_file(args.out)
     cfg = _field_config(args)
 
     def field_at(u, v):
@@ -400,6 +439,8 @@ def cmd_gamma_scan(args):
 
 
 def cmd_check_conditions(args):
+    _check_count(args.n)
+    _check_out_file(args.out)
     field = field_from_config(_field_config(args), cap=4)
     region = parse_region(args.region)
     lines = [CSV_HEADER, "check,sign,passed,min_slack,at"]
@@ -431,6 +472,7 @@ def cmd_check_conditions(args):
 
 def cmd_bound_fit(args):
     _check_order(args.jmax, args.D)
+    _check_out_file(args.out)
     field = field_from_config(_field_config(args), cap=args.D)
     sol = solve_wkb(field, N=args.jmax)
     bound = fit_growth(sol)

@@ -19,15 +19,20 @@ Storage is dense: a (D+1) x (D+1) complex array with the a+b > D corner kept
 identically zero.  At the default cap D = 24 that is at most 325 active
 monomials, far cheaper than a sparse map.
 
-Degree-wise arithmetic has one kernel.  ``parts()`` lists the homogeneous
-parts of a series: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by
-the z-degree (for a UniSeries it is the single coefficient c[k]).  The part of
-degree k of a product is the sum over j of ``np.convolve`` of part j with part
-k-j, so the bivariate product, ``exp`` and ``power`` (Euler-operator
-recurrences) and ``reciprocal`` are per-degree convolution sums, and the
-per-degree reader ``degree_maxima`` reduces single parts.  The sums are
-direct, never FFTs: the roundoff of degree k is set by the magnitudes that
-enter degree k, which the per-degree identity scales rely on.
+Degree-wise arithmetic runs on the homogeneous parts.  ``parts()`` lists
+them: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by the z-degree
+(for a UniSeries it is the single coefficient c[k]).  The part of degree k of
+a product is the sum over j of the convolution of part j with part k-j.  The
+bivariate product forms it as one Toeplitz matmul per live (nonzero) part x_j
+of the left operand: with part l of the right operand as row l of a
+zero-padded array Y and T_j[u, n] = x_j[n-u] (a strided view), row l of
+Y @ T_j is x_j * y_l, added into part j + l in ascending j.  Only the
+sequential recurrences, ``exp`` and ``power`` (Euler-operator recurrences)
+and ``reciprocal``, sum ``np.convolve`` per degree (``_convolve_sum``), and
+the per-degree reader ``degree_maxima`` reduces single parts.  The sums are
+direct, never FFTs: each coefficient of degree k is a sum of exactly the
+products that enter it, so its roundoff is set by the magnitudes of degree k,
+which the per-degree identity scales rely on.
 
 Evaluation has two routes.  Scattered points (the gauge check's rings, the
 cutoff search's polar samples, the phase evaluator, ``assemble(pm, h)`` on
@@ -49,6 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as _npoly
 
 DEFAULT_CAP = 24
@@ -124,14 +130,14 @@ def _tensor(coeffs, s, t):
 
 def _convolve_sum(xs, y, k, out):
     """Add the sum of x_j * y_{k-j} (np.convolve) to ``out``, over the pairs
-    (j, x_j) of ``xs`` (ascending in j) with j <= k; a ``None`` part of ``y``
-    is zero and skipped."""
+    (j, x_j) of ``xs`` (ascending in j) with j <= k: one degree of a
+    recurrence whose parts y come out one degree at a time (``exp``,
+    ``reciprocal``, ``power``).  The product, whose operands are whole, does
+    all degrees at once in ``BiSeries.__mul__``."""
     for j, xj in xs:
         if j > k:
             break
-        yj = y[k - j]
-        if yj is not None:
-            out += np.convolve(xj, yj)
+        out += np.convolve(xj, y[k - j])
     return out
 
 
@@ -351,11 +357,23 @@ class BiSeries(_Series):
         if np.isscalar(other):
             return self._new(self.coeffs * other)
         self._check(other)
-        x, y = self.parts(), other.parts()
-        xs = [(j, p) for j, p in enumerate(x) if p.any()]
-        ys = [p if p.any() else None for p in y]
-        return self._with_parts([_convolve_sum(xs, ys, k, np.zeros_like(p))
-                                 for k, p in enumerate(x)])
+        D = self.cap
+        a, b = _graded_index(D)
+        k = a + b
+        Y = np.zeros((D + 1, D + 1), dtype=complex)
+        Y[k, a] = other.coeffs[a, b]  # row l: part l of y, zero-padded
+        X = np.zeros((D + 1, 2 * D + 1), dtype=complex)
+        X[k, D + a] = self.coeffs[a, b]  # row j: D zeros, then part j of x
+        # T[j, u, n] = x_j[n - u] (a strided view), so row l of Y @ T[j] is
+        # x_j * y_l, part j + l of the product
+        T = sliding_window_view(X, D + 1, axis=1)[:, ::-1]
+        R = np.zeros((D + 1, D + 1), dtype=complex)
+        for j in np.flatnonzero(X.any(axis=1)):
+            L = D + 1 - j
+            R[j:] += Y[:L, :L] @ T[j, :L]
+        c = np.zeros_like(R)
+        c[a, b] = R[k, a]
+        return self._new(c)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cmag_wkb import cli, fieldmodel
 from cmag_wkb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -340,3 +341,42 @@ def test_miller_simon_base_point_from_the_builder(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("avoid the origin") == 2 and "Traceback" not in err
     assert main(["check-conditions", "--builtin", "miller_simon", "--n", "16"]) == EXIT_OK
+
+
+_RUN = ["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2"]
+_SCAN = ["gamma-scan", "--builtin", "oscillating", "--region=-pi,pi,-pi,pi"]
+_CONDS = ["check-conditions", "--builtin", "exponential", "--c", "0.4"]
+_FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax", "4"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(_SCAN + ["--n", "9", "--out", "{missing}/x.csv"], "{missing}/x.csv",
+                 id="gamma-scan-missing-dir"),
+    pytest.param(_FIT + ["--out", "{missing}/b.json"], "{missing}/b.json",
+                 id="bound-fit-missing-dir"),
+    pytest.param(_CONDS + ["--out", "{missing}/c.json"], "{missing}/c.json",
+                 id="check-conditions-missing-dir"),
+    pytest.param(_SCAN + ["--n", "9", "--out", "{tmp}"], "{tmp}", id="gamma-scan-out-is-dir"),
+    pytest.param(_RUN + ["--out", "{file}"], "{file}", id="run-out-is-file"),
+    pytest.param(_RUN + ["--out", "{file}/o"], "{file}/o", id="run-out-below-file"),
+    pytest.param(_SCAN + ["--n", "0", "--out", "{tmp}/r.csv"], "--n 0", id="gamma-scan-n-0"),
+    pytest.param(_SCAN + ["--n=-2", "--out", "{tmp}/r.csv"], "--n -2", id="gamma-scan-n-neg"),
+    pytest.param(_CONDS + ["--n", "0"], "--n 0", id="check-conditions-n-0"),
+])
+def test_unwritable_out_and_empty_count_exit_2_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, named):
+    # an --out that cannot be written or a non-positive --n is refused with
+    # one line naming it, and no subcommand reaches its first computation
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for mod, attr in ((cli, "compute_Q"), (cli, "solve_wkb"), (cli, "check_C"),
+                      (fieldmodel, "gamma_scan")):
+        monkeypatch.setattr(mod, attr, work)
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file", "tmp": tmp_path}
+    assert main([a.format(**paths) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert named.format(**paths) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

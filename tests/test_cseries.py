@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.polynomial import polyval2d
 
@@ -512,15 +512,27 @@ def _reference_product(x, y):
 
 @st.composite
 def _operand_pairs(draw):
-    cap = draw(st.sampled_from([0, 1, 2, 24]))
+    cap = draw(st.sampled_from([0, 1, 2, 7, 24, 48]))
     # zeros are drawn often, so whole homogeneous parts vanish (the kernel skips them)
     values = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
     coeffs = arrays(complex, (cap + 1, cap + 1), elements=st.one_of(st.just(0j), values))
     return BiSeries(draw(coeffs), cap), BiSeries(draw(coeffs), cap)
 
 
+def _live_parts(cap, degrees):
+    """A series whose nonzero homogeneous parts are exactly those of ``degrees``."""
+    rng = np.random.default_rng(cap)
+    c = rng.standard_normal((cap + 1, cap + 1)) + 1j * rng.standard_normal((cap + 1, cap + 1))
+    k = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
+    return BiSeries(np.where(np.isin(k, list(degrees)), c, 0.0), cap)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_operand_pairs())
+@example((_live_parts(48, [48]), _live_parts(48, range(49))))  # only the top part of x
+@example((_live_parts(7, range(8)), _live_parts(7, [0])))  # only y_0
+@example((BiSeries.zeros(24), _live_parts(24, range(25))))
+@example((_live_parts(24, range(25)), BiSeries.zeros(24)))
 def test_product_matches_reference_loop(pair):
     x, y = pair
     ref = _reference_product(x.coeffs, y.coeffs)
