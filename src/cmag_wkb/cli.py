@@ -39,9 +39,10 @@ evaluator runs; violating either exits 2 before any work starts.  A --delta
 outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
 So does a Miller-Simon field based at the origin, for run and for a raster
 through it, and --x0 given to gamma-scan (the raster sets the base point).
-A sample count --n below 1 (gamma-scan, check-conditions) and an --out that
-cannot be written (a file in a missing directory, or for run a path at or
-below an existing file) exit 2 before any work starts.
+A sample count --n below 1 (gamma-scan, check-conditions), radii for
+check-conditions outside 0 < --r-min < --r-max, and an --out that cannot be
+written (a file in a missing directory, or for run a path at or below an
+existing file) exit 2 before any work starts.
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
 integer, else exit 2).  The workers receive the checked pseudomode itself,
@@ -440,6 +441,9 @@ def cmd_gamma_scan(args):
 
 def cmd_check_conditions(args):
     _check_count(args.n)
+    if not 0 < args.r_min < args.r_max:  # a NaN fails too
+        raise ConfigError(f"--r-min {args.r_min:g} and --r-max {args.r_max:g}: "
+                          f"need 0 < r_min < r_max")
     _check_out_file(args.out)
     field = field_from_config(_field_config(args), cap=4)
     region = parse_region(args.region)

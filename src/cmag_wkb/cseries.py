@@ -46,6 +46,9 @@ and ``realify_grid`` the coefficients R[m, n] of y1^m y2^n on the real slice
 per-degree blocks of binomial rows.  In the real monomials degree k can lose
 up to 2^(k/2) more to roundoff than Horner at the same point y: their
 magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
+
+``check_identity`` is the one place where a series identity meets its
+tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`.
 """
 
 from __future__ import annotations
@@ -455,18 +458,39 @@ def compose_w(a, w_of_z):
     return UniSeries(res, D)
 
 
-def degree_scale(series_list, floor=1e-30):
+def check_identity(what, res, scale, rtol, error, upto=None):
+    """The one check of a series identity against its tolerance.
+
+    ``res`` and ``scale`` are per-degree: the residual of the identity (its
+    coefficients or their per-degree maxima) and the magnitude of the terms
+    that enter it.  Raises ``error`` naming the worst degree k <= ``upto``
+    (every degree when None) unless |res[k]| / max(scale[k], 1e-300) <= rtol
+    holds there; a NaN or infinite ratio fails.  Returns the worst ratio.
+    """
+    n = len(res) if upto is None else min(upto + 1, len(res))
+    mag = np.abs(np.asarray(res)[:n])
+    with np.errstate(invalid="ignore"):  # inf / inf is a NaN, which fails
+        ratio = mag / np.maximum(np.asarray(scale)[:n], 1e-300)
+    k = int(np.argmax(ratio))  # the first NaN, if there is one
+    if not ratio[k] <= rtol:
+        raise error(f"{what}: residual {mag[k]:.3e} at degree {k} exceeds "
+                    f"{rtol:.0e} x scale {scale[k]:.3e}")
+    return float(ratio[k])
+
+
+def degree_scale(series_list):
     """Cumulative per-degree magnitude of a family of series.
 
     Entry k is the largest coefficient magnitude of total degree <= k over
-    all inputs; identity checks compare residual coefficients of degree k
-    against rtol times this scale, which tracks the factor-of-|w-coeff|^k
-    growth of roundoff along curves with small convergence radius.
+    all inputs (at least 1e-30); identity checks compare residual
+    coefficients of degree k against rtol times this scale, which tracks the
+    factor-of-|w-coeff|^k growth of roundoff along curves with small
+    convergence radius.
     """
     caps = {s.cap for s in series_list}
     if len(caps) != 1:
         raise SeriesStructureError("degree_scale: mixed caps")
-    out = np.full(caps.pop() + 1, floor)
+    out = np.full(caps.pop() + 1, 1e-30)
     for s in series_list:
         out = np.maximum(out, degree_maxima(s))
     return np.maximum.accumulate(out)
@@ -486,11 +510,11 @@ def exact_divide_by_curve(num, w_of_z):
     """Factor (w - w(z)) out of a series vanishing on the curve w = w(z).
 
     Synthetic division in w.  The remainder (the restriction of ``num`` to
-    the curve) must vanish: its degree-k coefficient is compared against
-    DIV_RTOL times the degree-k magnitude of the quantities entering the
-    recursion (numerator and |w|*|q| products), so genuine low-degree
-    non-vanishing is caught while high-degree roundoff along a small-radius
-    curve is tolerated.
+    the curve) must vanish: ``check_identity`` compares its degree-k
+    coefficient with DIV_RTOL times the degree-k magnitude of the quantities
+    entering the recursion (numerator and |w|*|q| products), so genuine
+    low-degree non-vanishing is caught while high-degree roundoff along a
+    small-radius curve is tolerated.
     """
     if num.cap != w_of_z.cap:
         raise SeriesStructureError(f"cap mismatch: {num.cap} vs {w_of_z.cap}")
@@ -506,16 +530,12 @@ def exact_divide_by_curve(num, w_of_z):
         ab = np.abs(num.coeffs[:, b + 1]) + np.convolve(awc, ab)[: D + 1]
         q[:, b] = qb
         mag = np.maximum(mag, ab)
-    rem = np.abs(num.coeffs[:, 0] + np.convolve(wc, q[:, 0])[: D + 1])
+    rem = num.coeffs[:, 0] + np.convolve(wc, q[:, 0])[: D + 1]
     scale = np.maximum.accumulate(
         np.maximum(mag, np.maximum(np.abs(num.coeffs[:, 0]), num.max_abs() * 1e-6))
     )
-    if not np.all(rem <= DIV_RTOL * np.maximum(scale, 1e-300)):
-        k = int(np.argmax(rem / np.maximum(scale, 1e-300)))
-        raise CurveDivisionError(
-            f"series does not vanish on the curve: remainder {rem[k]:.3e} at "
-            f"z-degree {k} exceeds {DIV_RTOL:.1e} x scale {scale[k]:.3e}"
-        )
+    check_identity("exact division: the series vanishes on the curve", rem, scale,
+                   DIV_RTOL, CurveDivisionError)
     return BiSeries(q, D)
 
 
@@ -540,15 +560,11 @@ def implicit_w(Btilde):
         c = wz.coeffs.copy()
         c[n] -= r[n] / dwB0
         wz = UniSeries(c, D)
-    resid = np.abs(compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0])
+    resid = compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
     scale = np.maximum.accumulate(np.maximum(abs_compose_w(Btilde, wz).coeffs.real,
                                              Btilde.max_abs() * 1e-6))
-    if not np.all(resid <= CURVE_RTOL * np.maximum(scale, 1e-300)):
-        k = int(np.argmax(resid / np.maximum(scale, 1e-300)))
-        raise CurveDivisionError(
-            f"implicit curve solve did not converge: residual {resid[k]:.3e} "
-            f"at degree {k} (scale {scale[k]:.3e})"
-        )
+    check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid, scale, CURVE_RTOL,
+                   CurveDivisionError)
     return wz
 
 

@@ -104,8 +104,8 @@ class FieldSpec:
 
     ``A`` maps (x1, x2) arrays to a pair (A1, A2); ``A_jac`` returns the four
     partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to central
-    differences when no closed form is given.  ``div_A`` is the trace of
-    ``jac``.  ``B_taylor`` is the complexified series of curl A at
+    differences (step 1e-6) when no closed form is given.  ``div_A`` is the
+    trace of ``jac``.  ``B_taylor`` is the complexified series of curl A at
     ``base_point``; ``A_taylor()`` returns the complexified pair (A1~, A2~) of
     A there, at the same cap.  It is a function because only the phase of a
     pseudomode needs it, and a raster builds thousands of fields.  ``params``
@@ -141,9 +141,10 @@ class FieldSpec:
                                     cap=self.B_taylor.cap)
         return rebuild, (self.name, self.params)
 
-    def jac(self, x1, x2, step=1e-6):
+    def jac(self, x1, x2):
         if self.A_jac is not None:
             return self.A_jac(x1, x2)
+        step = 1e-6
         a1p, a2p = self.A(x1 + step, x2)
         a1m, a2m = self.A(x1 - step, x2)
         b1p, b2p = self.A(x1, x2 + step)
@@ -160,7 +161,9 @@ class FieldSpec:
         return d1a1 + d2a2
 
 
-def curl_fd(A, x, step=1e-5):
+def curl_fd(A, x):
+    """Central-difference curl of A at the point x, step 1e-5."""
+    step = 1e-5
     x1, x2 = x
     _, a2p = A(x1 + step, x2)
     _, a2m = A(x1 - step, x2)
@@ -502,15 +505,15 @@ class HTrendReport:
     sign: str = ""  # H1 only: detected sign of Re B at large radii
 
 
-def check_H(field, radii, n_angles=64):
+def check_H(field, radii):
     """Heuristic divergence trends for the three compactness hypotheses.
 
     For each radius the relevant quantity (|Re B|, |Im B|, |Im A|) is
-    minimised over ``n_angles`` directions; divergence is reported when the
+    minimised over 64 directions; divergence is reported when the
     last three minima increase strictly by at least 5% each.
     """
     radii = np.asarray(sorted(radii), dtype=float)
-    ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     ca, sa = np.cos(ang), np.sin(ang)
     mins = {"H1": [], "H2": [], "H3": []}
     maxs = {"H1": [], "H2": [], "H3": []}

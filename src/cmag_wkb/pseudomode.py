@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cseries import (BiSeries, degree_maxima, degree_scale, real_coordinates,
-                      real_gradient_series)
+from .cseries import (BiSeries, check_identity, degree_maxima, degree_scale,
+                      real_coordinates, real_gradient_series)
 from .fieldmodel import FieldSpec, compute_Q
 from .wkb import IDENTITY_RTOL, WKBSolution
 
@@ -170,14 +170,9 @@ class _ThetaEvaluator:
         a1, a2 = self.A_taylor
         B = self.field.B_taylor
         d1a2, d2a1 = real_gradient_series(a2)[0], real_gradient_series(a1)[1]
-        res = degree_maxima(d1a2 - d2a1 - B)[:B.cap - 1]
-        scale = degree_scale([d1a2, d2a1, B])[:B.cap - 1]
-        if not np.all(res <= IDENTITY_RTOL * scale):  # a NaN fails too
-            k = int(np.argmax(res / scale))
-            raise GaugeConsistencyError(
-                f"curl A~ - B~ = {res[k]:.3e} at degree {k} exceeds {IDENTITY_RTOL:.0e} x "
-                f"{scale[k]:.3e}: the field's Taylor data of B and A disagree"
-            )
+        check_identity("curl A~ = B~ (the field's Taylor data of B and A)",
+                       degree_maxima(d1a2 - d2a1 - B), degree_scale([d1a2, d2a1, B]),
+                       IDENTITY_RTOL, GaugeConsistencyError, upto=B.cap - 2)
         ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         r = self.d_max * np.array([[0.3], [0.7], [1.0]])
         y1, y2 = r * np.cos(ang), r * np.sin(ang)
@@ -208,7 +203,16 @@ def _rep_quadratic(P):
 # cutoff selection
 # ----------------------------------------------------------------------------
 
-def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
+def _reP_over_r2_range(phase, delta):
+    """Min and max of Re P / r^2 over 8 circles r = delta/8, ..., delta of
+    64 angles each, in one call of the phase evaluator ``phase``."""
+    r = np.linspace(delta / 8, delta, 8)[:, None]
+    ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+    v = phase(r * np.cos(ang), r * np.sin(ang)).real / r**2
+    return float(np.min(v)), float(np.max(v))
+
+
+def select_cutoff(phase, report=None, delta_override=None):
     """Pick delta as the largest radius <= d_max = min(analytic_radius/2,
     0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
     ``phase`` is the pseudomode's phase evaluator.
@@ -225,12 +229,6 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
     Qmat = np.array([[report.Q1, -report.Q2], [-report.Q2, report.Q3]])
     lam_min = float(np.linalg.eigvalsh(Qmat)[0])
     M1 = 0.5 * lam_min
-    ang = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    ca, sa = np.cos(ang), np.sin(ang)
-
-    def reP_over_r2(r):
-        return phase(r * ca, r * sa).real / r**2
-
     d_max = phase.d_max
 
     if delta_override is not None:
@@ -240,9 +238,7 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
                 f"delta override {delta:.6g} outside (0, d_max], d_max = min(analytic_radius/2, "
                 f"0.95 trusted_radius) = {d_max:.6g}: the series are not trusted there"
             )
-        samples = [reP_over_r2(r) for r in np.linspace(delta / 8, delta, 8)]
-        m_lo = float(np.min(samples))
-        m_hi = float(np.max(samples))
+        m_lo, m_hi = _reP_over_r2_range(phase, delta)
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
@@ -255,11 +251,9 @@ def select_cutoff(phase, report=None, delta_override=None, n_angles=64):
     eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     if lam_min > 0 and eigs[0] > 0:
         for delta in np.geomspace(d_max, d_max / 64.0, 24):
-            radii = np.linspace(delta / 8, delta, 8)
-            vals = [reP_over_r2(r) for r in radii]
-            if all(np.min(v) >= M1 for v in vals):
-                M2 = float(max(np.max(v) for v in vals))
-                return CutoffSpec(r_in=delta / 2, r_out=delta, M1=M1, M2=M2)
+            m_lo, m_hi = _reP_over_r2_range(phase, delta)
+            if m_lo >= M1:
+                return CutoffSpec(r_in=delta / 2, r_out=delta, M1=M1, M2=m_hi)
 
     raise PhaseNotPositiveError(
         f"no disc with Re P >= {M1:.4g}|x|^2: Re P quadratic "
@@ -369,8 +363,10 @@ def assemble(pm, h):
 # residual evaluation (series-exact route)
 # ----------------------------------------------------------------------------
 
-def quadrature_points(h, r_out, n_min=64, factor=8.0):
-    return max(n_min, int(math.ceil(factor * r_out / math.sqrt(h))))
+def quadrature_points(h, r_out):
+    """Gauss points per axis of the coarse residual grid: 8 r_out / sqrt(h),
+    at least 64."""
+    return max(64, int(math.ceil(8.0 * r_out / math.sqrt(h))))
 
 
 @dataclass(frozen=True)

@@ -362,11 +362,18 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
     pytest.param(_SCAN + ["--n", "0", "--out", "{tmp}/r.csv"], "--n 0", id="gamma-scan-n-0"),
     pytest.param(_SCAN + ["--n=-2", "--out", "{tmp}/r.csv"], "--n -2", id="gamma-scan-n-neg"),
     pytest.param(_CONDS + ["--n", "0"], "--n 0", id="check-conditions-n-0"),
+    pytest.param(_CONDS + ["--n", "2", "--r-min", "0"], "--r-min 0",
+                 id="check-conditions-r-min-0"),
+    pytest.param(_CONDS + ["--n", "2", "--r-min=-1"], "--r-min -1",
+                 id="check-conditions-r-min-neg"),
+    pytest.param(_CONDS + ["--n", "2", "--r-min", "2", "--r-max", "2"], "--r-min 2",
+                 id="check-conditions-r-min-eq-r-max"),
 ])
 def test_unwritable_out_and_empty_count_exit_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, named):
-    # an --out that cannot be written or a non-positive --n is refused with
-    # one line naming it, and no subcommand reaches its first computation
+    # an --out that cannot be written, a non-positive --n or radii outside
+    # 0 < r_min < r_max are refused with one line naming it, and no
+    # subcommand reaches its first computation
     def work(*args, **kwargs):
         raise AssertionError("work started")
 

@@ -247,6 +247,16 @@ def test_divide_nonvanishing_rejected():
             exact_divide_by_curve(num, wz)
 
 
+def test_divide_infinite_remainder_rejected():
+    # the remainder inf at degree 2 meets a scale that is inf too: only the
+    # ratio test (inf / inf is NaN) refuses it
+    cap = 8
+    wz = _linear_curve(cap)
+    num = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries() + bi([(2, 0, np.inf)], cap=cap)
+    with np.errstate(invalid="ignore"), pytest.raises(CurveDivisionError, match="degree 2 "):
+        exact_divide_by_curve(num, wz)
+
+
 def test_divided_phase_factor_matches_quadrature_oracle():
     # V from dividing d_z phi~ equals (1/4) * the t-averaged field series:
     # evaluate the segment-average integral by Gauss quadrature at a sample

@@ -5,13 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import BiSeries, compose_w, implicit_w
+from cmag_wkb.cseries import BiSeries, check_identity, compose_w, implicit_w
 from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb.wkb import (
     DegenerateFieldError,
     TransportIdentityError,
     WKBSolution,
-    _assert_small_uni,
     divided_data,
     eikonal_phase,
     first_transport,
@@ -301,8 +300,21 @@ def test_fit_growth_bound_holds_by_construction():
     assert fit.bound_holds()
     assert fit.sigma_fitted <= 7.0  # recorded empirical exponent
 
-@pytest.mark.parametrize("residual", [[0.0, 1e-3, 0.0], [0.0, np.nan, 0.0]],
-                         ids=["large", "nan"])
-def test_identity_check_rejects(residual):
-    with pytest.raises(TransportIdentityError):
-        _assert_small_uni(np.array(residual), 2, np.ones(3), "test identity")
+@pytest.mark.parametrize("residual, scale", [
+    ([0.0, 1e-3, 0.0], [1.0, 1.0, 1.0]),
+    ([0.0, np.nan, 0.0], [1.0, 1.0, 1.0]),
+    ([0.0, np.inf, 0.0], [1.0, np.inf, 1.0]),
+], ids=["large", "nan", "inf-over-inf"])
+def test_identity_check_rejects(residual, scale):
+    with pytest.raises(TransportIdentityError, match="test identity: .* at degree 1 "):
+        check_identity("test identity", np.array(residual), np.array(scale), 1e-10,
+                       TransportIdentityError, upto=2)
+
+
+def test_identity_check_returns_the_worst_ratio_up_to_its_degree():
+    res, scale = np.array([1e-12, -3e-12, 2e-12, 1e-3]), np.array([1.0, 2.0, 4.0, 1.0])
+    # the violation at degree 3 lies above upto and passes
+    worst = check_identity("test identity", res, scale, 1e-10, TransportIdentityError, upto=2)
+    assert worst == 1.5e-12 == max(np.abs(res[:3]) / scale[:3])
+    with pytest.raises(TransportIdentityError, match="at degree 3 "):
+        check_identity("test identity", res, scale, 1e-10, TransportIdentityError)
