@@ -40,9 +40,13 @@ outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2
 So does a Miller-Simon field based at the origin, for run and for a raster
 through it, and --x0 given to gamma-scan (the raster sets the base point).
 A sample count --n below 1 (gamma-scan, check-conditions), radii for
-check-conditions outside 0 < --r-min < --r-max, and an --out that cannot be
+check-conditions outside 0 < --r-min < --r-max < inf, check-conditions
+numbers outside 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
+--C1-const and --C2-const and a finite --h > 0, and an --out that cannot be
 written (a file in a missing directory, or for run a path at or below an
-existing file) exit 2 before any work starts.
+existing file) exit 2 before any work starts.  So does, before any verdict
+is printed, a field that is not finite on a circle that check-conditions
+samples (the message names the radius).
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
 integer, else exit 2).  The workers receive the checked pseudomode itself,
@@ -441,17 +445,28 @@ def cmd_gamma_scan(args):
 
 def cmd_check_conditions(args):
     _check_count(args.n)
-    if not 0 < args.r_min < args.r_max:  # a NaN fails too
+    if not 0 < args.r_min < args.r_max < math.inf:  # a NaN fails too
         raise ConfigError(f"--r-min {args.r_min:g} and --r-max {args.r_max:g}: "
-                          f"need 0 < r_min < r_max")
+                          f"need 0 < r_min < r_max, both finite")
+    region = parse_region(args.region)
+    cfgs = [(which, ConditionCheckConfig(epsilon=eps, C_const=cconst, sample_region=region,
+                                         sample_density=args.n, h=args.h))
+            for which, eps, cconst in (("C1", args.epsilon1, args.C1_const),
+                                       ("C2", args.epsilon2, args.C2_const))]
+    for which, cfg in cfgs:
+        try:
+            cfg.validate(which)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     _check_out_file(args.out)
     field = field_from_config(_field_config(args), cap=4)
-    region = parse_region(args.region)
+    # the trends first: a field that is not finite on a circle prints no verdict
+    try:
+        trends = check_H(field, np.geomspace(args.r_min, args.r_max, 8))
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (--r-min {args.r_min:g}, --r-max {args.r_max:g})") from exc
     lines = [CSV_HEADER, "check,sign,passed,min_slack,at"]
-    for which, eps, cconst in (("C1", args.epsilon1, args.C1_const),
-                               ("C2", args.epsilon2, args.C2_const)):
-        cfg = ConditionCheckConfig(epsilon=eps, C_const=cconst, sample_region=region,
-                                   sample_density=args.n, h=args.h)
+    for which, cfg in cfgs:
         best = None
         for sign in ("+", "-"):
             v = check_C(field, cfg, which=which, sign=sign)
@@ -461,8 +476,6 @@ def cmd_check_conditions(args):
                      f"\"{best.location}\"")
         print(f"{which}: {'pass' if best.passed else 'FAIL'} (sign {best.sign}, "
               f"min slack {best.min_slack:.4g} at {best.location})")
-    radii = np.geomspace(args.r_min, args.r_max, 8)
-    trends = check_H(field, radii)
     for hyp in ("H1", "H2", "H3"):
         t = trends[hyp]
         extra = f", sign {t.sign}" if hyp == "H1" and t.sign else ""

@@ -458,9 +458,16 @@ class ConditionCheckConfig:
     h: float = 1.0
 
     def validate(self, which):
+        """Refuse numbers outside the check's ranges: 0 < epsilon < 1 for C1
+        and < 1/2 for C2, a finite C_const and a finite h > 0 (a NaN fails
+        each)."""
         hi = 1.0 if which == "C1" else 0.5
         if not 0.0 < self.epsilon < hi:
-            raise ValueError(f"epsilon for {which} must lie in (0, {hi})")
+            raise ValueError(f"{which}: epsilon {self.epsilon:g} must lie in (0, {hi:g})")
+        if not math.isfinite(self.C_const):
+            raise ValueError(f"{which}: C_const {self.C_const:g} must be finite")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h {self.h:g} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -510,7 +517,9 @@ def check_H(field, radii):
 
     For each radius the relevant quantity (|Re B|, |Im B|, |Im A|) is
     minimised over 64 directions; divergence is reported when the
-    last three minima increase strictly by at least 5% each.
+    last three minima increase strictly by at least 5% each.  Raises
+    ValueError naming the first radius where B or A is not finite on the
+    circle (no trend is read from such values).
     """
     radii = np.asarray(sorted(radii), dtype=float)
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
@@ -520,8 +529,11 @@ def check_H(field, radii):
     sign_votes = []
     for r in radii:
         x1, x2 = r * ca, r * sa
-        b = field.B(x1, x2)
-        a1, a2 = field.A(x1, x2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            b = field.B(x1, x2)
+            a1, a2 = field.A(x1, x2)
+        if not all(np.all(np.isfinite(v)) for v in (b, a1, a2)):
+            raise ValueError(f"the field is not finite on the circle r = {r:g}")
         for hyp, q in (("H1", np.abs(np.real(b))), ("H2", np.abs(np.imag(b))),
                        ("H3", np.hypot(np.imag(a1), np.imag(a2)))):
             mins[hyp].append(float(np.min(q)))

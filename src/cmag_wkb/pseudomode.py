@@ -68,51 +68,39 @@ def _sigma(t):
         return np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
 
 
-def smooth_step(t):
-    """1 for t <= 0, 0 for t >= 1, C-infinity in between."""
+def step_jet(t):
+    """The plateau step s(t) with s' and s'': 1 for t <= 0, 0 for t >= 1,
+    C-infinity in between, s = sigma(1-t) / (sigma(t) + sigma(1-t)).
+
+    Every derivative carries the factor sigma(t) sigma(1-t); where it is 0
+    (the plateau, the exterior, and the ends where it underflows) both
+    derivatives are exactly 0.
+    """
     t = np.asarray(t, dtype=float)
     lo, hi = _sigma(t), _sigma(1.0 - t)
     with np.errstate(invalid="ignore"):
-        out = np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, hi / (hi + lo)))
-    return out
-
-
-def _step_interior(t):
-    """t where sigma(t) sigma(1 - t) > 0 (0.5 elsewhere: every derivative of
-    the step carries that factor, so it is 0 there), sigma at t and 1 - t,
-    and the mask."""
-    t = np.asarray(t, dtype=float)
-    inside = _sigma(t) * _sigma(1.0 - t) > 0.0
+        step = np.where(t <= 0.0, 1.0, np.where(t >= 1.0, 0.0, hi / (hi + lo)))
+    inside = lo * hi > 0.0
+    # off the mask, t = 0.5 and sigma = 1 keep the discarded arithmetic finite
     ts = np.where(inside, t, 0.5)
-    return ts, _sigma(ts), _sigma(1.0 - ts), inside
-
-
-def smooth_step_prime(t):
-    ts, lo, hi, inside = _step_interior(t)
-    g = 1.0 / ts**2 + 1.0 / (1.0 - ts) ** 2
-    out = -lo * hi * g / (hi + lo) ** 2
-    return np.where(inside, out, 0.0)
-
-
-def smooth_step_second(t):
-    ts, lo, hi, inside = _step_interior(t)
+    lo, hi = np.where(inside, lo, 1.0), np.where(inside, hi, 1.0)
     a, b = 1.0 / ts**2, 1.0 / (1.0 - ts) ** 2
     g = a + b
+    prime = -lo * hi * g / (hi + lo) ** 2
     g_prime = -2.0 / ts**3 + 2.0 / (1.0 - ts) ** 3
     bracket = (a - b) * g + g_prime - 2.0 * g * (a * lo - b * hi) / (hi + lo)
-    out = -lo * hi / (hi + lo) ** 2 * bracket
-    return np.where(inside, out, 0.0)
+    second = -lo * hi / (hi + lo) ** 2 * bracket
+    return step, np.where(inside, prime, 0.0), np.where(inside, second, 0.0)
 
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Plateau cutoff chi(x) = step((|x| - r_in)/(r_out - r_in)) plus the
-    verified quadratic bounds M1 |x|^2 <= Re P <= M2 |x|^2 on D(0, r_out)."""
+    """Plateau cutoff chi(x) = step((|x| - r_in)/(r_out - r_in)) with
+    r_in = r_out/2, plus the verified quadratic lower bound M1 |x|^2 <= Re P
+    on D(0, r_out)."""
 
-    r_in: float
     r_out: float
     M1: float
-    M2: float
 
     def __post_init__(self):
         if not 0 < self.r_in < self.r_out:
@@ -120,21 +108,18 @@ class CutoffSpec:
         if not self.M1 > 0:
             raise ValueError("M1 must be positive")
 
-    def chi(self, r):
-        return smooth_step((np.asarray(r) - self.r_in) / (self.r_out - self.r_in))
+    @property
+    def r_in(self):
+        return self.r_out / 2
 
-    def chi_prime(self, r):
-        w = self.r_out - self.r_in
-        return smooth_step_prime((np.asarray(r) - self.r_in) / w) / w
-
-    def chi_lap(self, r):
-        """Radial Laplacian chi'' + chi'/r."""
-        w = self.r_out - self.r_in
-        t = (np.asarray(r) - self.r_in) / w
-        second = smooth_step_second(t) / w**2
+    def profile(self, r):
+        """chi, chi' and the radial Laplacian chi'' + chi'/r at radii r."""
+        r_in = self.r_in
+        w = self.r_out - r_in
+        s, s1, s2 = step_jet((np.asarray(r) - r_in) / w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            first_over_r = np.where(r > 0, smooth_step_prime(t) / (w * np.maximum(r, 1e-300)), 0.0)
-        return second + first_over_r
+            first_over_r = np.where(r > 0, s1 / (w * np.maximum(r, 1e-300)), 0.0)
+        return s, s1 / w, s2 / w**2 + first_over_r
 
 
 # ----------------------------------------------------------------------------
@@ -192,24 +177,21 @@ class _ThetaEvaluator:
 
 def _rep_quadratic(P):
     """(c11, c12, c22) with Re P = c11 y1^2 + c12 y1 y2 + c22 y2^2 + O(|y|^3),
-    read off the degree-2 part: on w = conj(z), z^2, zw and w^2 are
-    y1^2 - y2^2 + 2i y1 y2, y1^2 + y2^2 and y1^2 - y2^2 - 2i y1 y2."""
-    p20, p11, p02 = P.coeffs[2, 0], P.coeffs[1, 1], P.coeffs[0, 2]
-    return (float((p20 + p11 + p02).real), float((2j * (p20 - p02)).real),
-            float((-p20 + p11 - p02).real))
+    the real parts of P's degree-2 coefficients in y (``real_coeffs``)."""
+    R = P.real_coeffs()
+    return float(R[2, 0].real), float(R[1, 1].real), float(R[0, 2].real)
 
 
 # ----------------------------------------------------------------------------
 # cutoff selection
 # ----------------------------------------------------------------------------
 
-def _reP_over_r2_range(phase, delta):
-    """Min and max of Re P / r^2 over 8 circles r = delta/8, ..., delta of
-    64 angles each, in one call of the phase evaluator ``phase``."""
+def _reP_over_r2_min(phase, delta):
+    """Min of Re P / r^2 over 8 circles r = delta/8, ..., delta of 64 angles
+    each, in one call of the phase evaluator ``phase``."""
     r = np.linspace(delta / 8, delta, 8)[:, None]
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    v = phase(r * np.cos(ang), r * np.sin(ang)).real / r**2
-    return float(np.min(v)), float(np.max(v))
+    return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
 def select_cutoff(phase, report=None, delta_override=None):
@@ -238,22 +220,20 @@ def select_cutoff(phase, report=None, delta_override=None):
                 f"delta override {delta:.6g} outside (0, d_max], d_max = min(analytic_radius/2, "
                 f"0.95 trusted_radius) = {d_max:.6g}: the series are not trusted there"
             )
-        m_lo, m_hi = _reP_over_r2_range(phase, delta)
+        m_lo = _reP_over_r2_min(phase, delta)
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
-        return CutoffSpec(r_in=delta / 2, r_out=delta,
-                          M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12),
-                          M2=max(m_hi, 1e-12))
+        return CutoffSpec(r_out=delta,
+                          M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12))
 
     # the actual quadratic of Re P: no disc works unless it is positive definite
     c11, c12, c22 = _rep_quadratic(phase.P)
     eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     if lam_min > 0 and eigs[0] > 0:
         for delta in np.geomspace(d_max, d_max / 64.0, 24):
-            m_lo, m_hi = _reP_over_r2_range(phase, delta)
-            if m_lo >= M1:
-                return CutoffSpec(r_in=delta / 2, r_out=delta, M1=M1, M2=m_hi)
+            if _reP_over_r2_min(phase, delta) >= M1:
+                return CutoffSpec(r_out=delta, M1=M1)
 
     raise PhaseNotPositiveError(
         f"no disc with Re P >= {M1:.4g}|x|^2: Re P quadratic "
@@ -323,14 +303,13 @@ def _on_grid(s, t, keep):
     return lambda series: series.realify_grid(s, t)[keep]
 
 
-def _mode(pm, h, amp, r, values):
-    """exp(-P/h), chi, the amplitude sum amp and u = chi exp(-P/h) amp at
-    local points at radius r, where ``values`` maps a series to its values
-    at those points."""
+def _mode(pm, h, amp, chi, values):
+    """exp(-P/h), the amplitude sum amp and u = chi exp(-P/h) amp at local
+    points, given the cutoff values chi there; ``values`` maps a series to
+    its values at those points."""
     E = np.exp(-values(pm.phase.P) / h)
-    chi = pm.cutoff.chi(r)
     a = values(amp)
-    return E, chi, a, chi * E * a
+    return E, a, chi * E * a
 
 
 def _cut_mode(pm, h, amp, r, values_at):
@@ -339,7 +318,8 @@ def _cut_mode(pm, h, amp, r, values_at):
     inside = r < pm.cutoff.r_out
     out = np.zeros(r.shape, dtype=complex)
     if np.any(inside):
-        out[inside] = _mode(pm, h, amp, r[inside], values_at(inside))[-1]
+        chi = pm.cutoff.profile(r[inside])[0]
+        out[inside] = _mode(pm, h, amp, chi, values_at(inside))[-1]
     return out
 
 
@@ -400,9 +380,8 @@ def _residual_terms(pm, h, N, amp, y1, y2, values):
     """
     sol, cut = pm.sol, pm.cutoff
     r = np.hypot(y1, y2)
-    E, chi, a, u = _mode(pm, h, amp, r, values)
-    dchi = cut.chi_prime(r)
-    lapchi = cut.chi_lap(r)
+    chi, dchi, lapchi = cut.profile(r)
+    E, a, u = _mode(pm, h, amp, chi, values)
     lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
     interior = chi * E * h ** (N + 2) * (-values(lap_aN))
     # the radial factors are needed only where grad(chi) != 0, so r > 0
@@ -444,7 +423,8 @@ def residual_series_exact(pm, h, n=None):
         return Y1[keep], Y2[keep], np.outer(wx, wx)[keep], _on_grid(x, x, keep)
 
     y1, y2, w, values = disc_nodes(n)
-    un1 = float(np.sum(np.abs(_mode(pm, h, amp, np.hypot(y1, y2), values)[-1]) ** 2 * w))
+    chi = cut.profile(np.hypot(y1, y2))[0]
+    un1 = float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
     y1, y2, w, values = disc_nodes(2 * n)
     u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
     un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))

@@ -13,6 +13,12 @@ this module constructs
   + A_{j+1}(z) J, with each A_{j+1} fixed by the solvability constraint
   d_z d_w a~_{j+1}(z, w(z)) = 0 of the next equation.
 
+The construction assumes a non-critical base point, B(0) != 0 and
+d_zbar B(0) != 0, as the paper does; ``solve_wkb`` is the one place that
+refuses the rest (DegenerateFieldError).  Past that check V(0,0) = B(0)/4
+and d_w J(0,0) = -d_zbar B/(2B)(0) are nonzero, so the transport recursion
+has a single path: every reciprocal it takes exists.
+
 Every step is verified as a series identity, each through
 ``cseries.check_identity``: the Poisson identity, J = 1 on the curve, the
 transport residual (w - w(z)) [8V d_w + F] a~_{j+1} - 4 d_z d_w a~_j and the
@@ -109,10 +115,13 @@ def divided_data(phi, Btilde, w_curve):
 
 
 def first_transport(Btilde, phi, w_curve, V, F):
-    """Leading amplitude: quasi-eigenvalue mu, integrating factor J, A_0, a~_0."""
+    """Leading amplitude: quasi-eigenvalue mu, integrating factor J, A_0, a~_0.
+
+    A hierarchy built by hand at a critical point (d_zbar B(0) = 0, so
+    d_w J vanishes on the curve) stops at the reciprocal of d_w J with
+    SeriesDivisionError.
+    """
     mu = complex(Btilde.coeffs[0, 0])
-    if abs(V.coeffs[0, 0]) == 0.0:
-        raise DegenerateFieldError("V(0,0) = 0: field vanishes at the base point")
     g = F * V.reciprocal("8V").__mul__(1.0 / 8.0)
     J = (-1.0 * curve_integral_w(g, w_curve)).exp()
 
@@ -125,15 +134,6 @@ def first_transport(Btilde, phi, w_curve, V, F):
 
     dwJ = J.differentiate("w")
     u0 = compose_w(dwJ, w_curve)
-    if abs(u0.coeffs[0]) == 0.0:
-        if u0.max_abs() <= 1e-13 * max(J.max_abs(), 1.0):
-            # F == 0 case (constant-on-curve J): the constraint is vacuous
-            # and the normalized choice is A_0 == 1.
-            A0 = UniSeries.constant(1.0, J.cap)
-            return mu, J, A0, A0.as_biseries() * J
-        raise DegenerateFieldError(
-            "d_w J vanishes on the curve at 0; the input series is degenerate"
-        )
     v0 = compose_w(dwJ.differentiate("z"), w_curve)
     A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative()).exp()
     a0 = A0.as_biseries() * J
@@ -155,12 +155,9 @@ class _Workspace:
         self.amplitudes = [a0]
         self.trusted = [trusted0]
         self.c4 = 8.0 * phi.differentiate("z") + (4.0 * fprime).as_biseries()
-        self.u0 = compose_w(J.differentiate("w"), w_curve)
+        u0 = compose_w(J.differentiate("w"), w_curve)
         self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
-        if abs(self.u0.coeffs[0]) == 0.0:
-            self.inv_u0A0 = None  # trivial F == 0 branch: constraint is vacuous
-        else:
-            self.inv_u0A0 = (self.u0 * A0).reciprocal("d_wJ * A0 on curve")
+        self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
 
     def residual_scale(self, a_new, rhs):
@@ -219,15 +216,7 @@ def transport_step(ws, j):
     # constraint d_z d_w [particular + A J](z, w(z)) = 0; A solves
     # u0 A' + v0 A = -p1 with A(0) = 0, via A = A0 * Psi, Psi' = -p1/(u0 A0)
     p1 = compose_w(particular.differentiate("w").differentiate("z"), ws.w)
-    if ws.inv_u0A0 is None:
-        if p1.max_abs() > 1e-12 * max(particular.max_abs(), 1.0):
-            raise DegenerateFieldError(
-                "constraint unsolvable: d_w J vanishes on the curve but the "
-                "particular solution violates the compatibility restriction"
-            )
-        Psi = UniSeries.zeros(ws.J.cap)
-    else:
-        Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative()
+    Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative()
     A_next = ws.A0 * Psi
     a_next = particular + A_next.as_biseries() * ws.J
     ws.amplitudes.append(a_next)

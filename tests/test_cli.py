@@ -368,17 +368,33 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
                  id="check-conditions-r-min-neg"),
     pytest.param(_CONDS + ["--n", "2", "--r-min", "2", "--r-max", "2"], "--r-min 2",
                  id="check-conditions-r-min-eq-r-max"),
+    pytest.param(_CONDS + ["--r-max", "inf"], "--r-max inf", id="check-conditions-r-max-inf"),
+    pytest.param(_CONDS + ["--epsilon1", "2"], "epsilon 2", id="check-conditions-epsilon1-2"),
+    pytest.param(_CONDS + ["--epsilon1", "0"], "epsilon 0", id="check-conditions-epsilon1-0"),
+    pytest.param(_CONDS + ["--epsilon2", "0.7"], "epsilon 0.7",
+                 id="check-conditions-epsilon2-0.7"),
+    pytest.param(_CONDS + ["--epsilon2", "0.5"], "epsilon 0.5",
+                 id="check-conditions-epsilon2-half"),
+    pytest.param(_CONDS + ["--C1-const", "nan"], "C_const nan",
+                 id="check-conditions-C1-const-nan"),
+    pytest.param(_CONDS + ["--C2-const", "inf"], "C_const inf",
+                 id="check-conditions-C2-const-inf"),
+    pytest.param(_CONDS + ["--h", "nan"], "h nan", id="check-conditions-h-nan"),
+    pytest.param(_CONDS + ["--h", "0"], "h 0", id="check-conditions-h-0"),
+    pytest.param(_CONDS + ["--h=-1"], "h -1", id="check-conditions-h-neg"),
+    pytest.param(_CONDS + ["--h", "inf"], "h inf", id="check-conditions-h-inf"),
 ])
 def test_unwritable_out_and_empty_count_exit_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, named):
-    # an --out that cannot be written, a non-positive --n or radii outside
-    # 0 < r_min < r_max are refused with one line naming it, and no
-    # subcommand reaches its first computation
+    # an --out that cannot be written, a non-positive --n, radii outside
+    # 0 < r_min < r_max < inf, or check-conditions numbers outside their
+    # ranges are refused with one line naming it, and no subcommand reaches
+    # its first computation
     def work(*args, **kwargs):
         raise AssertionError("work started")
 
     for mod, attr in ((cli, "compute_Q"), (cli, "solve_wkb"), (cli, "check_C"),
-                      (fieldmodel, "gamma_scan")):
+                      (cli, "check_H"), (fieldmodel, "gamma_scan")):
         monkeypatch.setattr(mod, attr, work)
     (tmp_path / "file").write_text("")
     paths = {"missing": tmp_path / "missing", "file": tmp_path / "file", "tmp": tmp_path}
@@ -387,3 +403,16 @@ def test_unwritable_out_and_empty_count_exit_2_before_any_work(
     assert err.startswith("config error") and err.count("\n") == 1
     assert named.format(**paths) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_check_conditions_field_not_finite_on_a_circle_exits_2(tmp_path, capsys):
+    # exp(r^2) overflows on the circles from r = 7.2e42 on: the first such
+    # radius is named and no verdict is printed or written
+    out = tmp_path / "c.csv"
+    assert main(_CONDS + ["--n", "4", "--r-min", "1e-300", "--r-max", "1e300",
+                          "--out", str(out)]) == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("config error") and cap.err.count("\n") == 1
+    assert "not finite on the circle r = 7.19686e+42" in cap.err
+    assert not out.exists()

@@ -20,9 +20,9 @@ def _bump(t):
 
 def _plateau(r, r_in, r_out):
     # exactly 1 for r <= r_in, 0 for r >= r_out
-    from cmag_wkb.pseudomode import smooth_step
+    from cmag_wkb.pseudomode import step_jet
 
-    return smooth_step((r - r_in) / (r_out - r_in))
+    return step_jet((r - r_in) / (r_out - r_in))[0]
 
 
 def zero_field(cap=4):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import BiSeries, UniSeries, complexify_real_taylor, real_gradient_series
+from cmag_wkb.cseries import BiSeries, complexify_real_taylor, real_gradient_series
 from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb import pseudomode
 from cmag_wkb.pseudomode import (
@@ -22,11 +22,9 @@ from cmag_wkb.pseudomode import (
     make_pseudomode,
     residual_series_exact,
     select_cutoff,
-    smooth_step,
-    smooth_step_prime,
-    smooth_step_second,
+    step_jet,
 )
-from cmag_wkb.wkb import WKBSolution, solve_wkb
+from cmag_wkb.wkb import solve_wkb
 
 X0 = (np.pi / 3, -np.pi / 2)
 
@@ -52,7 +50,7 @@ def work_setup():
 
 def test_smooth_step_endpoints_and_monotonicity():
     t = np.linspace(-0.5, 1.5, 101)
-    v = smooth_step(t)
+    v = step_jet(t)[0]
     assert np.all(v[t <= 0] == 1.0)
     assert np.all(v[t >= 1] == 0.0)
     assert np.all(np.diff(v) <= 1e-12)
@@ -61,8 +59,8 @@ def test_smooth_step_endpoints_and_monotonicity():
 def test_smooth_step_prime_matches_fd():
     t = np.linspace(0.05, 0.95, 19)
     d = 1e-6
-    fd = (smooth_step(t + d) - smooth_step(t - d)) / (2 * d)
-    assert np.max(np.abs(fd - smooth_step_prime(t))) < 1e-7
+    fd = (step_jet(t + d)[0] - step_jet(t - d)[0]) / (2 * d)
+    assert np.max(np.abs(fd - step_jet(t)[1])) < 1e-7
 
 
 def test_smooth_step_second_integrates_to_first_derivative():
@@ -70,22 +68,40 @@ def test_smooth_step_second_integrates_to_first_derivative():
     xg, wg = np.polynomial.legendre.leggauss(200)
     for a, b in ((0.1, 0.4), (0.3, 0.7), (0.6, 0.9)):
         t = 0.5 * (b - a) * xg + 0.5 * (b + a)
-        s2 = smooth_step_second(t)
+        s2 = step_jet(t)[2]
         integral = 0.5 * (b - a) * np.sum(wg * s2)
-        exact = smooth_step_prime(b) - smooth_step_prime(a)
+        exact = step_jet(b)[1] - step_jet(a)[1]
         assert abs(integral - exact) <= 1e-13 * np.max(np.abs(s2))
     # where sigma(t) sigma(1 - t) underflows both derivatives are 0, not nan
     flat = np.array([1e-300, 1e-160, 1e-100, 1e-3, 1.0 - 1e-3])
-    assert np.all(smooth_step_prime(flat) == 0.0)
-    assert np.all(smooth_step_second(flat) == 0.0)
+    _, s1, s2 = step_jet(flat)
+    assert np.all(s1 == 0.0)
+    assert np.all(s2 == 0.0)
 
 
 def test_cutoff_plateau_and_support():
-    cut = CutoffSpec(r_in=0.5, r_out=1.0, M1=0.2, M2=1.0)
-    assert cut.chi(0.3) == 1.0 and cut.chi(0.0) == 1.0
-    assert cut.chi(1.1) == 0.0
-    assert cut.chi_prime(0.2) == 0.0 and cut.chi_prime(1.2) == 0.0
-    assert cut.chi_prime(0.75) < 0.0
+    cut = CutoffSpec(r_out=1.0, M1=0.2)
+    assert cut.r_in == 0.5
+    chi, dchi, lapchi = cut.profile(np.array([0.0, 0.2, 0.3, 0.75, 1.1, 1.2]))
+    assert chi[0] == 1.0 and chi[2] == 1.0
+    assert chi[4] == 0.0
+    assert dchi[1] == 0.0 and dchi[5] == 0.0
+    assert dchi[3] < 0.0
+    assert lapchi[0] == 0.0 and lapchi[5] == 0.0
+
+
+def test_cutoff_profile_matches_fd():
+    # chi' and the radial Laplacian chi'' + chi'/r of the plane function
+    # chi(|x|) against central differences of chi on the ring
+    cut = CutoffSpec(r_out=1.0, M1=0.2)
+    r = np.linspace(0.52, 0.98, 24)
+    d = 1e-4
+    chi, dchi, lapchi = cut.profile(r)
+    up, down = cut.profile(r + d)[0], cut.profile(r - d)[0]
+    d1 = (up - down) / (2 * d)
+    lap = (up - 2 * chi + down) / d**2 + d1 / r
+    assert np.max(np.abs(dchi - d1)) <= 1e-6 * np.max(np.abs(dchi))
+    assert np.max(np.abs(lapchi - lap)) <= 1e-5 * np.max(np.abs(lapchi))
 
 
 # ----------------------------------------------------------------------------
@@ -188,7 +204,7 @@ def _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2):
     sol, cut = pm.sol, pm.cutoff
     r = np.hypot(y1, y2)
     n1, n2 = y1 / r, y2 / r
-    dchi, lapchi = cut.chi_prime(r), cut.chi_lap(r)
+    _, dchi, lapchi = cut.profile(r)
     E = np.exp(-pm.phase(y1, y2) / h)
     g1, g2 = real_gradient_series(amp)
     dS1, dS2 = real_gradient_series(sol.S)
@@ -300,7 +316,7 @@ def test_unresolved_gauge_quadrature_raises():
 def test_select_cutoff_positive_definite_case(work_setup):
     field, rep, sol, pm = work_setup
     cut = pm.cutoff
-    assert cut.M1 > 0 and cut.M2 >= cut.M1
+    assert cut.M1 > 0
     assert cut.r_in == pytest.approx(cut.r_out / 2)
     lam_min = float(np.linalg.eigvalsh(
         np.array([[rep.Q1, -rep.Q2], [-rep.Q2, rep.Q3]]))[0])
@@ -414,14 +430,14 @@ def _pointwise_residual(pm, h):
     keep = np.hypot(Y1, Y2) < cut.r_out
     y1, y2, w = Y1[keep], Y2[keep], np.outer(wx, wx)[keep]
     r = np.hypot(y1, y2)
-    E, chi, a = np.exp(-pm.phase(y1, y2) / h), cut.chi(r), amp.realify(y1, y2)
+    chi, dchi, lapchi = cut.profile(r)
+    E, a = np.exp(-pm.phase(y1, y2) / h), amp.realify(y1, y2)
     u = chi * E * a
     lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
     interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
     p, q = np.indices(amp.coeffs.shape)
     r_damp = BiSeries((p + q) * amp.coeffs, amp.cap).realify(y1, y2) / r
     r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap).realify(y1, y2) / r
-    dchi, lapchi = cut.chi_prime(r), cut.chi_lap(r)
     cutoff_term = E * (-2.0 * h**2 * dchi * r_damp
                        + (-(h**2) * lapchi + 2.0 * h * dchi * r_lin) * a)
     un = float(np.sum(np.abs(u) ** 2 * w))
@@ -449,29 +465,13 @@ def test_residual_report_fields(work_setup):
     assert r.quadrature_points > 0 and 0.0 < r.tail_estimate < np.inf
 
 
-def test_interior_residual_zero_when_top_amplitude_vanishes():
+def test_interior_residual_zero_when_top_amplitude_vanishes(constant_field_solution):
     # constant field: a_1 == 0, so the interior term vanishes identically and
     # only cutoff-commutator terms remain (exponentially small in 1/h)
-    from cmag_wkb.cseries import UniSeries
-    from cmag_wkb.wkb import (_Workspace, divided_data, first_transport,
-                              poisson_series, transport_step)
-
     cap = 18
-    B = BiSeries.constant(2.0, cap)
-    w = UniSeries.zeros(cap)
-    phi = poisson_series(B)
-    V, F = divided_data(phi, B, w)
-    mu, J, A0, a0 = first_transport(B, phi, w, V, F)
-    ws = _Workspace(B, phi, UniSeries.zeros(cap), w, V, F, mu, J, A0, a0, cap - 1)
-    transport_step(ws, 0)
-    sol = WKBSolution(
-        phi=phi, w_curve=w, f=UniSeries.zeros(cap), S=phi, V=V, F=F, J=J, A0=A0,
-        amplitudes=tuple(ws.amplitudes), mu=mu, N=1, trusted_radius=2.0,
-        trusted_degrees=tuple(ws.trusted), base_point=(0.0, 0.0),
-        residual_maxima=ws.residual_maxima,
-    )
+    sol = constant_field_solution(cap=cap, N=1, trusted_radius=2.0)
     field = user_polynomial_field({(0, 1): -1.0}, {(1, 0): 1.0}, cap=cap)  # A = M, B = 2
-    cut = CutoffSpec(r_in=0.5, r_out=1.0, M1=0.5, M2=0.51)
+    cut = CutoffSpec(r_out=1.0, M1=0.5)
     phase = pseudomode._ThetaEvaluator(field, sol)
     pm = Pseudomode(field=field, sol=sol, cutoff=cut, phase=phase, N=1)
     r1 = residual_series_exact(pm, 0.05)

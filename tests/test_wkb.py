@@ -5,12 +5,12 @@ import pickle
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import BiSeries, check_identity, compose_w, implicit_w
+from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, check_identity, compose_w,
+                              implicit_w)
 from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb.wkb import (
     DegenerateFieldError,
     TransportIdentityError,
-    WKBSolution,
     divided_data,
     eikonal_phase,
     first_transport,
@@ -173,16 +173,15 @@ def test_first_transport_normalizations():
     assert abs(J.differentiate("w").coeffs[0, 0] - expected) < 1e-13 * abs(expected)
 
 
-def test_first_transport_constant_field_trivial():
+def test_critical_hierarchy_stops_at_the_reciprocal_of_dwJ():
+    # solve_wkb refuses d_zbar B(0) = 0 first; a constant-field hierarchy
+    # built by hand has d_w J = 0 on the curve and stops at its reciprocal
     B = BiSeries.constant(1.5 - 0.5j, 12)
     w = implicit_w_or_zero(B)
     phi = poisson_series(B)
     V, F = divided_data(phi, B, w)
-    mu, J, A0, a0 = first_transport(B, phi, w, V, F)
-    one = BiSeries.constant(1.0, 12)
-    assert np.max(np.abs(J.coeffs - one.coeffs)) < 1e-14
-    assert np.max(np.abs(a0.coeffs - one.coeffs)) < 1e-14
-    assert np.max(np.abs(A0.coeffs - np.eye(1, 13)[0])) < 1e-14
+    with pytest.raises(SeriesDivisionError, match="d_w J on curve"):
+        first_transport(B, phi, w, V, F)
 
 
 # ----------------------------------------------------------------------------
@@ -207,22 +206,6 @@ def test_amplitudes_normalized_at_base():
     assert abs(sol.amplitudes[0].coeffs[0, 0] - 1.0) < 1e-14
     for j in range(1, 4):
         assert abs(sol.amplitudes[j].coeffs[0, 0]) < 1e-13
-
-
-def test_constant_field_amplitudes_vanish():
-    B = BiSeries.constant(2.0 + 1j, 18)
-    # constant fields are rejected (d_zbar B = 0); build the hierarchy by hand
-    w = implicit_w_or_zero(B)
-    phi = poisson_series(B)
-    V, F = divided_data(phi, B, w)
-    mu, J, A0, a0 = first_transport(B, phi, w, V, F)
-    from cmag_wkb.wkb import _Workspace, transport_step
-    from cmag_wkb.cseries import UniSeries
-
-    fprime = UniSeries.zeros(18)
-    ws = _Workspace(B, phi, fprime, w, V, F, mu, J, A0, a0, 17)
-    a1 = transport_step(ws, 0)
-    assert a1.max_abs() < 1e-14
 
 
 def test_mu_gauge_independent():
@@ -269,24 +252,8 @@ def test_solution_round_trip_and_determinism():
     assert pickle.loads(pickle.dumps(sol1)).to_json() == t1
 
 
-def test_fit_growth_constant_field_norms():
-    B = BiSeries.constant(2.0, 18)
-    w = implicit_w_or_zero(B)
-    phi = poisson_series(B)
-    V, F = divided_data(phi, B, w)
-    mu, J, A0, a0 = first_transport(B, phi, w, V, F)
-    from cmag_wkb.wkb import _Workspace, transport_step
-    from cmag_wkb.cseries import UniSeries
-
-    ws = _Workspace(B, phi, UniSeries.zeros(18), w, V, F, mu, J, A0, a0, 17)
-    for j in range(2):
-        transport_step(ws, j)
-    sol = WKBSolution(
-        phi=phi, w_curve=w, f=UniSeries.zeros(18), S=phi, V=V, F=F, J=J, A0=A0,
-        amplitudes=tuple(ws.amplitudes), mu=mu, N=2, trusted_radius=1.0,
-        trusted_degrees=tuple(ws.trusted), base_point=(0.0, 0.0),
-        residual_maxima=ws.residual_maxima,
-    )
+def test_fit_growth_constant_field_norms(constant_field_solution):
+    sol = constant_field_solution(cap=18, N=2, trusted_radius=1.0)
     fit = fit_growth(sol, polydisc=(0.25, 0.25))
     assert fit.per_j_norms[0] == pytest.approx(1.0)
     assert fit.per_j_norms[1] == pytest.approx(0.0, abs=1e-14)
