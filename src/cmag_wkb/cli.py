@@ -46,7 +46,8 @@ numbers outside 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
 written (a file in a missing directory, or for run a path at or below an
 existing file) exit 2 before any work starts.  So does, before any verdict
 is printed, a field that is not finite on a circle that check-conditions
-samples (the message names the radius).
+samples (the message names the radius) or, |Im A|^2 included, at a point
+of its --region grid (the message names the first such point).
 
 Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
 integer, else exit 2).  The workers receive the checked pseudomode itself,
@@ -465,16 +466,19 @@ def cmd_check_conditions(args):
         trends = check_H(field, np.geomspace(args.r_min, args.r_max, 8))
     except ValueError as exc:
         raise ConfigError(f"{exc} (--r-min {args.r_min:g}, --r-max {args.r_max:g})") from exc
+    # every verdict before the first is printed: a field that is not finite
+    # in the sampled region prints none
+    try:
+        verdicts = [max((check_C(field, cfg, which=which, sign=sign) for sign in ("+", "-")),
+                        key=lambda v: v.min_slack)
+                    for which, cfg in cfgs]
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (--region {args.region})") from exc
     lines = [CSV_HEADER, "check,sign,passed,min_slack,at"]
-    for which, cfg in cfgs:
-        best = None
-        for sign in ("+", "-"):
-            v = check_C(field, cfg, which=which, sign=sign)
-            if best is None or v.min_slack > best.min_slack:
-                best = v
-        lines.append(f"{which},{best.sign},{int(best.passed)},{best.min_slack!r},"
+    for best in verdicts:
+        lines.append(f"{best.which},{best.sign},{int(best.passed)},{best.min_slack!r},"
                      f"\"{best.location}\"")
-        print(f"{which}: {'pass' if best.passed else 'FAIL'} (sign {best.sign}, "
+        print(f"{best.which}: {'pass' if best.passed else 'FAIL'} (sign {best.sign}, "
               f"min slack {best.min_slack:.4g} at {best.location})")
     for hyp in ("H1", "H2", "H3"):
         t = trends[hyp]

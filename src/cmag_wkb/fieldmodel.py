@@ -114,6 +114,14 @@ class FieldSpec:
     rebuilds the field.  That call is also how a field pickles: the callables
     are closures, so a field travels as its name, ``params``, base point and
     cap, and a field edited with ``dataclasses.replace`` pickles as its builtin.
+
+    ``A``, ``B`` and ``A_jac`` accept coordinate arrays that broadcast
+    against each other (an open product grid x1[:, None], x2[None, :] as
+    well as a dense meshgrid) and return arrays that broadcast to the
+    coordinates' common shape, elementwise equal to their values on the
+    dense grid; ``numop.apply_L`` and ``check_C`` sample on the grid's axes
+    and rely on it.  A component may come back smaller than that shape
+    (an empty polynomial gives 0j times a ones array of x1's shape).
     """
 
     name: str
@@ -482,16 +490,27 @@ class CheckVerdict:
 def check_C(field, cfg, which="C1", sign="+"):
     """Sampled check of |Im A|^2 <= ±eps * h * (Re|Im) B + C on a grid.
 
-    A sampling check only; a passing verdict is not a certificate.
+    A sampling check only; a passing verdict is not a certificate.  The
+    field is sampled on the grid's axes (an open product grid) and its
+    values broadcast to the n x n samples.  Raises ValueError naming the
+    first sample, in row-major order, where A, B or |Im A|^2 is not finite
+    (no verdict is read from such values; an infinite |Im A|^2 would also
+    make the pass tolerance infinite).
     """
     cfg.validate(which)
     x1min, x1max, x2min, x2max = cfg.sample_region
     xs = np.linspace(x1min, x1max, cfg.sample_density)
     ys = np.linspace(x2min, x2max, cfg.sample_density)
-    X1, X2 = np.meshgrid(xs, ys, indexing="ij")
-    a1, a2 = field.A(X1, X2)
-    lhs = np.imag(a1) ** 2 + np.imag(a2) ** 2
-    b = field.B(X1, X2)
+    x1, x2 = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    shape = (xs.size, ys.size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a1, a2, b = (np.broadcast_to(v, shape) for v in (*field.A(x1, x2), field.B(x1, x2)))
+        lhs = np.imag(a1) ** 2 + np.imag(a2) ** 2
+    bad = ~(np.isfinite(a1) & np.isfinite(a2) & np.isfinite(b) & np.isfinite(lhs))
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), shape)
+        raise ValueError(f"the field or |Im A|^2 is not finite at the sample point "
+                         f"({xs[i]:g}, {ys[j]:g})")
     part = np.real(b) if which == "C1" else np.imag(b)
     s = 1.0 if sign == "+" else -1.0
     slack = s * cfg.epsilon * cfg.h * part + cfg.C_const - lhs
@@ -499,7 +518,7 @@ def check_C(field, cfg, which="C1", sign="+"):
     worst = float(slack[k])
     return CheckVerdict(
         which=which, sign=sign, passed=bool(worst >= -1e-12 * max(1.0, float(np.max(lhs)))),
-        min_slack=worst, location=(float(X1[k]), float(X2[k])),
+        min_slack=worst, location=(float(xs[k[0]]), float(ys[k[1]])),
     )
 
 

@@ -5,9 +5,13 @@ route: 4th-order central stencils on a square grid, the operator expanded as
 
     -h^2 Lap u + i h (div A) u + 2 i h A . grad u + (A . A) u,
 
-with A sampled from the field's closed form.  No boundary condition is
-imposed; correctness relies on the input being supported well inside the box
-(the pseudomodes are, by construction of the cutoff).
+with A and div A sampled from the field's closed form on the grid's axes:
+the field gets the open product grid x1 = (c1 + axis)[:, None],
+x2 = (c2 + axis)[None, :], and its values broadcast against the (n, n)
+stencil arrays, so a factor of one coordinate costs n evaluations, not n^2.
+No boundary condition is imposed; correctness relies on the input being
+supported well inside the box (the pseudomodes are, by construction of the
+cutoff).
 """
 
 from __future__ import annotations
@@ -105,9 +109,10 @@ def apply_L(field, h, u, center=(0.0, 0.0)):
     v = u.values
     _check_support(v)
     s = g.spacing
-    X1, X2 = g.meshgrid(center=center)
-    A1, A2 = field.A(X1, X2)
-    divA = field.div_A(X1, X2)
+    x = g.axis()
+    x1, x2 = np.meshgrid(center[0] + x, center[1] + x, indexing="ij", sparse=True)
+    A1, A2 = field.A(x1, x2)
+    divA = field.div_A(x1, x2)
     ux = _d1(v, 0, s)
     uy = _d1(v, 1, s)
     lap = _d2(v, 0, s) + _d2(v, 1, s)

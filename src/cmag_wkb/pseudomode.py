@@ -451,11 +451,11 @@ def residual_finite_difference(pm, h, n=512, L=None):
     grid = numop.Grid2D(L=L, n=n)
     x0 = pm.sol.base_point
     x = grid.axis()
-    # the local axes of grid.meshgrid(center=x0)
+    # the local axes of the grid centred at x0
     s, t = (x0[0] + x) - x0[0], (x0[1] + x) - x0[1]
-    Y1, Y2 = np.meshgrid(s, t, indexing="ij")
     amp = _amplitude(pm.sol, h, pm.N_used(h))
-    u = _cut_mode(pm, h, amp, np.hypot(Y1, Y2), lambda inside: _on_grid(s, t, inside))
+    u = _cut_mode(pm, h, amp, np.hypot(s[:, None], t[None, :]),
+                  lambda inside: _on_grid(s, t, inside))
     gf = numop.GridFunction(values=u, grid=grid)
     Lu = numop.apply_L(pm.field, h, gf, center=x0)
     res = Lu.values - h * pm.sol.mu * u

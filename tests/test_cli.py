@@ -1,6 +1,7 @@
 """CLI parsing, artifact emission, determinism, and exit codes."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,4 +416,21 @@ def test_check_conditions_field_not_finite_on_a_circle_exits_2(tmp_path, capsys)
     assert cap.out == ""
     assert cap.err.startswith("config error") and cap.err.count("\n") == 1
     assert "not finite on the circle r = 7.19686e+42" in cap.err
+    assert not out.exists()
+
+
+def test_check_conditions_field_not_finite_in_the_region_exits_2(tmp_path, capsys):
+    # exp(|x|^2) overflows at the corner (-30, -30) of the sampled region:
+    # that point is named, numpy's overflow warnings are not printed, and no
+    # C1/C2 verdict is printed or written
+    out = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(_CONDS + ["--n", "8", "--region=-30,30,-30,30", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("config error") and cap.err.count("\n") == 1
+    assert "not finite at the sample point (-30, -30)" in cap.err
+    assert "--region -30,30,-30,30" in cap.err
     assert not out.exists()

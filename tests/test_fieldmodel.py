@@ -209,6 +209,23 @@ def test_epsilon_range_validated():
         check_C(exponential_field(0.1), cfg, which="C2")
 
 
+def test_check_C_refuses_a_field_not_finite_in_the_region():
+    # exp(|x|^2) overflows at the corners of [-30, 30]^2: the first sample in
+    # row-major order is named and no verdict is read from inf/nan values
+    cfg = ConditionCheckConfig(epsilon=0.5, C_const=1.0, sample_region=(-30, 30, -30, 30),
+                               sample_density=8)
+    with np.errstate(all="raise"):  # the overflow is handled, not warned about
+        with pytest.raises(ValueError, match=r"not finite at the sample point \(-30, -30\)"):
+            check_C(exponential_field(0.4), cfg, which="C1")
+    # on [0, 30]^2 at 4 x 4 points A is finite at (0, 20) and (20, 0), but
+    # |Im A|^2 overflows there (its infinite tolerance would pass a -inf
+    # slack); (0, 20) comes first in row-major order
+    quadrant = ConditionCheckConfig(epsilon=0.4, C_const=1.0, sample_region=(0, 30, 0, 30),
+                                    sample_density=4)
+    with pytest.raises(ValueError, match=r"not finite at the sample point \(0, 20\)"):
+        check_C(exponential_field(0.4), quadrant, which="C2")
+
+
 # ----------------------------------------------------------------------------
 # compactness trends (H1)-(H3)
 # ----------------------------------------------------------------------------
@@ -377,3 +394,28 @@ def test_div_A_is_the_jacobian_trace():
     assert np.array_equal(exponential_field(0.4).div_A(x1, x2), np.zeros_like(x1) + 0j)
     user = user_polynomial_field({(2, 1): 1.5j}, {(0, 3): 2.0}, cap=6)
     assert np.array_equal(user.div_A(x1, x2), 3j * x1 * x2 + 6.0 * x2**2)
+
+
+@pytest.mark.parametrize("field", [
+    oscillating_field(X0),
+    polynomial_field(8.0, 0.3 + 1j, 1.0),
+    exponential_field(0.4, (0.2, -0.1)),
+    miller_simon_field(1 + 1j, 1.0),  # jac by central differences of A
+    user_polynomial_field({}, {(1, 0): 1.0, (2, 0): 0.5j}, cap=4),
+    user_polynomial_field({(2, 1): 1.5j, (0, 1): -0.5}, {(0, 3): 2.0, (1, 0): 1j}, cap=6),
+], ids=lambda f: f.name + ("_empty_A1" if f.params.get("A1") == {} else ""))
+def test_field_callables_broadcast_on_an_open_grid(field):
+    # the contract numop.apply_L and check_C rely on: on the grid's axes the
+    # callables return arrays that broadcast to the dense samples bit for bit
+    # (two axis lengths, so a transposed result shows)
+    xs = field.base_point[0] + np.linspace(-1.3, 1.1, 61)
+    ys = field.base_point[1] + np.linspace(-0.9, 1.4, 47)
+    x1, x2 = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+    X1, X2 = np.meshgrid(xs, ys, indexing="ij")
+    for name in ("A", "jac", "div_A", "B"):
+        got, want = getattr(field, name)(x1, x2), getattr(field, name)(X1, X2)
+        if name in ("div_A", "B"):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            assert w.shape == X1.shape
+            assert np.array_equal(np.broadcast_to(g, X1.shape), w), name

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from cmag_wkb.fieldmodel import oscillating_field, user_polynomial_field
+from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb.numop import (
+    _BOUNDARY_LAYERS,
     Grid2D,
     GridFunction,
     SupportError,
+    _d1,
+    _d2,
     apply_L,
     verify_magnetic_inequalities,
 )
@@ -118,6 +121,31 @@ def test_gauge_covariance_real_gauge():
     scale = np.max(np.abs(rhs[core]))
     # agreement within discretization error (4th-order stencils at n=256)
     assert np.max(np.abs(lhs[core] - rhs[core])) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("field", [
+    user_polynomial_field({(0, 1): -1j, (2, 1): 0.3}, {(2, 0): 0.5, (1, 0): 1j, (0, 3): 0.2j},
+                          cap=6),
+    polynomial_field(8.0, 0.3 + 1j, 1.0),  # A1 == 0 comes back with shape (n, 1)
+], ids=["user_polynomial", "polynomial"])
+def test_apply_L_matches_the_dense_grid_formula_bitwise(field):
+    # the field sampled on the grid's axes changes no bit of the operator:
+    # the reference samples A and div A on the dense meshgrid
+    grid = Grid2D(L=2.0, n=67)
+    center = (0.3, -0.2)
+    X1, X2 = grid.meshgrid(center=center)
+    v = (1.0 + 0.4j) * _bump(((X1 - center[0]) ** 2 + (X2 - center[1]) ** 2) / 2.5) * (1 + X2)
+    h, s = 0.15, grid.spacing
+    A1, A2 = field.A(X1, X2)
+    divA = field.div_A(X1, X2)
+    lap = _d2(v, 0, s) + _d2(v, 1, s)
+    want = (-h**2 * lap + 1j * h * divA * v + 2j * h * (A1 * _d1(v, 0, s) + A2 * _d1(v, 1, s))
+            + (A1 * A1 + A2 * A2) * v)
+    k = _BOUNDARY_LAYERS
+    want[:k, :] = want[-k:, :] = want[:, :k] = want[:, -k:] = 0.0
+    got = apply_L(field, h, GridFunction(v, grid), center=center).values
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_support_violation_raises():
