@@ -34,9 +34,13 @@ Exit codes: 0 success, 2 config error, 3 admissibility rejection,
 4 internal identity failure, 5 residual-grid quadrature refusal (residuals.csv
 keeps the rows of the h before the refused one).  The degree
 cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
---adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 when the fd
-evaluator runs; violating either exits 2 before any work starts.  A --delta
-outside (0, d_max], d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
+--adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 with
+--evaluator both; violating either exits 2 before any work starts.  So does
+an --h sweep other than h_max:h_min:count with 0 < h_min < h_max < inf and an
+integer count >= 2, and field data for which curl A at the base point is not
+finite (a NaN parameter or base point, or a raster point where the field
+overflows; the message names the point).  A --delta outside (0, d_max],
+d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
 So does a Miller-Simon field based at the origin, for run and for a raster
 through it, and --x0 given to gamma-scan (the raster sets the base point).
 A sample count --n below 1 (gamma-scan, check-conditions), radii for
@@ -48,22 +52,16 @@ existing file) exit 2 before any work starts.  So does, before any verdict
 is printed, a field that is not finite on a circle that check-conditions
 samples (the message names the radius) or, |Im A|^2 included, at a point
 of its --region grid (the message names the first such point).
-
-Environment: CMAG_WKB_WORKERS sets the h-sweep worker count (default 1; an
-integer, else exit 2).  The workers receive the checked pseudomode itself,
-and outputs are gathered in sweep order regardless of completion order.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,9 +142,13 @@ def parse_sweep(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep must be 'h_max:h_min:count', got {text!r}")
-    h_max, h_min, count = parse_scalar(parts[0]), parse_scalar(parts[1]), int(parts[2])
-    if not 0 < h_min < h_max:
-        raise ConfigError("need 0 < h_min < h_max")
+    h_max, h_min = parse_scalar(parts[0]), parse_scalar(parts[1])
+    try:
+        count = int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"sweep count must be an integer, got {parts[2]!r}") from exc
+    if not 0 < h_min < h_max < math.inf:  # a NaN fails too
+        raise ConfigError("need 0 < h_min < h_max, both finite")
     if count < 2:
         raise ConfigError("need at least 2 sweep points")
     return np.geomspace(h_max, h_min, count)
@@ -326,33 +328,19 @@ def gamma_report_dict(rep):
 
 
 # ----------------------------------------------------------------------------
-# h-sweep (the pseudomode pickles as it is, its field as the builder call)
+# h-sweep
 # ----------------------------------------------------------------------------
 
-def _workers():
-    text = os.environ.get("CMAG_WKB_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"CMAG_WKB_WORKERS must be an integer, got {text!r}") from exc
-
-
-def run_sweep(pm, hs, workers):
+def run_sweep(pm, hs):
     """The reports of the sweep in order, up to the first h whose residual
     grid is refused, and that refusal (None when every h passed)."""
-    # residual_series_exact is looked up by name on each serial call:
+    # residual_series_exact is looked up by name on each call:
     # perfbench/child.py times the first call with a module-attribute hook
     # that puts the original back, which a reference bound earlier would miss
     reports = []
     try:
-        if workers <= 1:
-            for h in hs:
-                reports.append(residual_series_exact(pm, h))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # map yields in sweep order; a refusal cancels the h not yet started
-                for r in pool.map(functools.partial(residual_series_exact, pm), hs):
-                    reports.append(r)
+        for h in hs:
+            reports.append(residual_series_exact(pm, h))
     except QuadratureResolutionError as exc:
         return reports, exc
     return reports, None
@@ -366,9 +354,8 @@ def cmd_run(args):
     n_solve = max(args.N, args.jmax) if args.adaptive else args.N
     _check_order(args.N, args.D)
     _check_order(n_solve, args.D)
-    if args.evaluator in ("fd", "both") and args.grid_n < 16:
+    if args.evaluator == "both" and args.grid_n < 16:
         raise ConfigError(f"--grid-n {args.grid_n} too small: need >= 16")
-    workers = _workers()
     cap = args.D
     field = field_from_config(_field_config(args), cap)
     hs = parse_sweep(args.h)
@@ -399,13 +386,12 @@ def cmd_run(args):
     pm = make_pseudomode(field, sol, report=report, N=args.N,
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
-    reports, refusal = run_sweep(pm, hs, workers)
+    reports, refusal = run_sweep(pm, hs)
     if refusal is not None:  # keep the rows that finished, then exit 5
         write_residual_csv(out / "residuals.csv", reports)
         raise refusal
-    if args.evaluator in ("fd", "both"):
-        for h in ([hs[len(hs) // 2]] if args.evaluator == "both" else hs):
-            reports.append(residual_finite_difference(pm, float(h), n=args.grid_n))
+    if args.evaluator == "both":  # one FD cross-check, at the middle h
+        reports.append(residual_finite_difference(pm, float(hs[len(hs) // 2]), n=args.grid_n))
     write_residual_csv(out / "residuals.csv", reports)
 
     series_reports = [r for r in reports if r.evaluator == "series_exact"]
@@ -536,7 +522,7 @@ def build_parser():
     p.add_argument("--D", type=int, default=24, help="series degree cap")
     p.add_argument("--h", default="0.1:0.003:8", help="geometric sweep h_max:h_min:count")
     p.add_argument("--delta", type=float, default=None, help="cutoff radius override")
-    p.add_argument("--evaluator", choices=("series", "fd", "both"), default="series")
+    p.add_argument("--evaluator", choices=("series", "both"), default="series")
     p.add_argument("--grid-n", type=int, default=512)
     p.add_argument("--out", default="out")
 

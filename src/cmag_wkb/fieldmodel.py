@@ -27,7 +27,6 @@ plus user fields given by polynomial coefficient tables for A1, A2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -111,9 +110,7 @@ class FieldSpec:
     pseudomode needs it, and a raster builds thousands of fields.  ``params``
     holds every keyword of the builder but ``base_point`` and ``cap``, its
     defaults included, so ``make_field(name, params, base_point=..., cap=...)``
-    rebuilds the field.  That call is also how a field pickles: the callables
-    are closures, so a field travels as its name, ``params``, base point and
-    cap, and a field edited with ``dataclasses.replace`` pickles as its builtin.
+    rebuilds the field.
 
     ``A``, ``B`` and ``A_jac`` accept coordinate arrays that broadcast
     against each other (an open product grid x1[:, None], x2[None, :] as
@@ -139,15 +136,10 @@ class FieldSpec:
             raise ValueError("analytic_radius must be positive")
         b_num = curl_fd(self.A, self.base_point)
         b0 = self.B_taylor.coeffs[0, 0]
-        if abs(b_num - b0) > 1e-6 * max(1.0, abs(b0)):
+        if not abs(b_num - b0) <= 1e-6 * max(1.0, abs(b0)):  # a NaN fails too
             raise FieldConsistencyError(
-                f"curl A at base point = {b_num}, Taylor constant term = {b0}"
+                f"curl A at base point {self.base_point} = {b_num}, Taylor constant term = {b0}"
             )
-
-    def __reduce__(self):
-        rebuild = functools.partial(make_field, base_point=self.base_point,
-                                    cap=self.B_taylor.cap)
-        return rebuild, (self.name, self.params)
 
     def jac(self, x1, x2):
         if self.A_jac is not None:

@@ -252,10 +252,8 @@ def select_cutoff(phase, report=None, delta_override=None):
 class Pseudomode:
     """A cutoff pseudomode with its phase evaluator, built and checked once.
 
-    It pickles as it is (the field as its builder call), so sweep workers
-    receive the checked phase rather than building their own.  The order is
-    N when ``m_growth`` is None, else floor((e m_growth h)^(-1/7)), clipped
-    to the solved order.
+    The order is N when ``m_growth`` is None, else floor((e m_growth h)^(-1/7)),
+    clipped to the solved order.
     """
 
     field: FieldSpec

@@ -115,7 +115,8 @@ def divided_data(phi, Btilde, w_curve):
 
 
 def first_transport(Btilde, phi, w_curve, V, F):
-    """Leading amplitude: quasi-eigenvalue mu, integrating factor J, A_0, a~_0.
+    """Leading amplitude: quasi-eigenvalue mu, integrating factor J, d_w J on
+    the curve u0, A_0 and a~_0.
 
     A hierarchy built by hand at a critical point (d_zbar B(0) = 0, so
     d_w J vanishes on the curve) stops at the reciprocal of d_w J with
@@ -137,25 +138,21 @@ def first_transport(Btilde, phi, w_curve, V, F):
     v0 = compose_w(dwJ.differentiate("z"), w_curve)
     A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative()).exp()
     a0 = A0.as_biseries() * J
-    return mu, J, A0, a0
+    return mu, J, u0, A0, a0
 
 
 class _Workspace:
     """Shared series data threaded through the transport recursion."""
 
-    def __init__(self, Btilde, phi, fprime, w_curve, V, F, mu, J, A0, a0, trusted0):
+    def __init__(self, Btilde, phi, fprime, w_curve, V, mu, J, u0, A0, a0, trusted0):
         self.B = Btilde
-        self.phi = phi
         self.w = w_curve
-        self.V = V
-        self.F = F
         self.mu = mu
         self.J = J
         self.A0 = A0
         self.amplitudes = [a0]
         self.trusted = [trusted0]
         self.c4 = 8.0 * phi.differentiate("z") + (4.0 * fprime).as_biseries()
-        u0 = compose_w(J.differentiate("w"), w_curve)
         self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
         self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
@@ -318,9 +315,9 @@ def solve_wkb(field, N=3):
     f, S = eikonal_phase(phi, w_curve)
     fprime = f.differentiate()
     V, F = divided_data(phi, Btilde, w_curve)
-    mu, J, A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
+    mu, J, u0, A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
 
-    ws = _Workspace(Btilde, phi, fprime, w_curve, V, F, mu, J, A0, a0, cap - 1)
+    ws = _Workspace(Btilde, phi, fprime, w_curve, V, mu, J, u0, A0, a0, cap - 1)
     ws.verify_step(0)
     for j in range(N):
         transport_step(ws, j)

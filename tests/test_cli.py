@@ -65,6 +65,12 @@ def test_parse_sweep_geometric():
     assert np.allclose(ratios, ratios[0])
     with pytest.raises(ConfigError):
         parse_sweep("0.003:0.1:8")
+    # a count that is not an integer, and an infinite h_max: config errors
+    # (exit 2), not a ValueError traceback or an Infinity in config.json
+    with pytest.raises(ConfigError, match="integer"):
+        parse_sweep("0.1:0.05:2.5")
+    with pytest.raises(ConfigError, match="finite"):
+        parse_sweep("inf:0.05:3")
 
 
 # ----------------------------------------------------------------------------
@@ -122,9 +128,23 @@ def test_run_config_error_exit_code(tmp_path):
     assert main(["run", "--builtin", "polynomial", "--N", "-1",
                  "--out", str(tmp_path / "neg")]) == EXIT_CONFIG
     assert main(["bound-fit", "--builtin", "polynomial", "--jmax", "7"]) == EXIT_CONFIG
-    assert main(["run", "--builtin", "polynomial", "--evaluator", "fd", "--grid-n", "8",
+    assert main(["run", "--builtin", "polynomial", "--evaluator", "both", "--grid-n", "8",
                  "--out", str(tmp_path / "fd")]) == EXIT_CONFIG
     assert not any((tmp_path / d).exists() for d in ("n7", "neg", "fd"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--x0", "nan,0"],
+    ["run", "--builtin", "polynomial", "--a", "nan"],
+    ["bound-fit", "--x0", "nan,-pi/2"],
+    ["gamma-scan", "--region=0,nan,0,1", "--n", "3"],
+], ids=["run-x0", "run-a", "bound-fit-x0", "gamma-scan-region"])
+def test_nan_field_data_is_a_config_error(tmp_path, capsys, argv):
+    # a NaN in the field's data fails the curl check at the base point: not an
+    # admissibility rejection (3), an identity failure (4) or a NaN raster (0)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: curl A at base point") and "Traceback" not in err
 
 
 def test_gamma_scan_csv(tmp_path):
@@ -220,14 +240,6 @@ def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
     assert not (tmp_path / "d" / "residuals.csv").exists()
 
 
-def test_run_refuses_non_integer_worker_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CMAG_WKB_WORKERS", "x")
-    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
-                 "--out", str(tmp_path / "w")])
-    assert code == EXIT_CONFIG
-    assert "CMAG_WKB_WORKERS" in capsys.readouterr().err
-
-
 def test_run_phase_positivity_failure_exit_code(tmp_path):
     # admissible per the (Q1,Q2,Q3) report, but the assembled phase is
     # indefinite: internal identity failure (exit 4)
@@ -236,23 +248,11 @@ def test_run_phase_positivity_failure_exit_code(tmp_path):
     assert code == 4
 
 
-def test_worker_pool_determinism(tmp_path, monkeypatch):
-    args = ["run", "--builtin", "polynomial", "--a", "8", "--b", "0.3+i",
-            "--c", "1", "--x0", "0,0", "--N", "1", "--h", "0.05:0.02:4"]
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    monkeypatch.setenv("CMAG_WKB_WORKERS", "1")
-    assert main(args + ["--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("CMAG_WKB_WORKERS", "2")
-    assert main(args + ["--out", str(out2)]) == EXIT_OK
-    assert (out1 / "residuals.csv").read_bytes() == (out2 / "residuals.csv").read_bytes()
-
-
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_quadrature_refusal_exit_5(tmp_path, monkeypatch, capsys, workers):
-    # a = 400 narrows the Gaussian below the smallest residual grid; with two
-    # workers the refusal is raised in a worker and reaches main through the pool
-    monkeypatch.setenv("CMAG_WKB_WORKERS", workers)
-    code = main(["run", "--builtin", "polynomial", "--a", "400", "--N", "1",
+@pytest.mark.parametrize("N", ["0", "1"])
+def test_run_quadrature_refusal_exit_5(tmp_path, capsys, N):
+    # a = 400 narrows the Gaussian below the smallest residual grid, at any
+    # transport order
+    code = main(["run", "--builtin", "polynomial", "--a", "400", "--N", N,
                  "--h", "0.1:0.05:2", "--out", str(tmp_path / "q")])
     assert code == EXIT_QUADRATURE
     err = capsys.readouterr().err
@@ -262,19 +262,18 @@ def test_run_quadrature_refusal_exit_5(tmp_path, monkeypatch, capsys, workers):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_refusal_keeps_the_finished_rows(tmp_path, monkeypatch, capsys, workers):
+@pytest.mark.parametrize("N", ["0", "1"])
+def test_run_refusal_keeps_the_finished_rows(tmp_path, capsys, N):
     # a = 100: h = 0.1 is resolved and h = 0.05 is refused; the row of 0.1 is
     # written before the exit, and nothing of the h after the refused one
-    monkeypatch.setenv("CMAG_WKB_WORKERS", workers)
     out = tmp_path / "q"
-    code = main(["run", "--builtin", "polynomial", "--a", "100", "--N", "1",
+    code = main(["run", "--builtin", "polynomial", "--a", "100", "--N", N,
                  "--h", "0.1:0.025:3", "--out", str(out)])
     assert code == EXIT_QUADRATURE
     assert "unresolved at h=0.05:" in capsys.readouterr().err
     lines = (out / "residuals.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 3
-    assert lines[2].startswith("0.1,1,series_exact,")
+    assert lines[2].startswith(f"0.1,{N},series_exact,")
 
 
 def _strict_json(path):

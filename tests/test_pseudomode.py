@@ -1,7 +1,6 @@
 """Gauge function, cutoff selection, residual ratios, decay fits."""
 
 import math
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -261,21 +260,6 @@ def test_one_theta_evaluator_per_pseudomode(monkeypatch):
     assemble(pm, 0.1)(np.array([0.01, 0.02]), np.array([0.0, -0.01]))
     assert len(built) == 1
     assert built[-1] is pm.phase
-
-
-def test_pseudomode_pickle_round_trip(monkeypatch):
-    # what a sweep worker receives: the field rebuilds through its builder,
-    # the checked phase travels as it is and is not built again
-    field = workhorse()
-    pm = make_pseudomode(field, solve_wkb(field, N=2), N=2)
-    data = pickle.dumps(pm)
-    built = []
-    monkeypatch.setattr(pseudomode._ThetaEvaluator, "__init__",
-                        lambda self, *args: built.append(self))
-    back = pickle.loads(data)
-    assert not built
-    assert back.phase.field is back.field
-    assert residual_series_exact(back, 0.05) == residual_series_exact(pm, 0.05)
 
 
 def test_theta_second_derivative_identity_oscillating():

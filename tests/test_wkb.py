@@ -164,7 +164,7 @@ def test_first_transport_normalizations():
     w = implicit_w(B)
     phi = poisson_series(B)
     V, F = divided_data(phi, B, w)
-    mu, J, A0, a0 = first_transport(B, phi, w, V, F)
+    mu, J, _, A0, a0 = first_transport(B, phi, w, V, F)
     assert mu == B.coeffs[0, 0]
     assert abs(a0.coeffs[0, 0] - 1.0) < 1e-14
     # d_w J on the curve at the origin: -(1/2) dzbarB / B(0) under the
@@ -248,7 +248,6 @@ def test_solution_round_trip_and_determinism():
     sol2 = solve_wkb(osc_field(18), N=2)
     t1, t2 = sol1.to_json(), sol2.to_json()
     assert t1 == t2
-    # the sweep workers receive the solution pickled
     assert pickle.loads(pickle.dumps(sol1)).to_json() == t1
 
 
