@@ -39,10 +39,11 @@ cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 an --h sweep other than h_max:h_min:count with 0 < h_min < h_max < inf and an
 integer count >= 2, and field data for which curl A at the base point is not
 finite (a NaN parameter or base point, or a raster point where the field
-overflows; the message names the point).  A --delta outside (0, d_max],
-d_max = min(analytic_radius/2, 0.95 trusted radius), exits 2.
-So does a Miller-Simon field based at the origin, for run and for a raster
-through it, and --x0 given to gamma-scan (the raster sets the base point).
+overflows; the message names the point), and a --delta that is not a
+finite number > 0.  So does a Miller-Simon field based at the origin, for
+run and for a raster through it, and --x0 given to gamma-scan (the raster
+sets the base point).  A --delta above d_max = min(analytic_radius/2,
+0.95 trusted radius) exits 2 after the WKB solve, which d_max needs.
 A sample count --n below 1 (gamma-scan, check-conditions), radii for
 check-conditions outside 0 < --r-min < --r-max < inf, check-conditions
 numbers outside 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
@@ -359,6 +360,8 @@ def cmd_run(args):
     cap = args.D
     field = field_from_config(_field_config(args), cap)
     hs = parse_sweep(args.h)
+    if args.delta is not None and not 0 < args.delta < math.inf:  # a NaN fails too
+        raise ConfigError(f"--delta {args.delta:g}: need 0 < delta < inf")
     out = _make_out_dir(args.out)
     # the field block replays through --config: defaults filled in, values exact
     field_cfg = _field_record(field)
@@ -423,7 +426,10 @@ def cmd_gamma_scan(args):
     def field_at(u, v):
         return field_from_config({**cfg, "x0": (u, v)}, cap=2)
 
-    xs, ys, reports = fieldmodel.gamma_scan(field_at, region, args.n)
+    # a raster point where the field is not finite is refused by
+    # field_from_config, so numpy's warnings on the way there are noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xs, ys, reports = fieldmodel.gamma_scan(field_at, region, args.n)
     write_gamma_csv(args.out, xs, ys, reports)
     members = sum(int(reports[i, j].in_gamma) for i in range(args.n) for j in range(args.n))
     print(f"gamma-scan: {members} member points of {args.n * args.n}; wrote {args.out}")

@@ -48,7 +48,12 @@ up to 2^(k/2) more to roundoff than Horner at the same point y: their
 magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
 
 ``check_identity`` is the one place where a series identity meets its
-tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`.
+tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`,
+and it holds the one rule for the tolerance's scale.  A check passes the
+terms that enter its identity, each a series (read per degree by
+``degree_maxima``) or an array of per-degree magnitudes, and a floor where
+cancellations need one; the scale at degree k is the largest term magnitude
+of degree <= k, and at least the floor.
 """
 
 from __future__ import annotations
@@ -458,42 +463,31 @@ def compose_w(a, w_of_z):
     return UniSeries(res, D)
 
 
-def check_identity(what, res, scale, rtol, error, upto=None):
+def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
     """The one check of a series identity against its tolerance.
 
-    ``res`` and ``scale`` are per-degree: the residual of the identity (its
-    coefficients or their per-degree maxima) and the magnitude of the terms
-    that enter it.  Raises ``error`` naming the worst degree k <= ``upto``
-    (every degree when None) unless |res[k]| / max(scale[k], 1e-300) <= rtol
-    holds there; a NaN or infinite ratio fails.  Returns the worst ratio.
+    ``res`` is the residual of the identity per degree (its coefficients or
+    their per-degree maxima).  ``terms`` lists the quantities that enter the
+    identity, each a series (read per degree by ``degree_maxima``) or an
+    array of per-degree magnitudes.  The scale at degree k is the largest
+    term magnitude of degree <= k, and at least ``floor``: roundoff in a
+    coefficient of degree k comes from the magnitudes of degree <= k that fed
+    it, which grow like |w-coeff|^k along a curve of small radius.  Raises
+    ``error`` naming the worst degree k <= ``upto`` (every degree when None)
+    unless |res[k]| / scale[k] <= rtol holds there; a NaN or infinite ratio
+    fails.  Returns the worst ratio.
     """
+    top = np.max([degree_maxima(t) if isinstance(t, _Series) else t for t in terms], axis=0)
+    scale = np.maximum.accumulate(np.maximum(top, floor))
     n = len(res) if upto is None else min(upto + 1, len(res))
     mag = np.abs(np.asarray(res)[:n])
     with np.errstate(invalid="ignore"):  # inf / inf is a NaN, which fails
-        ratio = mag / np.maximum(np.asarray(scale)[:n], 1e-300)
+        ratio = mag / np.maximum(scale[:n], 1e-300)
     k = int(np.argmax(ratio))  # the first NaN, if there is one
     if not ratio[k] <= rtol:
         raise error(f"{what}: residual {mag[k]:.3e} at degree {k} exceeds "
                     f"{rtol:.0e} x scale {scale[k]:.3e}")
     return float(ratio[k])
-
-
-def degree_scale(series_list):
-    """Cumulative per-degree magnitude of a family of series.
-
-    Entry k is the largest coefficient magnitude of total degree <= k over
-    all inputs (at least 1e-30); identity checks compare residual
-    coefficients of degree k against rtol times this scale, which tracks the
-    factor-of-|w-coeff|^k growth of roundoff along curves with small
-    convergence radius.
-    """
-    caps = {s.cap for s in series_list}
-    if len(caps) != 1:
-        raise SeriesStructureError("degree_scale: mixed caps")
-    out = np.full(caps.pop() + 1, 1e-30)
-    for s in series_list:
-        out = np.maximum(out, degree_maxima(s))
-    return np.maximum.accumulate(out)
 
 
 def degree_maxima(series):
@@ -522,20 +516,17 @@ def exact_divide_by_curve(num, w_of_z):
     wc = w_of_z.coeffs
     awc = np.abs(wc)
     q = np.zeros((D + 1, D + 1), dtype=complex)
-    mag = np.zeros(D + 1)  # per-degree magnitude flowing through the recursion
     qb = np.zeros(D + 1, dtype=complex)
     ab = np.zeros(D + 1)
+    terms = [np.abs(num.coeffs[:, 0])]  # per-degree magnitudes through the recursion
     for b in range(D - 1, -1, -1):
         qb = num.coeffs[:, b + 1] + np.convolve(wc, qb)[: D + 1]
         ab = np.abs(num.coeffs[:, b + 1]) + np.convolve(awc, ab)[: D + 1]
         q[:, b] = qb
-        mag = np.maximum(mag, ab)
+        terms.append(ab)
     rem = num.coeffs[:, 0] + np.convolve(wc, q[:, 0])[: D + 1]
-    scale = np.maximum.accumulate(
-        np.maximum(mag, np.maximum(np.abs(num.coeffs[:, 0]), num.max_abs() * 1e-6))
-    )
-    check_identity("exact division: the series vanishes on the curve", rem, scale,
-                   DIV_RTOL, CurveDivisionError)
+    check_identity("exact division: the series vanishes on the curve", rem, terms,
+                   DIV_RTOL, CurveDivisionError, floor=num.max_abs() * 1e-6)
     return BiSeries(q, D)
 
 
@@ -561,10 +552,9 @@ def implicit_w(Btilde):
         c[n] -= r[n] / dwB0
         wz = UniSeries(c, D)
     resid = compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
-    scale = np.maximum.accumulate(np.maximum(abs_compose_w(Btilde, wz).coeffs.real,
-                                             Btilde.max_abs() * 1e-6))
-    check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid, scale, CURVE_RTOL,
-                   CurveDivisionError)
+    check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid,
+                   [abs_compose_w(Btilde, wz).coeffs.real], CURVE_RTOL, CurveDivisionError,
+                   floor=Btilde.max_abs() * 1e-6)
     return wz
 
 

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cseries import (BiSeries, check_identity, degree_maxima, degree_scale,
-                      real_coordinates, real_gradient_series)
+from .cseries import (BiSeries, check_identity, degree_maxima, real_coordinates,
+                      real_gradient_series)
 from .fieldmodel import FieldSpec, compute_Q
 from .wkb import IDENTITY_RTOL, WKBSolution
 
@@ -156,7 +156,7 @@ class _ThetaEvaluator:
         B = self.field.B_taylor
         d1a2, d2a1 = real_gradient_series(a2)[0], real_gradient_series(a1)[1]
         check_identity("curl A~ = B~ (the field's Taylor data of B and A)",
-                       degree_maxima(d1a2 - d2a1 - B), degree_scale([d1a2, d2a1, B]),
+                       degree_maxima(d1a2 - d2a1 - B), [d1a2, d2a1, B],
                        IDENTITY_RTOL, GaugeConsistencyError, upto=B.cap - 2)
         ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         r = self.d_max * np.array([[0.3], [0.7], [1.0]])
@@ -440,13 +440,12 @@ def residual_series_exact(pm, h, n=None):
     )
 
 
-def residual_finite_difference(pm, h, n=512, L=None):
-    """Cross-check ResidualReport from the independent grid operator."""
+def residual_finite_difference(pm, h, n=512):
+    """Cross-check ResidualReport from the independent grid operator, on
+    n x n points of the square [-2 r_out, 2 r_out]^2 about the base point."""
     from . import numop
 
-    if L is None:
-        L = 2.0 * pm.cutoff.r_out
-    grid = numop.Grid2D(L=L, n=n)
+    grid = numop.Grid2D(L=2.0 * pm.cutoff.r_out, n=n)
     x0 = pm.sol.base_point
     x = grid.axis()
     # the local axes of the grid centred at x0

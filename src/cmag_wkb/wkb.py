@@ -23,9 +23,14 @@ Every step is verified as a series identity, each through
 ``cseries.check_identity``: the Poisson identity, J = 1 on the curve, the
 transport residual (w - w(z)) [8V d_w + F] a~_{j+1} - 4 d_z d_w a~_j and the
 compatibility restriction must vanish coefficient-wise up to the trusted
-degree.  Each transport step consumes three derivative orders, which is where
-the degree budget rule cap >= 3(N+2) comes from; the solver tracks the
-trusted degree of every amplitude and only asserts identities below it.
+degree.  Each check passes ``check_identity`` the terms it already holds, which
+set its scale: the Poisson check B~, the transport check its products
+c4 d_w a~ and (B~ - mu) a~ and its right-hand side, and the restrictions to
+the curve (J = 1, compatibility) the majorant |g| o |w| of the restricted
+series g; no product is formed only to size a tolerance.  Each transport
+step consumes three derivative orders, which is where the degree budget rule
+cap >= 3(N+2) comes from; the solver tracks the trusted degree of every
+amplitude and only asserts identities below it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .cseries import (
     compose_w,
     curve_integral_w,
     degree_maxima,
-    degree_scale,
     exact_divide_by_curve,
     implicit_w,
     t_average,
@@ -58,15 +62,6 @@ class DegenerateFieldError(ValueError):
 
 class TransportIdentityError(RuntimeError):
     """A series identity that must hold exactly failed beyond tolerance."""
-
-
-def _curve_check_scale(series, w_curve, parent_scale=0.0):
-    """Per-degree scale for on-curve restriction checks, floored by the
-    global magnitudes (restricted constant terms are cancellations whose
-    roundoff is set by the parent series' coefficients, not by the possibly
-    tiny restricted values themselves)."""
-    sc = np.maximum.accumulate(abs_compose_w(series, w_curve).coeffs.real + 1e-30)
-    return np.maximum(sc, 1e-6 * max(sc[-1], series.max_abs(), parent_scale))
 
 
 # ----------------------------------------------------------------------------
@@ -129,9 +124,9 @@ def first_transport(Btilde, phi, w_curve, V, F):
     ones = np.zeros(J.cap + 1, dtype=complex)
     ones[0] = 1.0
     on_curve = compose_w(J, w_curve).coeffs - ones
-    scale = np.maximum.accumulate(abs_compose_w(J, w_curve).coeffs.real + 1.0)
-    check_identity("J = 1 on the curve", on_curve, scale, IDENTITY_RTOL,
-                   TransportIdentityError)
+    # no floor: the majorant |J| o |w| is |J(0, 0)| = 1 at degree 0
+    check_identity("J = 1 on the curve", on_curve, [abs_compose_w(J, w_curve)],
+                   IDENTITY_RTOL, TransportIdentityError)
 
     dwJ = J.differentiate("w")
     u0 = compose_w(dwJ, w_curve)
@@ -157,46 +152,37 @@ class _Workspace:
         self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
 
-    def residual_scale(self, a_new, rhs):
-        """Per-degree magnitudes of the identity's terms, pre-cancellation.
-
-        Floored at 1e-6 of the global magnitudes entering the construction:
-        coefficients that are themselves cancellations (constant terms forced
-        to zero by the construction) carry roundoff set by the amplitude
-        arithmetic, which runs at the a_0 scale even when the identity's own
-        terms are tiny.
-        """
-        t1 = abs(self.c4) * abs(a_new.differentiate("w"))
-        t2 = abs(self.B - self.mu) * abs(a_new)
-        ds = degree_scale([t1, t2, abs(rhs)])
-        floor = max(ds[-1], self.amplitudes[0].max_abs(), a_new.max_abs())
-        return np.maximum(ds, 1e-6 * floor)
-
     def verify_step(self, j):
         """Transport residual and compatibility for amplitude j.
 
         The operator is [4(2 d_z phi~ + f') d_w + (B~ - mu)], with c4 its
         first-order coefficient; the right-hand side is 4 d_z d_w a~_{j-1},
-        zero for j = 0.
+        zero for j = 0.  Both checks are floored at 1e-6 of the global
+        magnitudes entering the construction: coefficients that are
+        themselves cancellations (constant terms forced to zero by the
+        construction) carry roundoff set by the amplitude arithmetic, which
+        runs at the a_0 scale even when the identity's own terms are tiny.
         """
         a_new = self.amplitudes[j]
-        lhs = self.c4 * a_new.differentiate("w") + (self.B - self.mu) * a_new
+        parent = max(a_new.max_abs(), self.amplitudes[0].max_abs())
+        t1, t2 = self.c4 * a_new.differentiate("w"), (self.B - self.mu) * a_new
         if j:
             rhs = 4.0 * self.amplitudes[j - 1].differentiate("w").differentiate("z")
         else:
             rhs = BiSeries.zeros(a_new.cap)
-        res = lhs - rhs
+        terms = [t1, t2, rhs]
         self.residual_maxima[f"transport_{j}"] = check_identity(
-            f"transport residual j={j}", degree_maxima(res), self.residual_scale(a_new, rhs),
-            IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 1)
+            f"transport residual j={j}", degree_maxima(t1 + t2 - rhs), terms,
+            IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 1,
+            floor=1e-6 * max(parent, *(t.max_abs() for t in terms)))
 
         dd = a_new.differentiate("w").differentiate("z")
         comp = compose_w(dd, self.w)
-        parent = max(a_new.max_abs(), self.amplitudes[0].max_abs())
-        cscale = _curve_check_scale(dd, self.w, parent_scale=parent)
+        majorant = abs_compose_w(dd, self.w)
         self.residual_maxima[f"compatibility_{j}"] = check_identity(
-            f"compatibility constraint j={j}", 4.0 * np.abs(comp.coeffs), 4.0 * cscale,
-            IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 2)
+            f"compatibility constraint j={j}", comp.coeffs, [majorant],
+            IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 2,
+            floor=1e-6 * max(majorant.max_abs(), dd.max_abs(), parent))
 
 
 def transport_step(ws, j):
@@ -309,7 +295,7 @@ def solve_wkb(field, N=3):
     w_curve = implicit_w(Btilde)
     phi = poisson_series(Btilde)
     res = 4.0 * phi.differentiate("w").differentiate("z") - Btilde
-    check_identity("Poisson identity", degree_maxima(res), degree_scale([abs(Btilde)]),
+    check_identity("Poisson identity", degree_maxima(res), [Btilde],
                    IDENTITY_RTOL, TransportIdentityError, upto=cap - 2)
 
     f, S = eikonal_phase(phi, w_curve)

@@ -218,7 +218,7 @@ def test_criterion_05_cross_evaluator():
     pm = make_pseudomode(field, sol, report=rep, N=1)
     h = 0.05
     rs = residual_series_exact(pm, h)
-    rf = residual_finite_difference(pm, h, n=512, L=2 * pm.cutoff.r_out)
+    rf = residual_finite_difference(pm, h, n=512)
     dev = abs(rf.ratio - rs.ratio) / rs.ratio
     ok = dev <= 0.10
     assert report(5, ok,

@@ -240,6 +240,18 @@ def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
     assert not (tmp_path / "d" / "residuals.csv").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "0", "-1", "inf"])
+def test_run_refuses_a_delta_outside_zero_to_inf_before_any_work(tmp_path, capsys, delta):
+    # only the upper bound d_max needs the solve: nothing is written
+    out = tmp_path / "d"
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
+                 "--delta", delta, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --delta") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_phase_positivity_failure_exit_code(tmp_path):
     # admissible per the (Q1,Q2,Q3) report, but the assembled phase is
     # indefinite: internal identity failure (exit 4)
@@ -415,6 +427,21 @@ def test_check_conditions_field_not_finite_on_a_circle_exits_2(tmp_path, capsys)
     assert cap.out == ""
     assert cap.err.startswith("config error") and cap.err.count("\n") == 1
     assert "not finite on the circle r = 7.19686e+42" in cap.err
+    assert not out.exists()
+
+
+def test_gamma_scan_field_not_finite_in_the_region_prints_no_warning(tmp_path, capsys):
+    # exp(|x|^2) overflows at the raster point (-30, -30): one config error
+    # line, no numpy RuntimeWarning, no raster
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["gamma-scan", "--builtin", "exponential", "--c", "0.4",
+                   "--region=-30,30,-30,30", "--n", "5", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "(-30.0, -30.0)" in err
     assert not out.exists()
 
 

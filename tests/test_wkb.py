@@ -270,17 +270,29 @@ def test_fit_growth_bound_holds_by_construction():
     ([0.0, 1e-3, 0.0], [1.0, 1.0, 1.0]),
     ([0.0, np.nan, 0.0], [1.0, 1.0, 1.0]),
     ([0.0, np.inf, 0.0], [1.0, np.inf, 1.0]),
-], ids=["large", "nan", "inf-over-inf"])
+    ([0.0, 1e-12, 0.0], [1e-3, 1e-3, 1e-3]),
+], ids=["large", "nan", "inf-over-inf", "small-scale"])
 def test_identity_check_rejects(residual, scale):
     with pytest.raises(TransportIdentityError, match="test identity: .* at degree 1 "):
-        check_identity("test identity", np.array(residual), np.array(scale), 1e-10,
+        check_identity("test identity", np.array(residual), [np.array(scale)], 1e-10,
                        TransportIdentityError, upto=2)
 
 
 def test_identity_check_returns_the_worst_ratio_up_to_its_degree():
-    res, scale = np.array([1e-12, -3e-12, 2e-12, 1e-3]), np.array([1.0, 2.0, 4.0, 1.0])
-    # the violation at degree 3 lies above upto and passes
-    worst = check_identity("test identity", res, scale, 1e-10, TransportIdentityError, upto=2)
-    assert worst == 1.5e-12 == max(np.abs(res[:3]) / scale[:3])
-    with pytest.raises(TransportIdentityError, match="at degree 3 "):
-        check_identity("test identity", res, scale, 1e-10, TransportIdentityError)
+    res = np.array([1e-12, -3e-12, 2e-12, 1e-3])
+    series = BiSeries.from_terms([(0, 0, 1.0), (1, 0, 2.0), (0, 2, -4.0), (2, 1, 1.0)], 3)
+    cases = [
+        ([np.array([1.0, 2.0, 4.0, 1.0])], 0.0, 1.5e-12),
+        ([series], 0.0, 1.5e-12),  # read per degree: 1, 2, 4, 1
+        # the second term sets degree 0; the 2 of degree 1 is carried up
+        ([np.array([0.0, 2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])], 0.0, 1.5e-12),
+        # ratios of 1e-9 against the terms alone; the floor hides them
+        ([np.full(4, 1e-3)], 1.0, 3e-12),
+    ]
+    for terms, floor, worst in cases:
+        # the violation at degree 3 lies above upto and passes
+        assert check_identity("test identity", res, terms, 1e-10, TransportIdentityError,
+                              upto=2, floor=floor) == worst
+        with pytest.raises(TransportIdentityError, match="at degree 3 "):
+            check_identity("test identity", res, terms, 1e-10, TransportIdentityError,
+                           floor=floor)
