@@ -15,7 +15,6 @@ from .fieldmodel import (
     gamma_scan,
     make_field,
     weyl_bracket,
-    wirtinger_at,
 )
 from .pseudomode import (
     Pseudomode,
@@ -43,7 +42,6 @@ __all__ = [
     "gamma_scan",
     "make_field",
     "weyl_bracket",
-    "wirtinger_at",
     "WKBSolution",
     "BoundFit",
     "solve_wkb",

@@ -5,7 +5,9 @@ Subcommands
 run               full pipeline at one base point: admissibility report, WKB
                   solve with identity checks, growth fit, pseudomode h-sweep,
                   decay fits; artifacts land in --out.
-gamma-scan        membership raster of the admissible set over a rectangle.
+gamma-scan        membership raster of the admissible set over a rectangle: one
+                  field, built at the raster's first point, whose closed forms
+                  are evaluated on the whole raster in one array pass.
 check-conditions  sampled pointwise conditions (C1)/(C2) and the divergence
                   trends (H1)-(H3).
 bound-fit         amplitude growth diagnostics only.
@@ -38,15 +40,18 @@ cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 --evaluator both; violating either exits 2 before any work starts.  So does
 an --h sweep other than h_max:h_min:count with 0 < h_min < h_max < inf and an
 integer count >= 2, and field data for which curl A at the base point is not
-finite (a NaN parameter or base point, or a raster point where the field
-overflows; the message names the point), and a --delta that is not a
-finite number > 0.  So does a Miller-Simon field based at the origin, for
-run and for a raster through it, and --x0 given to gamma-scan (the raster
-sets the base point).  A --delta above d_max = min(analytic_radius/2,
-0.95 trusted radius) exits 2 after the WKB solve, which d_max needs.
-A sample count --n below 1 (gamma-scan, check-conditions), radii for
-check-conditions outside 0 < --r-min < --r-max < inf, check-conditions
-numbers outside 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
+finite (a NaN parameter or base point; the message names the point), and a
+--delta that is not a finite number > 0.  So does a Miller-Simon field based
+at the origin, for run and for a raster through it, and --x0 given to
+gamma-scan (the raster sets the base point).  gamma-scan makes the same curl
+check at every raster point and also refuses a point where a value of its
+row would not be finite (the field overflows there); the message names the
+first such point in row-major order.  A --delta above d_max =
+min(analytic_radius/2, 0.95 trusted radius) exits 2 after the WKB solve,
+which d_max needs.  A sample count --n below 1 or a --region bound that is
+not finite (gamma-scan, check-conditions), radii for check-conditions
+outside 0 < --r-min < --r-max < inf, check-conditions numbers outside
+0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
 --C1-const and --C2-const and a finite --h > 0, and an --out that cannot be
 written (a file in a missing directory, or for run a path at or below an
 existing file) exit 2 before any work starts.  So does, before any verdict
@@ -126,7 +131,10 @@ def parse_region(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise ConfigError(f"region must be 'x1min,x1max,x2min,x2max', got {text!r}")
-    return tuple(parse_scalar(p) for p in parts)
+    region = tuple(parse_scalar(p) for p in parts)
+    if not all(math.isfinite(v) for v in region):
+        raise ConfigError(f"--region {text}: the bounds must be finite numbers")
+    return region
 
 
 def parse_complex(text):
@@ -298,15 +306,14 @@ def write_residual_csv(path, reports):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_gamma_csv(path, xs, ys, reports):
+def write_gamma_csv(path, xs, ys, report):
+    """One row per raster point in row-major order, from the n x n arrays of
+    ``report`` (``fieldmodel.gamma_scan``)."""
     lines = [CSV_HEADER, "x1,x2,in_gamma,Q1,Q2,Q3,det2,imA_norm"]
-    for i, u in enumerate(xs):
-        for j, v in enumerate(ys):
-            r = reports[i, j]
-            lines.append(
-                f"{float(u)!r},{float(v)!r},{int(r.in_gamma)},{float(r.Q1)!r},"
-                f"{float(r.Q2)!r},{float(r.Q3)!r},{float(r.det2)!r},{float(r.imA_norm)!r}"
-            )
+    columns = (np.repeat(xs, len(ys)), np.tile(ys, len(xs)), report.in_gamma, report.Q1,
+               report.Q2, report.Q3, report.det2, report.imA_norm)
+    lines.extend("%r,%r,%d,%r,%r,%r,%r,%r" % row
+                 for row in zip(*(np.ravel(c).tolist() for c in columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -422,16 +429,18 @@ def cmd_gamma_scan(args):
     _check_count(args.n)
     _check_out_file(args.out)
     cfg = _field_config(args)
-
-    def field_at(u, v):
-        return field_from_config({**cfg, "x0": (u, v)}, cap=2)
-
-    # a raster point where the field is not finite is refused by
-    # field_from_config, so numpy's warnings on the way there are noise
+    # one field, based at the raster's first point, serves every point; a
+    # field that is not finite there is refused, so numpy's warnings are noise.
+    # field_from_config is called by its module name: perfbench/child.py
+    # hooks that attribute to end set-up
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xs, ys, reports = fieldmodel.gamma_scan(field_at, region, args.n)
-    write_gamma_csv(args.out, xs, ys, reports)
-    members = sum(int(reports[i, j].in_gamma) for i in range(args.n) for j in range(args.n))
+        field = field_from_config({**cfg, "x0": (region[0], region[2])}, cap=2)
+    try:
+        xs, ys, report = fieldmodel.gamma_scan(field, region, args.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    write_gamma_csv(args.out, xs, ys, report)
+    members = int(np.count_nonzero(report.in_gamma))
     print(f"gamma-scan: {members} member points of {args.n * args.n}; wrote {args.out}")
     return EXIT_OK
 

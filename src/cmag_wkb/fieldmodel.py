@@ -1,19 +1,24 @@
 """Complex magnetic potentials, admissibility data, and hypothesis checkers.
 
-A field is a complex vector potential A : R^2 -> C^2 together with Taylor
-data of the scalar field B = curl A = d1 A2 - d2 A1, complexified at a base
-point.  The admissibility report carries the coefficients
+A field is a complex vector potential A : R^2 -> C^2 with its field
+B = curl A = d1 A2 - d2 A1, each given with closed-form first partials, plus
+Taylor data of B complexified at a base point.  The admissibility data at a
+point x are
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
     Q2 = 1/4 Im[B dzB/dzbarB]       + 1/4 (d1 Im A2 + d2 Im A1)
     Q3 = 1/4 Re[B (1 - dzB/dzbarB)] + 1/2 d2 Im A2
 
-evaluated at the base point.  Caveat: the cross-term realized by the
-assembled phase corresponds to the opposite sign of Q2's potential-derivative
-part, so the (Q1, Q2, Q3) form being positive definite does not by itself
-guarantee positivity of Re P when d1 Im A2 + d2 Im A1 is nonzero at the base
-point; the cutoff selection in the pseudomode stage verifies Re P directly
-and reports both readings on failure.
+with the Wirtinger derivatives (dzB, dzbarB) = (d1B -+ i d2B)/2.  One
+function (``admissibility``) evaluates them from the closed forms B, B_jac,
+A and jac at arrays of points: ``compute_Q`` is it at the base point, and
+``gamma_scan`` is it on a whole raster, with one field for all its points.
+Caveat: the cross-term realized by the assembled phase corresponds to the
+opposite sign of Q2's potential-derivative part, so the (Q1, Q2, Q3) form
+being positive definite does not by itself guarantee positivity of Re P when
+d1 Im A2 + d2 Im A1 is nonzero at the base point; the cutoff selection in
+the pseudomode stage verifies Re P directly and reports both readings on
+failure.
 
 Builtins:
 
@@ -99,32 +104,41 @@ def _poly_to_array(p, cap):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A potential with evaluable first partials plus complexified Taylor data.
+    """A potential and its field with evaluable first partials, plus
+    complexified Taylor data.
 
-    ``A`` maps (x1, x2) arrays to a pair (A1, A2); ``A_jac`` returns the four
-    partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to central
-    differences (step 1e-6) when no closed form is given.  ``div_A`` is the
-    trace of ``jac``.  ``B_taylor`` is the complexified series of curl A at
-    ``base_point``; ``A_taylor()`` returns the complexified pair (A1~, A2~) of
-    A there, at the same cap.  It is a function because only the phase of a
-    pseudomode needs it, and a raster builds thousands of fields.  ``params``
-    holds every keyword of the builder but ``base_point`` and ``cap``, its
-    defaults included, so ``make_field(name, params, base_point=..., cap=...)``
-    rebuilds the field.
+    ``A`` maps (x1, x2) arrays to a pair (A1, A2) and ``B`` to curl A.
+    ``B_jac`` returns the closed-form partials (d1B, d2B); ``A_jac`` returns
+    the four partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to
+    central differences (step 1e-6) when no closed form is given.  ``div_A``
+    is the trace of ``jac``.  ``B_taylor`` is the complexified series of
+    curl A at ``base_point``; ``A_taylor()`` returns the complexified pair
+    (A1~, A2~) of A there, at the same cap.  It is a function because only
+    the phase of a pseudomode needs it.  ``params`` holds every keyword of
+    the builder but ``base_point`` and ``cap``, its defaults included, so
+    ``make_field(name, params, base_point=..., cap=...)`` rebuilds the field.
 
-    ``A``, ``B`` and ``A_jac`` accept coordinate arrays that broadcast
-    against each other (an open product grid x1[:, None], x2[None, :] as
-    well as a dense meshgrid) and return arrays that broadcast to the
-    coordinates' common shape, elementwise equal to their values on the
-    dense grid; ``numop.apply_L`` and ``check_C`` sample on the grid's axes
-    and rely on it.  A component may come back smaller than that shape
-    (an empty polynomial gives 0j times a ones array of x1's shape).
+    Construction checks the closed forms against the Taylor data at the base
+    point: curl A (central differences) against the constant term of
+    ``B_taylor``, and the Wirtinger pair (d1B -+ i d2B)/2 of ``B_jac``
+    against its degree-1 coefficients; a mismatch or a NaN raises
+    FieldConsistencyError.
+
+    ``A``, ``B``, ``B_jac`` and ``A_jac`` accept coordinate arrays that
+    broadcast against each other (an open product grid x1[:, None],
+    x2[None, :] as well as a dense meshgrid) and return arrays that
+    broadcast to the coordinates' common shape, elementwise equal to their
+    values on the dense grid; ``numop.apply_L``, ``check_C`` and
+    ``gamma_scan`` sample on the grid's axes and rely on it.  A component
+    may come back smaller than that shape (an empty polynomial gives 0j
+    times a ones array of x1's shape).
     """
 
     name: str
     params: dict
     A: Callable
     B: Callable
+    B_jac: Callable
     B_taylor: BiSeries
     base_point: tuple
     analytic_radius: float
@@ -134,11 +148,22 @@ class FieldSpec:
     def __post_init__(self):
         if not self.analytic_radius > 0:
             raise ValueError("analytic_radius must be positive")
+        if self.B_taylor.cap < 1:
+            raise ValueError("B_taylor must carry at least degree 1")
         b_num = curl_fd(self.A, self.base_point)
         b0 = self.B_taylor.coeffs[0, 0]
         if not abs(b_num - b0) <= 1e-6 * max(1.0, abs(b0)):  # a NaN fails too
             raise FieldConsistencyError(
                 f"curl A at base point {self.base_point} = {b_num}, Taylor constant term = {b0}"
+            )
+        x1, x2 = self.base_point
+        closed = [complex(v) for v in _wirtinger(*self.B_jac(np.float64(x1), np.float64(x2)))]
+        taylor = [complex(self.B_taylor.coeffs[1, 0]), complex(self.B_taylor.coeffs[0, 1])]
+        tol = 1e-9 * max(1.0, *map(abs, closed))
+        if not all(abs(t - c) <= tol for t, c in zip(taylor, closed)):  # a NaN fails too
+            raise FieldConsistencyError(
+                f"(dzB, dzbarB) at base point {self.base_point} = {tuple(closed)} from B_jac, "
+                f"Taylor degree-1 terms = {tuple(taylor)}"
             )
 
     def jac(self, x1, x2):
@@ -161,8 +186,14 @@ class FieldSpec:
         return d1a1 + d2a2
 
 
+def _wirtinger(d1b, d2b):
+    """The Wirtinger derivatives (dzB, dzbarB) = (d1B -+ i d2B)/2."""
+    return 0.5 * (d1b - 1j * d2b), 0.5 * (d1b + 1j * d2b)
+
+
 def curl_fd(A, x):
-    """Central-difference curl of A at the point x, step 1e-5."""
+    """Central-difference curl of A at the point x (coordinate arrays
+    broadcast), step 1e-5."""
     step = 1e-5
     x1, x2 = x
     _, a2p = A(x1 + step, x2)
@@ -206,6 +237,9 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
     def B(x1, x2):
         return np.sin(x1) + 1j * np.sin(x2)
 
+    def B_jac(x1, x2):
+        return np.cos(x1), 1j * np.cos(x2)
+
     breal = np.zeros((cap + 1, cap + 1), dtype=complex)
     s1 = _trig_taylor(x0[0], cap, "sin")
     s2 = _trig_taylor(x0[1], cap, "sin")
@@ -225,7 +259,7 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
         return complexify_real_taylor(a1, cap), complexify_real_taylor(a2, cap)
 
     return FieldSpec(
-        name="oscillating", params={}, A=A, B=B, B_taylor=bt, base_point=x0,
+        name="oscillating", params={}, A=A, B=B, B_jac=B_jac, B_taylor=bt, base_point=x0,
         analytic_radius=1.0, A_taylor=A_taylor, A_jac=A_jac,
     )
 
@@ -263,6 +297,7 @@ def user_polynomial_field(A1, A2, base_point=(0.0, 0.0), cap=24, analytic_radius
 def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     x0 = (float(base_point[0]), float(base_point[1]))
     Bp = poly_curl(A1p, A2p)
+    d1B, d2B = poly_partial(Bp, 1), poly_partial(Bp, 2)
     d1A1, d2A1 = poly_partial(A1p, 1), poly_partial(A1p, 2)
     d1A2, d2A2 = poly_partial(A2p, 1), poly_partial(A2p, 2)
 
@@ -280,18 +315,35 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     def B(x1, x2):
         return poly_eval(Bp, x1, x2) * np.ones_like(np.asarray(x1, dtype=float))
 
+    def B_jac(x1, x2):
+        one = np.ones_like(np.asarray(x1, dtype=float))
+        return poly_eval(d1B, x1, x2) * one, poly_eval(d2B, x1, x2) * one
+
     def taylor(p):
         return complexify_real_taylor(_poly_to_array(poly_shift(p, x0), cap), cap)
 
     return FieldSpec(
-        name=name, params=params, A=A, B=B, B_taylor=taylor(Bp), base_point=x0,
+        name=name, params=params, A=A, B=B, B_jac=B_jac, B_taylor=taylor(Bp), base_point=x0,
         analytic_radius=analytic_radius, A_taylor=lambda: (taylor(A1p), taylor(A2p)),
         A_jac=A_jac,
     )
 
 
+def _off_origin_radius(x1, x2):
+    """|x| at points that avoid the origin, where the Miller-Simon potential
+    has a kink; refuses any point within 1e-9 of it."""
+    r = np.hypot(x1, x2)
+    if np.any(r < 1e-9):
+        raise ValueError("miller_simon base point must avoid the origin (|x| kink)")
+    return r
+
+
 def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
-    """A = c (-x2, x1) / (1+|x|)^alpha; bounded field, bounded potential."""
+    """A = c (-x2, x1) / (1+|x|)^alpha; bounded field, bounded potential.
+
+    B = B(r) with B'(r) = c alpha ((alpha - 2) r - 3) / (1+r)^(alpha+2), so
+    d_i B = B'(r) x_i / r away from the origin.
+    """
     c = complex(c)
     alpha = float(alpha)
     x0 = (float(base_point[0]), float(base_point[1]))
@@ -305,21 +357,26 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
         r = np.hypot(x1, x2)
         return c * (2.0 / (1.0 + r) ** alpha - alpha * r / (1.0 + r) ** (alpha + 1))
 
-    if math.hypot(*x0) < 1e-9:
-        raise ValueError("miller_simon base point must avoid the origin (|x| kink)")
+    def B_jac(x1, x2):
+        r = _off_origin_radius(x1, x2)
+        g = c * alpha * ((alpha - 2.0) * r - 3.0) / ((1.0 + r) ** (alpha + 2) * r)
+        return g * x1, g * x2
+
+    _off_origin_radius(*x0)
     X1, X2, rho = _shifted_coordinates(x0, cap)
     r = rho.power(0.5)
     f = c * (1 + r).power(-alpha)
     bt = f * (2 - alpha * r * (1 + r).reciprocal())
     return FieldSpec(
-        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B,
+        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B, B_jac=B_jac,
         B_taylor=bt, base_point=x0, analytic_radius=0.5 * min(1.0, math.hypot(*x0)),
         A_taylor=lambda: (-f * X2, f * X1),
     )
 
 
 def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
-    """A = i c e^{|x|^2} (-x2, x1); Im B = 2c(1+|x|^2)e^{|x|^2}."""
+    """A = i c e^{|x|^2} (-x2, x1); Im B = 2c(1+|x|^2)e^{|x|^2} and
+    d_i B = 4ic x_i (2+|x|^2) e^{|x|^2}."""
     c = float(c)
     x0 = (float(base_point[0]), float(base_point[1]))
 
@@ -330,6 +387,11 @@ def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     def B(x1, x2):
         r2 = x1**2 + x2**2
         return 2j * c * (1.0 + r2) * np.exp(r2)
+
+    def B_jac(x1, x2):
+        r2 = x1**2 + x2**2
+        g = 4j * c * (2.0 + r2) * np.exp(r2)
+        return g * x1, g * x2
 
     def A_jac(x1, x2):
         e = np.exp(x1**2 + x2**2)
@@ -342,7 +404,8 @@ def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     X1, X2, rho = _shifted_coordinates(x0, cap)
     e = rho.exp()
     return FieldSpec(
-        name="exponential", params={"c": c}, A=A, B=B, B_taylor=(1 + rho) * e * (2j * c),
+        name="exponential", params={"c": c}, A=A, B=B, B_jac=B_jac,
+        B_taylor=(1 + rho) * e * (2j * c),
         base_point=x0, analytic_radius=1.0,
         A_taylor=lambda: (e * X2 * (-1j * c), e * X1 * (1j * c)), A_jac=A_jac,
     )
@@ -370,8 +433,17 @@ def make_field(name, params=None, **where):
 # admissibility data
 # ----------------------------------------------------------------------------
 
+GAMMA_CONDITIONS = ("im_A_nonzero", "B_zero", "dzbar_B_zero", "Q1_nonpositive",
+                    "det_nonpositive")
+
+
 @dataclass(frozen=True)
 class GammaReport:
+    """Admissibility data.  ``compute_Q`` fills it with numbers and the names
+    of the failed conditions; ``admissibility`` and ``gamma_scan`` with
+    arrays over their points, ``failed_conditions`` then being a bool array
+    with one row per ``GAMMA_CONDITIONS`` entry."""
+
     Q1: float
     Q2: float
     Q3: float
@@ -383,66 +455,85 @@ class GammaReport:
     failed_conditions: tuple
 
 
-def wirtinger_at(field):
-    """(d_z B, d_zbar B) at the base point, read off the complexified series."""
-    if field.B_taylor.cap < 1:
-        raise ValueError("B_taylor must carry at least degree 1")
-    return complex(field.B_taylor.coeffs[1, 0]), complex(field.B_taylor.coeffs[0, 1])
+def admissibility(field, x1, x2):
+    """Admissibility coefficients and membership at the points (x1, x2).
 
-
-def compute_Q(field):
-    """Admissibility coefficients and membership verdict at the base point.
+    Reads the closed forms B, B_jac, A and jac of ``field`` at coordinate
+    arrays that broadcast against each other; every entry of the returned
+    GammaReport has their common shape.
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
     Q2 = 1/4 Im[B dzB/dzbarB]       + 1/4 (d1 Im A2 + d2 Im A1)
     Q3 = 1/4 Re[B (1 - dzB/dzbarB)] + 1/2 d2 Im A2
-    """
-    x1, x2 = field.base_point
-    B0 = complex(field.B_taylor.coeffs[0, 0])
-    dzB, dzbarB = wirtinger_at(field)
-    a1, a2 = field.A(np.float64(x1), np.float64(x2))
-    imA_norm = float(np.hypot(complex(a1).imag, complex(a2).imag))
-    d1a1, d2a1, d1a2, d2a2 = field.jac(np.float64(x1), np.float64(x2))
 
-    failed = []
-    if imA_norm > GAMMA_TOL:
-        failed.append("im_A_nonzero")
-    if abs(B0) <= GAMMA_TOL:
-        failed.append("B_zero")
-    if abs(dzbarB) <= GAMMA_TOL:
-        failed.append("dzbar_B_zero")
-        rho = 0.0 + 0.0j
-    else:
-        rho = dzB / dzbarB
-    Q1 = 0.25 * (B0 * (1.0 + rho)).real + 0.5 * complex(d1a1).imag
-    Q2 = 0.25 * (B0 * rho).imag + 0.25 * (complex(d1a2).imag + complex(d2a1).imag)
-    Q3 = 0.25 * (B0 * (1.0 - rho)).real + 0.5 * complex(d2a2).imag
+    where dzB/dzbarB is read as 0 at a point with |dzbarB| <= GAMMA_TOL.
+    """
+    shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+    b0 = np.broadcast_to(field.B(x1, x2), shape)
+    dzB, dzbarB = (np.broadcast_to(v, shape) for v in _wirtinger(*field.B_jac(x1, x2)))
+    a1, a2 = field.A(x1, x2)
+    imA_norm = np.broadcast_to(np.hypot(np.imag(a1), np.imag(a2)), shape)
+    d1a1, d2a1, d1a2, d2a2 = (np.imag(v) for v in field.jac(x1, x2))
+    flat = np.abs(dzbarB) <= GAMMA_TOL
+    rho = np.where(flat, 0j, dzB / np.where(flat, 1.0, dzbarB))
+    Q1 = 0.25 * (b0 * (1.0 + rho)).real + 0.5 * d1a1
+    Q2 = 0.25 * (b0 * rho).imag + 0.25 * (d1a2 + d2a1)
+    Q3 = 0.25 * (b0 * (1.0 - rho)).real + 0.5 * d2a2
     det2 = Q1 * Q3 - Q2 * Q2
-    if not Q1 > GAMMA_TOL:
-        failed.append("Q1_nonpositive")
-    if not det2 > GAMMA_TOL:
-        failed.append("det_nonpositive")
+    failed = np.array([imA_norm > GAMMA_TOL, np.abs(b0) <= GAMMA_TOL, flat,
+                       ~(Q1 > GAMMA_TOL), ~(det2 > GAMMA_TOL)])  # a NaN Q fails
     return GammaReport(
-        Q1=Q1, Q2=Q2, Q3=Q3, det2=det2, imA_norm=imA_norm, B0=B0,
-        dzbarB=dzbarB, in_gamma=not failed, failed_conditions=tuple(failed),
+        Q1=Q1, Q2=Q2, Q3=Q3, det2=det2, imA_norm=imA_norm, B0=b0, dzbarB=dzbarB,
+        in_gamma=~failed.any(axis=0), failed_conditions=failed,
     )
 
 
-def gamma_scan(make_field_at, region, n):
-    """Per-gridpoint membership raster.
+def compute_Q(field):
+    """``admissibility`` at the base point, as numbers and the names of the
+    failed conditions."""
+    x1, x2 = field.base_point
+    rep = admissibility(field, np.float64(x1), np.float64(x2))
+    failed = tuple(name for name, f in zip(GAMMA_CONDITIONS, rep.failed_conditions) if f)
+    return GammaReport(
+        Q1=float(rep.Q1), Q2=float(rep.Q2), Q3=float(rep.Q3), det2=float(rep.det2),
+        imA_norm=float(rep.imA_norm), B0=complex(rep.B0), dzbarB=complex(rep.dzbarB),
+        in_gamma=not failed, failed_conditions=failed,
+    )
 
-    ``make_field_at(x1, x2)`` must return a FieldSpec based at that point
-    (a degree-2 Taylor is enough).  Returns (X1, X2, reports) with reports a
-    2-D object array of GammaReport.
+
+def gamma_scan(field, region, n):
+    """Membership raster of ``field`` on the n x n grid over region =
+    (x1min, x1max, x2min, x2max), in one array pass.
+
+    ``admissibility`` is evaluated on the open product grid xs[:, None],
+    ys[None, :], so one field serves every point whatever its base point.
+    Returns (xs, ys, report) with report a GammaReport of n x n arrays, row
+    i and column j at (xs[i], ys[j]).  Raises FieldConsistencyError naming
+    the first point in row-major order where the central-difference curl of
+    A disagrees with B (the check a field based there makes) or where a value
+    of the report is not finite; numpy's warnings on the way there are not
+    printed.
     """
     x1min, x1max, x2min, x2max = region
     xs = np.linspace(x1min, x1max, n)
     ys = np.linspace(x2min, x2max, n)
-    reports = np.empty((n, n), dtype=object)
-    for i, u in enumerate(xs):
-        for j, v in enumerate(ys):
-            reports[i, j] = compute_Q(make_field_at(u, v))
-    return xs, ys, reports
+    x1, x2 = xs[:, None], ys[None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rep = admissibility(field, x1, x2)
+        b = rep.B0
+        curl = np.broadcast_to(curl_fd(field.A, (x1, x2)), b.shape)
+        curl_ok = np.abs(curl - b) <= 1e-6 * np.maximum(1.0, np.abs(b))  # a NaN fails too
+    finite = np.logical_and.reduce([np.isfinite(v) for v in (
+        rep.Q1, rep.Q2, rep.Q3, rep.det2, rep.imA_norm, rep.B0, rep.dzbarB)])
+    bad = ~(curl_ok & finite)
+    if np.any(bad):
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        note = "; its admissibility data are not finite" if curl_ok[i, j] else ""
+        raise FieldConsistencyError(
+            f"curl A at base point {(float(xs[i]), float(ys[j]))} = {complex(curl[i, j])}, "
+            f"B = {complex(b[i, j])}{note}"
+        )
+    return xs, ys, rep
 
 
 # ----------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from cmag_wkb.fieldmodel import (
     check_H,
     compute_Q,
     exponential_field,
+    gamma_scan,
     miller_simon_field,
     oscillating_field,
     polynomial_field,
@@ -100,11 +101,9 @@ def test_criterion_01_series_identities():
 
 def test_criterion_02_gamma_ground_truth():
     n = 257
-    xs = np.linspace(-2 * np.pi, 2 * np.pi, n)
-    got = np.zeros((n, n), dtype=bool)
-    for i, u in enumerate(xs):
-        for j, v in enumerate(xs):
-            got[i, j] = compute_Q(oscillating_field((u, v), cap=2)).in_gamma
+    region = (-2 * np.pi, 2 * np.pi, -2 * np.pi, 2 * np.pi)
+    field = oscillating_field((region[0], region[2]), cap=2)
+    got = gamma_scan(field, region, n)[2].in_gamma
     # closed form: x2 = -pi/2 + 2 pi k on-grid at j in {96, 224};
     # x1 mod 2pi in (0, pi) \ {pi/2} at i in (0,64)+(128,192) minus {32, 160}
     expected = np.zeros((n, n), dtype=bool)

@@ -133,18 +133,20 @@ def test_run_config_error_exit_code(tmp_path):
     assert not any((tmp_path / d).exists() for d in ("n7", "neg", "fd"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--x0", "nan,0"],
-    ["run", "--builtin", "polynomial", "--a", "nan"],
-    ["bound-fit", "--x0", "nan,-pi/2"],
-    ["gamma-scan", "--region=0,nan,0,1", "--n", "3"],
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--x0", "nan,0"], "curl A at base point"),
+    (["run", "--builtin", "polynomial", "--a", "nan"], "curl A at base point"),
+    (["bound-fit", "--x0", "nan,-pi/2"], "curl A at base point"),
+    (["gamma-scan", "--region=0,nan,0,1", "--n", "3"], "--region 0,nan,0,1"),
 ], ids=["run-x0", "run-a", "bound-fit-x0", "gamma-scan-region"])
-def test_nan_field_data_is_a_config_error(tmp_path, capsys, argv):
-    # a NaN in the field's data fails the curl check at the base point: not an
-    # admissibility rejection (3), an identity failure (4) or a NaN raster (0)
+def test_nan_field_data_is_a_config_error(tmp_path, capsys, argv, named):
+    # a NaN in the field's data fails the curl check at the base point, and a
+    # NaN region bound is refused as such: not an admissibility rejection (3),
+    # an identity failure (4) or a NaN raster (0)
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: curl A at base point") and "Traceback" not in err
+    assert err.startswith(f"config error: {named}") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_gamma_scan_csv(tmp_path):
@@ -372,6 +374,10 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
     pytest.param(_RUN + ["--out", "{file}"], "{file}", id="run-out-is-file"),
     pytest.param(_RUN + ["--out", "{file}/o"], "{file}/o", id="run-out-below-file"),
     pytest.param(_SCAN + ["--n", "0", "--out", "{tmp}/r.csv"], "--n 0", id="gamma-scan-n-0"),
+    pytest.param(["gamma-scan", "--region=0,inf,0,1", "--out", "{tmp}/r.csv"],
+                 "--region 0,inf,0,1", id="gamma-scan-region-inf"),
+    pytest.param(_CONDS + ["--region=0,inf,0,1"], "--region 0,inf,0,1",
+                 id="check-conditions-region-inf"),
     pytest.param(_SCAN + ["--n=-2", "--out", "{tmp}/r.csv"], "--n -2", id="gamma-scan-n-neg"),
     pytest.param(_CONDS + ["--n", "0"], "--n 0", id="check-conditions-n-0"),
     pytest.param(_CONDS + ["--n", "2", "--r-min", "0"], "--r-min 0",
@@ -398,10 +404,10 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
 ])
 def test_unwritable_out_and_empty_count_exit_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, named):
-    # an --out that cannot be written, a non-positive --n, radii outside
-    # 0 < r_min < r_max < inf, or check-conditions numbers outside their
-    # ranges are refused with one line naming it, and no subcommand reaches
-    # its first computation
+    # an --out that cannot be written, a non-positive --n, a --region bound
+    # that is not finite, radii outside 0 < r_min < r_max < inf, or
+    # check-conditions numbers outside their ranges are refused with one line
+    # naming it, and no subcommand reaches its first computation
     def work(*args, **kwargs):
         raise AssertionError("work started")
 

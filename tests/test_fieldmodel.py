@@ -6,11 +6,13 @@ import pytest
 from cmag_wkb.cseries import degree_maxima, real_gradient_series
 from cmag_wkb.fieldmodel import (
     ConditionCheckConfig,
+    GAMMA_CONDITIONS,
     FieldConsistencyError,
     check_C,
     check_H,
     compute_Q,
     exponential_field,
+    gamma_scan,
     make_field,
     miller_simon_field,
     oscillating_field,
@@ -18,51 +20,69 @@ from cmag_wkb.fieldmodel import (
     poly_partial,
     user_polynomial_field,
     weyl_bracket,
-    wirtinger_at,
 )
 
 X0 = (np.pi / 3, -np.pi / 2)
 
 
 # ----------------------------------------------------------------------------
-# Wirtinger data
+# Wirtinger data: B_taylor's degree-1 terms, B_jac, and compute_Q's dzbarB
 # ----------------------------------------------------------------------------
+
+def taylor_wirtinger(field):
+    """(d_z B, d_zbar B) at the base point, read off the complexified series."""
+    return complex(field.B_taylor.coeffs[1, 0]), complex(field.B_taylor.coeffs[0, 1])
+
 
 def test_wirtinger_oscillating_on_admissible_line():
     # at cos(x2) = 0 both Wirtinger derivatives equal cos(x1)/2
     field = oscillating_field(X0, cap=8)
-    dz, dzbar = wirtinger_at(field)
+    dz, dzbar = taylor_wirtinger(field)
     expected = 0.5 * np.cos(X0[0])
     assert abs(dz - expected) < 1e-14
     assert abs(dzbar - expected) < 1e-14
+    assert abs(compute_Q(field).dzbarB - expected) < 1e-14
 
 
 def test_wirtinger_constant_field():
     field = polynomial_field(2.0, 0.0, 0.0, R={}, cap=6)
-    assert wirtinger_at(field) == (0.0, 0.0)
+    assert taylor_wirtinger(field) == (0.0, 0.0)
+    rep = compute_Q(field)
+    assert rep.dzbarB == 0.0 and "dzbar_B_zero" in rep.failed_conditions
 
 
 def test_wirtinger_pure_w_series():
     # B = x1 - i x2 has B~ = w: derivatives (0, 1)
     field = user_polynomial_field({}, {(2, 0): 0.5, (1, 1): -1j}, cap=6)
-    dz, dzbar = wirtinger_at(field)
+    dz, dzbar = taylor_wirtinger(field)
     assert abs(dz) < 1e-14 and abs(dzbar - 1.0) < 1e-14
+    assert abs(compute_Q(field).dzbarB - 1.0) < 1e-14
 
 
 def test_wirtinger_matches_central_differences_on_builtins():
+    # B_jac against central differences of B at and around the base point,
+    # and its Wirtinger pair there against the Taylor degree-1 terms and the
+    # report's dzbarB
     for field in (oscillating_field(X0, cap=8),
-                  polynomial_field(1.0, 1j, 1.0, cap=8)):
-        x1, x2 = field.base_point
+                  polynomial_field(1.0, 1j, 1.0, cap=8),
+                  miller_simon_field(0.5 - 2j, 2.5, base_point=(-0.4, 0.9), cap=4),
+                  exponential_field(0.4, base_point=(0.3, -0.5), cap=4),
+                  user_polynomial_field({(2, 1): 1.5j}, {(0, 3): 2.0, (1, 0): 1j},
+                                        base_point=(0.4, -0.3), cap=4)):
+        x1 = field.base_point[0] + np.array([0.0, 0.05, -0.1])
+        x2 = field.base_point[1] + np.array([0.0, -0.07, 0.02])
         d = 1e-4
         B = field.B
-        d1 = (B(x1 + d, x2) - B(x1 - d, x2)) / (2 * d)
-        d2 = (B(x1, x2 + d) - B(x1, x2 - d)) / (2 * d)
-        dz_fd = 0.5 * (d1 - 1j * d2)
-        dzbar_fd = 0.5 * (d1 + 1j * d2)
-        dz, dzbar = wirtinger_at(field)
-        scale = max(abs(dz), abs(dzbar), 1.0)
-        assert abs(dz - dz_fd) < 1e-7 * scale
-        assert abs(dzbar - dzbar_fd) < 1e-7 * scale
+        d1_fd = (B(x1 + d, x2) - B(x1 - d, x2)) / (2 * d)
+        d2_fd = (B(x1, x2 + d) - B(x1, x2 - d)) / (2 * d)
+        d1, d2 = (np.broadcast_to(v, x1.shape) for v in field.B_jac(x1, x2))
+        scale = max(np.max(np.abs(d1_fd)), np.max(np.abs(d2_fd)), 1.0)
+        assert np.max(np.abs(d1 - d1_fd)) < 1e-7 * scale, field.name
+        assert np.max(np.abs(d2 - d2_fd)) < 1e-7 * scale, field.name
+        dz, dzbar = 0.5 * (d1[0] - 1j * d2[0]), 0.5 * (d1[0] + 1j * d2[0])
+        tz, tzbar = taylor_wirtinger(field)
+        assert abs(tz - dz) < 1e-14 * scale and abs(tzbar - dzbar) < 1e-14 * scale, field.name
+        assert abs(compute_Q(field).dzbarB - dzbar) < 1e-14 * scale, field.name
 
 
 # ----------------------------------------------------------------------------
@@ -316,6 +336,17 @@ def test_consistency_check_rejects_mismatched_taylor():
     from dataclasses import replace
     with pytest.raises(FieldConsistencyError):
         replace(good, A=lambda x1, x2: (np.zeros_like(x1), 5.0 * x1))
+    # a B_jac of the wrong sign disagrees with B_taylor's degree-1 terms
+    for field in (good, oscillating_field(X0, cap=2), miller_simon_field(cap=2),
+                  exponential_field(0.4, base_point=(0.3, -0.5), cap=2),
+                  user_polynomial_field({(2, 1): 1.5j}, {(0, 3): 2.0, (1, 0): 1j},
+                                        base_point=(0.4, -0.3), cap=2)):
+        def flipped(x1, x2, f=field):
+            return tuple(-v for v in f.B_jac(x1, x2))
+
+        replace(field, B_jac=field.B_jac)  # the unchanged field passes
+        with pytest.raises(FieldConsistencyError, match="from B_jac"):
+            replace(field, B_jac=flipped)
 
 
 @pytest.mark.parametrize("field", [
@@ -413,10 +444,52 @@ def test_field_callables_broadcast_on_an_open_grid(field):
     ys = field.base_point[1] + np.linspace(-0.9, 1.4, 47)
     x1, x2 = np.meshgrid(xs, ys, indexing="ij", sparse=True)
     X1, X2 = np.meshgrid(xs, ys, indexing="ij")
-    for name in ("A", "jac", "div_A", "B"):
+    for name in ("A", "jac", "div_A", "B", "B_jac"):
         got, want = getattr(field, name)(x1, x2), getattr(field, name)(X1, X2)
         if name in ("div_A", "B"):
             got, want = (got,), (want,)
         for g, w in zip(got, want, strict=True):
             assert w.shape == X1.shape
             assert np.array_equal(np.broadcast_to(g, X1.shape), w), name
+
+
+@pytest.mark.parametrize("name", sorted(REBUILD_CASES))
+def test_compute_Q_at_a_point_is_its_raster_row(name):
+    # one field based at the raster's first point gives, at each raster point,
+    # the report of a field based there
+    params, x0 = REBUILD_CASES[name]
+    region = (x0[0] - 0.4, x0[0] + 0.4, x0[1] - 0.4, x0[1] + 0.4)
+    field = make_field(name, params, base_point=(region[0], region[2]), cap=2)
+    xs, ys, raster = gamma_scan(field, region, 9)
+    assert raster.Q1.shape == (9, 9)
+    # the same arithmetic on arrays and on numbers, up to the last bits of
+    # numpy's vector loops; a central-difference jac (Miller-Simon) divides
+    # those by its 2e-6 step
+    tol = 1e-14 if field.A_jac is not None else 1e-9
+    for i, j in ((0, 0), (4, 4), (8, 3), (2, 7), (8, 8)):
+        rep = compute_Q(make_field(name, params, base_point=(xs[i], ys[j]), cap=2))
+        failed = tuple(c for c, f in zip(GAMMA_CONDITIONS, raster.failed_conditions[:, i, j])
+                       if f)
+        assert (bool(raster.in_gamma[i, j]), failed) == (rep.in_gamma, rep.failed_conditions)
+        for key in ("Q1", "Q2", "Q3", "det2", "imA_norm", "B0", "dzbarB"):
+            want = getattr(rep, key)
+            assert abs(getattr(raster, key)[i, j] - want) <= tol * max(1.0, abs(want)), key
+
+
+def test_gamma_scan_refuses_the_first_inconsistent_point():
+    # the check a field based at each raster point makes: with B off by |x|^2
+    # away from the base point, curl A fails it first at (0, 0.5) in row-major
+    # order; a B_jac that is infinite from x1 = 1 on is refused at (1, 0)
+    from dataclasses import replace
+    good = polynomial_field(1.0, 1j, 1.0, cap=2)
+    assert gamma_scan(good, (0, 1, 0, 1), 3)[2].in_gamma.shape == (3, 3)
+    off = replace(good, B=lambda x1, x2: good.B(x1, x2) + x1**2 + x2**2)
+    with pytest.raises(FieldConsistencyError, match=r"curl A at base point \(0\.0, 0\.5\)"):
+        gamma_scan(off, (0, 1, 0, 1), 3)
+
+    def B_jac(x1, x2):
+        return tuple(np.where(x1 > 0.7, np.inf, v) for v in good.B_jac(x1, x2))
+
+    with pytest.raises(FieldConsistencyError,
+                       match=r"curl A at base point \(1\.0, 0\.0\) .* not finite"):
+        gamma_scan(replace(good, B_jac=B_jac), (0, 1, 0, 1), 3)

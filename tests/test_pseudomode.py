@@ -235,9 +235,10 @@ def test_euler_commutator_matches_gradient_pairs(make_pm):
 
 
 def test_gauge_mismatch_raises():
-    # Taylor data of B = 1.3-field paired with the potential of the c = 1 field
-    field = replace(polynomial_field(1.0, 1j, 1.0),
-                    B_taylor=polynomial_field(1.0, 1j, 1.3).B_taylor)
+    # Taylor data and B_jac of the c = 1.3 field paired with the potential of
+    # the c = 1 field (B_jac too, or construction refuses the pair)
+    other = polynomial_field(1.0, 1j, 1.3)
+    field = replace(polynomial_field(1.0, 1j, 1.0), B_taylor=other.B_taylor, B_jac=other.B_jac)
     with pytest.raises(GaugeConsistencyError, match="curl"):
         make_pseudomode(field, solve_wkb(field, N=1), N=1)
 
