@@ -48,8 +48,10 @@ check at every raster point and also refuses a point where a value of its
 row would not be finite (the field overflows there); the message names the
 first such point in row-major order.  A --delta above d_max =
 min(analytic_radius/2, 0.95 trusted radius) exits 2 after the WKB solve,
-which d_max needs.  A sample count --n below 1 or a --region bound that is
-not finite (gamma-scan, check-conditions), radii for check-conditions
+which d_max needs, and so does a --delta so small (1e-170, say) that
+|x|^2 underflows on the Re P samples of the cutoff check.  A sample count
+--n below 1 or a --region bound that is not finite (gamma-scan,
+check-conditions), radii for check-conditions
 outside 0 < --r-min < --r-max < inf, check-conditions numbers outside
 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
 --C1-const and --C2-const and a finite --h > 0, and an --out that cannot be
@@ -85,7 +87,7 @@ from .pseudomode import (
 )
 from .wkb import DegenerateFieldError, TransportIdentityError, fit_growth, solve_wkb
 
-CSV_HEADER = "# cmag-wkb v1"
+CSV_HEADER = "# cmag-wkb v2"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -296,12 +298,11 @@ def _check_order(N, cap):
 # ----------------------------------------------------------------------------
 
 def write_residual_csv(path, reports):
-    lines = [CSV_HEADER, "h,N_used,evaluator,u_norm,residual_norm,ratio,quad_points,tail_estimate"]
+    lines = [CSV_HEADER, "h,N_used,evaluator,u_norm,residual_norm,ratio,quad_points"]
     for r in reports:
         lines.append(
             f"{float(r.h)!r},{r.N_used},{r.evaluator},{float(r.u_norm)!r},"
-            f"{float(r.residual_norm)!r},{float(r.ratio)!r},{r.quadrature_points},"
-            f"{float(r.tail_estimate)!r}"
+            f"{float(r.residual_norm)!r},{float(r.ratio)!r},{r.quadrature_points}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -425,7 +426,8 @@ def cmd_run(args):
 def cmd_gamma_scan(args):
     region = parse_region(args.region)
     if args.x0 is not None:
-        raise ConfigError("gamma-scan bases the field at each raster point; --x0 is not taken")
+        raise ConfigError("gamma-scan bases the field at the raster's first point; "
+                          "--x0 is not taken")
     _check_count(args.n)
     _check_out_file(args.out)
     cfg = _field_config(args)

@@ -11,7 +11,7 @@ point x are
 
 with the Wirtinger derivatives (dzB, dzbarB) = (d1B -+ i d2B)/2.  One
 function (``admissibility``) evaluates them from the closed forms B, B_jac,
-A and jac at arrays of points: ``compute_Q`` is it at the base point, and
+A and A_jac at arrays of points: ``compute_Q`` is it at the base point, and
 ``gamma_scan`` is it on a whole raster, with one field for all its points.
 Caveat: the cross-term realized by the assembled phase corresponds to the
 opposite sign of Q2's potential-derivative part, so the (Q1, Q2, Q3) form
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -104,19 +104,19 @@ def _poly_to_array(p, cap):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A potential and its field with evaluable first partials, plus
+    """A potential and its field with closed-form first partials, plus
     complexified Taylor data.
 
     ``A`` maps (x1, x2) arrays to a pair (A1, A2) and ``B`` to curl A.
-    ``B_jac`` returns the closed-form partials (d1B, d2B); ``A_jac`` returns
-    the four partials (d1A1, d2A1, d1A2, d2A2), and ``jac`` falls back to
-    central differences (step 1e-6) when no closed form is given.  ``div_A``
-    is the trace of ``jac``.  ``B_taylor`` is the complexified series of
-    curl A at ``base_point``; ``A_taylor()`` returns the complexified pair
-    (A1~, A2~) of A there, at the same cap.  It is a function because only
-    the phase of a pseudomode needs it.  ``params`` holds every keyword of
-    the builder but ``base_point`` and ``cap``, its defaults included, so
-    ``make_field(name, params, base_point=..., cap=...)`` rebuilds the field.
+    ``A_jac`` returns the closed-form partials (d1A1, d2A1, d1A2, d2A2) and
+    ``B_jac`` the closed-form partials (d1B, d2B); every builder gives both.
+    ``div_A`` is the trace of ``A_jac``.  ``B_taylor`` is the complexified
+    series of curl A at ``base_point``; ``A_taylor()`` returns the
+    complexified pair (A1~, A2~) of A there, at the same cap.  It is a
+    function because only the phase of a pseudomode needs it.  ``params``
+    holds every keyword of the builder but ``base_point`` and ``cap``, its
+    defaults included, so ``make_field(name, params, base_point=...,
+    cap=...)`` rebuilds the field.
 
     Construction checks the closed forms against the Taylor data at the base
     point: curl A (central differences) against the constant term of
@@ -138,12 +138,12 @@ class FieldSpec:
     params: dict
     A: Callable
     B: Callable
+    A_jac: Callable
     B_jac: Callable
     B_taylor: BiSeries
     base_point: tuple
     analytic_radius: float
     A_taylor: Callable
-    A_jac: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.analytic_radius > 0:
@@ -166,23 +166,8 @@ class FieldSpec:
                 f"Taylor degree-1 terms = {tuple(taylor)}"
             )
 
-    def jac(self, x1, x2):
-        if self.A_jac is not None:
-            return self.A_jac(x1, x2)
-        step = 1e-6
-        a1p, a2p = self.A(x1 + step, x2)
-        a1m, a2m = self.A(x1 - step, x2)
-        b1p, b2p = self.A(x1, x2 + step)
-        b1m, b2m = self.A(x1, x2 - step)
-        return (
-            (a1p - a1m) / (2 * step),
-            (b1p - b1m) / (2 * step),
-            (a2p - a2m) / (2 * step),
-            (b2p - b2m) / (2 * step),
-        )
-
     def div_A(self, x1, x2):
-        d1a1, _, _, d2a2 = self.jac(x1, x2)
+        d1a1, _, _, d2a2 = self.A_jac(x1, x2)
         return d1a1 + d2a2
 
 
@@ -259,8 +244,8 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
         return complexify_real_taylor(a1, cap), complexify_real_taylor(a2, cap)
 
     return FieldSpec(
-        name="oscillating", params={}, A=A, B=B, B_jac=B_jac, B_taylor=bt, base_point=x0,
-        analytic_radius=1.0, A_taylor=A_taylor, A_jac=A_jac,
+        name="oscillating", params={}, A=A, B=B, A_jac=A_jac, B_jac=B_jac, B_taylor=bt,
+        base_point=x0, analytic_radius=1.0, A_taylor=A_taylor,
     )
 
 
@@ -323,9 +308,9 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
         return complexify_real_taylor(_poly_to_array(poly_shift(p, x0), cap), cap)
 
     return FieldSpec(
-        name=name, params=params, A=A, B=B, B_jac=B_jac, B_taylor=taylor(Bp), base_point=x0,
-        analytic_radius=analytic_radius, A_taylor=lambda: (taylor(A1p), taylor(A2p)),
-        A_jac=A_jac,
+        name=name, params=params, A=A, B=B, A_jac=A_jac, B_jac=B_jac, B_taylor=taylor(Bp),
+        base_point=x0, analytic_radius=analytic_radius,
+        A_taylor=lambda: (taylor(A1p), taylor(A2p)),
     )
 
 
@@ -341,8 +326,10 @@ def _off_origin_radius(x1, x2):
 def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
     """A = c (-x2, x1) / (1+|x|)^alpha; bounded field, bounded potential.
 
+    With f = c (1+r)^-alpha and g = f'(r)/r = -alpha c (1+r)^-(alpha+1) / r,
+    the partials of A are (-g x1 x2, -(f + g x2^2), f + g x1^2, g x1 x2).
     B = B(r) with B'(r) = c alpha ((alpha - 2) r - 3) / (1+r)^(alpha+2), so
-    d_i B = B'(r) x_i / r away from the origin.
+    d_i B = B'(r) x_i / r.  Both hold away from the origin.
     """
     c = complex(c)
     alpha = float(alpha)
@@ -352,6 +339,12 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
         r = np.hypot(x1, x2)
         f = c / (1.0 + r) ** alpha
         return (-f * x2, f * x1)
+
+    def A_jac(x1, x2):
+        r = _off_origin_radius(x1, x2)
+        f = c / (1.0 + r) ** alpha
+        g = -alpha * c / ((1.0 + r) ** (alpha + 1) * r)
+        return -g * x1 * x2, -(f + g * x2**2), f + g * x1**2, g * x1 * x2
 
     def B(x1, x2):
         r = np.hypot(x1, x2)
@@ -368,9 +361,9 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
     f = c * (1 + r).power(-alpha)
     bt = f * (2 - alpha * r * (1 + r).reciprocal())
     return FieldSpec(
-        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B, B_jac=B_jac,
-        B_taylor=bt, base_point=x0, analytic_radius=0.5 * min(1.0, math.hypot(*x0)),
-        A_taylor=lambda: (-f * X2, f * X1),
+        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B, A_jac=A_jac,
+        B_jac=B_jac, B_taylor=bt, base_point=x0,
+        analytic_radius=0.5 * min(1.0, math.hypot(*x0)), A_taylor=lambda: (-f * X2, f * X1),
     )
 
 
@@ -404,10 +397,10 @@ def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     X1, X2, rho = _shifted_coordinates(x0, cap)
     e = rho.exp()
     return FieldSpec(
-        name="exponential", params={"c": c}, A=A, B=B, B_jac=B_jac,
+        name="exponential", params={"c": c}, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
         B_taylor=(1 + rho) * e * (2j * c),
         base_point=x0, analytic_radius=1.0,
-        A_taylor=lambda: (e * X2 * (-1j * c), e * X1 * (1j * c)), A_jac=A_jac,
+        A_taylor=lambda: (e * X2 * (-1j * c), e * X1 * (1j * c)),
     )
 
 
@@ -458,7 +451,7 @@ class GammaReport:
 def admissibility(field, x1, x2):
     """Admissibility coefficients and membership at the points (x1, x2).
 
-    Reads the closed forms B, B_jac, A and jac of ``field`` at coordinate
+    Reads the closed forms B, B_jac, A and A_jac of ``field`` at coordinate
     arrays that broadcast against each other; every entry of the returned
     GammaReport has their common shape.
 
@@ -473,7 +466,7 @@ def admissibility(field, x1, x2):
     dzB, dzbarB = (np.broadcast_to(v, shape) for v in _wirtinger(*field.B_jac(x1, x2)))
     a1, a2 = field.A(x1, x2)
     imA_norm = np.broadcast_to(np.hypot(np.imag(a1), np.imag(a2)), shape)
-    d1a1, d2a1, d1a2, d2a2 = (np.imag(v) for v in field.jac(x1, x2))
+    d1a1, d2a1, d1a2, d2a2 = (np.imag(v) for v in field.A_jac(x1, x2))
     flat = np.abs(dzbarB) <= GAMMA_TOL
     rho = np.where(flat, 0j, dzB / np.where(flat, 1.0, dzbarB))
     Q1 = 0.25 * (b0 * (1.0 + rho)).real + 0.5 * d1a1
@@ -672,13 +665,13 @@ def weyl_bracket(field, x, xi):
     """Principal symbol p(x, xi) and the canonical bracket {Re p, Im p}.
 
     p = |xi - Re A|^2 - |Im A|^2 - 2i <xi - Re A, Im A>; x-partials of the
-    two real symbols come from ``field.jac`` (closed forms where the builder
-    gives them), xi-partials are exact.
+    two real symbols come from the closed form ``field.A_jac``, xi-partials
+    are exact.
     Bracket convention: {f, g} = grad_xi f . grad_x g - grad_x f . grad_xi g.
     """
     x1, x2 = np.asarray(x, dtype=float)
     a = np.array([complex(c) for c in field.A(x1, x2)])
-    dA = np.array([complex(c) for c in field.jac(x1, x2)]).reshape(2, 2)  # [j, k] = d_k A_j
+    dA = np.array([complex(c) for c in field.A_jac(x1, x2)]).reshape(2, 2)  # [j, k] = d_k A_j
     v = np.asarray(xi, dtype=float) - a.real
     im = a.imag
     p = v @ v - im @ im - 2j * (v @ im)

@@ -56,7 +56,7 @@ class GaugeConsistencyError(RuntimeError):
 
 
 class CutoffRadiusError(ValueError):
-    """A cutoff radius override outside (0, d_max]."""
+    """A cutoff radius override outside (0, d_max], or too small to sample."""
 
 
 # ----------------------------------------------------------------------------
@@ -188,10 +188,12 @@ def _rep_quadratic(P):
 
 def _reP_over_r2_min(phase, delta):
     """Min of Re P / r^2 over 8 circles r = delta/8, ..., delta of 64 angles
-    each, in one call of the phase evaluator ``phase``."""
+    each, in one call of the phase evaluator ``phase``; not finite (and no
+    warning) where r^2 underflows."""
     r = np.linspace(delta / 8, delta, 8)[:, None]
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
 def select_cutoff(phase, report=None, delta_override=None):
@@ -199,7 +201,8 @@ def select_cutoff(phase, report=None, delta_override=None):
     0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
     ``phase`` is the pseudomode's phase evaluator.
 
-    Raises CutoffRadiusError for an override outside (0, d_max], and
+    Raises CutoffRadiusError for an override outside (0, d_max] or one so
+    small that the sampled Re P / |x|^2 is not finite, and
     PhaseNotPositiveError with the exact Re P quadratic when no disc works:
     at once when that quadratic (the degree-2 part of P) is not positive
     definite, else after the search (this is exactly the situation where the
@@ -221,6 +224,11 @@ def select_cutoff(phase, report=None, delta_override=None):
                 f"0.95 trusted_radius) = {d_max:.6g}: the series are not trusted there"
             )
         m_lo = _reP_over_r2_min(phase, delta)
+        if not math.isfinite(m_lo):
+            raise CutoffRadiusError(
+                f"delta override {delta:.6g}: Re P / |x|^2 is not finite on the samples "
+                f"(|x|^2 underflows); the cutoff radius is too small"
+            )
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
@@ -356,7 +364,6 @@ class ResidualReport:
     ratio: float
     evaluator: str
     quadrature_points: int
-    tail_estimate: float
     interior_norm: float = 0.0
     cutoff_norm: float = 0.0
 
@@ -435,7 +442,7 @@ def residual_series_exact(pm, h, n=None):
     return ResidualReport(
         h=h, N_used=N, u_norm=math.sqrt(un2), residual_norm=math.sqrt(rn2),
         ratio=math.sqrt(rn2 / un2), evaluator="series_exact",
-        quadrature_points=(2 * n) ** 2, tail_estimate=pm.sol.tail_bound(cut.r_out),
+        quadrature_points=(2 * n) ** 2,
         interior_norm=math.sqrt(in2), cutoff_norm=math.sqrt(cn2),
     )
 
@@ -462,7 +469,6 @@ def residual_finite_difference(pm, h, n=512):
     return ResidualReport(
         h=h, N_used=pm.N_used(h), u_norm=un, residual_norm=rn, ratio=rn / un,
         evaluator="finite_difference", quadrature_points=n * n,
-        tail_estimate=pm.sol.tail_bound(pm.cutoff.r_out),
     )
 
 

@@ -234,15 +234,6 @@ class WKBSolution:
     def cap(self):
         return self.phi.cap
 
-    def tail_bound(self, r):
-        """Truncation-tail estimate at radius r: the largest last retained
-        diagonal of S, J and the amplitudes (the family the trusted radius
-        comes from) at r, times rho/(1 - rho) with rho = r over the trusted
-        radius (infinite from rho = 1 on)."""
-        diag = _last_diagonal(self.S, self.J, *self.amplitudes) * r**self.cap
-        rho = r / max(self.trusted_radius, 1e-300)
-        return diag * rho / (1.0 - rho) if rho < 1.0 else float("inf")
-
     # -- serialization ----------------------------------------------------
     def to_json(self):
         """The written record of wkb_solution.json; nothing reads it back."""

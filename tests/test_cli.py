@@ -233,13 +233,19 @@ def test_run_user_polynomial_field_from_config(tmp_path):
 
 def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
     # d_max = min(analytic_radius/2, 0.95 trusted radius) = 0.647 here; the
-    # series are not trusted beyond it (tail_estimate would read inf)
-    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
-                 "--delta", "5", "--out", str(tmp_path / "d")])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "d_max" in err and "Traceback" not in err
-    assert not (tmp_path / "d" / "residuals.csv").exists()
+    # series are not trusted beyond it.  At the other end, |x|^2 underflows
+    # on the samples of a delta of 1e-200, so Re P / |x|^2 is not finite
+    for delta, reason in (("5", "d_max"), ("1e-200", "not finite")):
+        out = tmp_path / delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
+                         "--delta", delta, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: delta override") and err.count("\n") == 1
+        assert reason in err
+        assert not (out / "residuals.csv").exists()
 
 
 @pytest.mark.parametrize("delta", ["nan", "0", "-1", "inf"])

@@ -85,6 +85,29 @@ def test_wirtinger_matches_central_differences_on_builtins():
         assert abs(compute_Q(field).dzbarB - dzbar) < 1e-14 * scale, field.name
 
 
+def test_A_jac_matches_central_differences_on_builtins():
+    # A_jac = (d1A1, d2A1, d1A2, d2A2) against central differences of A at
+    # and around the base point
+    for field in (oscillating_field(X0, cap=8),
+                  polynomial_field(8.0, 0.3 + 1j, 1.0, cap=8),
+                  miller_simon_field(1 + 1j, 1.0, cap=4),
+                  miller_simon_field(0.5 - 2j, 2.5, base_point=(-0.4, 0.9), cap=4),
+                  exponential_field(0.4, base_point=(0.3, -0.5), cap=4),
+                  user_polynomial_field({(2, 1): 1.5j}, {(0, 3): 2.0, (1, 0): 1j},
+                                        base_point=(0.4, -0.3), cap=4)):
+        x1 = field.base_point[0] + np.array([0.0, 0.05, -0.1])
+        x2 = field.base_point[1] + np.array([0.0, -0.07, 0.02])
+        d = 1e-4
+        A = field.A
+        d1_fd = [(p - m) / (2 * d) for p, m in zip(A(x1 + d, x2), A(x1 - d, x2))]
+        d2_fd = [(p - m) / (2 * d) for p, m in zip(A(x1, x2 + d), A(x1, x2 - d))]
+        want = (d1_fd[0], d2_fd[0], d1_fd[1], d2_fd[1])
+        got = [np.broadcast_to(v, x1.shape) for v in field.A_jac(x1, x2)]
+        scale = max(1.0, *(np.max(np.abs(w)) for w in want))
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert np.max(np.abs(g - w)) < 1e-7 * scale, (field.name, k)
+
+
 # ----------------------------------------------------------------------------
 # admissibility coefficients
 # ----------------------------------------------------------------------------
@@ -432,7 +455,7 @@ def test_div_A_is_the_jacobian_trace():
     oscillating_field(X0),
     polynomial_field(8.0, 0.3 + 1j, 1.0),
     exponential_field(0.4, (0.2, -0.1)),
-    miller_simon_field(1 + 1j, 1.0),  # jac by central differences of A
+    miller_simon_field(1 + 1j, 1.0),
     user_polynomial_field({}, {(1, 0): 1.0, (2, 0): 0.5j}, cap=4),
     user_polynomial_field({(2, 1): 1.5j, (0, 1): -0.5}, {(0, 3): 2.0, (1, 0): 1j}, cap=6),
 ], ids=lambda f: f.name + ("_empty_A1" if f.params.get("A1") == {} else ""))
@@ -444,7 +467,7 @@ def test_field_callables_broadcast_on_an_open_grid(field):
     ys = field.base_point[1] + np.linspace(-0.9, 1.4, 47)
     x1, x2 = np.meshgrid(xs, ys, indexing="ij", sparse=True)
     X1, X2 = np.meshgrid(xs, ys, indexing="ij")
-    for name in ("A", "jac", "div_A", "B", "B_jac"):
+    for name in ("A", "A_jac", "div_A", "B", "B_jac"):
         got, want = getattr(field, name)(x1, x2), getattr(field, name)(X1, X2)
         if name in ("div_A", "B"):
             got, want = (got,), (want,)
@@ -463,9 +486,8 @@ def test_compute_Q_at_a_point_is_its_raster_row(name):
     xs, ys, raster = gamma_scan(field, region, 9)
     assert raster.Q1.shape == (9, 9)
     # the same arithmetic on arrays and on numbers, up to the last bits of
-    # numpy's vector loops; a central-difference jac (Miller-Simon) divides
-    # those by its 2e-6 step
-    tol = 1e-14 if field.A_jac is not None else 1e-9
+    # numpy's vector loops
+    tol = 1e-14
     for i, j in ((0, 0), (4, 4), (8, 3), (2, 7), (8, 8)):
         rep = compute_Q(make_field(name, params, base_point=(xs[i], ys[j]), cap=2))
         failed = tuple(c for c, f in zip(GAMMA_CONDITIONS, raster.failed_conditions[:, i, j])

@@ -120,9 +120,12 @@ def _canonical_M(sol, y1, y2):
 def _canonical_field(field, sol):
     """The same field in the canonical gauge A := M (so theta == 0)."""
     d1phi, d2phi = real_gradient_series(sol.phi)
+    M = (-d2phi, d1phi)
+    dM = [d for m in M for d in real_gradient_series(m)]  # d1M1, d2M1, d1M2, d2M2
     x0 = sol.base_point
     return replace(field, A=lambda x1, x2: _canonical_M(sol, x1 - x0[0], x2 - x0[1]),
-                   A_jac=None, A_taylor=lambda: (-d2phi, d1phi))
+                   A_jac=lambda x1, x2: tuple(d.realify(x1 - x0[0], x2 - x0[1]) for d in dM),
+                   A_taylor=lambda: M)
 
 
 def test_theta_zero_in_canonical_gauge(work_setup):
@@ -289,7 +292,11 @@ def test_unresolved_gauge_quadrature_raises():
         a1, a2 = base.A(x1, x2)
         return a1 + np.cos(5000.0 * x1), a2
 
-    field = replace(base, A=A, A_jac=None)
+    def A_jac(x1, x2):
+        d1a1, d2a1, d1a2, d2a2 = base.A_jac(x1, x2)
+        return d1a1 - 5000.0 * np.sin(5000.0 * x1), d2a1, d1a2, d2a2
+
+    field = replace(base, A=A, A_jac=A_jac)
     with pytest.raises(GaugeConsistencyError, match="potential A"):
         make_pseudomode(field, solve_wkb(field, N=1), N=1)
 
@@ -447,7 +454,7 @@ def test_residual_report_fields(work_setup):
     assert r.evaluator == "series_exact"
     assert r.u_norm > 0 and r.ratio == pytest.approx(r.residual_norm / r.u_norm)
     assert r.N_used == 1
-    assert r.quadrature_points > 0 and 0.0 < r.tail_estimate < np.inf
+    assert r.quadrature_points > 0
 
 
 def test_interior_residual_zero_when_top_amplitude_vanishes(constant_field_solution):
@@ -519,7 +526,7 @@ def test_adaptive_rule_and_budget_clip(work_setup, caplog):
 def test_positive_norm_enforced():
     with pytest.raises(ValueError):
         ResidualReport(h=0.1, N_used=1, u_norm=0.0, residual_norm=1.0, ratio=1.0,
-                       evaluator="series_exact", quadrature_points=1, tail_estimate=0.0)
+                       evaluator="series_exact", quadrature_points=1)
 
 
 # ----------------------------------------------------------------------------
@@ -529,8 +536,7 @@ def test_positive_norm_enforced():
 def _fake_reports(hs, ratios):
     return [
         ResidualReport(h=float(h), N_used=1, u_norm=1.0, residual_norm=float(r),
-                       ratio=float(r), evaluator="series_exact",
-                       quadrature_points=1, tail_estimate=0.0)
+                       ratio=float(r), evaluator="series_exact", quadrature_points=1)
         for h, r in zip(hs, ratios)
     ]
 
