@@ -48,8 +48,9 @@ check at every raster point and also refuses a point where a value of its
 row would not be finite (the field overflows there); the message names the
 first such point in row-major order.  A --delta above d_max =
 min(analytic_radius/2, 0.95 trusted radius) exits 2 after the WKB solve,
-which d_max needs, and so does a --delta so small (1e-170, say) that
-|x|^2 underflows on the Re P samples of the cutoff check.  A sample count
+which d_max needs, and so does a --delta so small that |x|^2 underflows
+on the Re P samples of the cutoff check (1e-170, say) or that the cutoff
+profile's scale 1/(r_out - r_in)^2 overflows (1e-160).  A sample count
 --n below 1 or a --region bound that is not finite (gamma-scan,
 check-conditions), radii for check-conditions
 outside 0 < --r-min < --r-max < inf, check-conditions numbers outside
@@ -309,12 +310,15 @@ def write_residual_csv(path, reports):
 
 def write_gamma_csv(path, xs, ys, report):
     """One row per raster point in row-major order, from the n x n arrays of
-    ``report`` (``fieldmodel.gamma_scan``)."""
+    ``report`` (``fieldmodel.gamma_scan``); each coordinate is formatted
+    once, each value with ``repr``."""
+    x1, x2 = (list(map(repr, np.asarray(v).tolist())) for v in (xs, ys))
+    points = (f"{u},{v}" for u in x1 for v in x2)
+    flags = map(str, np.ravel(report.in_gamma).astype(int).tolist())
+    values = (map(repr, np.ravel(c).tolist())
+              for c in (report.Q1, report.Q2, report.Q3, report.det2, report.imA_norm))
     lines = [CSV_HEADER, "x1,x2,in_gamma,Q1,Q2,Q3,det2,imA_norm"]
-    columns = (np.repeat(xs, len(ys)), np.tile(ys, len(xs)), report.in_gamma, report.Q1,
-               report.Q2, report.Q3, report.det2, report.imA_norm)
-    lines.extend("%r,%r,%d,%r,%r,%r,%r,%r" % row
-                 for row in zip(*(np.ravel(c).tolist() for c in columns)))
+    lines.extend(map(",".join, zip(points, flags, *values)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -28,11 +28,19 @@ of the left operand: with part l of the right operand as row l of a
 zero-padded array Y and T_j[u, n] = x_j[n-u] (a strided view), row l of
 Y @ T_j is x_j * y_l, added into part j + l in ascending j.  Only the
 sequential recurrences, ``exp`` and ``power`` (Euler-operator recurrences)
-and ``reciprocal``, sum ``np.convolve`` per degree (``_convolve_sum``), and
-the per-degree reader ``degree_maxima`` reduces single parts.  The sums are
-direct, never FFTs: each coefficient of degree k is a sum of exactly the
-products that enter it, so its roundoff is set by the magnitudes of degree k,
-which the per-degree identity scales rely on.
+and ``reciprocal``, sum ``np.convolve`` per degree (``_convolve_sum``).  A
+z-only factor times a bivariate series is one lower-triangular Toeplitz
+matmul, T(A) @ c (``UniSeries.__mul__``).  The sums are direct, never FFTs:
+each coefficient of degree k is a sum of exactly the products that enter it,
+so its roundoff is set by the magnitudes of degree k, which the per-degree
+identity scales rely on.
+
+The readers of whole degrees work on the coefficients in graded order (part
+0, part 1, ..., as ``_graded`` lists them), one ufunc ``reduceat`` over all
+parts: ``degree_maxima`` takes the maximum of each part, and ``compose_w``
+the antidiagonal sums that restrict a series to the curve w = w(z), from
+c @ W with W[b] = w^b, the curve's power table (built once per curve and
+cached on it, with that of the majorant |w|).
 
 Evaluation has two routes.  Scattered points (the gauge check's rings, the
 cutoff search's polar samples, the phase evaluator, ``assemble(pm, h)`` on
@@ -59,7 +67,7 @@ of degree <= k, and at least the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,6 +106,13 @@ def _graded_index(cap):
     k = np.repeat(np.arange(cap + 1), np.arange(1, cap + 2))
     a = np.concatenate([np.arange(d + 1) for d in range(cap + 1)])
     return a, k - a
+
+
+@lru_cache(maxsize=None)
+def _part_starts(cap):
+    """Where part k = 0..cap starts in the graded order of ``_graded_index``."""
+    k = np.arange(cap + 1)
+    return k * (k + 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +179,13 @@ class _Series:
 
     def _new(self, coeffs):
         return type(self)(coeffs, self.cap)
+
+    def parts(self):
+        """Homogeneous parts: part k is the 1-D array of the degree-k
+        coefficients by z-degree (slices of the graded coefficients)."""
+        flat, starts = self._graded()
+        bounds = [*starts.tolist(), flat.size]
+        return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
     def __add__(self, other):
         if np.isscalar(other):
@@ -272,10 +294,18 @@ class UniSeries(_Series):
 
     # -- ring operations -------------------------------------------------
     def __mul__(self, other):
+        """Product with a scalar, a UniSeries, or a BiSeries (a z-only factor
+        A times y: the BiSeries T @ y with T[a, i] = A[a - i], lower
+        triangular Toeplitz, a strided view of the zero-padded A)."""
         if np.isscalar(other):
             return self._new(self.coeffs * other)
         self._check(other)
-        return self._new(np.convolve(self.coeffs, other.coeffs)[: self.cap + 1])
+        D = self.cap
+        if isinstance(other, BiSeries):
+            padded = np.concatenate([np.zeros(D, dtype=complex), self.coeffs])
+            T = sliding_window_view(padded, D + 1)[:, ::-1]
+            return BiSeries(T @ other.coeffs, D)
+        return self._new(np.convolve(self.coeffs, other.coeffs)[: D + 1])
 
     __rmul__ = __mul__
 
@@ -290,9 +320,10 @@ class UniSeries(_Series):
         c[1:] = self.coeffs[:-1] / np.arange(1, self.cap + 1)
         return UniSeries(c, self.cap)
 
-    def parts(self):
-        """Homogeneous parts: entry k is the one-element array c[k:k+1]."""
-        return [self.coeffs[k:k + 1] for k in range(self.cap + 1)]
+    def _graded(self):
+        """Coefficients in graded order and the start of each part: part k
+        is the one coefficient c[k]."""
+        return self.coeffs, np.arange(self.cap + 1)
 
     def _with_parts(self, parts):
         return self._new(np.concatenate(parts))
@@ -305,6 +336,23 @@ class UniSeries(_Series):
         c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
         c[:, 0] = self.coeffs
         return BiSeries(c, self.cap)
+
+    # -- the curve w = w(z) ----------------------------------------------
+    @cached_property
+    def _powers(self):
+        """Read-only table W[b] = self^b truncated at the cap, b = 0..cap."""
+        D = self.cap
+        W = np.zeros((D + 1, D + 1), dtype=complex)
+        W[0, 0] = 1.0
+        for b in range(1, D + 1):
+            W[b] = np.convolve(W[b - 1], self.coeffs)[: D + 1]
+        W.setflags(write=False)
+        return W
+
+    @cached_property
+    def _majorant(self):
+        """|self|, kept so that its power table is built once too."""
+        return abs(self)
 
 
 # ----------------------------------------------------------------------------
@@ -350,10 +398,10 @@ class BiSeries(_Series):
         return BiSeries(c, cap)
 
     # -- structure ------------------------------------------------------
-    def parts(self):
-        """Homogeneous parts: entry k is the 1-D array of c[a, k-a], a = 0..k."""
-        flat = self.coeffs[_graded_index(self.cap)]
-        return [flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2] for k in range(self.cap + 1)]
+    def _graded(self):
+        """Coefficients in graded order and the start of each part: part k
+        is c[a, k-a], a = 0..k."""
+        return self.coeffs[_graded_index(self.cap)], _part_starts(self.cap)
 
     def _with_parts(self, parts):
         c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
@@ -448,19 +496,17 @@ def compose_w(a, w_of_z):
     """Restrict to the curve: z ↦ a(z, w(z)).
 
     ``w_of_z`` must vanish at the center (w(0) = 0) so the composition keeps
-    the expansion point.  Horner in w with truncated univariate products.
+    the expansion point.  With W[b] = w^b (the curve's power table), row a of
+    c @ W is sum_b c[a, b] w^b, and the coefficient of z^n is the sum of
+    (c @ W)[a, n - a] over a: one ``reduceat`` of c @ W in graded order.
     """
     if a.cap != w_of_z.cap:
         raise SeriesStructureError(f"cap mismatch: {a.cap} vs {w_of_z.cap}")
     if w_of_z.coeffs[0] != 0:
         raise ValueError("compose_w: w(0) != 0 breaks the expansion center")
     D = a.cap
-    res = np.zeros(D + 1, dtype=complex)
-    wc = w_of_z.coeffs
-    for b in range(D, -1, -1):
-        res = np.convolve(res, wc)[: D + 1]
-        res += a.coeffs[:, b]
-    return UniSeries(res, D)
+    M = a.coeffs @ w_of_z._powers
+    return UniSeries(np.add.reduceat(M[_graded_index(D)], _part_starts(D)), D)
 
 
 def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
@@ -491,13 +537,16 @@ def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
 
 
 def degree_maxima(series):
-    """Largest coefficient magnitude of each homogeneous part of a series."""
-    return np.array([np.abs(p).max() for p in series.parts()])
+    """Largest coefficient magnitude of each homogeneous part of a series,
+    one ``reduceat`` over the graded coefficients (max is exact, so this is
+    the part-by-part maximum bit for bit)."""
+    flat, starts = series._graded()
+    return np.maximum.reduceat(np.abs(flat), starts)
 
 
 def abs_compose_w(a, w_of_z):
     """Per-degree magnitude bound for compose_w: |a| composed with |w|."""
-    return compose_w(abs(a), abs(w_of_z))
+    return compose_w(abs(a), w_of_z._majorant)
 
 
 def exact_divide_by_curve(num, w_of_z):

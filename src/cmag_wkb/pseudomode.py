@@ -56,7 +56,8 @@ class GaugeConsistencyError(RuntimeError):
 
 
 class CutoffRadiusError(ValueError):
-    """A cutoff radius override outside (0, d_max], or too small to sample."""
+    """A cutoff radius override outside (0, d_max], or too small to sample
+    or to hold a finite cutoff profile."""
 
 
 # ----------------------------------------------------------------------------
@@ -196,13 +197,22 @@ def _reP_over_r2_min(phase, delta):
         return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
+def _profile_is_finite(cut):
+    """Whether chi, chi' and the radial Laplacian of chi are finite at 257
+    radii across the ring [r_in, r_out]; their scale 1/(r_out - r_in)^2
+    overflows when the ring is too thin (no warning)."""
+    r = np.linspace(cut.r_in, cut.r_out, 257)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(np.isfinite(v).all() for v in cut.profile(r))
+
+
 def select_cutoff(phase, report=None, delta_override=None):
     """Pick delta as the largest radius <= d_max = min(analytic_radius/2,
     0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
     ``phase`` is the pseudomode's phase evaluator.
 
     Raises CutoffRadiusError for an override outside (0, d_max] or one so
-    small that the sampled Re P / |x|^2 is not finite, and
+    small that the sampled Re P / |x|^2 or the cutoff profile is not finite, and
     PhaseNotPositiveError with the exact Re P quadratic when no disc works:
     at once when that quadratic (the degree-2 part of P) is not positive
     definite, else after the search (this is exactly the situation where the
@@ -229,11 +239,17 @@ def select_cutoff(phase, report=None, delta_override=None):
                 f"delta override {delta:.6g}: Re P / |x|^2 is not finite on the samples "
                 f"(|x|^2 underflows); the cutoff radius is too small"
             )
+        cut = CutoffSpec(r_out=delta,
+                         M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12))
+        if not _profile_is_finite(cut):
+            raise CutoffRadiusError(
+                f"delta override {delta:.6g}: the cutoff profile is not finite "
+                f"(its scale 1/(r_out - r_in)^2 overflows); the cutoff radius is too small"
+            )
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
-        return CutoffSpec(r_out=delta,
-                          M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12))
+        return cut
 
     # the actual quadratic of Re P: no disc works unless it is positive definite
     c11, c12, c22 = _rep_quadratic(phase.P)

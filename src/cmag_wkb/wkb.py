@@ -132,7 +132,7 @@ def first_transport(Btilde, phi, w_curve, V, F):
     u0 = compose_w(dwJ, w_curve)
     v0 = compose_w(dwJ.differentiate("z"), w_curve)
     A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative()).exp()
-    a0 = A0.as_biseries() * J
+    a0 = A0 * J
     return mu, J, u0, A0, a0
 
 
@@ -201,7 +201,7 @@ def transport_step(ws, j):
     p1 = compose_w(particular.differentiate("w").differentiate("z"), ws.w)
     Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative()
     A_next = ws.A0 * Psi
-    a_next = particular + A_next.as_biseries() * ws.J
+    a_next = particular + A_next * ws.J
     ws.amplitudes.append(a_next)
     ws.trusted.append(ws.trusted[j] - 3)
     ws.verify_step(j + 1)

@@ -234,8 +234,11 @@ def test_run_user_polynomial_field_from_config(tmp_path):
 def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
     # d_max = min(analytic_radius/2, 0.95 trusted radius) = 0.647 here; the
     # series are not trusted beyond it.  At the other end, |x|^2 underflows
-    # on the samples of a delta of 1e-200, so Re P / |x|^2 is not finite
-    for delta, reason in (("5", "d_max"), ("1e-200", "not finite")):
+    # on the samples of a delta of 1e-200, so Re P / |x|^2 is not finite; at
+    # 1e-160 it is still finite, but the cutoff profile's scale
+    # 1/(r_out - r_in)^2 = 4/delta^2 overflows
+    for delta, reason in (("5", "d_max"), ("1e-200", "not finite"),
+                          ("1e-160", "profile is not finite")):
         out = tmp_path / delta
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -14,6 +14,7 @@ from cmag_wkb.cseries import (
     SeriesDivisionError,
     SeriesStructureError,
     UniSeries,
+    abs_compose_w,
     complexify_real_taylor,
     compose_w,
     curve_integral_w,
@@ -529,9 +530,9 @@ def _operand_pairs(draw):
     return BiSeries(draw(coeffs), cap), BiSeries(draw(coeffs), cap)
 
 
-def _live_parts(cap, degrees):
+def _live_parts(cap, degrees, seed=None):
     """A series whose nonzero homogeneous parts are exactly those of ``degrees``."""
-    rng = np.random.default_rng(cap)
+    rng = np.random.default_rng(cap if seed is None else seed)
     c = rng.standard_normal((cap + 1, cap + 1)) + 1j * rng.standard_normal((cap + 1, cap + 1))
     k = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
     return BiSeries(np.where(np.isin(k, list(degrees)), c, 0.0), cap)
@@ -548,3 +549,84 @@ def test_product_matches_reference_loop(pair):
     ref = _reference_product(x.coeffs, y.coeffs)
     scale = max(_reference_product(np.abs(x.coeffs), np.abs(y.coeffs)).real.max(), 1e-300)
     assert np.max(np.abs((x * y).coeffs - ref)) <= 1e-13 * scale
+
+
+# ----------------------------------------------------------------------------
+# the curve restriction, degree maxima and z-only product against the
+# per-degree loops they replaced
+# ----------------------------------------------------------------------------
+
+def _reference_compose(c, wc):
+    """a(z, w(z)) by Horner in w with truncated univariate products."""
+    D = len(wc) - 1
+    res = np.zeros(D + 1, dtype=complex)
+    for b in range(D, -1, -1):
+        res = np.convolve(res, wc)[: D + 1]
+        res += c[:, b]
+    return res
+
+
+def _random_curve(cap, seed, degree):
+    rng = np.random.default_rng(seed)
+    c = np.zeros(cap + 1, dtype=complex)
+    c[1:degree + 1] = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    return UniSeries(c, cap)
+
+
+def test_compose_w_matches_pointwise_values():
+    # total degree 3 in (z, w) and a cubic curve: a(z, w(z)) has degree 9, so
+    # at cap 9 nothing is truncated and the restriction is a polynomial identity
+    a, wz = _live_parts(9, range(4), seed=1), _random_curve(9, 2, degree=3)
+    out = compose_w(a, wz)
+    for z in (0.0, 0.05, -0.03 + 0.02j, 0.1j, 0.2 - 0.1j):
+        expected = polyval2d(z, wz(z), a.coeffs)
+        assert abs(out(z) - expected) <= 1e-14 * max(abs(expected), 1.0)
+
+
+def test_compose_w_matches_the_horner_loop_per_degree():
+    from cmag_wkb.fieldmodel import oscillating_field
+
+    B = oscillating_field((np.pi / 3, -np.pi / 2), cap=48).B_taylor
+    cases = [(B, implicit_w(B)), (_live_parts(48, range(49), seed=3), _random_curve(48, 4, degree=48))]
+    for a, wz in cases:
+        majorant = _reference_compose(np.abs(a.coeffs), np.abs(wz.coeffs)).real
+        err = np.abs(compose_w(a, wz).coeffs - _reference_compose(a.coeffs, wz.coeffs))
+        assert np.all(err <= 1e-14 * majorant)
+        assert np.all(np.abs(abs_compose_w(a, wz).coeffs - majorant) <= 1e-14 * majorant)
+
+
+def test_curve_powers_are_cached_and_read_only():
+    wz = _random_curve(12, 5, degree=4)
+    W = wz._powers
+    assert W is wz._powers and not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[1, 1] = 0.0
+    power = UniSeries.constant(1.0, 12)
+    for b in range(13):
+        assert np.allclose(W[b], power.coeffs, rtol=0, atol=1e-12 * np.abs(W[b]).max())
+        power = power * wz
+    assert np.allclose(wz._majorant._powers[3], (abs(wz) * abs(wz) * abs(wz)).coeffs)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 48])
+def test_degree_maxima_is_the_per_part_maximum(cap):
+    # exact zeros make some parts vanish whole; max is exact, so the two are equal bit for bit
+    for s in (_live_parts(cap, range(cap // 2 + 1)), _live_parts(cap, range(cap + 1), seed=1),
+              UniSeries(_live_parts(cap, range(cap + 1), seed=2).coeffs[:, 0], cap),
+              UniSeries.zeros(cap)):
+        per_part = np.array([np.abs(p).max() for p in s.parts()])
+        assert np.array_equal(degree_maxima(s), per_part)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 24, 48])
+def test_z_series_times_bivariate_matches_the_embedded_product(cap):
+    A = UniSeries(_live_parts(cap, range(cap + 1), seed=6).coeffs[:, 0], cap)
+    J = _live_parts(cap, range(cap + 1), seed=7)
+    prod, ref = A * J, A.as_biseries() * J
+    assert isinstance(prod, BiSeries)
+    scale = (abs(A).as_biseries() * abs(J)).max_abs()
+    assert np.max(np.abs(prod.coeffs - ref.coeffs)) <= 1e-14 * scale
+    above = np.add.outer(np.arange(cap + 1), np.arange(cap + 1)) > cap
+    assert np.all(prod.coeffs[above] == 0)
+    with pytest.raises(SeriesStructureError):
+        A * BiSeries.zeros(cap + 1)
