@@ -3,7 +3,6 @@
 from .cseries import (
     BiSeries,
     UniSeries,
-    complexify_real_taylor,
     compose_w,
     exact_divide_by_curve,
     implicit_w,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiSeries",
     "UniSeries",
-    "complexify_real_taylor",
     "compose_w",
     "exact_divide_by_curve",
     "implicit_w",

@@ -49,8 +49,10 @@ row would not be finite (the field overflows there); the message names the
 first such point in row-major order.  A --delta above d_max =
 min(analytic_radius/2, 0.95 trusted radius) exits 2 after the WKB solve,
 which d_max needs, and so does a --delta so small that |x|^2 underflows
-on the Re P samples of the cutoff check (1e-170, say) or that the cutoff
-profile's scale 1/(r_out - r_in)^2 overflows (1e-160).  A sample count
+on the Re P samples of the cutoff check (1e-170, say) or that a norm of the
+first h's residual is not finite, the cutoff profile's scale
+1/(r_out - r_in)^2 or its square overflowing (1e-80, 1e-160; the message
+names h and delta, and no residuals.csv is written).  A sample count
 --n below 1 or a --region bound that is not finite (gamma-scan,
 check-conditions), radii for check-conditions
 outside 0 < --r-min < --r-max < inf, check-conditions numbers outside

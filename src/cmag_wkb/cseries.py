@@ -50,10 +50,10 @@ uniform grid of the two residual routes, the polydisc torus of the growth
 fit) goes through one tensor kernel, V(s) @ C @ V(t)^T with V the increasing
 Vandermonde matrix of an axis: ``evaluate_grid`` takes C = c[a, b] itself,
 and ``realify_grid`` the coefficients R[m, n] of y1^m y2^n on the real slice
-(``real_coeffs``), the inverse of ``complexify_real_taylor``; both maps are
-per-degree blocks of binomial rows.  In the real monomials degree k can lose
-up to 2^(k/2) more to roundoff than Horner at the same point y: their
-magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
+(``real_coeffs``, per degree a block of binomial rows).  In the real
+monomials degree k can lose up to 2^(k/2) more to roundoff than Horner at
+the same point y: their magnitudes there add up to (|y1| + |y2|)^k, not
+|y|^k.
 
 ``check_identity`` is the one place where a series identity meets its
 tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`,
@@ -119,12 +119,11 @@ def _part_starts(cap):
 def _real_blocks(cap):
     """Per degree k = 0..cap, the pair (U_k, i^(k-m) for m = 0..k) that maps
     part k of a series (c[a, k-a] of z^a w^(k-a), by a) to part k of its
-    real coefficients on w = conj(z) (R[m, k-m] of y1^m y2^(k-m), by m) and
-    back: R_k = i^(k-m) U_k c_k and c_k = U_k ((-i)^(k-m) R_k) / 2^k.
+    real coefficients on w = conj(z) (R[m, k-m] of y1^m y2^(k-m), by m):
+    R_k = i^(k-m) U_k c_k.
 
-    Column m of the integer matrix U_k holds (z+w)^m (z-w)^(k-m) by z-degree,
-    because y1^m y2^n = 2^-k (-i)^n (z+w)^m (z-w)^n, and with i y2 for y2 the
-    same matrix expands z^a w^b = (y1 + i y2)^a (y1 - i y2)^b; U_k^2 = 2^k.
+    Column a of the integer matrix U_k holds (u+v)^a (u-v)^(k-a) by
+    u-degree; with u = y1 and v = i y2 that is z^a w^(k-a), whence the phase.
     Each degree's columns are the last degree's times one more linear factor,
     a shift and add of binomial rows, exact for cap <= 52.
     """
@@ -628,22 +627,6 @@ def t_average(g, w_of_z):
     ∫_0^1 g(...) dt = [G(z,w) - G(z,w(z))] / (w - w(z)),  G = ∫ g dw.
     """
     return exact_divide_by_curve(curve_integral_w(g, w_of_z), w_of_z)
-
-
-def complexify_real_taylor(breal, cap):
-    """Turn real-Taylor data b[m, n] (coefficients of y1^m y2^n) into the
-    series of the complexified function a((z+w)/2, (z-w)/(2i)).
-
-    Per degree through ``_real_blocks``, the inverse of
-    ``BiSeries.real_coeffs``.
-    """
-    b = np.zeros((cap + 1, cap + 1), dtype=complex)
-    src = np.asarray(breal, dtype=complex)[: cap + 1, : cap + 1]
-    b[: src.shape[0], : src.shape[1]] = src
-    parts = BiSeries(b, cap).parts()
-    return BiSeries.zeros(cap)._with_parts(
-        [U @ (p * phase.conj()) / 2.0**k
-         for k, ((U, phase), p) in enumerate(zip(_real_blocks(cap), parts))])
 
 
 def real_coordinates(cap):

@@ -2,8 +2,8 @@
 
 A field is a complex vector potential A : R^2 -> C^2 with its field
 B = curl A = d1 A2 - d2 A1, each given with closed-form first partials, plus
-Taylor data of B complexified at a base point.  The admissibility data at a
-point x are
+Taylor data of B and A complexified at a base point (see ``FieldSpec``).
+The admissibility data at a point x are
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
     Q2 = 1/4 Im[B dzB/dzbarB]       + 1/4 (d1 Im A2 + d2 Im A1)
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cseries import BiSeries, complexify_real_taylor, real_coordinates
+from .cseries import BiSeries, real_coordinates
 
 GAMMA_TOL = 1e-9  # tau_Gamma: "=0"/"!=0" tolerance on evaluated quantities
 
@@ -68,19 +68,6 @@ def poly_partial(p, var):
     return out
 
 
-def poly_shift(p, x0):
-    """Coefficients of p(x0 + y) in y."""
-    out = {}
-    for (m, n), c in p.items():
-        for i in range(m + 1):
-            for j in range(n + 1):
-                k = (i, j)
-                out[k] = out.get(k, 0.0) + (
-                    c * math.comb(m, i) * math.comb(n, j) * x0[0] ** (m - i) * x0[1] ** (n - j)
-                )
-    return out
-
-
 def poly_curl(a1, a2):
     d1a2 = poly_partial(a2, 1)
     d2a1 = poly_partial(a1, 2)
@@ -88,14 +75,6 @@ def poly_curl(a1, a2):
     for k, c in d2a1.items():
         out[k] = out.get(k, 0.0) - c
     return out
-
-
-def _poly_to_array(p, cap):
-    arr = np.zeros((cap + 1, cap + 1), dtype=complex)
-    for (m, n), c in p.items():
-        if m + n <= cap:
-            arr[m, n] = c
-    return arr
 
 
 # ----------------------------------------------------------------------------
@@ -113,7 +92,11 @@ class FieldSpec:
     ``div_A`` is the trace of ``A_jac``.  ``B_taylor`` is the complexified
     series of curl A at ``base_point``; ``A_taylor()`` returns the
     complexified pair (A1~, A2~) of A there, at the same cap.  It is a
-    function because only the phase of a pseudomode needs it.  ``params``
+    function because only the phase of a pseudomode needs it.  Every builder
+    makes both one way: the closed forms of B and A evaluated in ``BiSeries``
+    arithmetic on the shifted coordinates (X1~, X2~) = x0 + y~ of
+    ``_shifted_coordinates`` (polynomials through powers of X1~ and X2~, sin
+    and cos through exp(+-iX~), |x|^2 through its exact series).  ``params``
     holds every keyword of the builder but ``base_point`` and ``cap``, its
     defaults included, so ``make_field(name, params, base_point=...,
     cap=...)`` rebuilds the field.
@@ -192,20 +175,35 @@ def curl_fd(A, x):
 # builtins
 # ----------------------------------------------------------------------------
 
-def _trig_taylor(x0, cap, kind):
-    """Taylor coefficients of sin/cos at x0: derivative cycle over k."""
-    shift = 0.0 if kind == "sin" else np.pi / 2
-    return np.array(
-        [np.sin(shift + x0 + k * np.pi / 2) / math.factorial(k) for k in range(cap + 1)]
-    )
-
-
 def _shifted_coordinates(x0, cap):
     """The complexified x0 + y and |x0 + y|^2 = |x0|^2 + 2 x0 . y~ + zw."""
     y1, y2 = real_coordinates(cap)
     rho = (BiSeries.from_terms([(1, 1, 1.0)], cap) + (2 * x0[0]) * y1 + (2 * x0[1]) * y2
            + (x0[0] ** 2 + x0[1] ** 2))
     return x0[0] + y1, x0[1] + y2, rho
+
+
+def _sin_cos(X):
+    """sin X and cos X of a series, from exp(iX) and exp(-iX)."""
+    ep, em = (1j * X).exp(), (-1j * X).exp()
+    return (ep - em) * -0.5j, (ep + em) * 0.5
+
+
+def _powers(X, top):
+    """The series X^0, X^1, ..., X^top."""
+    out = [BiSeries.constant(1.0, X.cap)]
+    for _ in range(top):
+        out.append(out[-1] * X)
+    return out
+
+
+def _poly_series(p, pow1, pow2):
+    """The polynomial p ({(m, n): coeff}) from the powers pow1[m] = X1^m and
+    pow2[n] = X2^n, with no product by X^0; an empty p gives the zero series."""
+    def monomial(m, n):
+        return pow2[n] if m == 0 else pow1[m] if n == 0 else pow1[m] * pow2[n]
+
+    return sum((c * monomial(m, n) for (m, n), c in p.items()), BiSeries.zeros(pow1[0].cap))
 
 
 def oscillating_field(base_point=(0.0, 0.0), cap=24):
@@ -225,27 +223,13 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
     def B_jac(x1, x2):
         return np.cos(x1), 1j * np.cos(x2)
 
-    breal = np.zeros((cap + 1, cap + 1), dtype=complex)
-    s1 = _trig_taylor(x0[0], cap, "sin")
-    s2 = _trig_taylor(x0[1], cap, "sin")
-    breal[:, 0] += s1
-    breal[0, :] += 1j * s2
-    bt = complexify_real_taylor(breal, cap)
-
-    def A_taylor():
-        # -sin(x1) (x0[1] + y2) + i cos(x2) and i cos(x2), term by term
-        a1 = np.zeros((cap + 1, cap + 1), dtype=complex)
-        a2 = np.zeros((cap + 1, cap + 1), dtype=complex)
-        c2 = 1j * _trig_taylor(x0[1], cap, "cos")
-        a1[:, 0] = -x0[1] * s1
-        a1[:, 1] = -s1
-        a1[0, :] += c2
-        a2[0, :] = c2
-        return complexify_real_taylor(a1, cap), complexify_real_taylor(a2, cap)
-
+    X1, X2, _ = _shifted_coordinates(x0, cap)
+    sin1, _ = _sin_cos(X1)
+    sin2, cos2 = _sin_cos(X2)
     return FieldSpec(
-        name="oscillating", params={}, A=A, B=B, A_jac=A_jac, B_jac=B_jac, B_taylor=bt,
-        base_point=x0, analytic_radius=1.0, A_taylor=A_taylor,
+        name="oscillating", params={}, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
+        B_taylor=sin1 + 1j * sin2, base_point=x0, analytic_radius=1.0,
+        A_taylor=lambda: (1j * cos2 - sin1 * X2, 1j * cos2),
     )
 
 
@@ -304,13 +288,16 @@ def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
         one = np.ones_like(np.asarray(x1, dtype=float))
         return poly_eval(d1B, x1, x2) * one, poly_eval(d2B, x1, x2) * one
 
-    def taylor(p):
-        return complexify_real_taylor(_poly_to_array(poly_shift(p, x0), cap), cap)
-
+    # one power table per coordinate, up to the degrees of A (B's are lower);
+    # A~ is built with B~ so that the field does not keep the tables
+    X1, X2, _ = _shifted_coordinates(x0, cap)
+    pow1 = _powers(X1, max((m for m, _ in [*A1p, *A2p]), default=0))
+    pow2 = _powers(X2, max((n for _, n in [*A1p, *A2p]), default=0))
+    a_taylor = (_poly_series(A1p, pow1, pow2), _poly_series(A2p, pow1, pow2))
     return FieldSpec(
-        name=name, params=params, A=A, B=B, A_jac=A_jac, B_jac=B_jac, B_taylor=taylor(Bp),
-        base_point=x0, analytic_radius=analytic_radius,
-        A_taylor=lambda: (taylor(A1p), taylor(A2p)),
+        name=name, params=params, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
+        B_taylor=_poly_series(Bp, pow1, pow2), base_point=x0, analytic_radius=analytic_radius,
+        A_taylor=lambda: a_taylor,
     )
 
 

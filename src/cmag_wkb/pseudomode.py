@@ -56,8 +56,8 @@ class GaugeConsistencyError(RuntimeError):
 
 
 class CutoffRadiusError(ValueError):
-    """A cutoff radius override outside (0, d_max], or too small to sample
-    or to hold a finite cutoff profile."""
+    """A cutoff radius override outside (0, d_max] or too small to sample, or
+    a cutoff ring too thin for a finite residual norm at some h."""
 
 
 # ----------------------------------------------------------------------------
@@ -197,22 +197,13 @@ def _reP_over_r2_min(phase, delta):
         return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
-def _profile_is_finite(cut):
-    """Whether chi, chi' and the radial Laplacian of chi are finite at 257
-    radii across the ring [r_in, r_out]; their scale 1/(r_out - r_in)^2
-    overflows when the ring is too thin (no warning)."""
-    r = np.linspace(cut.r_in, cut.r_out, 257)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return all(np.isfinite(v).all() for v in cut.profile(r))
-
-
 def select_cutoff(phase, report=None, delta_override=None):
     """Pick delta as the largest radius <= d_max = min(analytic_radius/2,
     0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
     ``phase`` is the pseudomode's phase evaluator.
 
     Raises CutoffRadiusError for an override outside (0, d_max] or one so
-    small that the sampled Re P / |x|^2 or the cutoff profile is not finite, and
+    small that the sampled Re P / |x|^2 is not finite, and
     PhaseNotPositiveError with the exact Re P quadratic when no disc works:
     at once when that quadratic (the degree-2 part of P) is not positive
     definite, else after the search (this is exactly the situation where the
@@ -241,11 +232,6 @@ def select_cutoff(phase, report=None, delta_override=None):
             )
         cut = CutoffSpec(r_out=delta,
                          M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12))
-        if not _profile_is_finite(cut):
-            raise CutoffRadiusError(
-                f"delta override {delta:.6g}: the cutoff profile is not finite "
-                f"(its scale 1/(r_out - r_in)^2 overflows); the cutoff radius is too small"
-            )
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
@@ -425,8 +411,12 @@ def residual_series_exact(pm, h, n=None):
 
     The residual is evaluated on the doubled grid only; the coarse grid
     serves the Richardson consistency estimate of the u-norm (the residual
-    integrand has the same Gaussian scale).  Refuses with
-    QuadratureResolutionError when the two u-norms differ by more than QUAD_RTOL.
+    integrand has the same Gaussian scale).  Refuses with CutoffRadiusError,
+    naming h and delta, when a norm of u, the residual or its interior or
+    cutoff term is not finite (the profile's scale 1/(r_out - r_in)^2 or its
+    square overflows on a thin ring; numpy's warnings are not printed), and
+    with QuadratureResolutionError when the two u-norms differ by more than
+    QUAD_RTOL.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -443,13 +433,23 @@ def residual_series_exact(pm, h, n=None):
         keep = np.hypot(Y1, Y2) < cut.r_out
         return Y1[keep], Y2[keep], np.outer(wx, wx)[keep], _on_grid(x, x, keep)
 
-    y1, y2, w, values = disc_nodes(n)
-    chi = cut.profile(np.hypot(y1, y2))[0]
-    un1 = float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
-    y1, y2, w, values = disc_nodes(2 * n)
-    u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
-    un2, rn2, in2, cn2 = (float(np.sum(np.abs(v) ** 2 * w))
-                          for v in (u, interior + cutoff_term, interior, cutoff_term))
+    # a thin cutoff ring overflows the profile's scale or the squares; refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y1, y2, w, values = disc_nodes(n)
+        chi = cut.profile(np.hypot(y1, y2))[0]
+        un1 = float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
+        y1, y2, w, values = disc_nodes(2 * n)
+        u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
+        norms = {name: float(np.sum(np.abs(v) ** 2 * w)) for name, v in (
+            ("u", u), ("residual", interior + cutoff_term), ("interior", interior),
+            ("cutoff", cutoff_term))}
+    bad = [name for name, v in norms.items() if not math.isfinite(v)]
+    if bad:
+        raise CutoffRadiusError(
+            f"cutoff radius delta = {cut.r_out:.6g} at h = {h:g}: norms not finite "
+            f"({', '.join(bad)}); the cutoff radius is too small for this h"
+        )
+    un2, rn2, in2, cn2 = norms.values()
     if abs(un2 - un1) > QUAD_RTOL * un2:
         raise QuadratureResolutionError(
             f"residual quadrature unresolved at h={h:g}: |I_2n - I_n|/I_2n = "
@@ -498,10 +498,6 @@ class DecayFit:
     slope: float        # power: d log(ratio)/d log(h); stretched: -C
     constant: float     # fitted intercept
     r_squared: float
-
-    @property
-    def C(self):
-        return -self.slope
 
 
 def fit_decay(reports, model="power"):

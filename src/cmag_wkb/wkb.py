@@ -230,10 +230,6 @@ class WKBSolution:
     base_point: tuple
     residual_maxima: dict
 
-    @property
-    def cap(self):
-        return self.phi.cap
-
     # -- serialization ----------------------------------------------------
     def to_json(self):
         """The written record of wkb_solution.json; nothing reads it back."""
@@ -272,7 +268,7 @@ def solve_wkb(field, N=3):
     cap = Btilde.cap
     if N < 0:
         raise ValueError("N must be >= 0")
-    if cap < 3 * (N + 2):
+    if N > max_transport_order(cap):
         raise ValueError(
             f"degree cap {cap} too small for N={N}: need cap >= 3(N+2) = {3 * (N + 2)} "
             f"(each transport step consumes three derivative orders)"

@@ -239,7 +239,7 @@ def test_criterion_06_adaptive_improvement(workhorse_sweep):
     assert report(6, ok,
                   f"m={bf.m_fitted:.3f}: adaptive N(h) in "
                   f"{sorted({r.N_used for r in adaptive})}, dominance for "
-                  f"h<=0.02: {dominance}; stretched fit C={sf.C:.2f}, "
+                  f"h<=0.02: {dominance}; stretched fit C={-sf.slope:.2f}, "
                   f"R^2={sf.r_squared:.4f} (needs >= 0.9)")
 
 

@@ -236,9 +236,12 @@ def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
     # series are not trusted beyond it.  At the other end, |x|^2 underflows
     # on the samples of a delta of 1e-200, so Re P / |x|^2 is not finite; at
     # 1e-160 it is still finite, but the cutoff profile's scale
-    # 1/(r_out - r_in)^2 = 4/delta^2 overflows
-    for delta, reason in (("5", "d_max"), ("1e-200", "not finite"),
-                          ("1e-160", "profile is not finite")):
+    # 1/(r_out - r_in)^2 = 4/delta^2 overflows, and at 1e-80 the square of
+    # the cutoff term does: the residual norm of the first h is not finite
+    for delta, prefix, reason in (
+            ("5", "delta override", "d_max"), ("1e-200", "delta override", "not finite"),
+            ("1e-160", "cutoff radius delta = 1e-160 at h = 0.1", "norms not finite"),
+            ("1e-80", "cutoff radius delta = 1e-80 at h = 0.1", "norms not finite")):
         out = tmp_path / delta
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -246,7 +249,7 @@ def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
                          "--delta", delta, "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: delta override") and err.count("\n") == 1
+        assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
         assert reason in err
         assert not (out / "residuals.csv").exists()
 

@@ -1,5 +1,6 @@
 """Series-algebra unit tests: worked examples plus randomized ring axioms."""
 
+import functools
 import json
 
 import numpy as np
@@ -15,12 +16,12 @@ from cmag_wkb.cseries import (
     SeriesStructureError,
     UniSeries,
     abs_compose_w,
-    complexify_real_taylor,
     compose_w,
     curve_integral_w,
     degree_maxima,
     exact_divide_by_curve,
     implicit_w,
+    real_coordinates,
     t_average,
 )
 
@@ -376,6 +377,30 @@ def test_grid_values_match_horner(case):
     assert np.max(np.abs(got - a.evaluate(Z, W))) <= 1e-13 * _majorant(a, r)
 
 
+@functools.lru_cache(maxsize=None)
+def _real_monomial_parts(cap):
+    """Per degree k, row m holds part k of y1~^m y2~^(k-m), in series
+    arithmetic on ``real_coordinates`` (zero at cap 0, which truncates them
+    away); the products are exact, binomial sums over 2^k."""
+    y1, y2 = real_coordinates(cap) if cap else (BiSeries.zeros(0),) * 2
+    pow1, pow2 = [BiSeries.constant(1.0, cap)], [BiSeries.constant(1.0, cap)]
+    for _ in range(cap):
+        pow1.append(pow1[-1] * y1)
+        pow2.append(pow2[-1] * y2)
+    return [np.array([(pow1[m] * pow2[k - m]).parts()[k] for m in range(k + 1)])
+            for k in range(cap + 1)]
+
+
+def _complexified(R, cap):
+    """The series of sum R[m, n] y1^m y2^n: per degree, each coefficient
+    times its monomial's part, summed."""
+    c = np.zeros((cap + 1, cap + 1), dtype=complex)
+    for k, monomials in enumerate(_real_monomial_parts(cap)):
+        m = np.arange(k + 1)
+        c[m, k - m] = R[m, k - m] @ monomials
+    return BiSeries(c, cap)
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2, 24, 48])
 def test_real_coeffs_and_complexify_round_trip(cap):
     # part k of the real monomial basis is conditioned like 2^(k/2) relative
@@ -386,11 +411,11 @@ def test_real_coeffs_and_complexify_round_trip(cap):
         c = rng.uniform(-1, 1, (cap + 1, cap + 1)) + 1j * rng.uniform(-1, 1, (cap + 1, cap + 1))
         a = BiSeries(c, cap)
         R = a.real_coeffs()
-        back = complexify_real_taylor(R, cap)
+        back = _complexified(R, cap)
         for k, (p, q) in enumerate(zip(a.parts(), back.parts())):
             assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
         # and the other way: real coefficients through the complexified series
-        again = BiSeries(complexify_real_taylor(R, cap).real_coeffs(), cap)
+        again = BiSeries(_complexified(R, cap).real_coeffs(), cap)
         for k, (p, q) in enumerate(zip(BiSeries(R, cap).parts(), again.parts())):
             assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
 
@@ -500,9 +525,8 @@ def test_serialization_round_trip_bit_exact(a):
 
 def test_complexify_recovers_real_function():
     # a(x) = x1^2 - x2 + 3 + (0.5 - i) x1^2 x2^3: a~(z, conj z) must reproduce it
-    breal = np.zeros((3, 4), dtype=complex)
-    breal[0, 0], breal[2, 0], breal[0, 1], breal[2, 3] = 3.0, 1.0, -1.0, 0.5 - 1j
-    at = complexify_real_taylor(breal, cap=6)
+    y1, y2 = real_coordinates(6)
+    at = y1 * y1 - y2 + 3.0 + (0.5 - 1j) * y1 * y1 * y2 * y2 * y2
     x = (0.4, -1.1)
     expected = x[0] ** 2 - x[1] + 3.0 + (0.5 - 1j) * x[0] ** 2 * x[1] ** 3
     assert at.realify(*x) == pytest.approx(expected)

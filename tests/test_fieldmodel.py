@@ -376,11 +376,19 @@ def test_consistency_check_rejects_mismatched_taylor():
     miller_simon_field(1 + 1j, 1.0, cap=16),
     miller_simon_field(0.5 - 2j, 2.5, base_point=(-0.4, 0.9), cap=16),
     exponential_field(0.4, base_point=(0.3, -0.5), cap=24),
-], ids=["miller_simon", "miller_simon_alpha", "exponential_off_origin"])
+    oscillating_field(X0, cap=24),
+    oscillating_field((0.7, -1.3), cap=48),
+    polynomial_field(8.0, 0.3 + 1j, 1.0, base_point=(0.3, -0.4)),
+    user_polynomial_field({(2, 1): 1.5j, (0, 3): -0.5}, {(0, 3): 2.0, (1, 0): 1j, (3, 1): 0.25},
+                          base_point=(0.4, -0.3)),
+], ids=["miller_simon", "miller_simon_alpha", "exponential_off_origin", "oscillating",
+        "oscillating_off_axis_cap48", "polynomial_workhorse_off_origin",
+        "user_polynomial_off_origin"])
 def test_taylor_pairs_match_callables_on_a_ring(field):
-    # A~ and B~ are exact series (power and exp recurrences), so on a ring at
-    # half the analytic radius they reproduce A and B to roundoff, and
-    # curl A~ = B~ below the cap
+    # A~ and B~ are exact series (power, exp and polynomial arithmetic on the
+    # shifted coordinates), so on a ring at half the analytic radius they
+    # reproduce A and B to roundoff (relative to max |want|, or absolute
+    # where that is 0, as for the polynomial A1), and curl A~ = B~ below the cap
     r = 0.5 * field.analytic_radius
     ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
@@ -388,7 +396,7 @@ def test_taylor_pairs_match_callables_on_a_ring(field):
     a1, a2 = field.A_taylor()
     for got, want in ((a1, field.A(x1, x2)[0]), (a2, field.A(x1, x2)[1]),
                       (field.B_taylor, field.B(x1, x2))):
-        assert np.max(np.abs(got.realify(y1, y2) - want)) < 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(got.realify(y1, y2) - want)) < 1e-10 * (np.max(np.abs(want)) or 1.0)
     curl = real_gradient_series(a2)[0] - real_gradient_series(a1)[1] - field.B_taylor
     assert np.max(degree_maxima(curl)[:-2]) < 1e-13 * field.B_taylor.max_abs()
 
