@@ -400,7 +400,7 @@ def cmd_run(args):
     bound = fit_growth(sol)
     (out / "bound_fit.json").write_text(json.dumps(bound_fit_dict(bound), indent=1, sort_keys=True))
 
-    pm = make_pseudomode(field, sol, report=report, N=args.N,
+    pm = make_pseudomode(field, sol, N=args.N,
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
     reports, refusal = run_sweep(pm, hs)

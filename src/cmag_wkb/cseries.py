@@ -81,6 +81,11 @@ DIV_RTOL = 1e-10
 #: relative tolerance for the implicit-curve residual check
 CURVE_RTOL = 1e-11
 
+#: a check's floor relative to the largest magnitude entering its identity:
+#: the roundoff that cancellations leave in low-degree coefficients is set by
+#: those magnitudes, not by the identity's own (possibly tiny) terms
+FLOOR_FACTOR = 1e-6
+
 
 class SeriesStructureError(ValueError):
     """Operands disagree on cap, or coefficients do not fit the cap."""
@@ -192,6 +197,10 @@ class _Series:
             c.flat[0] += other
             return self._new(c)
         self._check(other)
+        if type(other) is not type(self):
+            raise SeriesStructureError(
+                f"{type(self).__name__} and {type(other).__name__} do not add: embed the "
+                f"UniSeries with as_biseries")
         return self._new(self.coeffs + other.coeffs)
 
     __radd__ = __add__
@@ -327,9 +336,6 @@ class UniSeries(_Series):
     def _with_parts(self, parts):
         return self._new(np.concatenate(parts))
 
-    def __call__(self, z):
-        return _npoly.polyval(z, self.coeffs)
-
     def as_biseries(self):
         """Embed as a w-independent BiSeries (same cap)."""
         c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
@@ -411,6 +417,8 @@ class BiSeries(_Series):
     def __mul__(self, other):
         if np.isscalar(other):
             return self._new(self.coeffs * other)
+        if isinstance(other, UniSeries):  # the Toeplitz product of a z-only factor
+            return other * self
         self._check(other)
         D = self.cap
         a, b = _graded_index(D)
@@ -574,7 +582,7 @@ def exact_divide_by_curve(num, w_of_z):
         terms.append(ab)
     rem = num.coeffs[:, 0] + np.convolve(wc, q[:, 0])[: D + 1]
     check_identity("exact division: the series vanishes on the curve", rem, terms,
-                   DIV_RTOL, CurveDivisionError, floor=num.max_abs() * 1e-6)
+                   DIV_RTOL, CurveDivisionError, floor=FLOOR_FACTOR * num.max_abs())
     return BiSeries(q, D)
 
 
@@ -602,7 +610,7 @@ def implicit_w(Btilde):
     resid = compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
     check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid,
                    [abs_compose_w(Btilde, wz).coeffs.real], CURVE_RTOL, CurveDivisionError,
-                   floor=Btilde.max_abs() * 1e-6)
+                   floor=FLOOR_FACTOR * Btilde.max_abs())
     return wz
 
 

@@ -17,8 +17,8 @@ Caveat: the cross-term realized by the assembled phase corresponds to the
 opposite sign of Q2's potential-derivative part, so the (Q1, Q2, Q3) form
 being positive definite does not by itself guarantee positivity of Re P when
 d1 Im A2 + d2 Im A1 is nonzero at the base point; the cutoff selection in
-the pseudomode stage verifies Re P directly and reports both readings on
-failure.
+the pseudomode stage reads only the built Re P, and its refusal states the
+Q2_eff that phase realizes.
 
 Builtins:
 

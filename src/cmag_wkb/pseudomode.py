@@ -34,7 +34,7 @@ import numpy as np
 
 from .cseries import (BiSeries, check_identity, degree_maxima, real_coordinates,
                       real_gradient_series)
-from .fieldmodel import FieldSpec, compute_Q
+from .fieldmodel import FieldSpec
 from .wkb import IDENTITY_RTOL, WKBSolution
 
 log = logging.getLogger(__name__)
@@ -97,8 +97,10 @@ def step_jet(t):
 @dataclass(frozen=True)
 class CutoffSpec:
     """Plateau cutoff chi(x) = step((|x| - r_in)/(r_out - r_in)) with
-    r_in = r_out/2, plus the verified quadratic lower bound M1 |x|^2 <= Re P
-    on D(0, r_out)."""
+    r_in = r_out/2, plus the sampled quadratic lower bound M1 |x|^2 <= Re P
+    on D(0, r_out): M1 is half the least eigenvalue of the quadratic of the
+    built Re P (``select_cutoff``), or for a radius override the sampled
+    minimum of Re P / |x|^2 when that is positive."""
 
     r_out: float
     M1: float
@@ -197,24 +199,22 @@ def _reP_over_r2_min(phase, delta):
         return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
-def select_cutoff(phase, report=None, delta_override=None):
+def select_cutoff(phase, delta_override=None):
     """Pick delta as the largest radius <= d_max = min(analytic_radius/2,
-    0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min(Q)/2;
-    ``phase`` is the pseudomode's phase evaluator.
+    0.95 trusted radius) with sampled Re P >= M1 |x|^2, M1 = lambda_min/2 of
+    the quadratic of Re P (the degree-2 part of the built phase, which the
+    refusal reads too); ``phase`` is the pseudomode's phase evaluator.
 
     Raises CutoffRadiusError for an override outside (0, d_max] or one so
     small that the sampled Re P / |x|^2 is not finite, and
-    PhaseNotPositiveError with the exact Re P quadratic when no disc works:
-    at once when that quadratic (the degree-2 part of P) is not positive
-    definite, else after the search (this is exactly the situation where the
-    printed Q2 formula and the constructed phase disagree; both readings are
-    included for diagnosis).
+    PhaseNotPositiveError when no disc works: at once when that quadratic is
+    not positive definite, else after the search.  The message states the
+    linear part of Re P, the quadratic with its eigenvalues and the Q2 that
+    the built phase realizes, Q2_eff = -c12/2.
     """
-    if report is None:
-        report = compute_Q(phase.field)
-    Qmat = np.array([[report.Q1, -report.Q2], [-report.Q2, report.Q3]])
-    lam_min = float(np.linalg.eigvalsh(Qmat)[0])
-    M1 = 0.5 * lam_min
+    c11, c12, c22 = _rep_quadratic(phase.P)
+    eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
+    M1 = 0.5 * float(eigs[0])
     d_max = phase.d_max
 
     if delta_override is not None:
@@ -230,26 +230,22 @@ def select_cutoff(phase, report=None, delta_override=None):
                 f"delta override {delta:.6g}: Re P / |x|^2 is not finite on the samples "
                 f"(|x|^2 underflows); the cutoff radius is too small"
             )
-        cut = CutoffSpec(r_out=delta,
-                         M1=max(m_lo, 1e-12) if m_lo > 0 else max(0.5 * lam_min, 1e-12))
         if m_lo <= 0:
             log.warning("delta override %.3g: Re P not positive on samples (min ratio %.3g)",
                         delta, m_lo)
-        return cut
+        return CutoffSpec(r_out=delta, M1=max(m_lo if m_lo > 0 else M1, 1e-12))
 
-    # the actual quadratic of Re P: no disc works unless it is positive definite
-    c11, c12, c22 = _rep_quadratic(phase.P)
-    eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
-    if lam_min > 0 and eigs[0] > 0:
+    if M1 > 0:
         for delta in np.geomspace(d_max, d_max / 64.0, 24):
             if _reP_over_r2_min(phase, delta) >= M1:
                 return CutoffSpec(r_out=delta, M1=M1)
 
+    R = phase.P.real_coeffs().real
     raise PhaseNotPositiveError(
-        f"no disc with Re P >= {M1:.4g}|x|^2: Re P quadratic "
+        f"no disc with Re P >= {M1:.4g}|x|^2: Re P linear part "
+        f"({R[1, 0]:.6g}, {R[0, 1]:.6g}), quadratic "
         f"(c11, c12, c22) = ({c11:.6g}, {c12:.6g}, {c22:.6g}), "
-        f"eigenvalues {eigs[0]:.4g}, {eigs[1]:.4g}; Q2 printed formula gives "
-        f"{report.Q2:.6g}, the constructed phase corresponds to Q2 = {-c12 / 2:.6g}. "
+        f"eigenvalues {eigs[0]:.4g}, {eigs[1]:.4g}, Q2_eff = {-c12 / 2:.6g}. "
         f"A decaying pseudomode does not exist at this base point."
     )
 
@@ -288,9 +284,12 @@ class Pseudomode:
         return max(n, 0)
 
 
-def make_pseudomode(field, sol, report=None, N=1, m_growth=None, delta_override=None):
+def make_pseudomode(field, sol, N=1, m_growth=None, delta_override=None):
+    """The pseudomode of order N (or adaptive, see ``Pseudomode``) on the
+    solution ``sol``: one phase evaluator, the cutoff ``select_cutoff``
+    picks from it, and nothing read from the printed (Q1, Q2, Q3) formula."""
     phase = _ThetaEvaluator(field, sol)
-    cutoff = select_cutoff(phase, report=report, delta_override=delta_override)
+    cutoff = select_cutoff(phase, delta_override=delta_override)
     return Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N=N,
                       m_growth=m_growth)
 
@@ -406,7 +405,7 @@ def _residual_terms(pm, h, N, amp, y1, y2, values):
     return u, interior, cutoff_term
 
 
-def residual_series_exact(pm, h, n=None):
+def residual_series_exact(pm, h):
     """ResidualReport for one h via the series-exact route.
 
     The residual is evaluated on the doubled grid only; the coarse grid
@@ -423,7 +422,7 @@ def residual_series_exact(pm, h, n=None):
     cut = pm.cutoff
     N = pm.N_used(h)
     amp = _amplitude(pm.sol, h, N)
-    n = n or quadrature_points(h, cut.r_out)
+    n = quadrature_points(h, cut.r_out)
 
     def disc_nodes(m):
         """The Gauss square's nodes inside the disc, their weights and value map."""
@@ -463,7 +462,7 @@ def residual_series_exact(pm, h, n=None):
     )
 
 
-def residual_finite_difference(pm, h, n=512):
+def residual_finite_difference(pm, h, n):
     """Cross-check ResidualReport from the independent grid operator, on
     n x n points of the square [-2 r_out, 2 r_out]^2 about the base point."""
     from . import numop

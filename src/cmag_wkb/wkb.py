@@ -23,11 +23,12 @@ Every step is verified as a series identity, each through
 ``cseries.check_identity``: the Poisson identity, J = 1 on the curve, the
 transport residual (w - w(z)) [8V d_w + F] a~_{j+1} - 4 d_z d_w a~_j and the
 compatibility restriction must vanish coefficient-wise up to the trusted
-degree.  Each check passes ``check_identity`` the terms it already holds, which
-set its scale: the Poisson check B~, the transport check its products
-c4 d_w a~ and (B~ - mu) a~ and its right-hand side, and the restrictions to
-the curve (J = 1, compatibility) the majorant |g| o |w| of the restricted
-series g; no product is formed only to size a tolerance.  Each transport
+degree.  Each check passes ``check_identity`` the terms that set its scale:
+the Poisson check B~, the transport check per-degree bounds of the majorant
+products |c4| |d_w a~| and |B~ - mu| |a~| (convolutions of degree maxima) and
+its right-hand side, and the restrictions to the curve (J = 1,
+compatibility) the majorant |g| o |w| of the restricted series g; no product
+is formed only to size a tolerance.  Each transport
 step consumes three derivative orders, which is where the degree budget rule
 cap >= 3(N+2) comes from; the solver tracks the trusted degree of every
 amplitude and only asserts identities below it.
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cseries import (
+    FLOOR_FACTOR,
     BiSeries,
     UniSeries,
     abs_compose_w,
@@ -151,38 +153,63 @@ class _Workspace:
         self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
         self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
+        self.compatibility_scale = 0.0  # of the last compatibility check
 
     def verify_step(self, j):
         """Transport residual and compatibility for amplitude j.
 
         The operator is [4(2 d_z phi~ + f') d_w + (B~ - mu)], with c4 its
         first-order coefficient; the right-hand side is 4 d_z d_w a~_{j-1},
-        zero for j = 0.  Both checks are floored at 1e-6 of the global
-        magnitudes entering the construction: coefficients that are
-        themselves cancellations (constant terms forced to zero by the
-        construction) carry roundoff set by the amplitude arithmetic, which
-        runs at the a_0 scale even when the identity's own terms are tiny.
+        zero for j = 0.  The transport check's terms are per-degree bounds of
+        the majorant products |c4| |d_w a~_j| and |B~ - mu| |a~_j| (from
+        degree maxima, ``_product_maxima``; no product is formed) and its
+        right-hand side.  Both checks are floored at FLOOR_FACTOR of the
+        largest magnitude entering them: coefficients that are themselves
+        cancellations (constant terms forced to zero by the construction)
+        carry roundoff set by those magnitudes, which runs at the a_0 scale
+        even when the identity's own terms are tiny.  For j = 0 the
+        compatibility floor includes the majorant of a~_0 = A_0 J; for j >= 1
+        the transport floor includes 4x the last compatibility scale, since
+        the transport residual at degree 0 is -rhs[0, 0], exactly 4x the last
+        compatibility residual there.
         """
         a_new = self.amplitudes[j]
         parent = max(a_new.max_abs(), self.amplitudes[0].max_abs())
-        t1, t2 = self.c4 * a_new.differentiate("w"), (self.B - self.mu) * a_new
+        da, B_mu = a_new.differentiate("w"), self.B - self.mu
         if j:
             rhs = 4.0 * self.amplitudes[j - 1].differentiate("w").differentiate("z")
         else:
             rhs = BiSeries.zeros(a_new.cap)
-        terms = [t1, t2, rhs]
+        bounds = [_product_maxima(self.c4, da), _product_maxima(B_mu, a_new)]
+        top = max(parent, *(float(np.max(m)) for m in bounds), rhs.max_abs(),
+                  4.0 * self.compatibility_scale)
         self.residual_maxima[f"transport_{j}"] = check_identity(
-            f"transport residual j={j}", degree_maxima(t1 + t2 - rhs), terms,
-            IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 1,
-            floor=1e-6 * max(parent, *(t.max_abs() for t in terms)))
+            f"transport residual j={j}", degree_maxima(self.c4 * da + B_mu * a_new - rhs),
+            [*bounds, rhs], IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 1,
+            floor=FLOOR_FACTOR * top)
 
         dd = a_new.differentiate("w").differentiate("z")
         comp = compose_w(dd, self.w)
         majorant = abs_compose_w(dd, self.w)
+        top = max(majorant.max_abs(), dd.max_abs(), parent)
+        if not j:
+            top = max(top, float(np.max(_product_maxima(self.A0, self.J))))
+        self.compatibility_scale = top
         self.residual_maxima[f"compatibility_{j}"] = check_identity(
             f"compatibility constraint j={j}", comp.coeffs, [majorant],
             IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 2,
-            floor=1e-6 * max(majorant.max_abs(), dd.max_abs(), parent))
+            floor=FLOOR_FACTOR * top)
+
+
+def _product_maxima(x, y):
+    """Per-degree bounds on the coefficients of the majorant product |x| |y|
+    from the degree maxima of x and y alone: a coefficient of degree n of it
+    sums, for each k, at most k + 1 products of a degree-k coefficient of x
+    with one of degree n - k of y, and exactly one when x is a UniSeries."""
+    dx = degree_maxima(x)
+    if isinstance(x, BiSeries):
+        dx = np.arange(1, dx.size + 1) * dx
+    return np.convolve(dx, degree_maxima(y))[: dx.size]
 
 
 def transport_step(ws, j):
@@ -334,21 +361,18 @@ class BoundFit:
         return ok
 
 
-def fit_growth(sol, polydisc=None):
-    """Sup-norms of the amplitudes on the polydisc boundary and the least m
-    with ||a~_j|| <= m^(j+1) j^(7j), plus the empirical stretched exponent.
+def fit_growth(sol):
+    """Sup-norms of the amplitudes on the polydisc |z|, |w| <= R with
+    R = trusted_radius/4, the least m with ||a~_j|| <= m^(j+1) j^(7j), and
+    the empirical stretched exponent.
 
     The sup over the closed polydisc of a polynomial is attained on the
-    distinguished boundary |z| = R1, |w| = R2, sampled on a 32 x 32 product
-    grid (the tensor kernel of ``BiSeries.evaluate_grid``).
+    distinguished boundary |z| = |w| = R, sampled on a 32 x 32 product grid
+    (the tensor kernel of ``BiSeries.evaluate_grid``).
     """
-    if polydisc is None:
-        r = 0.25 * sol.trusted_radius
-        polydisc = (r, r)
-    R1, R2 = polydisc
-    ang = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-    z, w = R1 * np.exp(1j * ang), R2 * np.exp(1j * ang)
-    norms = [float(np.max(np.abs(a.evaluate_grid(z, w)))) for a in sol.amplitudes]
+    R = 0.25 * sol.trusted_radius
+    z = R * np.exp(1j * np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
+    norms = [float(np.max(np.abs(a.evaluate_grid(z, z)))) for a in sol.amplitudes]
     m = 0.0
     for j, nrm in enumerate(norms):
         jj = 1.0 if j == 0 else float(j) ** (7 * j)
@@ -361,5 +385,5 @@ def fit_growth(sol, polydisc=None):
         M = np.stack([js + 1.0, js * np.log(js)], axis=1)
         coef, *_ = np.linalg.lstsq(M, y, rcond=None)
         sigma = float(coef[1])
-    return BoundFit(m_fitted=m, per_j_norms=tuple(norms), polydisc=tuple(polydisc),
+    return BoundFit(m_fitted=m, per_j_norms=tuple(norms), polydisc=(R, R),
                     sigma_fitted=sigma)

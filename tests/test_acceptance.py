@@ -68,7 +68,7 @@ def workhorse_sweep():
     sol = solve_wkb(field, N=6)
     bf = fit_growth(sol)
     hs = np.geomspace(0.1, 0.003, 8)
-    pm_fixed = make_pseudomode(field, sol, report=rep, N=1)
+    pm_fixed = make_pseudomode(field, sol, N=1)
     pm_adapt = Pseudomode(field=field, sol=sol, cutoff=pm_fixed.cutoff, phase=pm_fixed.phase,
                           m_growth=bf.m_fitted)
     fixed = [residual_series_exact(pm_fixed, float(h)) for h in hs]
@@ -160,16 +160,15 @@ def test_criterion_03_degenerate_determinant():
     "cutoff-commutator terms dominate every fixed-N ratio; see README"))
 def test_criterion_04_residual_order_oscillating():
     field = oscillating_field(X0_OSC, cap=24)
-    rep = compute_Q(field)
     sol = solve_wkb(field, N=2)
     rejected = False
     try:
-        make_pseudomode(field, sol, report=rep, N=1)
+        make_pseudomode(field, sol, N=1)
     except PhaseNotPositiveError as exc:
         rejected = True
         print(f"\n  [criterion 4 diagnostic] {exc}")
     phase = _ThetaEvaluator(field, sol)
-    cutoff = select_cutoff(phase, report=rep, delta_override=0.08)
+    cutoff = select_cutoff(phase, delta_override=0.08)
     hs = np.geomspace(0.1, 0.003, 8)
     slopes = {}
     for N in (0, 1, 2):
@@ -194,7 +193,7 @@ def test_criterion_04s_residual_order_supplementary(workhorse_sweep):
     field, rep, sol, bf, hs, fixed, adaptive = workhorse_sweep
     small = np.geomspace(0.02, 0.002, 6)
     phase = _ThetaEvaluator(field, sol)
-    cutoff = select_cutoff(phase, report=rep)
+    cutoff = select_cutoff(phase)
     slopes = {}
     for N in (0, 1, 2):
         pm = Pseudomode(field=field, sol=sol, cutoff=cutoff, phase=phase, N=N)
@@ -212,9 +211,8 @@ def test_criterion_04s_residual_order_supplementary(workhorse_sweep):
 
 def test_criterion_05_cross_evaluator():
     field = polynomial_field(1.0, 1j, 1.0, cap=24)
-    rep = compute_Q(field)
     sol = solve_wkb(field, N=1)
-    pm = make_pseudomode(field, sol, report=rep, N=1)
+    pm = make_pseudomode(field, sol, N=1)
     h = 0.05
     rs = residual_series_exact(pm, h)
     rf = residual_finite_difference(pm, h, n=512)

@@ -196,6 +196,15 @@ def test_bound_fit_emits_json(tmp_path, capsys):
     assert payload["sigma_fitted"] <= 7.0
 
 
+def test_bound_fit_off_origin_solves(tmp_path):
+    # the transport and compatibility floors admit the roundoff of the
+    # construction: the degree-0 residual here is one ulp of the a_0 scale
+    out = tmp_path / "bound.json"
+    assert main(["bound-fit", "--builtin", "polynomial", "--a", "8", "--b", "0.3+i", "--c", "1",
+                 "--x0=-1.8,-1.6", "--D", "24", "--jmax", "5", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["bound_holds"] is True
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -39,7 +39,7 @@ def work_setup():
     field = workhorse()
     rep = compute_Q(field)
     sol = solve_wkb(field, N=3)
-    pm = make_pseudomode(field, sol, report=rep, N=1)
+    pm = make_pseudomode(field, sol, N=1)
     return field, rep, sol, pm
 
 
@@ -305,14 +305,33 @@ def test_unresolved_gauge_quadrature_raises():
 # cutoff selection and the phase/Q-form tie
 # ----------------------------------------------------------------------------
 
+def _built_M1(pm):
+    """Half the least eigenvalue of the quadratic of the built Re P."""
+    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P)
+    return 0.5 * float(np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))[0])
+
+
 def test_select_cutoff_positive_definite_case(work_setup):
     field, rep, sol, pm = work_setup
     cut = pm.cutoff
     assert cut.M1 > 0
     assert cut.r_in == pytest.approx(cut.r_out / 2)
-    lam_min = float(np.linalg.eigvalsh(
+    assert cut.M1 == _built_M1(pm)
+
+
+def test_cutoff_threshold_follows_the_built_phase():
+    # where d1 Im A2 + d2 Im A1 != 0 the printed Q2 and the built phase's
+    # cross-term differ: M1 is half the built quadratic's least eigenvalue
+    # (0.0843), not the printed form's (0.1084), and delta grows to match
+    field = polynomial_field(1 + 0.5j, 1j, 1.0, base_point=(0.0, 0.9), cap=24)
+    rep = compute_Q(field)
+    pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    printed = 0.5 * float(np.linalg.eigvalsh(
         np.array([[rep.Q1, -rep.Q2], [-rep.Q2, rep.Q3]]))[0])
-    assert cut.M1 == pytest.approx(0.5 * lam_min)
+    assert printed == pytest.approx(0.1084, abs=5e-5)
+    assert pm.cutoff.M1 == _built_M1(pm)
+    assert pm.cutoff.M1 == pytest.approx(0.0843, abs=5e-5)
+    assert pm.cutoff.r_out == pytest.approx(0.3986, abs=5e-5)
 
 
 def test_rep_quadratic_matches_gamma_report(work_setup):
@@ -331,13 +350,23 @@ def test_oscillating_phase_not_positive_is_diagnosed():
     # the printed Q2 formula and the constructed phase disagree at this point;
     # the fitted Re P quadratic is indefinite and the assembly must refuse
     field = oscillating_field(X0, cap=24)
-    rep = compute_Q(field)
-    assert rep.in_gamma  # the printed formulas admit the point...
+    assert compute_Q(field).in_gamma  # the printed formulas admit the point...
     sol = solve_wkb(field, N=1)
     with pytest.raises(PhaseNotPositiveError) as exc:
-        select_cutoff(pseudomode._ThetaEvaluator(field, sol), report=rep)
+        select_cutoff(pseudomode._ThetaEvaluator(field, sol))
     msg = str(exc.value)
-    assert "Q2" in msg and "does not exist" in msg
+    assert "Q2_eff" in msg and "does not exist" in msg
+
+
+def test_phase_not_positive_names_the_linear_part():
+    # on the oscillating field at (0.4, -2.6) the quadratic of Re P is
+    # positive definite; its degree-1 part, Im A(x0), is what refuses
+    field = oscillating_field((0.4, -2.6), cap=24)
+    im_a = [float(np.imag(a)) for a in field.A(0.4, -2.6)]
+    assert im_a == pytest.approx([-0.857, -0.857], abs=5e-4)
+    with pytest.raises(PhaseNotPositiveError) as exc:
+        make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    assert f"linear part ({im_a[0]:.6g}, {im_a[1]:.6g})" in str(exc.value)
 
 
 class _StubPhase:
@@ -352,10 +381,9 @@ class _StubPhase:
 
 def test_select_cutoff_refuses_indefinite_quadratic_before_the_search():
     # Re P = y1^2 - 0.01 y2^2 + K |y|^4 is indefinite at 0, but with K large
-    # every sample at radii >= delta/8 clears M1 |y|^2: only the degree-2
+    # every sample at radii >= delta/8 clears 0.5 |y|^2: only the degree-2
     # part of P shows that no disc works
-    rep = compute_Q(polynomial_field(1.0, 1j, 1.0))
-    M1 = 0.5 * float(np.linalg.eigvalsh(np.array([[rep.Q1, -rep.Q2], [-rep.Q2, rep.Q3]]))[0])
+    M1 = 0.5
     d_max = 0.5
     K = 2 * 64 * (M1 + 0.01) / d_max**2
     y1, y2 = real_coordinates(8)
@@ -365,14 +393,13 @@ def test_select_cutoff_refuses_indefinite_quadratic_before_the_search():
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     assert np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2) >= M1
     with pytest.raises(PhaseNotPositiveError, match=r"\(c11, c12, c22\) = \(1, 0, -0.01\)"):
-        select_cutoff(phase, report=rep)
+        select_cutoff(phase)
 
 
 def test_delta_override_allows_diagnostics():
     field = oscillating_field(X0, cap=24)
     sol = solve_wkb(field, N=1)
-    cut = select_cutoff(pseudomode._ThetaEvaluator(field, sol), report=compute_Q(field),
-                        delta_override=0.08)
+    cut = select_cutoff(pseudomode._ThetaEvaluator(field, sol), delta_override=0.08)
     assert cut.r_out == pytest.approx(0.08)
 
 
@@ -400,13 +427,15 @@ def test_pseudomode_vanishes_outside_support(work_setup):
 # residual reports
 # ----------------------------------------------------------------------------
 
-def test_norm_refuses_unresolved_scale():
+def test_norm_refuses_unresolved_scale(monkeypatch):
     # at h = 3e-3 the Gaussian width ~ 0.05 is far below what 8 nodes resolve
     field = polynomial_field(1.0, 1j, 1.0, cap=12)
     pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    monkeypatch.setattr(pseudomode, "quadrature_points", lambda h, r_out: 8)
     with pytest.raises(QuadratureResolutionError):
-        residual_series_exact(pm, 0.003, n=8)
-    assert residual_series_exact(pm, 0.003, n=16).ratio > 0
+        residual_series_exact(pm, 0.003)
+    monkeypatch.setattr(pseudomode, "quadrature_points", lambda h, r_out: 16)
+    assert residual_series_exact(pm, 0.003).ratio > 0
 
 
 def _pointwise_residual(pm, h):
@@ -499,9 +528,8 @@ def test_fd_evaluator_agrees_with_series():
     from cmag_wkb.pseudomode import residual_finite_difference
 
     field = polynomial_field(1.0, 1j, 1.0, cap=24)
-    rep = compute_Q(field)
     sol = solve_wkb(field, N=1)
-    pm = make_pseudomode(field, sol, report=rep, N=1)
+    pm = make_pseudomode(field, sol, N=1)
     h = 0.05
     r_series = residual_series_exact(pm, h)
     r_fd = residual_finite_difference(pm, h, n=384)

@@ -5,8 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, check_identity, compose_w,
-                              implicit_w)
+from cmag_wkb import wkb
+from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, UniSeries, check_identity,
+                              compose_w, implicit_w)
 from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
 from cmag_wkb.wkb import (
     DegenerateFieldError,
@@ -239,6 +240,44 @@ def test_trusted_degrees_step_down_by_three():
     assert sol.trusted_degrees == (23, 20, 17, 14)
 
 
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (-1.8, -1.6)])
+def test_step_checks_see_a_perturbed_amplitude(monkeypatch, x0):
+    # one coefficient of a~_1 moved by 1e-12 of the amplitude's largest
+    # coefficient: the floors of step 1 admit roundoff, not this
+    verify = wkb._Workspace.verify_step
+
+    def perturbed(ws, j):
+        if j == 1:
+            c = ws.amplitudes[1].coeffs.copy()
+            c[1, 1] += 1e-12 * np.abs(c).max()
+            ws.amplitudes[1] = BiSeries(c, c.shape[0] - 1)
+        verify(ws, j)
+
+    monkeypatch.setattr(wkb._Workspace, "verify_step", perturbed)
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0, base_point=x0, cap=24)
+    with pytest.raises(TransportIdentityError, match="j=1: residual"):
+        solve_wkb(field, N=2)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (-1.8, -1.6)])
+def test_compatibility_check_sees_a_perturbed_A0(monkeypatch, x0):
+    # A_0 with its z^1 coefficient moved by 1e-12 of its largest coefficient
+    # no longer solves the curve constraint; a~_0 = A_0 J is rebuilt from it
+    first = wkb.first_transport
+
+    def perturbed(*args):
+        mu, J, u0, A0, a0 = first(*args)
+        c = A0.coeffs.copy()
+        c[1] += 1e-12 * np.abs(c).max()
+        A0 = UniSeries(c, A0.cap)
+        return mu, J, u0, A0, A0 * J
+
+    monkeypatch.setattr(wkb, "first_transport", perturbed)
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0, base_point=x0, cap=24)
+    with pytest.raises(TransportIdentityError, match="compatibility constraint j=0"):
+        solve_wkb(field, N=2)
+
+
 # ----------------------------------------------------------------------------
 # serialization and growth fit
 # ----------------------------------------------------------------------------
@@ -253,7 +292,8 @@ def test_solution_round_trip_and_determinism():
 
 def test_fit_growth_constant_field_norms(constant_field_solution):
     sol = constant_field_solution(cap=18, N=2, trusted_radius=1.0)
-    fit = fit_growth(sol, polydisc=(0.25, 0.25))
+    fit = fit_growth(sol)
+    assert fit.polydisc == (0.25, 0.25)
     assert fit.per_j_norms[0] == pytest.approx(1.0)
     assert fit.per_j_norms[1] == pytest.approx(0.0, abs=1e-14)
     assert fit.bound_holds()
