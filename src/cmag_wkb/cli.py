@@ -34,7 +34,9 @@ field exactly.
 
 Exit codes: 0 success, 2 config error, 3 admissibility rejection,
 4 internal identity failure, 5 residual-grid quadrature refusal (residuals.csv
-keeps the rows of the h before the refused one).  The degree
+keeps the rows of the h before the refused one).  An allocation the machine
+cannot make (a --grid-n or --n far too large, say) exits 2 with one line;
+run first writes the series rows that finished to residuals.csv.  The degree
 cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
 --adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 with
 --evaluator both; violating either exits 2 before any work starts.  So does
@@ -348,7 +350,8 @@ def gamma_report_dict(rep):
 
 def run_sweep(pm, hs):
     """The reports of the sweep in order, up to the first h whose residual
-    grid is refused, and that refusal (None when every h passed)."""
+    grid is refused or does not fit in memory, and that refusal or
+    MemoryError (None when every h passed)."""
     # residual_series_exact is looked up by name on each call:
     # perfbench/child.py times the first call with a module-attribute hook
     # that puts the original back, which a reference bound earlier would miss
@@ -356,7 +359,7 @@ def run_sweep(pm, hs):
     try:
         for h in hs:
             reports.append(residual_series_exact(pm, h))
-    except QuadratureResolutionError as exc:
+    except (QuadratureResolutionError, MemoryError) as exc:
         return reports, exc
     return reports, None
 
@@ -404,12 +407,15 @@ def cmd_run(args):
                          m_growth=bound.m_fitted if args.adaptive else None,
                          delta_override=args.delta)
     reports, refusal = run_sweep(pm, hs)
-    if refusal is not None:  # keep the rows that finished, then exit 5
-        write_residual_csv(out / "residuals.csv", reports)
-        raise refusal
-    if args.evaluator == "both":  # one FD cross-check, at the middle h
-        reports.append(residual_finite_difference(pm, float(hs[len(hs) // 2]), n=args.grid_n))
+    if refusal is None and args.evaluator == "both":  # one FD cross-check, at the middle h
+        try:
+            reports.append(residual_finite_difference(pm, float(hs[len(hs) // 2]),
+                                                      n=args.grid_n))
+        except MemoryError as exc:
+            refusal = exc
     write_residual_csv(out / "residuals.csv", reports)
+    if refusal is not None:  # the rows that finished are kept; exit 5 or 2
+        raise refusal
 
     series_reports = [r for r in reports if r.evaluator == "series_exact"]
     fits = {}
@@ -605,6 +611,9 @@ def main(argv=None):
     except QuadratureResolutionError as exc:
         print(f"quadrature refusal: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except MemoryError as exc:
+        print(f"config error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -73,8 +73,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as _npoly
 
-DEFAULT_CAP = 24
-
 #: relative tolerance for the exact-division remainder check
 DIV_RTOL = 1e-10
 

@@ -1,8 +1,9 @@
 """Complex magnetic potentials, admissibility data, and hypothesis checkers.
 
-A field is a complex vector potential A : R^2 -> C^2 with its field
-B = curl A = d1 A2 - d2 A1, each given with closed-form first partials, plus
-Taylor data of B and A complexified at a base point (see ``FieldSpec``).
+A field is a complex vector potential A : R^2 -> C^2 given by three closed
+forms, A with its first partials A_jac and the partials B_jac of its field
+B = curl A = d1 A2 - d2 A1, plus the Taylor data of B and A complexified at a
+base point (see ``FieldSpec``).  B itself, like div A, is read from A_jac.
 The admissibility data at a point x are
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
@@ -10,8 +11,8 @@ The admissibility data at a point x are
     Q3 = 1/4 Re[B (1 - dzB/dzbarB)] + 1/2 d2 Im A2
 
 with the Wirtinger derivatives (dzB, dzbarB) = (d1B -+ i d2B)/2.  One
-function (``admissibility``) evaluates them from the closed forms B, B_jac,
-A and A_jac at arrays of points: ``compute_Q`` is it at the base point, and
+function (``admissibility``) evaluates them from the closed forms A, A_jac
+and B_jac at arrays of points: ``compute_Q`` is it at the base point, and
 ``gamma_scan`` is it on a whole raster, with one field for all its points.
 Caveat: the cross-term realized by the assembled phase corresponds to the
 opposite sign of Q2's potential-derivative part, so the (Q1, Q2, Q3) form
@@ -52,10 +53,12 @@ class FieldConsistencyError(ValueError):
 # ----------------------------------------------------------------------------
 
 def poly_eval(p, x1, x2):
+    """The polynomial p at the points (x1, x2), times a ones array of x1's
+    shape (so an empty or constant p still has that shape)."""
     out = 0.0 + 0.0j
     for (m, n), c in p.items():
         out = out + c * x1**m * x2**n
-    return out
+    return out * np.ones_like(np.asarray(x1, dtype=float))
 
 
 def poly_partial(p, var):
@@ -83,23 +86,24 @@ def poly_curl(a1, a2):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A potential and its field with closed-form first partials, plus
-    complexified Taylor data.
+    """A potential with closed-form first partials of it and of its field,
+    plus complexified Taylor data.
 
-    ``A`` maps (x1, x2) arrays to a pair (A1, A2) and ``B`` to curl A.
-    ``A_jac`` returns the closed-form partials (d1A1, d2A1, d1A2, d2A2) and
-    ``B_jac`` the closed-form partials (d1B, d2B); every builder gives both.
-    ``div_A`` is the trace of ``A_jac``.  ``B_taylor`` is the complexified
-    series of curl A at ``base_point``; ``A_taylor()`` returns the
-    complexified pair (A1~, A2~) of A there, at the same cap.  It is a
-    function because only the phase of a pseudomode needs it.  Every builder
-    makes both one way: the closed forms of B and A evaluated in ``BiSeries``
-    arithmetic on the shifted coordinates (X1~, X2~) = x0 + y~ of
-    ``_shifted_coordinates`` (polynomials through powers of X1~ and X2~, sin
-    and cos through exp(+-iX~), |x|^2 through its exact series).  ``params``
-    holds every keyword of the builder but ``base_point`` and ``cap``, its
-    defaults included, so ``make_field(name, params, base_point=...,
-    cap=...)`` rebuilds the field.
+    ``A`` maps (x1, x2) arrays to a pair (A1, A2), ``A_jac`` to the
+    closed-form partials (d1A1, d2A1, d1A2, d2A2) and ``B_jac`` to the
+    closed-form partials (d1B, d2B) of B = curl A; every builder gives the
+    three.  ``B`` is d1A2 - d2A1 and ``div_A`` the trace, both read from
+    ``A_jac``.  ``B_taylor`` is the complexified series of curl A at
+    ``base_point`` and ``A_taylor`` the complexified pair (A1~, A2~) of A
+    there, at the same cap.  Every builder makes both one way: the closed
+    forms of B and A evaluated in ``BiSeries`` arithmetic on the shifted
+    coordinates (X1~, X2~) = x0 + y~ of ``_shifted_coordinates``
+    (polynomials through powers of X1~ and X2~, sin and cos through
+    exp(+-iX~), |x|^2 through its exact series).  B~ has its own formula: as
+    curl A~ it would lose its top degree to the derivative.  ``params`` holds
+    every keyword of the builder but ``base_point`` and ``cap``, its defaults
+    included, so ``make_field(name, params, base_point=..., cap=...)``
+    rebuilds the field.
 
     Construction checks the closed forms against the Taylor data at the base
     point: curl A (central differences) against the constant term of
@@ -107,11 +111,11 @@ class FieldSpec:
     against its degree-1 coefficients; a mismatch or a NaN raises
     FieldConsistencyError.
 
-    ``A``, ``B``, ``B_jac`` and ``A_jac`` accept coordinate arrays that
-    broadcast against each other (an open product grid x1[:, None],
-    x2[None, :] as well as a dense meshgrid) and return arrays that
-    broadcast to the coordinates' common shape, elementwise equal to their
-    values on the dense grid; ``numop.apply_L``, ``check_C`` and
+    ``A``, ``A_jac`` and ``B_jac`` (so ``B`` and ``div_A`` too) accept
+    coordinate arrays that broadcast against each other (an open product
+    grid x1[:, None], x2[None, :] as well as a dense meshgrid) and return
+    arrays that broadcast to the coordinates' common shape, elementwise equal
+    to their values on the dense grid; ``numop.apply_L``, ``check_C`` and
     ``gamma_scan`` sample on the grid's axes and rely on it.  A component
     may come back smaller than that shape (an empty polynomial gives 0j
     times a ones array of x1's shape).
@@ -120,13 +124,12 @@ class FieldSpec:
     name: str
     params: dict
     A: Callable
-    B: Callable
     A_jac: Callable
     B_jac: Callable
     B_taylor: BiSeries
     base_point: tuple
     analytic_radius: float
-    A_taylor: Callable
+    A_taylor: tuple
 
     def __post_init__(self):
         if not self.analytic_radius > 0:
@@ -149,9 +152,17 @@ class FieldSpec:
                 f"Taylor degree-1 terms = {tuple(taylor)}"
             )
 
+    def B(self, x1, x2):
+        return _curl(self.A_jac(x1, x2))
+
     def div_A(self, x1, x2):
         d1a1, _, _, d2a2 = self.A_jac(x1, x2)
         return d1a1 + d2a2
+
+
+def _curl(jac):
+    """B = d1A2 - d2A1 from the partials (d1A1, d2A1, d1A2, d2A2) of A."""
+    return jac[2] - jac[1]
 
 
 def _wirtinger(d1b, d2b):
@@ -217,9 +228,6 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
         z = np.zeros_like(np.asarray(x1, dtype=float))
         return (-np.cos(x1) * x2, -np.sin(x1) - 1j * np.sin(x2), z + 0j, -1j * np.sin(x2))
 
-    def B(x1, x2):
-        return np.sin(x1) + 1j * np.sin(x2)
-
     def B_jac(x1, x2):
         return np.cos(x1), 1j * np.cos(x2)
 
@@ -227,9 +235,9 @@ def oscillating_field(base_point=(0.0, 0.0), cap=24):
     sin1, _ = _sin_cos(X1)
     sin2, cos2 = _sin_cos(X2)
     return FieldSpec(
-        name="oscillating", params={}, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
+        name="oscillating", params={}, A=A, A_jac=A_jac, B_jac=B_jac,
         B_taylor=sin1 + 1j * sin2, base_point=x0, analytic_radius=1.0,
-        A_taylor=lambda: (1j * cos2 - sin1 * X2, 1j * cos2),
+        A_taylor=(1j * cos2 - sin1 * X2, 1j * cos2),
     )
 
 
@@ -266,43 +274,25 @@ def user_polynomial_field(A1, A2, base_point=(0.0, 0.0), cap=24, analytic_radius
 def _field_from_polys(name, params, A1p, A2p, base_point, cap, analytic_radius):
     x0 = (float(base_point[0]), float(base_point[1]))
     Bp = poly_curl(A1p, A2p)
-    d1B, d2B = poly_partial(Bp, 1), poly_partial(Bp, 2)
-    d1A1, d2A1 = poly_partial(A1p, 1), poly_partial(A1p, 2)
-    d1A2, d2A2 = poly_partial(A2p, 1), poly_partial(A2p, 2)
 
-    def A(x1, x2):
-        one = np.ones_like(np.asarray(x1, dtype=float))
-        return (poly_eval(A1p, x1, x2) * one, poly_eval(A2p, x1, x2) * one)
+    def values(*polys):
+        return lambda x1, x2: tuple(poly_eval(p, x1, x2) for p in polys)
 
-    def A_jac(x1, x2):
-        one = np.ones_like(np.asarray(x1, dtype=float))
-        return (
-            poly_eval(d1A1, x1, x2) * one, poly_eval(d2A1, x1, x2) * one,
-            poly_eval(d1A2, x1, x2) * one, poly_eval(d2A2, x1, x2) * one,
-        )
-
-    def B(x1, x2):
-        return poly_eval(Bp, x1, x2) * np.ones_like(np.asarray(x1, dtype=float))
-
-    def B_jac(x1, x2):
-        one = np.ones_like(np.asarray(x1, dtype=float))
-        return poly_eval(d1B, x1, x2) * one, poly_eval(d2B, x1, x2) * one
-
-    # one power table per coordinate, up to the degrees of A (B's are lower);
-    # A~ is built with B~ so that the field does not keep the tables
+    # one power table per coordinate, up to the degrees of A (B's are lower)
     X1, X2, _ = _shifted_coordinates(x0, cap)
     pow1 = _powers(X1, max((m for m, _ in [*A1p, *A2p]), default=0))
     pow2 = _powers(X2, max((n for _, n in [*A1p, *A2p]), default=0))
-    a_taylor = (_poly_series(A1p, pow1, pow2), _poly_series(A2p, pow1, pow2))
     return FieldSpec(
-        name=name, params=params, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
+        name=name, params=params, A=values(A1p, A2p),
+        A_jac=values(*(poly_partial(p, i) for p in (A1p, A2p) for i in (1, 2))),
+        B_jac=values(poly_partial(Bp, 1), poly_partial(Bp, 2)),
         B_taylor=_poly_series(Bp, pow1, pow2), base_point=x0, analytic_radius=analytic_radius,
-        A_taylor=lambda: a_taylor,
+        A_taylor=(_poly_series(A1p, pow1, pow2), _poly_series(A2p, pow1, pow2)),
     )
 
 
 def _off_origin_radius(x1, x2):
-    """|x| at points that avoid the origin, where the Miller-Simon potential
+    """|x| at points that avoid the origin, where the Miller-Simon field B
     has a kink; refuses any point within 1e-9 of it."""
     r = np.hypot(x1, x2)
     if np.any(r < 1e-9):
@@ -314,9 +304,12 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
     """A = c (-x2, x1) / (1+|x|)^alpha; bounded field, bounded potential.
 
     With f = c (1+r)^-alpha and g = f'(r)/r = -alpha c (1+r)^-(alpha+1) / r,
-    the partials of A are (-g x1 x2, -(f + g x2^2), f + g x1^2, g x1 x2).
-    B = B(r) with B'(r) = c alpha ((alpha - 2) r - 3) / (1+r)^(alpha+2), so
-    d_i B = B'(r) x_i / r.  Both hold away from the origin.
+    the partials of A are (-g x1 x2, -(f + g x2^2), f + g x1^2, g x1 x2), so
+    B = 2f + g r^2 = c (2 (1+r)^-alpha - alpha r (1+r)^-(alpha+1)).  A is C^1
+    at the origin, where g x_i x_j -> 0: there A_jac = (0, -c, c, 0) and
+    B = 2c.  B = B(r) with B'(r) = c alpha ((alpha - 2) r - 3) /
+    (1+r)^(alpha+2), so d_i B = B'(r) x_i / r away from the origin; B_jac
+    refuses points within 1e-9 of it, where B has a kink.
     """
     c = complex(c)
     alpha = float(alpha)
@@ -328,14 +321,11 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
         return (-f * x2, f * x1)
 
     def A_jac(x1, x2):
-        r = _off_origin_radius(x1, x2)
-        f = c / (1.0 + r) ** alpha
-        g = -alpha * c / ((1.0 + r) ** (alpha + 1) * r)
-        return -g * x1 * x2, -(f + g * x2**2), f + g * x1**2, g * x1 * x2
-
-    def B(x1, x2):
         r = np.hypot(x1, x2)
-        return c * (2.0 / (1.0 + r) ** alpha - alpha * r / (1.0 + r) ** (alpha + 1))
+        f = c / (1.0 + r) ** alpha
+        # at r = 0 the products g x_i x_j vanish: divide by 1 there
+        g = -alpha * c / ((1.0 + r) ** (alpha + 1) * np.where(r > 0, r, 1.0))
+        return -g * x1 * x2, -(f + g * x2**2), f + g * x1**2, g * x1 * x2
 
     def B_jac(x1, x2):
         r = _off_origin_radius(x1, x2)
@@ -348,9 +338,9 @@ def miller_simon_field(c=1 + 1j, alpha=1.0, base_point=(1.0, 0.5), cap=3):
     f = c * (1 + r).power(-alpha)
     bt = f * (2 - alpha * r * (1 + r).reciprocal())
     return FieldSpec(
-        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, B=B, A_jac=A_jac,
+        name="miller_simon", params={"c": c, "alpha": alpha}, A=A, A_jac=A_jac,
         B_jac=B_jac, B_taylor=bt, base_point=x0,
-        analytic_radius=0.5 * min(1.0, math.hypot(*x0)), A_taylor=lambda: (-f * X2, f * X1),
+        analytic_radius=0.5 * min(1.0, math.hypot(*x0)), A_taylor=(-f * X2, f * X1),
     )
 
 
@@ -363,10 +353,6 @@ def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     def A(x1, x2):
         e = np.exp(x1**2 + x2**2)
         return (-1j * c * e * x2, 1j * c * e * x1)
-
-    def B(x1, x2):
-        r2 = x1**2 + x2**2
-        return 2j * c * (1.0 + r2) * np.exp(r2)
 
     def B_jac(x1, x2):
         r2 = x1**2 + x2**2
@@ -384,10 +370,10 @@ def exponential_field(c=0.4, base_point=(0.0, 0.0), cap=24):
     X1, X2, rho = _shifted_coordinates(x0, cap)
     e = rho.exp()
     return FieldSpec(
-        name="exponential", params={"c": c}, A=A, B=B, A_jac=A_jac, B_jac=B_jac,
+        name="exponential", params={"c": c}, A=A, A_jac=A_jac, B_jac=B_jac,
         B_taylor=(1 + rho) * e * (2j * c),
         base_point=x0, analytic_radius=1.0,
-        A_taylor=lambda: (e * X2 * (-1j * c), e * X1 * (1j * c)),
+        A_taylor=(e * X2 * (-1j * c), e * X1 * (1j * c)),
     )
 
 
@@ -438,8 +424,9 @@ class GammaReport:
 def admissibility(field, x1, x2):
     """Admissibility coefficients and membership at the points (x1, x2).
 
-    Reads the closed forms B, B_jac, A and A_jac of ``field`` at coordinate
-    arrays that broadcast against each other; every entry of the returned
+    Reads the closed forms A, A_jac and B_jac of ``field`` at coordinate
+    arrays that broadcast against each other, B = d1A2 - d2A1 and the
+    partials of Im A from the one A_jac call; every entry of the returned
     GammaReport has their common shape.
 
     Q1 = 1/4 Re[B (1 + dzB/dzbarB)] + 1/2 d1 Im A1
@@ -449,11 +436,12 @@ def admissibility(field, x1, x2):
     where dzB/dzbarB is read as 0 at a point with |dzbarB| <= GAMMA_TOL.
     """
     shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-    b0 = np.broadcast_to(field.B(x1, x2), shape)
+    jac = field.A_jac(x1, x2)
+    b0 = np.broadcast_to(_curl(jac), shape)
     dzB, dzbarB = (np.broadcast_to(v, shape) for v in _wirtinger(*field.B_jac(x1, x2)))
     a1, a2 = field.A(x1, x2)
     imA_norm = np.broadcast_to(np.hypot(np.imag(a1), np.imag(a2)), shape)
-    d1a1, d2a1, d1a2, d2a2 = (np.imag(v) for v in field.A_jac(x1, x2))
+    d1a1, d2a1, d1a2, d2a2 = (np.imag(v) for v in jac)
     flat = np.abs(dzbarB) <= GAMMA_TOL
     rho = np.where(flat, 0j, dzB / np.where(flat, 1.0, dzbarB))
     Q1 = 0.25 * (b0 * (1.0 + rho)).real + 0.5 * d1a1
@@ -490,9 +478,9 @@ def gamma_scan(field, region, n):
     Returns (xs, ys, report) with report a GammaReport of n x n arrays, row
     i and column j at (xs[i], ys[j]).  Raises FieldConsistencyError naming
     the first point in row-major order where the central-difference curl of
-    A disagrees with B (the check a field based there makes) or where a value
-    of the report is not finite; numpy's warnings on the way there are not
-    printed.
+    A disagrees with B = d1A2 - d2A1 from A_jac (the check a field based
+    there makes) or where a value of the report is not finite; numpy's
+    warnings on the way there are not printed.
     """
     x1min, x1max, x2min, x2max = region
     xs = np.linspace(x1min, x1max, n)

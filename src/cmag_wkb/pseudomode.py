@@ -34,7 +34,7 @@ import numpy as np
 
 from .cseries import (BiSeries, check_identity, degree_maxima, real_coordinates,
                       real_gradient_series)
-from .fieldmodel import FieldSpec
+from .fieldmodel import GAMMA_TOL, FieldSpec
 from .wkb import IDENTITY_RTOL, WKBSolution
 
 log = logging.getLogger(__name__)
@@ -143,9 +143,8 @@ class _ThetaEvaluator:
         self.field = field
         self.sol = sol
         self.d_max = min(0.5 * field.analytic_radius, 0.95 * sol.trusted_radius)
-        self.A_taylor = field.A_taylor()
         phi = sol.phi
-        a1, a2 = self.A_taylor
+        a1, a2 = field.A_taylor
         y1, y2 = real_coordinates(a1.cap)
         a, b = np.indices(phi.coeffs.shape)
         T = (-1j * (a - b) * phi.coeffs - (a1 * y1 + a2 * y2).coeffs) / np.maximum(a + b, 1)
@@ -155,7 +154,7 @@ class _ThetaEvaluator:
     def _calibrate(self):
         """The gauge check: curl A~ = B~ per degree up to cap - 2, and A~
         reproduces the callable A on rings at 0.3, 0.7 and 1 x d_max."""
-        a1, a2 = self.A_taylor
+        a1, a2 = self.field.A_taylor
         B = self.field.B_taylor
         d1a2, d2a1 = real_gradient_series(a2)[0], real_gradient_series(a1)[1]
         check_identity("curl A~ = B~ (the field's Taylor data of B and A)",
@@ -205,13 +204,25 @@ def select_cutoff(phase, delta_override=None):
     the quadratic of Re P (the degree-2 part of the built phase, which the
     refusal reads too); ``phase`` is the pseudomode's phase evaluator.
 
-    Raises CutoffRadiusError for an override outside (0, d_max] or one so
-    small that the sampled Re P / |x|^2 is not finite, and
-    PhaseNotPositiveError when no disc works: at once when that quadratic is
-    not positive definite, else after the search.  The message states the
-    linear part of Re P, the quadratic with its eigenvalues and the Q2 that
-    the built phase realizes, Q2_eff = -c12/2.
+    Raises PhaseNotPositiveError at once, before any search and before an
+    override is sampled, when the linear part of Re P, Im A(x0), has a norm
+    above GAMMA_TOL (the tolerance at which the admissibility gate calls
+    Im A(x0) nonzero): Re P is then negative near x0 on one side.  Raises
+    CutoffRadiusError for an override outside (0, d_max] or one so small
+    that the sampled Re P / |x|^2 is not finite, and PhaseNotPositiveError
+    when no disc works: at once when that quadratic is not positive
+    definite, else after the search.  The message states the linear part of
+    Re P, the quadratic with its eigenvalues and the Q2 that the built phase
+    realizes, Q2_eff = -c12/2.
     """
+    R = phase.P.real_coeffs().real
+    lin = (float(R[1, 0]), float(R[0, 1]))
+    if math.hypot(*lin) > GAMMA_TOL:
+        raise PhaseNotPositiveError(
+            f"Re P has the linear part ({lin[0]:.6g}, {lin[1]:.6g}) = Im A(x0), of norm "
+            f"{math.hypot(*lin):.3g} > {GAMMA_TOL:g}: Re P is negative near x0 along "
+            f"-Im A(x0). A decaying pseudomode does not exist at this base point."
+        )
     c11, c12, c22 = _rep_quadratic(phase.P)
     eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     M1 = 0.5 * float(eigs[0])
@@ -240,10 +251,9 @@ def select_cutoff(phase, delta_override=None):
             if _reP_over_r2_min(phase, delta) >= M1:
                 return CutoffSpec(r_out=delta, M1=M1)
 
-    R = phase.P.real_coeffs().real
     raise PhaseNotPositiveError(
         f"no disc with Re P >= {M1:.4g}|x|^2: Re P linear part "
-        f"({R[1, 0]:.6g}, {R[0, 1]:.6g}), quadratic "
+        f"({lin[0]:.6g}, {lin[1]:.6g}), quadratic "
         f"(c11, c12, c22) = ({c11:.6g}, {c12:.6g}, {c22:.6g}), "
         f"eigenvalues {eigs[0]:.4g}, {eigs[1]:.4g}, Q2_eff = {-c12 / 2:.6g}. "
         f"A decaying pseudomode does not exist at this base point."

@@ -378,6 +378,63 @@ def test_miller_simon_base_point_from_the_builder(tmp_path, capsys):
     assert main(["check-conditions", "--builtin", "miller_simon", "--n", "16"]) == EXIT_OK
 
 
+def test_check_conditions_samples_miller_simon_at_the_origin(capsys):
+    # an odd --n puts the origin on the grid of the symmetric default region,
+    # where B = 2c is read from A_jac
+    assert main(["check-conditions", "--builtin", "miller_simon", "--n", "17"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+def test_run_out_of_memory_exits_2_and_keeps_the_series_rows(tmp_path, capsys, monkeypatch):
+    # an FD grid the machine cannot allocate: one config error line, and the
+    # two series rows of the sweep are written first
+    monkeypatch.setattr(cli, "residual_finite_difference", _out_of_memory)
+    out = tmp_path / "o"
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2",
+                 "--evaluator", "both", "--grid-n", "1000000", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: out of memory: Unable to allocate 7.28 TiB "
+                                "for an array"]
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert [line.split(",")[2] for line in lines[2:]] == ["series_exact"] * 2
+
+
+def test_run_out_of_memory_in_the_sweep_keeps_the_finished_rows(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def second_h_fails(pm, h):
+        calls.append(h)
+        if len(calls) == 2:
+            raise MemoryError()
+        return real(pm, h)
+
+    real = cli.residual_series_exact
+    monkeypatch.setattr(cli, "residual_series_exact", second_h_fails)
+    out = tmp_path / "o"
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.025:3",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config error: out of memory: MemoryError"]
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("0.1,1,series_exact,")
+
+
+def test_gamma_scan_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fieldmodel, "gamma_scan", _out_of_memory)
+    code = main(["gamma-scan", "--builtin", "oscillating", "--region=-1,1,-1,1",
+                 "--n", "1000000", "--out", str(tmp_path / "r.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: out of memory: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
 _RUN = ["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:0.05:2"]
 _SCAN = ["gamma-scan", "--builtin", "oscillating", "--region=-pi,pi,-pi,pi"]
 _CONDS = ["check-conditions", "--builtin", "exponential", "--c", "0.4"]

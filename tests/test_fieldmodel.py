@@ -393,7 +393,7 @@ def test_taylor_pairs_match_callables_on_a_ring(field):
     ang = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
     x1, x2 = field.base_point[0] + y1, field.base_point[1] + y2
-    a1, a2 = field.A_taylor()
+    a1, a2 = field.A_taylor
     for got, want in ((a1, field.A(x1, x2)[0]), (a2, field.A(x1, x2)[1]),
                       (field.B_taylor, field.B(x1, x2))):
         assert np.max(np.abs(got.realify(y1, y2) - want)) < 1e-10 * (np.max(np.abs(want)) or 1.0)
@@ -447,6 +447,31 @@ def test_field_pickles_as_its_builder_call(name):
     x1, x2 = x0[0] + np.array([0.1, -0.3, 0.2]), x0[1] + np.array([0.25, 0.05, -0.35])
     for got, want in zip(back.A(x1, x2), field.A(x1, x2)):
         assert np.array_equal(got, want)
+
+
+def test_miller_simon_jacobian_and_field_at_the_origin():
+    # A is C^1 at the origin: A_jac there is (0, -c, c, 0) and B = 2c, while
+    # B_jac, B having a kink there, refuses it
+    c = 0.5 - 2j
+    field = miller_simon_field(c, 2.5, base_point=(-0.4, 0.9), cap=4)
+    zero = np.float64(0.0)
+    assert tuple(complex(v) for v in field.A_jac(zero, zero)) == (0, -c, c, 0)
+    assert complex(field.B(zero, zero)) == 2 * c
+    with pytest.raises(ValueError, match="avoid the origin"):
+        field.B_jac(zero, zero)
+
+
+def test_B_is_the_jacobian_curl():
+    # B is d1A2 - d2A1 of A_jac and agrees with each builtin's closed form
+    x1, x2 = np.meshgrid(np.linspace(-1.3, 1.1, 33), np.linspace(-0.9, 1.4, 33))
+    assert np.array_equal(oscillating_field(X0).B(x1, x2), np.sin(x1) + 1j * np.sin(x2))
+    r2 = x1**2 + x2**2
+    assert np.allclose(exponential_field(0.4).B(x1, x2), 0.8j * (1 + r2) * np.exp(r2),
+                       rtol=1e-14, atol=0)
+    r = np.sqrt(r2)
+    ms = miller_simon_field(1 + 1j, 1.0)
+    assert np.allclose(ms.B(x1, x2), (1 + 1j) * (2 / (1 + r) - r / (1 + r) ** 2),
+                       rtol=1e-14, atol=0)
 
 
 def test_div_A_is_the_jacobian_trace():
@@ -507,13 +532,19 @@ def test_compute_Q_at_a_point_is_its_raster_row(name):
 
 
 def test_gamma_scan_refuses_the_first_inconsistent_point():
-    # the check a field based at each raster point makes: with B off by |x|^2
-    # away from the base point, curl A fails it first at (0, 0.5) in row-major
-    # order; a B_jac that is infinite from x1 = 1 on is refused at (1, 0)
+    # the check a field based at each raster point makes: with A_jac's d1A2,
+    # and so B, off by |x|^2 away from the base point, curl A fails it first
+    # at (0, 0.5) in row-major order; a B_jac that is infinite from x1 = 1 on
+    # is refused at (1, 0)
     from dataclasses import replace
     good = polynomial_field(1.0, 1j, 1.0, cap=2)
     assert gamma_scan(good, (0, 1, 0, 1), 3)[2].in_gamma.shape == (3, 3)
-    off = replace(good, B=lambda x1, x2: good.B(x1, x2) + x1**2 + x2**2)
+
+    def A_jac(x1, x2):
+        d1a1, d2a1, d1a2, d2a2 = good.A_jac(x1, x2)
+        return d1a1, d2a1, d1a2 + x1**2 + x2**2, d2a2
+
+    off = replace(good, A_jac=A_jac)
     with pytest.raises(FieldConsistencyError, match=r"curl A at base point \(0\.0, 0\.5\)"):
         gamma_scan(off, (0, 1, 0, 1), 3)
 

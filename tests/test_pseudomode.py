@@ -125,7 +125,7 @@ def _canonical_field(field, sol):
     x0 = sol.base_point
     return replace(field, A=lambda x1, x2: _canonical_M(sol, x1 - x0[0], x2 - x0[1]),
                    A_jac=lambda x1, x2: tuple(d.realify(x1 - x0[0], x2 - x0[1]) for d in dM),
-                   A_taylor=lambda: M)
+                   A_taylor=M)
 
 
 def test_theta_zero_in_canonical_gauge(work_setup):
@@ -367,6 +367,20 @@ def test_phase_not_positive_names_the_linear_part():
     with pytest.raises(PhaseNotPositiveError) as exc:
         make_pseudomode(field, solve_wkb(field, N=1), N=1)
     assert f"linear part ({im_a[0]:.6g}, {im_a[1]:.6g})" in str(exc.value)
+
+
+def test_select_cutoff_refuses_a_linear_part_before_the_search():
+    # on the workhorse at (0.3, 0.9) the quadratic of Re P is positive
+    # definite and samples from delta/8 out clear M1 |y|^2, but the linear
+    # part Im A(x0) = (0, 0.045) makes Re P negative near x0 along -y2: no
+    # radius is searched for, and no override is sampled
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0, base_point=(0.3, 0.9), cap=24)
+    assert [float(np.imag(a)) for a in field.A(0.3, 0.9)] == pytest.approx([0.0, 0.045])
+    phase = pseudomode._ThetaEvaluator(field, solve_wkb(field, N=1))
+    for delta in (None, 0.1):
+        with pytest.raises(PhaseNotPositiveError,
+                           match=r"linear part \(0, 0\.045\) = Im A\(x0\)"):
+            select_cutoff(phase, delta_override=delta)
 
 
 class _StubPhase:
