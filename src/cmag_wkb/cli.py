@@ -14,11 +14,13 @@ bound-fit         amplitude growth diagnostics only.
 
 Examples
 --------
-  cmag-wkb run --builtin oscillating --x0 pi/3,-pi/2 --N 1 --h 0.1:0.003:8 --out out/
+  cmag-wkb run --builtin oscillating --x0 pi/3,-pi/2 --N 1 --h 0.1:0.003:8 --out out/  # exits 4
   cmag-wkb run --builtin polynomial --a 4 --b 0.3+i --c 1 --x0 0,0 --N 2 --out out/
   cmag-wkb gamma-scan --builtin oscillating --region=-2pi,2pi,-2pi,2pi --n 257 --out raster.csv
-  (use the --option=value form for values that begin with a minus sign)
-  cmag-wkb check-conditions --builtin exponential --c 0.4 --h 1 --region -3,3,-3,3
+  cmag-wkb check-conditions --builtin exponential --c 0.4 --h 1 --region=-0.8,0.8,-0.8,0.8
+  (use the --option=value form for values that begin with a minus sign).  The
+  first run exits 4 by design: the built Re P is not positive at that point,
+  so no decaying pseudomode exists there (acceptance criterion 4).
 
 Fields: every parameter left out takes the default in the builder's signature
 (fieldmodel.polynomial_field and so on), the base point included.  Only the
@@ -32,18 +34,23 @@ Typed flags override the file.  The "field" block of the config.json that
 run writes is such an object, defaults filled in, and replays the run's
 field exactly.
 
-Exit codes: 0 success, 2 config error, 3 admissibility rejection,
-4 internal identity failure, 5 residual-grid quadrature refusal (residuals.csv
-keeps the rows of the h before the refused one).  An allocation the machine
-cannot make (a --grid-n or --n far too large, say) exits 2 with one line;
-run first writes the series rows that finished to residuals.csv.  The degree
-cap must satisfy --D >= 3(N+2) with N >= 0 (for run, N is max(N, jmax) when
---adaptive is set; for bound-fit, N is jmax), and --grid-n >= 16 with
---evaluator both; violating either exits 2 before any work starts.  So does
-an --h sweep other than h_max:h_min:count with 0 < h_min < h_max < inf and an
-integer count >= 2, and field data for which curl A at the base point is not
-finite (a NaN parameter or base point; the message names the point), and a
---delta that is not a finite number > 0.  So does a Miller-Simon field based
+Exit codes: 0 success, 2 config error, 3 admissibility rejection (like run's
+gate, bound-fit refuses a base point where |B| or |dzbar B| is at most
+GAMMA_TOL = 1e-9), 4 internal identity failure, 5 residual-grid quadrature
+refusal (residuals.csv keeps the rows of the h before the refused one).  An
+allocation the machine cannot make (a --grid-n or --n far too large, or an
+--h below about 1e-37, whose residual grid no array index can count, say)
+exits 2 with one line; run first writes the series rows that finished to
+residuals.csv.  The degree cap must satisfy --D >= 3(N+2) with N >= 0 (for
+run, N is max(N, jmax) when --adaptive is set; for bound-fit, N is jmax), and
+--grid-n >= 16 with --evaluator both; violating either exits 2 before any
+work starts.  So does an --h sweep other than h_max:h_min:count with
+0 < h_min < h_max < inf and an integer count >= 2, and field data for which
+curl A at the base point is not finite (a NaN parameter or base point; the
+message names the point), and a base point whose |x0|^2 is not finite (a
+coordinate at or above about 1.34e154, for every builtin and for the first
+point of a gamma-scan raster; the message names the point), and a --delta
+that is not a finite number > 0.  So does a Miller-Simon field based
 at the origin, for run and for a raster through it, and --x0 given to
 gamma-scan (the raster sets the base point).  gamma-scan makes the same curl
 check at every raster point and also refuses a point where a value of its
@@ -484,9 +491,7 @@ def cmd_check_conditions(args):
     # every verdict before the first is printed: a field that is not finite
     # in the sampled region prints none
     try:
-        verdicts = [max((check_C(field, cfg, which=which, sign=sign) for sign in ("+", "-")),
-                        key=lambda v: v.min_slack)
-                    for which, cfg in cfgs]
+        verdicts = [check_C(field, cfg, which=which) for which, cfg in cfgs]
     except ValueError as exc:
         raise ConfigError(f"{exc} (--region {args.region})") from exc
     lines = [CSV_HEADER, "check,sign,passed,min_slack,at"]

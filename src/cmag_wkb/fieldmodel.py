@@ -187,10 +187,20 @@ def curl_fd(A, x):
 # ----------------------------------------------------------------------------
 
 def _shifted_coordinates(x0, cap):
-    """The complexified x0 + y and |x0 + y|^2 = |x0|^2 + 2 x0 . y~ + zw."""
+    """The complexified x0 + y and |x0 + y|^2 = |x0|^2 + 2 x0 . y~ + zw.
+
+    Every builder starts its Taylor data here, so this is where a base point
+    whose |x0|^2 is infinite (a coordinate at or above about 1.34e154) is
+    refused, with a ValueError naming it; a NaN one is left to FieldSpec's
+    check."""
+    try:
+        r2 = x0[0] ** 2 + x0[1] ** 2
+    except OverflowError:  # a float ** raises where * would give inf
+        r2 = math.inf
+    if r2 == math.inf:
+        raise ValueError(f"|x0|^2 at base point {x0} is not finite")
     y1, y2 = real_coordinates(cap)
-    rho = (BiSeries.from_terms([(1, 1, 1.0)], cap) + (2 * x0[0]) * y1 + (2 * x0[1]) * y2
-           + (x0[0] ** 2 + x0[1] ** 2))
+    rho = BiSeries.from_terms([(1, 1, 1.0)], cap) + (2 * x0[0]) * y1 + (2 * x0[1]) * y2 + r2
     return x0[0] + y1, x0[1] + y2, rho
 
 
@@ -513,8 +523,8 @@ class ConditionCheckConfig:
     epsilon: float
     C_const: float
     sample_region: tuple  # (x1min, x1max, x2min, x2max)
-    sample_density: int = 64
-    h: float = 1.0
+    sample_density: int
+    h: float
 
     def validate(self, which):
         """Refuse numbers outside the check's ranges: 0 < epsilon < 1 for C1
@@ -538,15 +548,17 @@ class CheckVerdict:
     location: tuple
 
 
-def check_C(field, cfg, which="C1", sign="+"):
-    """Sampled check of |Im A|^2 <= ±eps * h * (Re|Im) B + C on a grid.
+def check_C(field, cfg, which="C1"):
+    """Sampled check of |Im A|^2 <= s eps h (Re|Im) B + C, for some sign s, on
+    a grid.
 
     A sampling check only; a passing verdict is not a certificate.  The
-    field is sampled on the grid's axes (an open product grid) and its
-    values broadcast to the n x n samples.  Raises ValueError naming the
-    first sample, in row-major order, where A, B or |Im A|^2 is not finite
-    (no verdict is read from such values; an infinite |Im A|^2 would also
-    make the pass tolerance infinite).
+    field is sampled once, on the grid's axes (an open product grid), and its
+    values broadcast to the n x n samples; the slack of both signs is read
+    from them.  The verdict is that of the sign whose least slack is larger,
+    "+" on a tie.  Raises ValueError naming the first sample, in row-major
+    order, where A, B or |Im A|^2 is not finite (no verdict is read from such
+    values; an infinite |Im A|^2 would also make the pass tolerance infinite).
     """
     cfg.validate(which)
     x1min, x1max, x2min, x2max = cfg.sample_region
@@ -563,20 +575,20 @@ def check_C(field, cfg, which="C1", sign="+"):
         raise ValueError(f"the field or |Im A|^2 is not finite at the sample point "
                          f"({xs[i]:g}, {ys[j]:g})")
     part = np.real(b) if which == "C1" else np.imag(b)
-    s = 1.0 if sign == "+" else -1.0
-    slack = s * cfg.epsilon * cfg.h * part + cfg.C_const - lhs
-    k = np.unravel_index(np.argmin(slack), slack.shape)
-    worst = float(slack[k])
-    return CheckVerdict(
-        which=which, sign=sign, passed=bool(worst >= -1e-12 * max(1.0, float(np.max(lhs)))),
-        min_slack=worst, location=(float(xs[k[0]]), float(ys[k[1]])),
-    )
+    tol = -1e-12 * max(1.0, float(np.max(lhs)))
+
+    def verdict(sign, s):
+        slack = s * cfg.epsilon * cfg.h * part + cfg.C_const - lhs
+        k = np.unravel_index(np.argmin(slack), shape)
+        worst = float(slack[k])
+        return CheckVerdict(which=which, sign=sign, passed=bool(worst >= tol), min_slack=worst,
+                            location=(float(xs[k[0]]), float(ys[k[1]])))
+
+    return max((verdict("+", 1.0), verdict("-", -1.0)), key=lambda v: v.min_slack)
 
 
 @dataclass(frozen=True)
 class HTrendReport:
-    hypothesis: str
-    values: tuple  # min over the circle, per radius
     diverging: bool
     growth_exponent: float
     sign: str = ""  # H1 only: detected sign of Re B at large radii
@@ -585,39 +597,32 @@ class HTrendReport:
 def check_H(field, radii):
     """Heuristic divergence trends for the three compactness hypotheses.
 
+    B and A are evaluated on every radius x 64 directions in one array pass.
     For each radius the relevant quantity (|Re B|, |Im B|, |Im A|) is
-    minimised over 64 directions; divergence is reported when the
-    last three minima increase strictly by at least 5% each.  Raises
-    ValueError naming the first radius where B or A is not finite on the
-    circle (no trend is read from such values).
+    minimised over the directions; divergence is reported when the last
+    three minima increase strictly by at least 5% each.  Raises ValueError
+    naming the first radius where B or A is not finite on the circle (no
+    trend is read from such values).
     """
     radii = np.asarray(sorted(radii), dtype=float)
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    ca, sa = np.cos(ang), np.sin(ang)
-    mins = {"H1": [], "H2": [], "H3": []}
-    maxs = {"H1": [], "H2": [], "H3": []}
-    sign_votes = []
-    for r in radii:
-        x1, x2 = r * ca, r * sa
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            b = field.B(x1, x2)
-            a1, a2 = field.A(x1, x2)
-        if not all(np.all(np.isfinite(v)) for v in (b, a1, a2)):
-            raise ValueError(f"the field is not finite on the circle r = {r:g}")
-        for hyp, q in (("H1", np.abs(np.real(b))), ("H2", np.abs(np.imag(b))),
-                       ("H3", np.hypot(np.imag(a1), np.imag(a2)))):
-            mins[hyp].append(float(np.min(q)))
-            maxs[hyp].append(float(np.max(q)))
-        rb = np.real(b)
-        sign_votes.append("+" if np.all(rb > 0) else ("-" if np.all(rb < 0) else "mixed"))
+    x1, x2 = radii[:, None] * np.cos(ang), radii[:, None] * np.sin(ang)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b, a1, a2 = (np.broadcast_to(v, x1.shape) for v in (field.B(x1, x2), *field.A(x1, x2)))
+    bad = ~np.all(np.isfinite(b) & np.isfinite(a1) & np.isfinite(a2), axis=1)
+    if np.any(bad):
+        raise ValueError(f"the field is not finite on the circle r = {radii[np.argmax(bad)]:g}")
+    rb = np.real(b[-1])
+    sign = "+" if np.all(rb > 0) else ("-" if np.all(rb < 0) else "mixed")
 
     out = {}
-    for hyp, vals in mins.items():
-        v = np.array(vals)
+    for hyp, q in (("H1", np.abs(np.real(b))), ("H2", np.abs(np.imag(b))),
+                   ("H3", np.hypot(np.imag(a1), np.imag(a2)))):
+        v = np.min(q, axis=1)
         tail = v[-3:]
         # the min must both trend up and be genuinely nonzero on the circle
         # (a field vanishing on a ray keeps the min at float-noise level)
-        significant = tail[-1] > 1e-8 * max(maxs[hyp][-1], 1e-300)
+        significant = tail[-1] > 1e-8 * max(float(np.max(q[-1])), 1e-300)
         diverging = bool(np.all(tail[1:] >= 1.05 * tail[:-1]) and tail[-1] > 0
                          and significant)
         pos = v > 0
@@ -625,10 +630,8 @@ def check_H(field, radii):
             slope = np.polyfit(np.log(radii[pos]), np.log(v[pos]), 1)[0]
         else:
             slope = float("-inf")
-        out[hyp] = HTrendReport(
-            hypothesis=hyp, values=tuple(vals), diverging=diverging,
-            growth_exponent=float(slope), sign=sign_votes[-1] if hyp == "H1" else "",
-        )
+        out[hyp] = HTrendReport(diverging=diverging, growth_exponent=float(slope),
+                                sign=sign if hyp == "H1" else "")
     return out
 
 

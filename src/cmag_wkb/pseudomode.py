@@ -362,8 +362,12 @@ def assemble(pm, h):
 
 def quadrature_points(h, r_out):
     """Gauss points per axis of the coarse residual grid: 8 r_out / sqrt(h),
-    at least 64."""
-    return max(64, int(math.ceil(8.0 * r_out / math.sqrt(h))))
+    at least 64.  A count that no array index can hold (h below about 1e-37)
+    raises MemoryError, as a count the machine cannot allocate does."""
+    n = max(64, int(math.ceil(8.0 * r_out / math.sqrt(h))))
+    if n > np.iinfo(np.intp).max:
+        raise MemoryError(f"{n:.3g} Gauss points per axis at h = {h:g} exceed any array index")
+    return n
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ this module constructs
 
 The construction assumes a non-critical base point, B(0) != 0 and
 d_zbar B(0) != 0, as the paper does; ``solve_wkb`` is the one place that
-refuses the rest (DegenerateFieldError).  Past that check V(0,0) = B(0)/4
-and d_w J(0,0) = -d_zbar B/(2B)(0) are nonzero, so the transport recursion
-has a single path: every reciprocal it takes exists.
+refuses the rest (DegenerateFieldError), at the admissibility gate's
+tolerance: |B(0)| or |d_zbar B(0)| at most fieldmodel.GAMMA_TOL.  Past that
+check V(0,0) = B(0)/4 and d_w J(0,0) = -d_zbar B/(2B)(0) are nonzero, so the
+transport recursion has a single path: every reciprocal it takes exists.
 
 Every step is verified as a series identity, each through
 ``cseries.check_identity``: the Poisson identity, J = 1 on the curve, the
@@ -54,6 +55,7 @@ from .cseries import (
     implicit_w,
     t_average,
 )
+from .fieldmodel import GAMMA_TOL
 
 IDENTITY_RTOL = 1e-10
 
@@ -301,9 +303,9 @@ def solve_wkb(field, N=3):
             f"(each transport step consumes three derivative orders)"
         )
     B0 = complex(Btilde.coeffs[0, 0])
-    if abs(B0) <= 1e-12:
+    if abs(B0) <= GAMMA_TOL:
         raise DegenerateFieldError("B(0) = 0 at the base point")
-    if abs(Btilde.coeffs[0, 1]) <= 1e-12:
+    if abs(Btilde.coeffs[0, 1]) <= GAMMA_TOL:
         raise DegenerateFieldError("d_zbar B(0) = 0 at the base point")
 
     w_curve = implicit_w(Btilde)

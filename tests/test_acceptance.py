@@ -328,21 +328,20 @@ def test_criterion_11_condition_checkers():
     # intended bound holds (see ledger: the printed |Im A|^2 misses a factor
     # e^{|x|^2}, beyond |x| ~ 1.17 the bound genuinely fails)
     c2 = check_C(expo, ConditionCheckConfig(0.45, 0.0, (-0.8, 0.8, -0.8, 0.8), 96, h),
-                 which="C2", sign="+")
-    c1p = check_C(expo, ConditionCheckConfig(0.9, 1.0, (-1.5, 1.5, -1.5, 1.5), 96, h),
-                  which="C1", sign="+")
-    c1m = check_C(expo, ConditionCheckConfig(0.9, 1.0, (-1.5, 1.5, -1.5, 1.5), 96, h),
-                  which="C1", sign="-")
+                 which="C2")
+    # C1 fails for either sign: the verdict is that of the better one
+    c1 = check_C(expo, ConditionCheckConfig(0.9, 1.0, (-1.5, 1.5, -1.5, 1.5), 96, h),
+                 which="C1")
     ms = miller_simon_field(1 + 1j, 1.0)
     ms_region = (-20.0, 20.0, -20.0, 20.0)
-    ms1 = check_C(ms, ConditionCheckConfig(0.5, 10.0, ms_region, 128, 0.5), "C1", "+")
-    ms2 = check_C(ms, ConditionCheckConfig(0.45, 10.0, ms_region, 128, 0.5), "C2", "+")
+    ms1 = check_C(ms, ConditionCheckConfig(0.5, 10.0, ms_region, 128, 0.5), "C1")
+    ms2 = check_C(ms, ConditionCheckConfig(0.45, 10.0, ms_region, 128, 0.5), "C2")
     trends = check_H(expo, np.geomspace(0.5, 3.0, 8))
-    ok = (c2.passed and not c1p.passed and not c1m.passed
+    ok = (c2.passed and not c1.passed
           and ms1.passed and ms2.passed
           and trends["H2"].diverging and not trends["H1"].diverging)
     assert report(11, ok,
-                  f"exponential: C2 pass={c2.passed}, C1 fail={not (c1p.passed or c1m.passed)}; "
+                  f"exponential: C2 pass={c2.passed}, C1 fail={not c1.passed}; "
                   f"miller_simon: C1 pass={ms1.passed}, C2 pass={ms2.passed}; "
                   f"exponential trends: H2 diverging={trends['H2'].diverging}, "
                   f"H1 diverging={trends['H1'].diverging}")

@@ -1,6 +1,8 @@
 """CLI parsing, artifact emission, determinism, and exit codes."""
 
 import json
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -133,16 +135,31 @@ def test_run_config_error_exit_code(tmp_path):
     assert not any((tmp_path / d).exists() for d in ("n7", "neg", "fd"))
 
 
+_OVERFLOW = "|x0|^2 at base point {} is not finite"
+
+
 @pytest.mark.parametrize("argv, named", [
     (["run", "--x0", "nan,0"], "curl A at base point"),
     (["run", "--builtin", "polynomial", "--a", "nan"], "curl A at base point"),
     (["bound-fit", "--x0", "nan,-pi/2"], "curl A at base point"),
     (["gamma-scan", "--region=0,nan,0,1", "--n", "3"], "--region 0,nan,0,1"),
-], ids=["run-x0", "run-a", "bound-fit-x0", "gamma-scan-region"])
+    (["run", "--builtin", "polynomial", "--x0", "1e200,0"], _OVERFLOW.format("(1e+200, 0.0)")),
+    (["bound-fit", "--builtin", "polynomial", "--x0", "1e200,0", "--jmax", "1", "--D", "9"],
+     _OVERFLOW.format("(1e+200, 0.0)")),
+    (["check-conditions", "--builtin", "polynomial", "--x0", "1e200,0", "--n", "4"],
+     _OVERFLOW.format("(1e+200, 0.0)")),
+    (["gamma-scan", "--builtin", "polynomial", "--region=-1e200,0,0,1", "--n", "3"],
+     _OVERFLOW.format("(-1e+200, 0.0)")),
+    (["run", "--builtin", "oscillating", "--x0=2e154,0"], _OVERFLOW.format("(2e+154, 0.0)")),
+], ids=["run-x0", "run-a", "bound-fit-x0", "gamma-scan-region", "run-x0-overflow",
+        "bound-fit-x0-overflow", "check-conditions-x0-overflow", "gamma-scan-region-overflow",
+        "run-oscillating-x0-overflow"])
 def test_nan_field_data_is_a_config_error(tmp_path, capsys, argv, named):
     # a NaN in the field's data fails the curl check at the base point, and a
     # NaN region bound is refused as such: not an admissibility rejection (3),
-    # an identity failure (4) or a NaN raster (0)
+    # an identity failure (4) or a NaN raster (0); so is a base point whose
+    # |x0|^2 overflows (from a coordinate of about 1.34e154 on, for every
+    # builder, the oscillating one included)
     assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named}") and err.count("\n") == 1
@@ -423,6 +440,47 @@ def test_run_out_of_memory_in_the_sweep_keeps_the_finished_rows(tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == ["config error: out of memory: MemoryError"]
     lines = (out / "residuals.csv").read_text().splitlines()
     assert len(lines) == 3 and lines[2].startswith("0.1,1,series_exact,")
+
+
+def test_run_h_too_small_to_index_its_grid_exits_2_and_keeps_the_finished_rows(tmp_path, capsys):
+    # at h = 3.2e-151 the residual grid would need about 9e75 Gauss points
+    # per axis, more than an array index holds: refused as an allocation the
+    # machine cannot make, after the h = 0.1 row
+    out = tmp_path / "o"
+    code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "0.1:1e-300:3",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: out of memory: ")
+    assert "h = 3.16228e-151" in err[0]
+    lines = (out / "residuals.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[2].startswith("0.1,1,series_exact,")
+
+
+def test_bound_fit_refuses_a_near_critical_point_as_run_does(tmp_path, capsys):
+    # |d_zbar B(x0)| = 1e-10 lies under GAMMA_TOL: both subcommands exit 3
+    field = ["--builtin", "polynomial", "--a", "1", "--b", "i", "--c=-0.9999999998"]
+    assert main(["bound-fit", *field, "--D", "24", "--jmax", "3"]) == EXIT_GAMMA
+    assert capsys.readouterr().err == "admissibility rejection: d_zbar B(0) = 0 at the base point\n"
+    assert main(["run", *field, "--out", str(tmp_path / "o")]) == EXIT_GAMMA
+
+
+def test_documented_commands_exit_as_the_docs_state(tmp_path, monkeypatch, capsys):
+    # every `cmag-wkb ...` line of the --help text and of the README's
+    # command-line block exits with the code its trailing comment states
+    # ("# exits N"; 0 where it states none)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in (cli.__doc__ + block).splitlines():
+        command, _, note = line.strip().partition("#")
+        if command.startswith("cmag-wkb "):
+            stated = re.search(r"exits (\d)", note)
+            commands.append((shlex.split(command)[1:], int(stated[1]) if stated else EXIT_OK))
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)  # their --out paths are relative
+    assert [(argv, main(argv)) for argv, _ in commands] == commands
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gamma_scan_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -217,12 +217,11 @@ def test_exponential_passes_C2_fails_C1():
                                 sample_region=(-0.8, 0.8, -0.8, 0.8),
                                 sample_density=96, h=h)
     assert 0.45 > c / (2 * h)
-    assert check_C(field, cfg2, which="C2", sign="+").passed
+    assert check_C(field, cfg2, which="C2").passed
     cfg1 = ConditionCheckConfig(epsilon=0.9, C_const=1.0,
                                 sample_region=(-1.5, 1.5, -1.5, 1.5),
                                 sample_density=96, h=h)
-    assert not check_C(field, cfg1, which="C1", sign="+").passed
-    assert not check_C(field, cfg1, which="C1", sign="-").passed
+    assert not check_C(field, cfg1, which="C1").passed  # for either sign
 
 
 def test_miller_simon_passes_both():
@@ -230,22 +229,34 @@ def test_miller_simon_passes_both():
     region = (-20.0, 20.0, -20.0, 20.0)
     cfg = ConditionCheckConfig(epsilon=0.5, C_const=10.0, sample_region=region,
                                sample_density=128, h=0.5)
-    assert check_C(field, cfg, which="C1", sign="+").passed
+    assert check_C(field, cfg, which="C1").passed
     cfg2 = ConditionCheckConfig(epsilon=0.45, C_const=10.0, sample_region=region,
                                 sample_density=128, h=0.5)
-    assert check_C(field, cfg2, which="C2", sign="+").passed
+    assert check_C(field, cfg2, which="C2").passed
 
 
 def test_real_potential_trivially_passes():
     field = user_polynomial_field({}, {(1, 0): 1.0, (2, 0): 0.5}, cap=4)  # B real >= 1 nearby
     cfg = ConditionCheckConfig(epsilon=0.5, C_const=1.0, sample_region=(-1, 1, -1, 1),
                                sample_density=32, h=1.0)
-    v = check_C(field, cfg, which="C1", sign="+")
-    assert v.passed and v.min_slack >= 0.0
+    v = check_C(field, cfg, which="C1")
+    assert v.passed and v.sign == "+" and v.min_slack >= 0.0
+
+
+def test_check_C_takes_the_sign_with_the_larger_least_slack():
+    # A2 = -x1 - x1^2/2 + i x1 x2: on [-1/2, 1/2]^2 Re B = -1 - x1 <= -1/2 and
+    # |Im A|^2 = x1^2 x2^2 <= 1/16, so the "-" slack is at least
+    # 0.5 * (1/2) - 1/16 > 0 while the "+" slack is negative at every sample
+    field = user_polynomial_field({}, {(1, 0): -1.0, (2, 0): -0.5, (1, 1): 1j}, cap=4)
+    cfg = ConditionCheckConfig(epsilon=0.5, C_const=0.0, sample_region=(-0.5, 0.5, -0.5, 0.5),
+                               sample_density=33, h=1.0)
+    v = check_C(field, cfg, which="C1")
+    assert v.sign == "-" and v.passed and v.min_slack >= 0.0
 
 
 def test_epsilon_range_validated():
-    cfg = ConditionCheckConfig(epsilon=0.7, C_const=0.0, sample_region=(-1, 1, -1, 1))
+    cfg = ConditionCheckConfig(epsilon=0.7, C_const=0.0, sample_region=(-1, 1, -1, 1),
+                               sample_density=8, h=1.0)
     with pytest.raises(ValueError):
         check_C(exponential_field(0.1), cfg, which="C2")
 
@@ -254,7 +265,7 @@ def test_check_C_refuses_a_field_not_finite_in_the_region():
     # exp(|x|^2) overflows at the corners of [-30, 30]^2: the first sample in
     # row-major order is named and no verdict is read from inf/nan values
     cfg = ConditionCheckConfig(epsilon=0.5, C_const=1.0, sample_region=(-30, 30, -30, 30),
-                               sample_density=8)
+                               sample_density=8, h=1.0)
     with np.errstate(all="raise"):  # the overflow is handled, not warned about
         with pytest.raises(ValueError, match=r"not finite at the sample point \(-30, -30\)"):
             check_C(exponential_field(0.4), cfg, which="C1")
@@ -262,7 +273,7 @@ def test_check_C_refuses_a_field_not_finite_in_the_region():
     # |Im A|^2 overflows there (its infinite tolerance would pass a -inf
     # slack); (0, 20) comes first in row-major order
     quadrant = ConditionCheckConfig(epsilon=0.4, C_const=1.0, sample_region=(0, 30, 0, 30),
-                                    sample_density=4)
+                                    sample_density=4, h=1.0)
     with pytest.raises(ValueError, match=r"not finite at the sample point \(0, 20\)"):
         check_C(exponential_field(0.4), quadrant, which="C2")
 

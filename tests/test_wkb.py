@@ -8,7 +8,8 @@ import pytest
 from cmag_wkb import wkb
 from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, UniSeries, check_identity,
                               compose_w, implicit_w)
-from cmag_wkb.fieldmodel import oscillating_field, polynomial_field, user_polynomial_field
+from cmag_wkb.fieldmodel import (compute_Q, oscillating_field, polynomial_field,
+                                 user_polynomial_field)
 from cmag_wkb.wkb import (
     DegenerateFieldError,
     TransportIdentityError,
@@ -227,6 +228,19 @@ def test_degenerate_inputs_rejected():
     # B(0) = 0: oscillating at sin(x1) = 0, sin(x2) = 0
     with pytest.raises(DegenerateFieldError):
         solve_wkb(oscillating_field((0.0, 0.0), cap=18), N=1)
+
+
+@pytest.mark.parametrize("a, c, condition, named", [
+    (1.0, -0.9999999998, "dzbar_B_zero", r"^d_zbar B\(0\) = 0"),  # |b + ic|/2 = 1e-10
+    (1e-10, 1.0, "B_zero", r"^B\(0\) = 0"),
+])
+def test_degeneracy_is_refused_at_the_admissibility_tolerance(a, c, condition, named):
+    # between 1e-12 and GAMMA_TOL = 1e-9 the admissibility gate and the
+    # solver agree that the base point is critical
+    field = polynomial_field(a, 1j, c, cap=12)
+    assert condition in compute_Q(field).failed_conditions
+    with pytest.raises(DegenerateFieldError, match=named):
+        solve_wkb(field, N=1)
 
 
 def test_degree_budget_enforced():
