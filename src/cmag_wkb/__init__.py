@@ -2,7 +2,6 @@
 
 from .cseries import (
     BiSeries,
-    UniSeries,
     compose_w,
     exact_divide_by_curve,
     implicit_w,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiSeries",
-    "UniSeries",
     "compose_w",
     "exact_divide_by_curve",
     "implicit_w",

@@ -1,12 +1,11 @@
-"""Truncated power series in one and two complex variables.
+"""Truncated power series in two complex variables.
 
 Everything downstream (phase construction, transport recursion, pseudomode
-evaluation) runs on two small immutable containers:
-
-* ``UniSeries`` -- a polynomial c0 + c1*z + ... + cD*z**D,
-* ``BiSeries``  -- a polynomial in (z, w) truncated at total degree D,
-
-with complex binary64 coefficients.  Truncation at total degree D is the
+evaluation) runs on one small immutable container, ``BiSeries``: a
+polynomial in (z, w) truncated at total degree D, with complex binary64
+coefficients.  A series in z alone (the curve w(z), the correction f, the
+factors A_j) is a ``BiSeries`` whose coefficients vanish off column 0, and
+``z_only`` says so.  Truncation at total degree D is the
 quotient by the ideal of monomials of degree > D, so ring identities
 (associativity, distributivity, exp/reciprocal defining relations) hold
 coefficient-wise up to floating-point roundoff.  Differentiation is the one
@@ -20,17 +19,18 @@ identically zero.  At the default cap D = 24 that is at most 325 active
 monomials, far cheaper than a sparse map.
 
 Degree-wise arithmetic runs on the homogeneous parts.  ``parts()`` lists
-them: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by the z-degree
-(for a UniSeries it is the single coefficient c[k]).  The part of degree k of
-a product is the sum over j of the convolution of part j with part k-j.  The
-bivariate product forms it as one Toeplitz matmul per live (nonzero) part x_j
-of the left operand: with part l of the right operand as row l of a
-zero-padded array Y and T_j[u, n] = x_j[n-u] (a strided view), row l of
-Y @ T_j is x_j * y_l, added into part j + l in ascending j.  Only the
-sequential recurrences, ``exp`` and ``power`` (Euler-operator recurrences)
-and ``reciprocal``, sum ``np.convolve`` per degree (``_convolve_sum``).  A
-z-only factor times a bivariate series is one lower-triangular Toeplitz
-matmul, T(A) @ c (``UniSeries.__mul__``).  The sums are direct, never FFTs:
+them: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by the
+z-degree.  The part of degree k of a product is the sum over j of the
+convolution of part j with part k-j.  The product picks its kernel from
+``z_only``.  Two z-only operands convolve their columns (``np.convolve``).
+A z-only factor times a bivariate series is one lower-triangular Toeplitz
+matmul, T(A) @ c.  Otherwise the graded product forms it as one Toeplitz
+matmul per live (nonzero) part x_j of the left operand: with part l of the
+right operand as row l of a zero-padded array Y and T_j[u, n] = x_j[n-u] (a
+strided view), row l of Y @ T_j is x_j * y_l, added into part j + l in
+ascending j.  Only the sequential recurrences, ``exp`` and ``power``
+(Euler-operator recurrences) and ``reciprocal``, sum ``np.convolve`` per
+degree (``_convolve_sum``).  The sums are direct, never FFTs:
 each coefficient of degree k is a sum of exactly the products that enter it,
 so its roundoff is set by the magnitudes of degree k, which the per-degree
 identity scales rely on.
@@ -166,14 +166,55 @@ def _convolve_sum(xs, y, k, out):
     return out
 
 
-class _Series:
-    """Ring jobs shared by UniSeries and BiSeries; ``exp``, ``reciprocal``
-    and ``power`` are recurrences over the homogeneous parts.
+@dataclass(frozen=True)
+class BiSeries:
+    """Dense triangular coefficients c[a, b] of z**a w**b with a+b <= cap,
+    in local coordinates about the field's base point.
 
-    A series is its ``coeffs`` and its ``cap``, in local coordinates about
-    the field's base point.  Subclasses provide ``parts()`` and
-    ``_with_parts(parts)``.
+    A series in z alone (the curve w(z), the correction f, the factors A_j)
+    is one whose coefficients vanish off column 0 (``z_only``).  ``exp``,
+    ``reciprocal`` and ``power`` are recurrences over the homogeneous parts.
     """
+
+    coeffs: np.ndarray
+    cap: int
+
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.shape != (self.cap + 1, self.cap + 1):
+            raise SeriesStructureError(
+                f"BiSeries cap {self.cap} needs shape {(self.cap + 1,) * 2}, got {c.shape}"
+            )
+        c = np.where(_mask(self.cap), c, 0.0)
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    # -- constructors ---------------------------------------------------
+    @staticmethod
+    def zeros(cap):
+        return BiSeries(np.zeros((cap + 1, cap + 1), dtype=complex), cap)
+
+    @staticmethod
+    def constant(value, cap):
+        c = np.zeros((cap + 1, cap + 1), dtype=complex)
+        c[0, 0] = value
+        return BiSeries(c, cap)
+
+    @staticmethod
+    def from_terms(terms, cap):
+        """terms: iterable of (a, b, coefficient)."""
+        c = np.zeros((cap + 1, cap + 1), dtype=complex)
+        for a, b, v in terms:
+            if a + b > cap:
+                raise SeriesStructureError(f"term z^{a} w^{b} exceeds cap {cap}")
+            c[a, b] = v
+        return BiSeries(c, cap)
+
+    # -- structure ------------------------------------------------------
+    @cached_property
+    def z_only(self):
+        """True when no coefficient depends on w (zero and constants included)."""
+        return not self.coeffs[:, 1:].any()
 
     def _check(self, other):
         if self.cap != other.cap:
@@ -189,16 +230,13 @@ class _Series:
         bounds = [*starts.tolist(), flat.size]
         return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
+    # -- ring operations -------------------------------------------------
     def __add__(self, other):
         if np.isscalar(other):
             c = self.coeffs.copy()
             c.flat[0] += other
             return self._new(c)
         self._check(other)
-        if type(other) is not type(self):
-            raise SeriesStructureError(
-                f"{type(self).__name__} and {type(other).__name__} do not add: embed the "
-                f"UniSeries with as_biseries")
         return self._new(self.coeffs + other.coeffs)
 
     __radd__ = __add__
@@ -265,142 +303,6 @@ class _Series:
             g.append((acc - k * _convolve_sum(cs, g, k, np.zeros_like(c[k]))) / (k * c0))
         return self._with_parts(g)
 
-
-# ----------------------------------------------------------------------------
-# univariate series
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniSeries(_Series):
-    """Coefficients c[k] of z**k, 0 <= k <= cap; length is always cap+1."""
-
-    coeffs: np.ndarray
-    cap: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.cap + 1,):
-            raise SeriesStructureError(
-                f"UniSeries needs cap+1={self.cap + 1} coefficients, got {c.shape}"
-            )
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def zeros(cap):
-        return UniSeries(np.zeros(cap + 1, dtype=complex), cap)
-
-    @staticmethod
-    def constant(value, cap):
-        c = np.zeros(cap + 1, dtype=complex)
-        c[0] = value
-        return UniSeries(c, cap)
-
-    # -- ring operations -------------------------------------------------
-    def __mul__(self, other):
-        """Product with a scalar, a UniSeries, or a BiSeries (a z-only factor
-        A times y: the BiSeries T @ y with T[a, i] = A[a - i], lower
-        triangular Toeplitz, a strided view of the zero-padded A)."""
-        if np.isscalar(other):
-            return self._new(self.coeffs * other)
-        self._check(other)
-        D = self.cap
-        if isinstance(other, BiSeries):
-            padded = np.concatenate([np.zeros(D, dtype=complex), self.coeffs])
-            T = sliding_window_view(padded, D + 1)[:, ::-1]
-            return BiSeries(T @ other.coeffs, D)
-        return self._new(np.convolve(self.coeffs, other.coeffs)[: D + 1])
-
-    __rmul__ = __mul__
-
-    def differentiate(self):
-        c = np.zeros(self.cap + 1, dtype=complex)
-        c[:-1] = self.coeffs[1:] * np.arange(1, self.cap + 1)
-        return UniSeries(c, self.cap)
-
-    def antiderivative(self):
-        """Term-wise integral vanishing at 0; the top coefficient is dropped."""
-        c = np.zeros(self.cap + 1, dtype=complex)
-        c[1:] = self.coeffs[:-1] / np.arange(1, self.cap + 1)
-        return UniSeries(c, self.cap)
-
-    def _graded(self):
-        """Coefficients in graded order and the start of each part: part k
-        is the one coefficient c[k]."""
-        return self.coeffs, np.arange(self.cap + 1)
-
-    def _with_parts(self, parts):
-        return self._new(np.concatenate(parts))
-
-    def as_biseries(self):
-        """Embed as a w-independent BiSeries (same cap)."""
-        c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
-        c[:, 0] = self.coeffs
-        return BiSeries(c, self.cap)
-
-    # -- the curve w = w(z) ----------------------------------------------
-    @cached_property
-    def _powers(self):
-        """Read-only table W[b] = self^b truncated at the cap, b = 0..cap."""
-        D = self.cap
-        W = np.zeros((D + 1, D + 1), dtype=complex)
-        W[0, 0] = 1.0
-        for b in range(1, D + 1):
-            W[b] = np.convolve(W[b - 1], self.coeffs)[: D + 1]
-        W.setflags(write=False)
-        return W
-
-    @cached_property
-    def _majorant(self):
-        """|self|, kept so that its power table is built once too."""
-        return abs(self)
-
-
-# ----------------------------------------------------------------------------
-# bivariate series
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BiSeries(_Series):
-    """Dense triangular coefficients c[a, b] of z**a w**b with a+b <= cap."""
-
-    coeffs: np.ndarray
-    cap: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.cap + 1, self.cap + 1):
-            raise SeriesStructureError(
-                f"BiSeries cap {self.cap} needs shape {(self.cap + 1,) * 2}, got {c.shape}"
-            )
-        c = np.where(_mask(self.cap), c, 0.0)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    # -- constructors ---------------------------------------------------
-    @staticmethod
-    def zeros(cap):
-        return BiSeries(np.zeros((cap + 1, cap + 1), dtype=complex), cap)
-
-    @staticmethod
-    def constant(value, cap):
-        c = np.zeros((cap + 1, cap + 1), dtype=complex)
-        c[0, 0] = value
-        return BiSeries(c, cap)
-
-    @staticmethod
-    def from_terms(terms, cap):
-        """terms: iterable of (a, b, coefficient)."""
-        c = np.zeros((cap + 1, cap + 1), dtype=complex)
-        for a, b, v in terms:
-            if a + b > cap:
-                raise SeriesStructureError(f"term z^{a} w^{b} exceeds cap {cap}")
-            c[a, b] = v
-        return BiSeries(c, cap)
-
-    # -- structure ------------------------------------------------------
     def _graded(self):
         """Coefficients in graded order and the start of each part: part k
         is c[a, k-a], a = 0..k."""
@@ -411,14 +313,24 @@ class BiSeries(_Series):
         c[_graded_index(self.cap)] = np.concatenate(parts)
         return self._new(c)
 
-    # -- ring operations -------------------------------------------------
     def __mul__(self, other):
+        """Product with a scalar or a series; the kernel follows ``z_only``.
+        Two z-only operands convolve their columns.  A z-only factor A times
+        y is T @ y with T[a, i] = A[a - i], lower triangular Toeplitz (a
+        strided view of the zero-padded A).  Otherwise the graded product."""
         if np.isscalar(other):
             return self._new(self.coeffs * other)
-        if isinstance(other, UniSeries):  # the Toeplitz product of a z-only factor
-            return other * self
         self._check(other)
         D = self.cap
+        if self.z_only and other.z_only:
+            c = np.zeros_like(self.coeffs)
+            c[:, 0] = np.convolve(self.coeffs[:, 0], other.coeffs[:, 0])[: D + 1]
+            return self._new(c)
+        if self.z_only or other.z_only:
+            A, y = (self, other) if self.z_only else (other, self)
+            padded = np.concatenate([np.zeros(D, dtype=complex), A.coeffs[:, 0]])
+            T = sliding_window_view(padded, D + 1)[:, ::-1]
+            return self._new(T @ y.coeffs)
         a, b = _graded_index(D)
         k = a + b
         Y = np.zeros((D + 1, D + 1), dtype=complex)
@@ -462,6 +374,24 @@ class BiSeries(_Series):
             raise ValueError(f"var must be 'z' or 'w', got {var!r}")
         return self._new(c)
 
+    # -- the curve w = w(z) ----------------------------------------------
+    @cached_property
+    def _powers(self):
+        """Read-only table W[b] = w^b truncated at the cap, b = 0..cap, of
+        the z-only series w (its column 0)."""
+        D = self.cap
+        W = np.zeros((D + 1, D + 1), dtype=complex)
+        W[0, 0] = 1.0
+        for b in range(1, D + 1):
+            W[b] = np.convolve(W[b - 1], self.coeffs[:, 0])[: D + 1]
+        W.setflags(write=False)
+        return W
+
+    @cached_property
+    def _majorant(self):
+        """|self|, kept so that its power table is built once too."""
+        return abs(self)
+
     # -- evaluation -------------------------------------------------------
     def evaluate(self, z, w):
         """Horner-scheme value at scattered points (z, w); accepts arrays
@@ -498,20 +428,24 @@ class BiSeries(_Series):
 # ----------------------------------------------------------------------------
 
 def compose_w(a, w_of_z):
-    """Restrict to the curve: z ↦ a(z, w(z)).
+    """Restrict to the curve: z ↦ a(z, w(z)), a z-only series.
 
-    ``w_of_z`` must vanish at the center (w(0) = 0) so the composition keeps
-    the expansion point.  With W[b] = w^b (the curve's power table), row a of
-    c @ W is sum_b c[a, b] w^b, and the coefficient of z^n is the sum of
-    (c @ W)[a, n - a] over a: one ``reduceat`` of c @ W in graded order.
+    ``w_of_z`` must be z-only and vanish at the center (w(0) = 0) so the
+    composition keeps the expansion point.  With W[b] = w^b (the curve's
+    power table), row a of c @ W is sum_b c[a, b] w^b, and the coefficient of
+    z^n is the sum of (c @ W)[a, n - a] over a: one ``reduceat`` of c @ W in
+    graded order.
     """
-    if a.cap != w_of_z.cap:
-        raise SeriesStructureError(f"cap mismatch: {a.cap} vs {w_of_z.cap}")
-    if w_of_z.coeffs[0] != 0:
+    a._check(w_of_z)
+    if not w_of_z.z_only:
+        raise ValueError("compose_w: the curve w(z) depends on w")
+    if w_of_z.coeffs[0, 0] != 0:
         raise ValueError("compose_w: w(0) != 0 breaks the expansion center")
     D = a.cap
     M = a.coeffs @ w_of_z._powers
-    return UniSeries(np.add.reduceat(M[_graded_index(D)], _part_starts(D)), D)
+    c = np.zeros_like(M)
+    c[:, 0] = np.add.reduceat(M[_graded_index(D)], _part_starts(D))
+    return BiSeries(c, D)
 
 
 def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
@@ -528,7 +462,7 @@ def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
     unless |res[k]| / scale[k] <= rtol holds there; a NaN or infinite ratio
     fails.  Returns the worst ratio.
     """
-    top = np.max([degree_maxima(t) if isinstance(t, _Series) else t for t in terms], axis=0)
+    top = np.max([degree_maxima(t) if isinstance(t, BiSeries) else t for t in terms], axis=0)
     scale = np.maximum.accumulate(np.maximum(top, floor))
     n = len(res) if upto is None else min(upto + 1, len(res))
     mag = np.abs(np.asarray(res)[:n])
@@ -564,10 +498,9 @@ def exact_divide_by_curve(num, w_of_z):
     low-degree non-vanishing is caught while high-degree roundoff along a
     small-radius curve is tolerated.
     """
-    if num.cap != w_of_z.cap:
-        raise SeriesStructureError(f"cap mismatch: {num.cap} vs {w_of_z.cap}")
+    num._check(w_of_z)
     D = num.cap
-    wc = w_of_z.coeffs
+    wc = w_of_z.coeffs[:, 0]
     awc = np.abs(wc)
     q = np.zeros((D + 1, D + 1), dtype=complex)
     qb = np.zeros(D + 1, dtype=complex)
@@ -598,16 +531,16 @@ def implicit_w(Btilde):
             "vanishes at the base point"
         )
     D = Btilde.cap
-    wz = UniSeries.zeros(D)
+    wz = BiSeries.zeros(D)
     for n in range(1, D + 1):
-        r = compose_w(Btilde, wz).coeffs.copy()
+        r = compose_w(Btilde, wz).coeffs[:, 0].copy()
         r[0] -= Btilde.coeffs[0, 0]
         c = wz.coeffs.copy()
-        c[n] -= r[n] / dwB0
-        wz = UniSeries(c, D)
-    resid = compose_w(Btilde, wz).coeffs - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
+        c[n, 0] -= r[n] / dwB0
+        wz = BiSeries(c, D)
+    resid = compose_w(Btilde, wz).coeffs[:, 0] - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
     check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid,
-                   [abs_compose_w(Btilde, wz).coeffs.real], CURVE_RTOL, CurveDivisionError,
+                   [abs_compose_w(Btilde, wz).coeffs[:, 0].real], CURVE_RTOL, CurveDivisionError,
                    floor=FLOOR_FACTOR * Btilde.max_abs())
     return wz
 
@@ -623,7 +556,7 @@ def curve_integral_w(g, w_of_z):
     evaluated between the limits; no quadrature enters the symbolic core.
     """
     G = g.antiderivative("w")
-    return G - compose_w(G, w_of_z).as_biseries()
+    return G - compose_w(G, w_of_z)
 
 
 def t_average(g, w_of_z):

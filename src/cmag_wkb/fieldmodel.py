@@ -398,11 +398,16 @@ BUILTIN_FIELDS = {
 
 def make_field(name, params=None, **where):
     """The builtin ``name`` built from its keyword ``params`` and ``where``
-    (``base_point``, ``cap``); whatever is left out takes the builder's default."""
+    (``base_point``, ``cap``); whatever is left out takes the builder's default.
+
+    The build runs with numpy's overflow, invalid and divide warnings off:
+    ``FieldSpec`` refuses a field that is not finite at its base point by
+    name, so the warnings on the way there are noise."""
     builder = BUILTIN_FIELDS.get(name)
     if builder is None:
         raise ValueError(f"unknown field {name!r}; builtins: {sorted(BUILTIN_FIELDS)}")
-    return builder(**(params or {}), **where)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return builder(**(params or {}), **where)
 
 
 # ----------------------------------------------------------------------------

@@ -45,7 +45,6 @@ import numpy as np
 from .cseries import (
     FLOOR_FACTOR,
     BiSeries,
-    UniSeries,
     abs_compose_w,
     check_identity,
     compose_w,
@@ -93,8 +92,8 @@ def eikonal_phase(phi, w_curve):
     """
     dzphi = phi.differentiate("z")
     fprime = -2.0 * compose_w(dzphi, w_curve)
-    f = fprime.antiderivative()
-    S = phi + f.as_biseries()
+    f = fprime.antiderivative("z")
+    S = phi + f
     return f, S
 
 
@@ -106,9 +105,9 @@ def divided_data(phi, Btilde, w_curve):
     quadrature).
     """
     dzphi = phi.differentiate("z")
-    numV = dzphi - compose_w(dzphi, w_curve).as_biseries()
+    numV = dzphi - compose_w(dzphi, w_curve)
     V = exact_divide_by_curve(numV, w_curve)
-    numF = Btilde - compose_w(Btilde, w_curve).as_biseries()
+    numF = Btilde - compose_w(Btilde, w_curve)
     F = exact_divide_by_curve(numF, w_curve)
     return V, F
 
@@ -127,7 +126,7 @@ def first_transport(Btilde, phi, w_curve, V, F):
 
     ones = np.zeros(J.cap + 1, dtype=complex)
     ones[0] = 1.0
-    on_curve = compose_w(J, w_curve).coeffs - ones
+    on_curve = compose_w(J, w_curve).coeffs[:, 0] - ones
     # no floor: the majorant |J| o |w| is |J(0, 0)| = 1 at degree 0
     check_identity("J = 1 on the curve", on_curve, [abs_compose_w(J, w_curve)],
                    IDENTITY_RTOL, TransportIdentityError)
@@ -135,7 +134,7 @@ def first_transport(Btilde, phi, w_curve, V, F):
     dwJ = J.differentiate("w")
     u0 = compose_w(dwJ, w_curve)
     v0 = compose_w(dwJ.differentiate("z"), w_curve)
-    A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative()).exp()
+    A0 = (-1.0 * (v0 * u0.reciprocal("d_w J on curve")).antiderivative("z")).exp()
     a0 = A0 * J
     return mu, J, u0, A0, a0
 
@@ -151,7 +150,7 @@ class _Workspace:
         self.A0 = A0
         self.amplitudes = [a0]
         self.trusted = [trusted0]
-        self.c4 = 8.0 * phi.differentiate("z") + (4.0 * fprime).as_biseries()
+        self.c4 = 8.0 * phi.differentiate("z") + 4.0 * fprime
         self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
         self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
@@ -198,7 +197,7 @@ class _Workspace:
             top = max(top, float(np.max(_product_maxima(self.A0, self.J))))
         self.compatibility_scale = top
         self.residual_maxima[f"compatibility_{j}"] = check_identity(
-            f"compatibility constraint j={j}", comp.coeffs, [majorant],
+            f"compatibility constraint j={j}", comp.coeffs[:, 0], [majorant],
             IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 2,
             floor=FLOOR_FACTOR * top)
 
@@ -207,9 +206,10 @@ def _product_maxima(x, y):
     """Per-degree bounds on the coefficients of the majorant product |x| |y|
     from the degree maxima of x and y alone: a coefficient of degree n of it
     sums, for each k, at most k + 1 products of a degree-k coefficient of x
-    with one of degree n - k of y, and exactly one when x is a UniSeries."""
+    with one of degree n - k of y, and exactly one when x is z-only (its
+    part k is the one coefficient of z^k)."""
     dx = degree_maxima(x)
-    if isinstance(x, BiSeries):
+    if not x.z_only:
         dx = np.arange(1, dx.size + 1) * dx
     return np.convolve(dx, degree_maxima(y))[: dx.size]
 
@@ -228,7 +228,7 @@ def transport_step(ws, j):
     # constraint d_z d_w [particular + A J](z, w(z)) = 0; A solves
     # u0 A' + v0 A = -p1 with A(0) = 0, via A = A0 * Psi, Psi' = -p1/(u0 A0)
     p1 = compose_w(particular.differentiate("w").differentiate("z"), ws.w)
-    Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative()
+    Psi = (-1.0 * (p1 * ws.inv_u0A0)).antiderivative("z")
     A_next = ws.A0 * Psi
     a_next = particular + A_next * ws.J
     ws.amplitudes.append(a_next)
@@ -244,13 +244,13 @@ def transport_step(ws, j):
 @dataclass(frozen=True)
 class WKBSolution:
     phi: BiSeries
-    w_curve: UniSeries
-    f: UniSeries
+    w_curve: BiSeries  # z-only, as are f and A0
+    f: BiSeries
     S: BiSeries
     V: BiSeries
     F: BiSeries
     J: BiSeries
-    A0: UniSeries
+    A0: BiSeries
     amplitudes: tuple
     mu: complex
     N: int
@@ -315,7 +315,7 @@ def solve_wkb(field, N=3):
                    IDENTITY_RTOL, TransportIdentityError, upto=cap - 2)
 
     f, S = eikonal_phase(phi, w_curve)
-    fprime = f.differentiate()
+    fprime = f.differentiate("z")
     V, F = divided_data(phi, Btilde, w_curve)
     mu, J, u0, A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
 

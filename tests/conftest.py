@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from cmag_wkb.cseries import BiSeries, UniSeries
+from cmag_wkb.cseries import BiSeries
 from cmag_wkb.wkb import WKBSolution
 
 settings.register_profile(
@@ -11,6 +12,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repo")
+
+
+def z_series(coeffs, cap):
+    """The series sum_k coeffs[k] z^k (zero-padded to the cap): a BiSeries
+    whose coefficients vanish off column 0."""
+    c = np.zeros((cap + 1, cap + 1), dtype=complex)
+    c[: len(coeffs), 0] = coeffs
+    return BiSeries(c, cap)
 
 
 @pytest.fixture
@@ -23,8 +32,8 @@ def constant_field_solution():
         zero = BiSeries.zeros(cap)
         phi = BiSeries.from_terms([(1, 1, 0.5)], cap)
         return WKBSolution(
-            phi=phi, w_curve=UniSeries.zeros(cap), f=UniSeries.zeros(cap), S=phi,
-            V=BiSeries.constant(0.5, cap), F=zero, J=one, A0=UniSeries.constant(1.0, cap),
+            phi=phi, w_curve=zero, f=zero, S=phi,
+            V=BiSeries.constant(0.5, cap), F=zero, J=one, A0=one,
             amplitudes=(one,) + (zero,) * N, mu=2.0 + 0j, N=N,
             trusted_radius=trusted_radius,
             trusted_degrees=tuple(cap - 1 - 3 * j for j in range(N + 1)),

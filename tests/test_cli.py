@@ -151,16 +151,25 @@ _OVERFLOW = "|x0|^2 at base point {} is not finite"
     (["gamma-scan", "--builtin", "polynomial", "--region=-1e200,0,0,1", "--n", "3"],
      _OVERFLOW.format("(-1e+200, 0.0)")),
     (["run", "--builtin", "oscillating", "--x0=2e154,0"], _OVERFLOW.format("(2e+154, 0.0)")),
+    (["run", "--builtin", "exponential", "--x0", "1e100,0"], "curl A at base point (1e+100, 0.0)"),
+    (["bound-fit", "--builtin", "exponential", "--x0", "30,0"], "curl A at base point (30.0, 0.0)"),
+    (["check-conditions", "--builtin", "exponential", "--x0", "30,0", "--n", "4"],
+     "curl A at base point (30.0, 0.0)"),
+    (["run", "--builtin", "miller_simon", "--alpha", "nan"], "curl A at base point (1.0, 0.5)"),
 ], ids=["run-x0", "run-a", "bound-fit-x0", "gamma-scan-region", "run-x0-overflow",
         "bound-fit-x0-overflow", "check-conditions-x0-overflow", "gamma-scan-region-overflow",
-        "run-oscillating-x0-overflow"])
+        "run-oscillating-x0-overflow", "run-exponential-field-overflow",
+        "bound-fit-exponential-field-overflow", "check-conditions-exponential-field-overflow",
+        "run-miller-simon-alpha-nan"])
 def test_nan_field_data_is_a_config_error(tmp_path, capsys, argv, named):
     # a NaN in the field's data fails the curl check at the base point, and a
     # NaN region bound is refused as such: not an admissibility rejection (3),
     # an identity failure (4) or a NaN raster (0); so is a base point whose
     # |x0|^2 overflows (from a coordinate of about 1.34e154 on, for every
-    # builder, the oscillating one included)
-    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    # builder, the oscillating one included); numpy warns of none of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {named}") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -255,6 +264,20 @@ def test_run_user_polynomial_field_from_config(tmp_path):
     assert code == EXIT_OK
     rep = json.loads((out / "gamma_report.json").read_text())
     assert rep["in_gamma"] is True
+
+
+def test_run_takes_R_as_json_text(tmp_path):
+    rows = [[6, 0, 1.0], [0, 6, 1.0]]
+    assert main(_RUN + ["--R", json.dumps(rows), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert json.loads((tmp_path / "o" / "config.json").read_text())["field"]["params"]["R"] == rows
+
+
+def test_an_argparse_error_exits_2_with_its_usage_block(capsys):
+    assert main(["run", "--N", "x"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cmag-wkb run")
+    assert err.rstrip().endswith("error: argument --N: invalid int value: 'x'")
+    assert "Traceback" not in err
 
 
 def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
@@ -537,12 +560,27 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
     pytest.param(_CONDS + ["--h", "0"], "h 0", id="check-conditions-h-0"),
     pytest.param(_CONDS + ["--h=-1"], "h -1", id="check-conditions-h-neg"),
     pytest.param(_CONDS + ["--h", "inf"], "h inf", id="check-conditions-h-inf"),
+    pytest.param(_RUN + ["--R", "not json", "--out", "{tmp}/o"], "table is not JSON",
+                 id="run-R-not-json"),
+    pytest.param(_RUN + ["--R", '{{"a":1}}', "--out", "{tmp}/o"], "a list of rows",  # {{ for format
+                 id="run-R-not-a-list"),
+    pytest.param(_RUN + ["--R", '[[6,0,"1+i"]]', "--out", "{tmp}/o"], "R must be real-valued",
+                 id="run-R-complex"),
+    pytest.param(["run", "--config", "{missing}/c.json", "--out", "{tmp}/o"],
+                 "cannot read --config {missing}/c.json", id="run-config-missing"),
+    pytest.param(["run", "--config", "{file}", "--out", "{tmp}/o"], "need one object",
+                 id="run-config-a-list"),
+    pytest.param(["gamma-scan", "--region=0,1,0", "--out", "{tmp}/r.csv"],
+                 "region must be 'x1min,x1max,x2min,x2max'", id="gamma-scan-region-three"),
+    pytest.param(["run", "--h", "0.1:0.05:1", "--out", "{tmp}/o"], "at least 2 sweep points",
+                 id="run-h-one-point"),
 ])
 def test_unwritable_out_and_empty_count_exit_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, named):
     # an --out that cannot be written, a non-positive --n, a --region bound
-    # that is not finite, radii outside 0 < r_min < r_max < inf, or
-    # check-conditions numbers outside their ranges are refused with one line
+    # that is not finite, radii outside 0 < r_min < r_max < inf,
+    # check-conditions numbers outside their ranges, a malformed --R table,
+    # --config or --region, or a one-point sweep are refused with one line
     # naming it, and no subcommand reaches its first computation
     def work(*args, **kwargs):
         raise AssertionError("work started")
@@ -550,7 +588,7 @@ def test_unwritable_out_and_empty_count_exit_2_before_any_work(
     for mod, attr in ((cli, "compute_Q"), (cli, "solve_wkb"), (cli, "check_C"),
                       (cli, "check_H"), (fieldmodel, "gamma_scan")):
         monkeypatch.setattr(mod, attr, work)
-    (tmp_path / "file").write_text("")
+    (tmp_path / "file").write_text("[1, 2]")  # a file, and a --config that is no object
     paths = {"missing": tmp_path / "missing", "file": tmp_path / "file", "tmp": tmp_path}
     assert main([a.format(**paths) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from conftest import z_series
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval, polyval2d
 
 from cmag_wkb.cseries import (
@@ -14,7 +16,6 @@ from cmag_wkb.cseries import (
     CurveDivisionError,
     SeriesDivisionError,
     SeriesStructureError,
-    UniSeries,
     abs_compose_w,
     compose_w,
     curve_integral_w,
@@ -28,19 +29,6 @@ from cmag_wkb.cseries import (
 
 def bi(terms, cap=8):
     return BiSeries.from_terms(terms, cap)
-
-
-def uni(coeffs, cap=8):
-    return UniSeries(np.r_[coeffs, np.zeros(cap + 1 - len(coeffs))].astype(complex), cap)
-
-
-def dz(s):
-    return s.differentiate("z") if isinstance(s, BiSeries) else s.differentiate()
-
-
-def z_coeffs(s):
-    """Coefficients of the pure powers z^k."""
-    return s.coeffs[:, 0] if isinstance(s, BiSeries) else s.coeffs
 
 
 # ----------------------------------------------------------------------------
@@ -70,19 +58,7 @@ def test_cap_mismatch_rejected():
     with pytest.raises(SeriesStructureError):
         bi([(0, 0, 1.0)], cap=4) * bi([(0, 0, 1.0)], cap=5)
     with pytest.raises(SeriesStructureError):
-        uni([1.0], cap=4) + uni([1.0], cap=5)
-
-
-def test_mixed_uni_bi_arithmetic():
-    # sums and differences of the two classes refuse (embed with
-    # as_biseries); the product is the z-only Toeplitz product either way
-    b, u = BiSeries.constant(1.0, 3), UniSeries(np.array([1, 2, 3, 4], dtype=complex), 3)
-    for op in (lambda: b + u, lambda: u + b, lambda: b - u, lambda: u - b):
-        with pytest.raises(SeriesStructureError, match="as_biseries"):
-            op()
-    y = bi([(0, 0, 1.0), (1, 1, 2.0), (0, 2, -1j), (2, 0, 0.5)], cap=3)
-    assert np.array_equal((y * u).coeffs, (u * y).coeffs)
-    assert np.array_equal((u * y).coeffs, (u.as_biseries() * y).coeffs)
+        z_series([1.0], cap=4) + z_series([1.0], cap=5)
 
 
 # ----------------------------------------------------------------------------
@@ -137,55 +113,54 @@ def test_antiderivative_of_zero():
 # ----------------------------------------------------------------------------
 
 def test_exp_of_zero():
-    for zero in (BiSeries.zeros(6), UniSeries.zeros(6)):
-        e = zero.exp()
-        assert e.parts()[0][0] == 1.0 and e.max_abs() == 1.0
+    e = BiSeries.zeros(6).exp()
+    assert e.parts()[0][0] == 1.0 and e.max_abs() == 1.0 and e.z_only
 
 
 def test_exp_group_law():
-    for z in (bi([(1, 0, 1.0)], cap=10), uni([0.0, 1.0], cap=10)):
+    for z in (bi([(1, 0, 1.0)], cap=10), z_series([0.0, 1.0], cap=10)):
         prod = z.exp() * (-1.0 * z).exp()
-        expected = type(z).constant(1.0, 10)
+        expected = BiSeries.constant(1.0, 10)
         assert np.max(np.abs(prod.coeffs - expected.coeffs)) < 1e-14
 
 
 def test_exp_defining_ode():
     for a in (bi([(1, 0, 0.3), (0, 1, -0.2j), (1, 1, 0.1), (2, 0, 0.05)], cap=10),
-              uni([0.7, 0.3, 0.05, -0.2j], cap=10)):
+              z_series([0.7, 0.3, 0.05, -0.2j], cap=10)):
         e = a.exp()
-        res = dz(e) - dz(a) * e
+        res = e.differentiate("z") - a.differentiate("z") * e
         # trustworthy below the cap (differentiation loses the top degree)
         assert np.max(degree_maxima(res)[:10]) < 1e-13
 
 
 def test_reciprocal_geometric_series():
-    for one_minus_z in (bi([(0, 0, 1.0), (1, 0, -1.0)], cap=6), uni([1.0, -1.0], cap=6)):
+    for one_minus_z in (bi([(0, 0, 1.0), (1, 0, -1.0)], cap=6), z_series([1.0, -1.0], cap=6)):
         r = one_minus_z.reciprocal()
-        assert np.max(np.abs(z_coeffs(r) - 1.0)) < 1e-14
+        assert np.max(np.abs(r.coeffs[:, 0] - 1.0)) < 1e-14
 
 
 def test_reciprocal_involution():
     for a in (bi([(0, 0, 2.0 - 1j), (1, 0, 0.5), (0, 1, 0.25j), (2, 1, -0.125)], cap=8),
-              uni([2.0 - 1j, 0.5, 0.25j, -0.125], cap=8)):
+              z_series([2.0 - 1j, 0.5, 0.25j, -0.125], cap=8)):
         assert np.max(np.abs(a.reciprocal().reciprocal().coeffs - a.coeffs)) < 1e-12
 
 
 def test_reciprocal_zero_constant_term_raises():
-    for a in (bi([(1, 0, 1.0)]), uni([0.0, 1.0])):
+    for a in (bi([(1, 0, 1.0)]), z_series([0.0, 1.0], 8)):
         with pytest.raises(SeriesDivisionError, match="reciprocal of a0"):
             a.reciprocal("a0")
 
 
 def _power_operands():
     return (bi([(0, 0, 2.0 - 1j), (1, 0, 0.5), (0, 1, 0.25j), (2, 1, -0.125)], cap=10),
-            uni([2.0 - 1j, 0.5, 0.25j, -0.125], cap=10))
+            z_series([2.0 - 1j, 0.5, 0.25j, -0.125], cap=10))
 
 
 def test_power_inverse_pair():
     # f^alpha * f^(-alpha) = 1, degree by degree
     for f in _power_operands():
         for alpha in (0.5, -1.3, 2.7):
-            res = f.power(alpha) * f.power(-alpha) - type(f).constant(1.0, 10)
+            res = f.power(alpha) * f.power(-alpha) - BiSeries.constant(1.0, 10)
             assert np.max(degree_maxima(res)) < 1e-13
 
 
@@ -199,7 +174,7 @@ def test_power_square_root_squares_back():
 
 
 def test_power_zero_constant_term_raises():
-    for a in (bi([(1, 0, 1.0)]), uni([0.0, 1.0])):
+    for a in (bi([(1, 0, 1.0)]), z_series([0.0, 1.0], 8)):
         with pytest.raises(SeriesDivisionError, match="power"):
             a.power(0.5)
 
@@ -210,34 +185,38 @@ def test_power_zero_constant_term_raises():
 
 def test_compose_simple_substitution():
     a = bi([(0, 1, 1.0)], cap=6)  # a = w
-    wz = UniSeries(np.r_[0.0, -2.0, np.zeros(5)].astype(complex), 6)  # w(z) = -2z
+    wz = z_series([0.0, -2.0], cap=6)  # w(z) = -2z
     out = compose_w(a, wz)
-    assert abs(out.coeffs[1] + 2.0) < 1e-15 and np.all(np.abs(np.delete(out.coeffs, 1)) < 1e-15)
+    assert out.z_only
+    assert abs(out.coeffs[1, 0] + 2.0) < 1e-15
+    assert np.all(np.abs(np.delete(out.coeffs[:, 0], 1)) < 1e-15)
 
 
 def test_compose_w_independent_series():
     a = bi([(2, 0, 3.0), (1, 0, 1j)], cap=6)
-    wz = UniSeries(np.r_[0.0, 0.7, 0.1, np.zeros(4)].astype(complex), 6)
+    wz = z_series([0.0, 0.7, 0.1], cap=6)
     out = compose_w(a, wz)
-    assert abs(out.coeffs[2] - 3.0) < 1e-15 and abs(out.coeffs[1] - 1j) < 1e-15
+    assert abs(out.coeffs[2, 0] - 3.0) < 1e-15 and abs(out.coeffs[1, 0] - 1j) < 1e-15
 
 
 def test_compose_rejects_nonzero_constant():
-    wz = UniSeries(np.r_[1.0, np.zeros(6)].astype(complex), 6)
-    with pytest.raises(ValueError):
-        compose_w(bi([(0, 1, 1.0)], cap=6), wz)
+    with pytest.raises(ValueError, match=r"w\(0\) != 0"):
+        compose_w(bi([(0, 1, 1.0)], cap=6), z_series([1.0], cap=6))
+
+
+def test_compose_rejects_a_curve_that_depends_on_w():
+    with pytest.raises(ValueError, match="depends on w"):
+        compose_w(bi([(0, 1, 1.0)], cap=6), bi([(1, 0, 0.5), (1, 1, 1e-300)], cap=6))
 
 
 def _linear_curve(cap, slope=-0.4 + 0.1j):
-    c = np.zeros(cap + 1, dtype=complex)
-    c[1] = slope
-    return UniSeries(c, cap)
+    return z_series([0.0, slope], cap)
 
 
 def test_divide_by_curve_itself():
     cap = 8
     wz = _linear_curve(cap)
-    num = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries()
+    num = bi([(0, 1, 1.0)], cap=cap) - wz
     q = exact_divide_by_curve(num, wz)
     assert abs(q.coeffs[0, 0] - 1.0) < 1e-14
     assert np.max(np.abs(q.coeffs)) <= 1.0 + 1e-14
@@ -246,7 +225,7 @@ def test_divide_by_curve_itself():
 def test_divide_constructed_factorization():
     cap = 8
     wz = _linear_curve(cap)
-    factor = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries()
+    factor = bi([(0, 1, 1.0)], cap=cap) - wz
     other = bi([(0, 0, 1.0), (1, 1, 1.0)], cap=cap)
     q = exact_divide_by_curve(factor * other, wz)
     assert np.max(np.abs(q.coeffs - other.coeffs)) < 1e-13
@@ -255,7 +234,7 @@ def test_divide_constructed_factorization():
 def test_divide_nonvanishing_rejected():
     cap = 8
     wz = _linear_curve(cap)
-    on_curve = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries()
+    on_curve = bi([(0, 1, 1.0)], cap=cap) - wz
     for num in (BiSeries.constant(1.0, cap), on_curve + bi([(2, 0, np.nan)], cap=cap)):
         with pytest.raises(CurveDivisionError):
             exact_divide_by_curve(num, wz)
@@ -266,7 +245,7 @@ def test_divide_infinite_remainder_rejected():
     # ratio test (inf / inf is NaN) refuses it
     cap = 8
     wz = _linear_curve(cap)
-    num = bi([(0, 1, 1.0)], cap=cap) - wz.as_biseries() + bi([(2, 0, np.inf)], cap=cap)
+    num = bi([(0, 1, 1.0)], cap=cap) - wz + bi([(2, 0, np.inf)], cap=cap)
     with np.errstate(invalid="ignore"), pytest.raises(CurveDivisionError, match="degree 2 "):
         exact_divide_by_curve(num, wz)
 
@@ -285,7 +264,7 @@ def test_divided_phase_factor_matches_quadrature_oracle():
     V, F = divided_data(phi, B, wz)
 
     zs, ws = 0.04 + 0.02j, -0.03 + 0.01j
-    wzs = polyval(zs, wz.coeffs)
+    wzs = polyval(zs, wz.coeffs[:, 0])
     nodes, wts = np.polynomial.legendre.leggauss(40)
     tt, tw = 0.5 * (nodes + 1), 0.5 * wts
     oracle = sum(wgt * B.evaluate(zs, wzs + t * (ws - wzs)) for t, wgt in zip(tt, tw))
@@ -304,7 +283,7 @@ def test_t_average_of_w_linear():
     wz = _linear_curve(cap)
     g = bi([(0, 1, 1.0)], cap=cap)
     avg = t_average(g, wz)
-    expected = 0.5 * (g + wz.as_biseries())
+    expected = 0.5 * (g + wz)
     assert np.max(np.abs(avg.coeffs - expected.coeffs)) < 1e-14
 
 
@@ -442,16 +421,17 @@ def test_implicit_w_linear_field_exact():
     cap = 10
     B = bi([(0, 0, a), (1, 0, b), (0, 1, c)], cap=cap)
     wz = implicit_w(B)
-    assert abs(wz.coeffs[1] + b / c) < 1e-14
-    assert np.max(np.abs(wz.coeffs[2:])) < 1e-14
+    assert wz.z_only
+    assert abs(wz.coeffs[1, 0] + b / c) < 1e-14
+    assert np.max(np.abs(wz.coeffs[2:, 0])) < 1e-14
     rest = compose_w(B, wz)
-    assert np.max(np.abs(rest.coeffs[1:])) < 1e-13
+    assert np.max(np.abs(rest.coeffs[1:, 0])) < 1e-13
 
 
 def test_implicit_w_derivative_identity():
     B = bi([(0, 0, 1.0), (1, 0, 0.5 + 0.1j), (0, 1, 1j), (2, 0, 0.3), (1, 1, -0.2)], cap=10)
     wz = implicit_w(B)
-    assert abs(wz.coeffs[1] + B.coeffs[1, 0] / B.coeffs[0, 1]) < 1e-13
+    assert abs(wz.coeffs[1, 0] + B.coeffs[1, 0] / B.coeffs[0, 1]) < 1e-13
 
 
 def test_implicit_w_field_without_z_dependence():
@@ -525,8 +505,8 @@ def test_derivative_antiderivative_inverse(a):
 @settings(max_examples=60, deadline=None)
 @given(_series_strategy())
 def test_serialization_round_trip_bit_exact(a):
-    # the BiSeries and its z-column as a UniSeries share one to_records
-    for s in (a, UniSeries(a.coeffs[:, 0], a.cap)):
+    # a bivariate series and its z-column as a z-only series
+    for s in (a, z_series(a.coeffs[:, 0], a.cap)):
         d = json.loads(json.dumps(s.to_records()))
         assert set(d) == {"cap", "coeffs"} and d["cap"] == s.cap
         c = np.zeros_like(s.coeffs)
@@ -604,9 +584,9 @@ def _reference_compose(c, wc):
 
 def _random_curve(cap, seed, degree):
     rng = np.random.default_rng(seed)
-    c = np.zeros(cap + 1, dtype=complex)
-    c[1:degree + 1] = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
-    return UniSeries(c, cap)
+    c = np.zeros(degree + 1, dtype=complex)
+    c[1:] = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    return z_series(c, cap)
 
 
 def test_compose_w_matches_pointwise_values():
@@ -615,8 +595,8 @@ def test_compose_w_matches_pointwise_values():
     a, wz = _live_parts(9, range(4), seed=1), _random_curve(9, 2, degree=3)
     out = compose_w(a, wz)
     for z in (0.0, 0.05, -0.03 + 0.02j, 0.1j, 0.2 - 0.1j):
-        expected = polyval2d(z, polyval(z, wz.coeffs), a.coeffs)
-        assert abs(polyval(z, out.coeffs) - expected) <= 1e-14 * max(abs(expected), 1.0)
+        expected = polyval2d(z, polyval(z, wz.coeffs[:, 0]), a.coeffs)
+        assert abs(polyval(z, out.coeffs[:, 0]) - expected) <= 1e-14 * max(abs(expected), 1.0)
 
 
 def test_compose_w_matches_the_horner_loop_per_degree():
@@ -625,10 +605,11 @@ def test_compose_w_matches_the_horner_loop_per_degree():
     B = oscillating_field((np.pi / 3, -np.pi / 2), cap=48).B_taylor
     cases = [(B, implicit_w(B)), (_live_parts(48, range(49), seed=3), _random_curve(48, 4, degree=48))]
     for a, wz in cases:
-        majorant = _reference_compose(np.abs(a.coeffs), np.abs(wz.coeffs)).real
-        err = np.abs(compose_w(a, wz).coeffs - _reference_compose(a.coeffs, wz.coeffs))
+        w = wz.coeffs[:, 0]
+        majorant = _reference_compose(np.abs(a.coeffs), np.abs(w)).real
+        err = np.abs(compose_w(a, wz).coeffs[:, 0] - _reference_compose(a.coeffs, w))
         assert np.all(err <= 1e-14 * majorant)
-        assert np.all(np.abs(abs_compose_w(a, wz).coeffs - majorant) <= 1e-14 * majorant)
+        assert np.all(np.abs(abs_compose_w(a, wz).coeffs[:, 0] - majorant) <= 1e-14 * majorant)
 
 
 def test_curve_powers_are_cached_and_read_only():
@@ -637,32 +618,61 @@ def test_curve_powers_are_cached_and_read_only():
     assert W is wz._powers and not W.flags.writeable
     with pytest.raises(ValueError):
         W[1, 1] = 0.0
-    power = UniSeries.constant(1.0, 12)
+    power = BiSeries.constant(1.0, 12)
     for b in range(13):
-        assert np.allclose(W[b], power.coeffs, rtol=0, atol=1e-12 * np.abs(W[b]).max())
+        assert np.allclose(W[b], power.coeffs[:, 0], rtol=0, atol=1e-12 * np.abs(W[b]).max())
         power = power * wz
-    assert np.allclose(wz._majorant._powers[3], (abs(wz) * abs(wz) * abs(wz)).coeffs)
+    assert np.allclose(wz._majorant._powers[3], (abs(wz) * abs(wz) * abs(wz)).coeffs[:, 0])
 
 
 @pytest.mark.parametrize("cap", [0, 1, 7, 48])
 def test_degree_maxima_is_the_per_part_maximum(cap):
     # exact zeros make some parts vanish whole; max is exact, so the two are equal bit for bit
     for s in (_live_parts(cap, range(cap // 2 + 1)), _live_parts(cap, range(cap + 1), seed=1),
-              UniSeries(_live_parts(cap, range(cap + 1), seed=2).coeffs[:, 0], cap),
-              UniSeries.zeros(cap)):
+              z_series(_live_parts(cap, range(cap + 1), seed=2).coeffs[:, 0], cap),
+              BiSeries.zeros(cap)):
         per_part = np.array([np.abs(p).max() for p in s.parts()])
         assert np.array_equal(degree_maxima(s), per_part)
 
 
 @pytest.mark.parametrize("cap", [0, 2, 24, 48])
 def test_z_series_times_bivariate_matches_the_embedded_product(cap):
-    A = UniSeries(_live_parts(cap, range(cap + 1), seed=6).coeffs[:, 0], cap)
+    # a z-only factor's Toeplitz kernel against the dense shifted-block loop
+    # of the graded product, in either order
+    A = z_series(_live_parts(cap, range(cap + 1), seed=6).coeffs[:, 0], cap)
     J = _live_parts(cap, range(cap + 1), seed=7)
-    prod, ref = A * J, A.as_biseries() * J
-    assert isinstance(prod, BiSeries)
-    scale = (abs(A).as_biseries() * abs(J)).max_abs()
-    assert np.max(np.abs(prod.coeffs - ref.coeffs)) <= 1e-14 * scale
+    prod = A * J
+    assert np.array_equal(prod.coeffs, (J * A).coeffs)
+    scale = _reference_product(np.abs(A.coeffs), np.abs(J.coeffs)).real.max()
+    assert np.max(np.abs(prod.coeffs - _reference_product(A.coeffs, J.coeffs))) <= 1e-14 * scale
     above = np.add.outer(np.arange(cap + 1), np.arange(cap + 1)) > cap
     assert np.all(prod.coeffs[above] == 0)
     with pytest.raises(SeriesStructureError):
         A * BiSeries.zeros(cap + 1)
+
+
+@pytest.mark.parametrize("cap", [0, 2, 24, 48])
+def test_z_only_products_keep_their_kernels_bit_for_bit(cap):
+    # one z-only factor A: T @ y with T[a, i] = A[a - i] (lower triangular
+    # Toeplitz, a strided view of the zero-padded A); two z-only factors:
+    # np.convolve of the columns, left operand first
+    A = z_series(_live_parts(cap, range(cap + 1), seed=6).coeffs[:, 0], cap)
+    G = z_series(_live_parts(cap, range(cap + 1), seed=8).coeffs[:, 0], cap)
+    J = _live_parts(cap, range(cap + 1), seed=7)
+    T = sliding_window_view(np.r_[np.zeros(cap, dtype=complex), A.coeffs[:, 0]], cap + 1)[:, ::-1]
+    assert np.array_equal((A * J).coeffs, BiSeries(T @ J.coeffs, cap).coeffs)
+    product = A * G
+    assert product.z_only
+    assert np.array_equal(product.coeffs[:, 0],
+                          np.convolve(A.coeffs[:, 0], G.coeffs[:, 0])[: cap + 1])
+
+
+def test_z_only_marks_the_series_without_w():
+    cap = 6
+    wz = _linear_curve(cap)
+    for s in (BiSeries.zeros(cap), BiSeries.constant(2.0 - 1j, cap), wz,
+              compose_w(bi([(0, 1, 1.0), (1, 1, 0.5), (0, 3, 1j)], cap=cap), wz),
+              compose_w(BiSeries.zeros(cap), wz)):
+        assert s.z_only
+    assert not bi([(0, 1, 1.0)], cap=cap).z_only
+    assert not (wz + bi([(3, 2, 1e-300)], cap=cap)).z_only
