@@ -135,8 +135,11 @@ class _ThetaEvaluator:
 
     The degree-k part of the integrand carries t^(k-1), so theta is the
     series T + T_A with T[a, b] = -i (a - b) / (a + b) * phi[a, b] and
-    T_A[a, b] = -(A~ . y~)[a, b] / (a + b).  P = S + i (T + T_A) is built
-    once; ``d_max`` is the largest admissible cutoff radius.
+    T_A[a, b] = -(A~ . y~)[a, b] / (a + b).  It holds, each built once, the
+    phase series P = S + i (T + T_A) and the Euler series r_lin with
+    coefficients (a + b) S[a, b] + (a - b) phi[a, b], which is
+    r (grad S + i M) . n, the h-independent part of the residual's
+    commutator term; ``d_max`` is the largest admissible cutoff radius.
     """
 
     def __init__(self, field, sol):
@@ -149,11 +152,14 @@ class _ThetaEvaluator:
         a, b = np.indices(phi.coeffs.shape)
         T = (-1j * (a - b) * phi.coeffs - (a1 * y1 + a2 * y2).coeffs) / np.maximum(a + b, 1)
         self.P = sol.S + 1j * BiSeries(T, phi.cap)
+        self.r_lin = BiSeries((a + b) * sol.S.coeffs + (a - b) * phi.coeffs, sol.S.cap)
         self._calibrate()
 
     def _calibrate(self):
         """The gauge check: curl A~ = B~ per degree up to cap - 2, and A~
-        reproduces the callable A on rings at 0.3, 0.7 and 1 x d_max."""
+        reproduces the callable A on rings at 0.3, 0.7 and 1 x d_max.  A~ is
+        A's expansion truncated at degree cap, so at a cap below A's degree
+        the ring gap is its dropped tail; the refusal says so."""
         a1, a2 = self.field.A_taylor
         B = self.field.B_taylor
         d1a2, d2a1 = real_gradient_series(a2)[0], real_gradient_series(a1)[1]
@@ -170,17 +176,18 @@ class _ThetaEvaluator:
         if not worst <= tol:
             raise GaugeConsistencyError(
                 f"|A - A~| = {worst:.3e} > {tol:.1e} on |y| <= d_max = {self.d_max:.3g}: "
-                f"the field's Taylor data does not match its potential A"
+                f"the field's Taylor data does not match its potential A, or A~, truncated "
+                f"at degree {a1.cap}, drops a tail that large (a larger --D closes such a gap)"
             )
 
     def __call__(self, y1, y2):
         return self.P.realify(y1, y2)
 
 
-def _rep_quadratic(P):
+def _rep_quadratic(R):
     """(c11, c12, c22) with Re P = c11 y1^2 + c12 y1 y2 + c22 y2^2 + O(|y|^3),
-    the real parts of P's degree-2 coefficients in y (``real_coeffs``)."""
-    R = P.real_coeffs()
+    the real parts of the degree-2 entries of R = P.real_coeffs(), P's
+    coefficients in y."""
     return float(R[2, 0].real), float(R[1, 1].real), float(R[0, 2].real)
 
 
@@ -215,15 +222,15 @@ def select_cutoff(phase, delta_override=None):
     Re P, the quadratic with its eigenvalues and the Q2 that the built phase
     realizes, Q2_eff = -c12/2.
     """
-    R = phase.P.real_coeffs().real
-    lin = (float(R[1, 0]), float(R[0, 1]))
+    R = phase.P.real_coeffs()
+    lin = (float(R[1, 0].real), float(R[0, 1].real))
     if math.hypot(*lin) > GAMMA_TOL:
         raise PhaseNotPositiveError(
             f"Re P has the linear part ({lin[0]:.6g}, {lin[1]:.6g}) = Im A(x0), of norm "
             f"{math.hypot(*lin):.3g} > {GAMMA_TOL:g}: Re P is negative near x0 along "
             f"-Im A(x0). A decaying pseudomode does not exist at this base point."
         )
-    c11, c12, c22 = _rep_quadratic(phase.P)
+    c11, c12, c22 = _rep_quadratic(R)
     eigs = np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))
     M1 = 0.5 * float(eigs[0])
     d_max = phase.d_max
@@ -289,7 +296,8 @@ class Pseudomode:
         else:
             n = int(math.floor((math.e * self.m_growth * h) ** (-1.0 / 7.0)))
         if n > self.sol.N:
-            log.warning("N(h)=%d exceeds the computed budget N=%d; clipping", n, self.sol.N)
+            log.warning("N(h)=%d at h=%g exceeds the computed budget N=%d; clipping",
+                        n, h, self.sol.N)
             n = self.sol.N
         return max(n, 0)
 
@@ -307,11 +315,6 @@ def make_pseudomode(field, sol, N=1, m_growth=None, delta_override=None):
 def _amplitude(sol, h, N):
     """The amplitude sum sum_{j<=N} h^j a_j as one series."""
     return sum((h**j * sol.amplitudes[j] for j in range(1, N + 1)), sol.amplitudes[0])
-
-
-def _horner(y1, y2):
-    """The value map of series at scattered local points y (Horner)."""
-    return lambda series: series.realify(y1, y2)
 
 
 def _on_grid(s, t, keep):
@@ -351,7 +354,7 @@ def assemble(pm, h):
         y1 = np.asarray(x1, dtype=float) - sol.base_point[0]
         y2 = np.asarray(x2, dtype=float) - sol.base_point[1]
         return _cut_mode(pm, h, amp, np.hypot(y1, y2),
-                         lambda inside: _horner(y1[inside], y2[inside]))
+                         lambda inside: lambda series: series.realify(y1[inside], y2[inside]))
 
     return u
 
@@ -409,10 +412,9 @@ def _residual_terms(pm, h, N, amp, y1, y2, values):
     rr = r[ring]
     p, q = np.indices(amp.coeffs.shape)
     r_damp = BiSeries((p + q) * amp.coeffs, amp.cap)
-    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap)
     damp, lin = np.zeros_like(u), np.zeros_like(u)
     damp[ring] = values(r_damp)[ring] / rr
-    lin[ring] = values(r_lin)[ring] / rr
+    lin[ring] = values(pm.phase.r_lin)[ring] / rr
     cutoff_term = E * (
         -2.0 * h**2 * dchi * damp + (-(h**2) * lapchi + 2.0 * h * dchi * lin) * a
     )
@@ -486,7 +488,8 @@ def residual_finite_difference(pm, h, n):
     x = grid.axis()
     # the local axes of the grid centred at x0
     s, t = (x0[0] + x) - x0[0], (x0[1] + x) - x0[1]
-    amp = _amplitude(pm.sol, h, pm.N_used(h))
+    N = pm.N_used(h)
+    amp = _amplitude(pm.sol, h, N)
     u = _cut_mode(pm, h, amp, np.hypot(s[:, None], t[None, :]),
                   lambda inside: _on_grid(s, t, inside))
     gf = numop.GridFunction(values=u, grid=grid)
@@ -496,7 +499,7 @@ def residual_finite_difference(pm, h, n):
     un = math.sqrt(float(np.sum(np.abs(u) ** 2)) * w)
     rn = math.sqrt(float(np.sum(np.abs(res) ** 2)) * w)
     return ResidualReport(
-        h=h, N_used=pm.N_used(h), u_norm=un, residual_norm=rn, ratio=rn / un,
+        h=h, N_used=N, u_norm=un, residual_norm=rn, ratio=rn / un,
         evaluator="finite_difference", quadrature_points=n * n,
     )
 

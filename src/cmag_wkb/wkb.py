@@ -13,6 +13,11 @@ this module constructs
   + A_{j+1}(z) J, with each A_{j+1} fixed by the solvability constraint
   d_z d_w a~_{j+1}(z, w(z)) = 0 of the next equation.
 
+``solve_wkb`` builds phi~, w(z), f and V, F; the transport workspace takes
+those and derives the rest itself: mu, J, A_0 and a~_0, the transport
+coefficient from f', the reciprocals each step divides by and the first
+trusted degree cap - 1, and it verifies step 0 when it is built.
+
 The construction assumes a non-critical base point, B(0) != 0 and
 d_zbar B(0) != 0, as the paper does; ``solve_wkb`` is the one place that
 refuses the rest (DegenerateFieldError), at the admissibility gate's
@@ -140,21 +145,27 @@ def first_transport(Btilde, phi, w_curve, V, F):
 
 
 class _Workspace:
-    """Shared series data threaded through the transport recursion."""
+    """Shared series data threaded through the transport recursion.
 
-    def __init__(self, Btilde, phi, fprime, w_curve, V, mu, J, u0, A0, a0, trusted0):
+    Built from the divided data (B~, phi~, f, w(z), V, F) alone: it derives
+    mu, J, u0, A_0 and a~_0 (``first_transport``), the first-order
+    coefficient c4 = 8 d_z phi~ + 4 f' of the transport operator, the
+    reciprocals of 2JV and u0 A_0 that every step divides by, and the first
+    trusted degree cap - 1, then verifies step 0.
+    """
+
+    def __init__(self, Btilde, phi, f, w_curve, V, F):
+        self.mu, self.J, u0, self.A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
         self.B = Btilde
         self.w = w_curve
-        self.mu = mu
-        self.J = J
-        self.A0 = A0
         self.amplitudes = [a0]
-        self.trusted = [trusted0]
-        self.c4 = 8.0 * phi.differentiate("z") + 4.0 * fprime
-        self.inv_2JV = (2.0 * (J * V)).reciprocal("2JV")
-        self.inv_u0A0 = (u0 * A0).reciprocal("d_wJ * A0 on curve")
+        self.trusted = [Btilde.cap - 1]
+        self.c4 = 8.0 * phi.differentiate("z") + 4.0 * f.differentiate("z")
+        self.inv_2JV = (2.0 * (self.J * V)).reciprocal("2JV")
+        self.inv_u0A0 = (u0 * self.A0).reciprocal("d_wJ * A0 on curve")
         self.residual_maxima = {}
         self.compatibility_scale = 0.0  # of the last compatibility check
+        self.verify_step(0)
 
     def verify_step(self, j):
         """Transport residual and compatibility for amplitude j.
@@ -315,38 +326,36 @@ def solve_wkb(field, N=3):
                    IDENTITY_RTOL, TransportIdentityError, upto=cap - 2)
 
     f, S = eikonal_phase(phi, w_curve)
-    fprime = f.differentiate("z")
     V, F = divided_data(phi, Btilde, w_curve)
-    mu, J, u0, A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
-
-    ws = _Workspace(Btilde, phi, fprime, w_curve, V, mu, J, u0, A0, a0, cap - 1)
-    ws.verify_step(0)
+    ws = _Workspace(Btilde, phi, f, w_curve, V, F)
     for j in range(N):
         transport_step(ws, j)
 
     return WKBSolution(
-        phi=phi, w_curve=w_curve, f=f, S=S, V=V, F=F, J=J, A0=A0,
-        amplitudes=tuple(ws.amplitudes), mu=mu, N=N,
-        trusted_radius=_trusted_radius(_last_diagonal(S, J, *ws.amplitudes), cap),
+        phi=phi, w_curve=w_curve, f=f, S=S, V=V, F=F, J=ws.J, A0=ws.A0,
+        amplitudes=tuple(ws.amplitudes), mu=ws.mu, N=N,
+        trusted_radius=_trusted_radius(S, ws.J, *ws.amplitudes),
         trusted_degrees=tuple(ws.trusted),
         base_point=tuple(field.base_point), residual_maxima=dict(ws.residual_maxima),
     )
 
 
-def _last_diagonal(*series):
-    """Largest sum of |c_ab| over the last retained diagonal a + b = cap."""
-    return max(float(np.abs(s.parts()[-1]).sum()) for s in series)
-
-
-def _trusted_radius(diag, cap):
-    """Radius r where a last retained diagonal of sum ``diag`` contributes
-    <= 1e-4 at (r, r)."""
-    return min(float((1e-4 / diag) ** (1.0 / cap)), 1e6) if diag > 0 else 1e6
+def _trusted_radius(*series):
+    """Radius r where the last retained diagonal a + b = cap of the series,
+    the one with the largest sum of |c_ab| over it, contributes <= 1e-4 at
+    (r, r)."""
+    diag = max(float(np.abs(s.parts()[-1]).sum()) for s in series)
+    return min(float((1e-4 / diag) ** (1.0 / series[0].cap)), 1e6) if diag > 0 else 1e6
 
 
 # ----------------------------------------------------------------------------
 # amplitude growth diagnostics
 # ----------------------------------------------------------------------------
+
+def _growth(j):
+    """The factor j^(7j) of the amplitude bound m^(j+1) j^(7j), 1 at j = 0."""
+    return 1.0 if j == 0 else float(j) ** (7 * j)
+
 
 @dataclass(frozen=True)
 class BoundFit:
@@ -358,8 +367,7 @@ class BoundFit:
     def bound_holds(self):
         ok = True
         for j, nrm in enumerate(self.per_j_norms):
-            jj = 1.0 if j == 0 else float(j) ** (7 * j)
-            ok = ok and nrm <= self.m_fitted ** (j + 1) * jj * (1 + 1e-12)
+            ok = ok and nrm <= self.m_fitted ** (j + 1) * _growth(j) * (1 + 1e-12)
         return ok
 
 
@@ -377,8 +385,7 @@ def fit_growth(sol):
     norms = [float(np.max(np.abs(a.evaluate_grid(z, z)))) for a in sol.amplitudes]
     m = 0.0
     for j, nrm in enumerate(norms):
-        jj = 1.0 if j == 0 else float(j) ** (7 * j)
-        m = max(m, (nrm / jj) ** (1.0 / (j + 1)))
+        m = max(m, (nrm / _growth(j)) ** (1.0 / (j + 1)))
     # two-parameter fit log||a_j|| = (j+1) log m + sigma * j log j over j >= 2
     js = np.array([j for j in range(2, len(norms)) if norms[j] > 0], dtype=float)
     sigma = float("nan")

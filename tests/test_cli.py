@@ -14,6 +14,7 @@ from cmag_wkb.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_GAMMA,
+    EXIT_IDENTITY,
     EXIT_OK,
     EXIT_QUADRATURE,
     ConfigError,
@@ -278,6 +279,17 @@ def test_an_argparse_error_exits_2_with_its_usage_block(capsys):
     assert err.startswith("usage: cmag-wkb run")
     assert err.rstrip().endswith("error: argument --N: invalid int value: 'x'")
     assert "Traceback" not in err
+
+
+def test_a_gauge_gap_below_the_degree_of_A_names_the_cap(tmp_path, capsys):
+    # the default polynomial field's A_2 has degree 7: at --D 6 its Taylor
+    # pair drops that tail, which the ring check sees; the refusal (exit 4)
+    # says that A~ is truncated at the cap and how to close the gap
+    code = main(["run", "--builtin", "polynomial", "--D", "6", "--N", "0", "--h", "0.1:0.05:2",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_IDENTITY
+    err = capsys.readouterr().err
+    assert "potential A" in err and "truncated at degree 6" in err and "larger --D" in err
 
 
 def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Gauge function, cutoff selection, residual ratios, decay fits."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from cmag_wkb.pseudomode import (
     assemble,
     fit_decay,
     make_pseudomode,
+    residual_finite_difference,
     residual_series_exact,
     select_cutoff,
     step_jet,
@@ -232,7 +234,7 @@ def test_euler_commutator_matches_gradient_pairs(make_pm):
     for h in (0.1, 0.02):
         N = pm.N_used(h)
         amp = pseudomode._amplitude(pm.sol, h, N)
-        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2, pseudomode._horner(y1, y2))[2]
+        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2, lambda s: s.realify(y1, y2))[2]
         ref = _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -307,7 +309,7 @@ def test_unresolved_gauge_quadrature_raises():
 
 def _built_M1(pm):
     """Half the least eigenvalue of the quadratic of the built Re P."""
-    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P)
+    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P.real_coeffs())
     return 0.5 * float(np.linalg.eigvalsh(np.array([[c11, c12 / 2], [c12 / 2, c22]]))[0])
 
 
@@ -340,10 +342,25 @@ def test_rep_quadratic_matches_gamma_report(work_setup):
     field, rep, sol, pm = work_setup
     P = pm.phase.P.coeffs
     assert P[0, 0] == 0 and P[1, 0] == 0 and P[0, 1] == 0
-    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P)
+    c11, c12, c22 = pseudomode._rep_quadratic(pm.phase.P.real_coeffs())
     assert abs(c11 - rep.Q1) < 1e-8
     assert abs(c12 - (-2 * rep.Q2)) < 1e-8
     assert abs(c22 - rep.Q3) < 1e-8
+
+
+def test_cutoff_search_reads_the_real_slice_once(work_setup, monkeypatch):
+    # the linear part and the quadratic of Re P come from one real_coeffs call
+    field, rep, sol, pm = work_setup
+    calls = []
+    real_coeffs = BiSeries.real_coeffs
+
+    def counting(self):
+        calls.append(self)
+        return real_coeffs(self)
+
+    monkeypatch.setattr(BiSeries, "real_coeffs", counting)
+    assert select_cutoff(pm.phase) == pm.cutoff
+    assert len(calls) == 1
 
 
 def test_oscillating_phase_not_positive_is_diagnosed():
@@ -562,6 +579,18 @@ def test_adaptive_rule_and_budget_clip(work_setup, caplog):
     assert n == sol.N
     assert any("clipping" in rec.message for rec in caplog.records)
     assert pma.N_used(0.05) >= 1
+
+
+def test_fd_route_fixes_its_order_once(caplog):
+    # N(h) = floor((e h)^(-1/7)) = 1 at h = 0.1 exceeds the solved order 0:
+    # one evaluation clips once, and the record names its h
+    field = polynomial_field(1.0, 1j, 1.0, cap=12)
+    pm = make_pseudomode(field, solve_wkb(field, N=0), N=0, m_growth=1.0)
+    with caplog.at_level(logging.WARNING, logger="cmag_wkb.pseudomode"):
+        report = residual_finite_difference(pm, 0.1, n=64)
+    clips = [rec.getMessage() for rec in caplog.records if "clipping" in rec.getMessage()]
+    assert report.N_used == 0
+    assert len(clips) == 1 and "h=0.1" in clips[0]
 
 
 def test_positive_norm_enforced():
