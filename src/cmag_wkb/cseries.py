@@ -28,9 +28,12 @@ matmul, T(A) @ c.  Otherwise the graded product forms it as one Toeplitz
 matmul per live (nonzero) part x_j of the left operand: with part l of the
 right operand as row l of a zero-padded array Y and T_j[u, n] = x_j[n-u] (a
 strided view), row l of Y @ T_j is x_j * y_l, added into part j + l in
-ascending j.  Only the sequential recurrences, ``exp`` and ``power``
-(Euler-operator recurrences) and ``reciprocal``, sum ``np.convolve`` per
-degree (``_convolve_sum``).  The sums are direct, never FFTs:
+ascending j.  The sequential
+recurrences, ``exp`` and ``power`` (Euler-operator recurrences) and
+``reciprocal``, pick their kernel from ``z_only`` the same way.  A z-only
+series has one coefficient per part, so its recurrence runs on column 0, one
+dot product per degree; a bivariate one sums ``np.convolve`` over its parts
+per degree (``_convolve_sum``).  The sums are direct, never FFTs:
 each coefficient of degree k is a sum of exactly the products that enter it,
 so its roundoff is set by the magnitudes of degree k, which the per-degree
 identity scales rely on.
@@ -41,6 +44,14 @@ parts: ``degree_maxima`` takes the maximum of each part, and ``compose_w``
 the antidiagonal sums that restrict a series to the curve w = w(z), from
 c @ W with W[b] = w^b, the curve's power table (built once per curve and
 cached on it, with that of the majorant |w|).
+
+The curve's two other kernels take one matrix product per degree.
+``exact_divide_by_curve`` is synthetic division in w, column by column from
+the top: q_b = num[:, b+1] + T(w) q_{b+1}, with the curve's Toeplitz matrix
+T(w) (and T(|w|) for the majorant beside it, cached on ``_majorant``).
+``implicit_w`` fills the power table column by column as the coefficients
+of w come out: since w(0) = 0, W[b, n] for b >= 2 needs only w_1..w_{n-1},
+so the restriction's coefficient of z^n is linear in the one unknown w_n.
 
 Evaluation has two routes.  Scattered points (the gauge check's rings, the
 cutoff search's polar samples, the phase evaluator, ``assemble(pm, h)`` on
@@ -153,12 +164,28 @@ def _tensor(coeffs, s, t):
     return np.vander(s, m, increasing=True) @ coeffs @ np.vander(t, m, increasing=True).T
 
 
+def _toeplitz(column):
+    """The lower-triangular Toeplitz matrix T[a, i] = column[a - i] (a
+    strided view of the zero-padded column): T @ x is the product of the
+    z-only series ``column`` with x, truncated at its cap."""
+    D = column.size - 1
+    padded = np.concatenate([np.zeros(D, dtype=complex), column])
+    return sliding_window_view(padded, D + 1)[:, ::-1]
+
+
+def _z_series(column):
+    """The z-only series sum_a column[a] z^a, at cap len(column) - 1."""
+    c = np.zeros((column.size, column.size), dtype=complex)
+    c[:, 0] = column
+    return BiSeries(c, column.size - 1)
+
+
 def _convolve_sum(xs, y, k, out):
     """Add the sum of x_j * y_{k-j} (np.convolve) to ``out``, over the pairs
     (j, x_j) of ``xs`` (ascending in j) with j <= k: one degree of a
-    recurrence whose parts y come out one degree at a time (``exp``,
-    ``reciprocal``, ``power``).  The product, whose operands are whole, does
-    all degrees at once in ``BiSeries.__mul__``."""
+    recurrence on a bivariate series, whose parts y come out one degree at a
+    time (``exp``, ``reciprocal``, ``power``).  The product, whose operands
+    are whole, does all degrees at once in ``BiSeries.__mul__``."""
     for j, xj in xs:
         if j > k:
             break
@@ -173,7 +200,8 @@ class BiSeries:
 
     A series in z alone (the curve w(z), the correction f, the factors A_j)
     is one whose coefficients vanish off column 0 (``z_only``).  ``exp``,
-    ``reciprocal`` and ``power`` are recurrences over the homogeneous parts.
+    ``reciprocal`` and ``power`` are recurrences over the homogeneous parts,
+    over column 0 for a z-only series.
     """
 
     coeffs: np.ndarray
@@ -268,6 +296,10 @@ class BiSeries:
     def exp(self):
         """Euler-operator recurrence k g_k = sum_{j>=1} j n_j * g_{k-j},
         g_0 = exp(n_0) (Knuth, TAOCP vol. 2, 4.7)."""
+        if self.z_only:
+            n = self.coeffs[:, 0]
+            jn = np.arange(self.cap + 1) * n
+            return self._column_recurrence(np.exp(n[0]), lambda k, g: jn[1:k + 1] @ g / k)
         n = self.parts()
         jn = [(j, j * p) for j, p in enumerate(n) if j and p.any()]
         g = [np.exp(n[0])]
@@ -277,10 +309,13 @@ class BiSeries:
 
     def reciprocal(self, name="series"):
         """c_0 g_k = -sum_{j>=1} c_j * g_{k-j}, g_0 = 1/c_0."""
-        c = self.parts()
-        c0 = c[0][0]
+        c0 = self.coeffs[0, 0]
         if abs(c0) == 0.0:
             raise SeriesDivisionError(f"reciprocal of {name}: constant term is 0")
+        if self.z_only:
+            c = self.coeffs[:, 0]
+            return self._column_recurrence(1.0 / c0, lambda k, g: -(c[1:k + 1] @ g) / c0)
+        c = self.parts()
         cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
         g = [1.0 / c[0]]
         for k in range(1, self.cap + 1):
@@ -291,10 +326,15 @@ class BiSeries:
         """J.C.P. Miller's recurrence for g = c^alpha (principal branch):
         k c_0 g_k = sum_{j>=1} ((alpha+1) j - k) c_j * g_{k-j}, g_0 = c_0^alpha
         (Knuth, TAOCP vol. 2, 4.7)."""
-        c = self.parts()
-        c0 = c[0][0]
+        c0 = self.coeffs[0, 0]
         if abs(c0) == 0.0:
             raise SeriesDivisionError("power of a series whose constant term is 0")
+        if self.z_only:
+            c = self.coeffs[:, 0]
+            jc = (alpha + 1) * np.arange(self.cap + 1) * c
+            return self._column_recurrence(
+                c0 ** alpha, lambda k, g: (jc[1:k + 1] @ g - k * (c[1:k + 1] @ g)) / (k * c0))
+        c = self.parts()
         cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
         jcs = [(j, (alpha + 1) * j * p) for j, p in cs]
         g = [c[0] ** alpha]
@@ -302,6 +342,16 @@ class BiSeries:
             acc = _convolve_sum(jcs, g, k, np.zeros_like(c[k]))
             g.append((acc - k * _convolve_sum(cs, g, k, np.zeros_like(c[k]))) / (k * c0))
         return self._with_parts(g)
+
+    def _column_recurrence(self, g0, step):
+        """The recurrence of ``exp``, ``reciprocal`` or ``power`` on the
+        column of a z-only series, whose part j is the one coefficient of
+        z^j: g_k = step(k, g_{k-1..0}), each sum over j one dot product."""
+        g = np.zeros(self.cap + 1, dtype=complex)
+        g[0] = g0
+        for k in range(1, self.cap + 1):
+            g[k] = step(k, g[k - 1::-1])
+        return _z_series(g)
 
     def _graded(self):
         """Coefficients in graded order and the start of each part: part k
@@ -323,14 +373,10 @@ class BiSeries:
         self._check(other)
         D = self.cap
         if self.z_only and other.z_only:
-            c = np.zeros_like(self.coeffs)
-            c[:, 0] = np.convolve(self.coeffs[:, 0], other.coeffs[:, 0])[: D + 1]
-            return self._new(c)
+            return _z_series(np.convolve(self.coeffs[:, 0], other.coeffs[:, 0])[: D + 1])
         if self.z_only or other.z_only:
             A, y = (self, other) if self.z_only else (other, self)
-            padded = np.concatenate([np.zeros(D, dtype=complex), A.coeffs[:, 0]])
-            T = sliding_window_view(padded, D + 1)[:, ::-1]
-            return self._new(T @ y.coeffs)
+            return self._new(_toeplitz(A.coeffs[:, 0]) @ y.coeffs)
         a, b = _graded_index(D)
         k = a + b
         Y = np.zeros((D + 1, D + 1), dtype=complex)
@@ -388,8 +434,18 @@ class BiSeries:
         return W
 
     @cached_property
+    def _toeplitz(self):
+        """Read-only Toeplitz matrix of the z-only series w (its column 0),
+        contiguous: T @ x is w * x truncated, one matvec per column of the
+        exact division."""
+        T = np.ascontiguousarray(_toeplitz(self.coeffs[:, 0]))
+        T.setflags(write=False)
+        return T
+
+    @cached_property
     def _majorant(self):
-        """|self|, kept so that its power table is built once too."""
+        """|self|, kept so that its power table and Toeplitz matrix are
+        built once too."""
         return abs(self)
 
     # -- evaluation -------------------------------------------------------
@@ -443,9 +499,7 @@ def compose_w(a, w_of_z):
         raise ValueError("compose_w: w(0) != 0 breaks the expansion center")
     D = a.cap
     M = a.coeffs @ w_of_z._powers
-    c = np.zeros_like(M)
-    c[:, 0] = np.add.reduceat(M[_graded_index(D)], _part_starts(D))
-    return BiSeries(c, D)
+    return _z_series(np.add.reduceat(M[_graded_index(D)], _part_starts(D)))
 
 
 def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
@@ -491,27 +545,29 @@ def abs_compose_w(a, w_of_z):
 def exact_divide_by_curve(num, w_of_z):
     """Factor (w - w(z)) out of a series vanishing on the curve w = w(z).
 
-    Synthetic division in w.  The remainder (the restriction of ``num`` to
-    the curve) must vanish: ``check_identity`` compares its degree-k
-    coefficient with DIV_RTOL times the degree-k magnitude of the quantities
-    entering the recursion (numerator and |w|*|q| products), so genuine
-    low-degree non-vanishing is caught while high-degree roundoff along a
-    small-radius curve is tolerated.
+    Synthetic division in w, column by column from the top: q_b =
+    num[:, b+1] + T(w) q_{b+1}, with T(w) the curve's lower-triangular
+    Toeplitz matrix (built once per curve and cached on it), and beside it
+    the majorant a_b = |num[:, b+1]| + T(|w|) a_{b+1}.  The remainder (the
+    restriction of ``num`` to the curve) must vanish: ``check_identity``
+    compares its degree-k coefficient with DIV_RTOL times the degree-k
+    magnitude of the quantities entering the recursion (numerator and
+    |w|*|q| products), so genuine low-degree non-vanishing is caught while
+    high-degree roundoff along a small-radius curve is tolerated.
     """
     num._check(w_of_z)
     D = num.cap
-    wc = w_of_z.coeffs[:, 0]
-    awc = np.abs(wc)
+    T, aT = w_of_z._toeplitz, np.ascontiguousarray(w_of_z._majorant._toeplitz.real)
     q = np.zeros((D + 1, D + 1), dtype=complex)
     qb = np.zeros(D + 1, dtype=complex)
     ab = np.zeros(D + 1)
     terms = [np.abs(num.coeffs[:, 0])]  # per-degree magnitudes through the recursion
     for b in range(D - 1, -1, -1):
-        qb = num.coeffs[:, b + 1] + np.convolve(wc, qb)[: D + 1]
-        ab = np.abs(num.coeffs[:, b + 1]) + np.convolve(awc, ab)[: D + 1]
+        qb = num.coeffs[:, b + 1] + T @ qb
+        ab = np.abs(num.coeffs[:, b + 1]) + aT @ ab
         q[:, b] = qb
         terms.append(ab)
-    rem = num.coeffs[:, 0] + np.convolve(wc, q[:, 0])[: D + 1]
+    rem = num.coeffs[:, 0] + T @ q[:, 0]
     check_identity("exact division: the series vanishes on the curve", rem, terms,
                    DIV_RTOL, CurveDivisionError, floor=FLOOR_FACTOR * num.max_abs())
     return BiSeries(q, D)
@@ -520,24 +576,27 @@ def exact_divide_by_curve(num, w_of_z):
 def implicit_w(Btilde):
     """The unique curve w(z), w(0)=0, with B̃(z, w(z)) constant up to cap.
 
-    Degree-by-degree Newton correction: the coefficient of z^n in the
-    restriction depends on w_n only through ∂_w B̃(0,0) * w_n, so one sweep
-    over n = 1..cap zeroes the restriction exactly (up to roundoff).
+    One pass over the degrees n = 1..cap that fills the curve's power table
+    W[b] = w^b column by column as the coefficients come out.  Since w(0) = 0,
+    W[b, n] for b >= 2 needs only w_1..w_{n-1}, so the coefficient of z^n of
+    the restriction, r_n = sum_a c[a, :] . W[:, n - a], depends on w_n only
+    through ∂_w B̃(0,0) * w_n, and w_n is the value that zeroes it.
     """
-    dwB0 = Btilde.coeffs[0, 1]
+    c = Btilde.coeffs
+    dwB0 = c[0, 1]
     if abs(dwB0) == 0.0:
         raise SeriesDivisionError(
             "not in the admissible set: the w-derivative of the field series "
             "vanishes at the base point"
         )
     D = Btilde.cap
-    wz = BiSeries.zeros(D)
+    w = np.zeros(D + 1, dtype=complex)
+    W = np.zeros((D + 1, D + 1), dtype=complex)
+    W[0, 0] = 1.0
     for n in range(1, D + 1):
-        r = compose_w(Btilde, wz).coeffs[:, 0].copy()
-        r[0] -= Btilde.coeffs[0, 0]
-        c = wz.coeffs.copy()
-        c[n, 0] -= r[n] / dwB0
-        wz = BiSeries(c, D)
+        W[2:, n] = W[1:-1, n - 1:0:-1] @ w[1:n]  # sum over m < n of w_m W[b-1, n-m]
+        w[n] = W[1, n] = -np.sum(c[: n + 1] * W[:, n::-1].T) / dwB0
+    wz = _z_series(w)
     resid = compose_w(Btilde, wz).coeffs[:, 0] - Btilde.coeffs[0, 0] * np.eye(1, D + 1)[0]
     check_identity("implicit curve: B~(z, w(z)) = B~(0, 0)", resid,
                    [abs_compose_w(Btilde, wz).coeffs[:, 0].real], CURVE_RTOL, CurveDivisionError,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -373,6 +374,17 @@ def quadrature_points(h, r_out):
     return n
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(m):
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+    One dense eigenvalue solve per node count: the rows of a sweep share the
+    floor n = 64 of ``quadrature_points``, and each row needs n and 2n."""
+    rule = np.polynomial.legendre.leggauss(m)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     h: float
@@ -442,7 +454,7 @@ def residual_series_exact(pm, h):
 
     def disc_nodes(m):
         """The Gauss square's nodes inside the disc, their weights and value map."""
-        xg, wg = np.polynomial.legendre.leggauss(m)
+        xg, wg = _gauss_rule(m)
         x, wx = cut.r_out * xg, cut.r_out * wg
         Y1, Y2 = np.meshgrid(x, x, indexing="ij")
         keep = np.hypot(Y1, Y2) < cut.r_out

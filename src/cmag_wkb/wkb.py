@@ -37,7 +37,10 @@ compatibility) the majorant |g| o |w| of the restricted series g; no product
 is formed only to size a tolerance.  Each transport
 step consumes three derivative orders, which is where the degree budget rule
 cap >= 3(N+2) comes from; the solver tracks the trusted degree of every
-amplitude and only asserts identities below it.
+amplitude and only asserts identities below it.  The transport residual is
+formed through that degree alone: its operands are cut to the cap t the check
+reads, and a cap-t series is the same ring truncated at t, so the products
+there have the full products' coefficients through degree t.
 """
 
 from __future__ import annotations
@@ -172,14 +175,18 @@ class _Workspace:
 
         The operator is [4(2 d_z phi~ + f') d_w + (B~ - mu)], with c4 its
         first-order coefficient; the right-hand side is 4 d_z d_w a~_{j-1},
-        zero for j = 0.  The transport check's terms are per-degree bounds of
-        the majorant products |c4| |d_w a~_j| and |B~ - mu| |a~_j| (from
-        degree maxima, ``_product_maxima``; no product is formed) and its
-        right-hand side.  Both checks are floored at FLOOR_FACTOR of the
-        largest magnitude entering them: coefficients that are themselves
-        cancellations (constant terms forced to zero by the construction)
-        carry roundoff set by those magnitudes, which runs at the a_0 scale
-        even when the identity's own terms are tiny.  For j = 0 the
+        zero for j = 0.  The residual is asserted through degree t =
+        trusted[j] - 1 and formed there only: from c4, d_w a~_j, B~ - mu,
+        a~_j and the right-hand side cut to cap t, whose products agree with
+        the full-cap ones through degree t.  The transport check's terms are
+        per-degree bounds of the majorant products |c4| |d_w a~_j| and
+        |B~ - mu| |a~_j| (from degree maxima, ``_product_maxima``; no product
+        is formed) and its right-hand side, all at the full cap.  Both checks
+        are floored at FLOOR_FACTOR of the largest magnitude entering them:
+        coefficients that are themselves cancellations (constant terms forced
+        to zero by the construction) carry roundoff set by those magnitudes,
+        which runs at the a_0 scale even when the identity's own terms are
+        tiny.  For j = 0 the
         compatibility floor includes the majorant of a~_0 = A_0 J; for j >= 1
         the transport floor includes 4x the last compatibility scale, since
         the transport residual at degree 0 is -rhs[0, 0], exactly 4x the last
@@ -195,9 +202,12 @@ class _Workspace:
         bounds = [_product_maxima(self.c4, da), _product_maxima(B_mu, a_new)]
         top = max(parent, *(float(np.max(m)) for m in bounds), rhs.max_abs(),
                   4.0 * self.compatibility_scale)
+        t = self.trusted[j] - 1
+        c4_t, da_t, B_mu_t, a_t, rhs_t = (_truncate(x, t)
+                                          for x in (self.c4, da, B_mu, a_new, rhs))
         self.residual_maxima[f"transport_{j}"] = check_identity(
-            f"transport residual j={j}", degree_maxima(self.c4 * da + B_mu * a_new - rhs),
-            [*bounds, rhs], IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 1,
+            f"transport residual j={j}", degree_maxima(c4_t * da_t + B_mu_t * a_t - rhs_t),
+            [*bounds, rhs], IDENTITY_RTOL, TransportIdentityError, upto=t,
             floor=FLOOR_FACTOR * top)
 
         dd = a_new.differentiate("w").differentiate("z")
@@ -211,6 +221,12 @@ class _Workspace:
             f"compatibility constraint j={j}", comp.coeffs[:, 0], [majorant],
             IDENTITY_RTOL, TransportIdentityError, upto=self.trusted[j] - 2,
             floor=FLOOR_FACTOR * top)
+
+
+def _truncate(series, cap):
+    """The series in the ring truncated at a lower cap: its coefficients of
+    degree <= cap, and so those of any product formed there."""
+    return BiSeries(series.coeffs[: cap + 1, : cap + 1], cap)
 
 
 def _product_maxima(x, y):
@@ -352,9 +368,11 @@ def _trusted_radius(*series):
 # amplitude growth diagnostics
 # ----------------------------------------------------------------------------
 
-def _growth(j):
-    """The factor j^(7j) of the amplitude bound m^(j+1) j^(7j), 1 at j = 0."""
-    return 1.0 if j == 0 else float(j) ** (7 * j)
+def _order_root(nrm, j):
+    """The least m with nrm <= m^(j+1) j^(7j), as the per-order root
+    nrm^(1/(j+1)) / j^(7j/(j+1)) (0^0 = 1 at j = 0): finite where the factor
+    j^(7j) itself is past the float range (from j = 30 on)."""
+    return nrm ** (1.0 / (j + 1)) / float(j) ** (7 * j / (j + 1))
 
 
 @dataclass(frozen=True)
@@ -365,10 +383,9 @@ class BoundFit:
     sigma_fitted: float
 
     def bound_holds(self):
-        ok = True
-        for j, nrm in enumerate(self.per_j_norms):
-            ok = ok and nrm <= self.m_fitted ** (j + 1) * _growth(j) * (1 + 1e-12)
-        return ok
+        # nrm <= m^(j+1) j^(7j) (1 + 1e-12), each side to the power 1/(j+1)
+        return all(_order_root(nrm, j) <= self.m_fitted * (1 + 1e-12) ** (1.0 / (j + 1))
+                   for j, nrm in enumerate(self.per_j_norms))
 
 
 def fit_growth(sol):
@@ -383,9 +400,7 @@ def fit_growth(sol):
     R = 0.25 * sol.trusted_radius
     z = R * np.exp(1j * np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
     norms = [float(np.max(np.abs(a.evaluate_grid(z, z)))) for a in sol.amplitudes]
-    m = 0.0
-    for j, nrm in enumerate(norms):
-        m = max(m, (nrm / _growth(j)) ** (1.0 / (j + 1)))
+    m = max(_order_root(nrm, j) for j, nrm in enumerate(norms))
     # two-parameter fit log||a_j|| = (j+1) log m + sigma * j log j over j >= 2
     js = np.array([j for j in range(2, len(norms)) if norms[j] > 0], dtype=float)
     sigma = float("nan")

@@ -179,6 +179,44 @@ def test_power_zero_constant_term_raises():
             a.power(0.5)
 
 
+def _per_part_recurrence(s, g0, weight, divisor, magnitudes=False):
+    """g_k = sum_{j=1..k} weight(j, k) s_j * g_{k-j} / divisor(k) over the
+    homogeneous parts s_j, one np.convolve per pair of parts: the loop that
+    exp, reciprocal and power run on a bivariate series.  With
+    ``magnitudes`` it runs on |s_j|, giving the recurrence's majorant."""
+    parts = [np.abs(p) if magnitudes else p for p in s.parts()]
+    g = [np.array([g0], dtype=complex)]
+    for k in range(1, s.cap + 1):
+        acc = np.zeros(k + 1, dtype=complex)
+        for j in range(1, k + 1):
+            acc += weight(j, k) * np.convolve(parts[j], g[k - j])
+        g.append(acc / divisor(k))
+    return BiSeries(np.zeros_like(s.coeffs), s.cap)._with_parts(g).coeffs
+
+
+@pytest.mark.parametrize("cap", [1, 7, 48])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_z_only_recurrences_match_the_per_part_loop(cap, seed):
+    # the column recurrence of a z-only series against the per-part loop,
+    # within 1e-15 of the majorant the same recurrence gives on |s|
+    col = _live_parts(cap, range(cap + 1), seed=seed).coeffs[:, 0] / 1.5 ** np.arange(cap + 1)
+    s = z_series(col, cap)
+    c0, alpha = col[0], 0.5 - 0.3j
+    cases = [  # result, g_0, weight(j, k), divisor(k), the weight's majorant
+        (s.exp(), np.exp(c0), lambda j, k: j, lambda k: k, lambda j, k: j),
+        (s.reciprocal(), 1 / c0, lambda j, k: -1.0, lambda k: c0, lambda j, k: 1.0),
+        # power forms (alpha+1) j and k as two sums, so both enter its majorant
+        (s.power(alpha), c0 ** alpha, lambda j, k: (alpha + 1) * j - k, lambda k: k * c0,
+         lambda j, k: abs(alpha + 1) * j + k),
+    ]
+    for got, g0, weight, divisor, bound in cases:
+        assert got.z_only
+        ref = _per_part_recurrence(s, g0, weight, divisor)
+        majorant = _per_part_recurrence(s, abs(g0), bound, lambda k: abs(divisor(k)),
+                                        magnitudes=True).real
+        assert np.all(np.abs(got.coeffs - ref) <= 1e-15 * majorant)
+
+
 # ----------------------------------------------------------------------------
 # composition with the curve and exact division
 # ----------------------------------------------------------------------------
@@ -612,6 +650,62 @@ def test_compose_w_matches_the_horner_loop_per_degree():
         assert np.all(np.abs(abs_compose_w(a, wz).coeffs[:, 0] - majorant) <= 1e-14 * majorant)
 
 
+def _reference_implicit_w(B):
+    """The Newton sweep: w_n from the restriction of B~ to the curve known
+    through degree n - 1, one ``compose_w`` (and power table) per degree."""
+    D = B.cap
+    wz = BiSeries.zeros(D)
+    for n in range(1, D + 1):
+        r = compose_w(B, wz).coeffs[:, 0]
+        c = wz.coeffs.copy()
+        c[n, 0] -= r[n] / B.coeffs[0, 1]
+        wz = BiSeries(c, D)
+    return wz
+
+
+def test_implicit_w_matches_the_newton_sweep_per_degree():
+    from cmag_wkb.fieldmodel import oscillating_field
+
+    B = oscillating_field((np.pi / 3, -np.pi / 2), cap=48).B_taylor
+    for b in (B, _live_parts(48, range(49), seed=3)):
+        ref = _reference_implicit_w(b)
+        majorant = abs_compose_w(b, ref).coeffs[:, 0].real
+        wz = implicit_w(b)
+        assert wz.z_only
+        assert np.all(np.abs(wz.coeffs[:, 0] - ref.coeffs[:, 0]) <= 1e-14 * majorant)
+
+
+def _reference_divide(num, wz):
+    """The synthetic division by truncated convolutions, column by column
+    from the top, with the majorant columns of the same recursion."""
+    D = num.cap
+    wc = wz.coeffs[:, 0]
+    q = np.zeros((D + 1, D + 1), dtype=complex)
+    majorant = np.zeros((D + 1, D + 1))
+    for b in range(D - 1, -1, -1):
+        q[:, b] = num.coeffs[:, b + 1] + np.convolve(wc, q[:, b + 1])[: D + 1]
+        majorant[:, b] = (np.abs(num.coeffs[:, b + 1])
+                          + np.convolve(np.abs(wc), majorant[:, b + 1])[: D + 1])
+    return q, majorant
+
+
+def test_exact_division_matches_the_convolution_loop():
+    from cmag_wkb.fieldmodel import oscillating_field
+    from cmag_wkb.wkb import poisson_series
+
+    B = oscillating_field((np.pi / 3, -np.pi / 2), cap=48).B_taylor
+    wz = implicit_w(B)
+    dzphi = poisson_series(B).differentiate("z")
+    curve = _random_curve(48, 4, degree=48)
+    factor = bi([(0, 1, 1.0)], cap=48) - curve
+    below = np.add.outer(np.arange(49), np.arange(49)) <= 48
+    for num, w in ((dzphi - compose_w(dzphi, wz), wz), (B - compose_w(B, wz), wz),
+                   (factor * _live_parts(48, range(49), seed=5), curve)):
+        q, majorant = _reference_divide(num, w)
+        err = np.abs(exact_divide_by_curve(num, w).coeffs - q)
+        assert np.all(err[below] <= 1e-14 * majorant[below])
+
+
 def test_curve_powers_are_cached_and_read_only():
     wz = _random_curve(12, 5, degree=4)
     W = wz._powers
@@ -623,6 +717,10 @@ def test_curve_powers_are_cached_and_read_only():
         assert np.allclose(W[b], power.coeffs[:, 0], rtol=0, atol=1e-12 * np.abs(W[b]).max())
         power = power * wz
     assert np.allclose(wz._majorant._powers[3], (abs(wz) * abs(wz) * abs(wz)).coeffs[:, 0])
+    T = wz._toeplitz
+    assert T is wz._toeplitz and not T.flags.writeable
+    assert np.allclose(T @ W[2], W[3], rtol=0, atol=1e-12 * np.abs(W[3]).max())  # w * w^2
+    assert np.array_equal(wz._majorant._toeplitz, np.abs(T))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 7, 48])

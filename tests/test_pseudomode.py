@@ -516,6 +516,22 @@ def test_residual_report_fields(work_setup):
     assert r.quadrature_points > 0
 
 
+def test_one_gauss_rule_per_node_count(work_setup, monkeypatch):
+    # two rows on the floor n = 64 of quadrature_points share their two rules
+    field, rep, sol, pm = work_setup
+    leggauss, calls = np.polynomial.legendre.leggauss, []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda m: calls.append(m) or leggauss(m))
+    pseudomode._gauss_rule.cache_clear()
+    for h in (0.1, 0.05):
+        assert pseudomode.quadrature_points(h, pm.cutoff.r_out) == 64
+        residual_series_exact(pm, h)
+    assert calls == [64, 128]
+    x, w = pseudomode._gauss_rule(64)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert all(np.array_equal(a, b) for a, b in zip((x, w), leggauss(64)))
+
+
 def test_interior_residual_zero_when_top_amplitude_vanishes(constant_field_solution):
     # constant field: a_1 == 0, so the interior term vanishes identically and
     # only cutoff-commutator terms remain (exponentially small in 1/h)

@@ -1,5 +1,6 @@
 """Eikonal phase and transport hierarchy: worked values and series identities."""
 
+import math
 import pickle
 
 import numpy as np
@@ -12,6 +13,7 @@ from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, check_identity,
 from cmag_wkb.fieldmodel import (compute_Q, oscillating_field, polynomial_field,
                                  user_polynomial_field)
 from cmag_wkb.wkb import (
+    BoundFit,
     DegenerateFieldError,
     TransportIdentityError,
     divided_data,
@@ -274,6 +276,37 @@ def test_step_checks_see_a_perturbed_amplitude(monkeypatch, x0):
         solve_wkb(field, N=2)
 
 
+def test_transport_check_reads_its_highest_asserted_degree(monkeypatch):
+    # the check forms its residual at cap t = trusted - 1: a~_1 moved at
+    # z^(t-1) w, which c4 d_w carries to degree t and no lower, still fails
+    verify = wkb._Workspace.verify_step
+    t = 19  # trusted degree 20 at step 1 of a cap-24 solve
+
+    def perturbed(ws, j):
+        if j == 1:
+            assert ws.trusted[1] - 1 == t
+            c = ws.amplitudes[1].coeffs.copy()
+            c[t - 1, 1] += 1e-6 * np.abs(c).max()
+            ws.amplitudes[1] = BiSeries(c, c.shape[0] - 1)
+        verify(ws, j)
+
+    monkeypatch.setattr(wkb._Workspace, "verify_step", perturbed)
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0, cap=24)
+    with pytest.raises(TransportIdentityError, match=f"j=1: residual .* at degree {t} "):
+        solve_wkb(field, N=2)
+
+
+def test_transport_check_ratios_match_the_full_cap_products(monkeypatch):
+    # the ratios of a D = 48 solve against those of the same checks formed
+    # from the full-cap products (the operands left uncut)
+    field = osc_field(48)
+    cut = solve_wkb(field, N=14).residual_maxima
+    monkeypatch.setattr(wkb, "_truncate", lambda series, cap: series)
+    full = solve_wkb(field, N=14).residual_maxima
+    assert cut.keys() == full.keys()
+    assert all(abs(cut[k] - full[k]) <= 1e-15 for k in cut)
+
+
 @pytest.mark.parametrize("x0", [(0.0, 0.0), (-1.8, -1.6)])
 def test_compatibility_check_sees_a_perturbed_A0(monkeypatch, x0):
     # A_0 with its z^1 coefficient moved by 1e-12 of its largest coefficient
@@ -312,6 +345,17 @@ def test_fit_growth_constant_field_norms(constant_field_solution):
     assert fit.per_j_norms[0] == pytest.approx(1.0)
     assert fit.per_j_norms[1] == pytest.approx(0.0, abs=1e-14)
     assert fit.bound_holds()
+
+
+def test_growth_bound_past_the_float_range_of_j_to_the_7j(constant_field_solution):
+    # 30^210 overflows a float; the per-order root m of each norm does not
+    fit = fit_growth(constant_field_solution(cap=96, N=30, trusted_radius=1.0))
+    assert fit.m_fitted == pytest.approx(1.0) and fit.bound_holds()
+    m = 0.01
+    norms = [m] + [math.exp((j + 1) * math.log(m) + 7 * j * math.log(j)) for j in range(1, 31)]
+    assert norms[-1] > 1e200
+    assert BoundFit(m, tuple(norms), (0.25, 0.25), float("nan")).bound_holds()
+    assert not BoundFit(m * (1 - 1e-9), tuple(norms), (0.25, 0.25), float("nan")).bound_holds()
 
 
 def test_fit_growth_bound_holds_by_construction():
