@@ -3,6 +3,7 @@
 import logging
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -505,6 +506,68 @@ def test_small_h_residual_matches_pointwise_reference():
     u_norm, ratio = _pointwise_residual(pm, 1e-3)
     assert abs(got.u_norm - u_norm) <= 1e-10 * u_norm
     assert abs(got.ratio - ratio) <= 1e-10 * ratio
+
+
+def test_mode_exponential_calls_no_complex_exp(monkeypatch):
+    # numpy's complex exp stalls after the tensor kernel's complex matrix
+    # product; every route that builds the mode takes exp(-P/h) from real
+    # ufuncs instead (BiSeries.exp runs in the solve, before the patch)
+    field = polynomial_field(1.0, 1j, 1.0, cap=24)
+    pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    exp, real_calls = np.exp, []
+
+    def real_only_exp(x, *args, **kwargs):
+        assert not np.iscomplexobj(x), "complex np.exp in the mode's exponential"
+        real_calls.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", real_only_exp)
+    for h in (0.1, 0.05):
+        residual_series_exact(pm, h)
+    residual_finite_difference(pm, 0.05, n=64)
+    y = np.linspace(-0.5, 0.5, 7)
+    assert np.all(np.isfinite(assemble(pm, 0.05)(y, y[::-1])))
+    assert real_calls
+
+
+def test_mode_exponential_matches_complex_exp():
+    # the workhorse on (every k-th node per axis of) its coarse Gauss grid,
+    # where exp(-P/h) is normal, subnormal and 0; reference numpy's complex exp
+    field = polynomial_field(8.0, 0.3 + 1j, 1.0)
+    pm = make_pseudomode(field, solve_wkb(field, N=2), N=2)
+    tiny = np.finfo(float).tiny
+    for h in (0.1, 1e-3, 1e-5):
+        n = pseudomode.quadrature_points(h, pm.cutoff.r_out)
+        x = pm.cutoff.r_out * pseudomode._gauss_rule(n)[0][:: max(1, n // 600)]
+        Y1, Y2 = np.meshgrid(x, x, indexing="ij")
+        values = pseudomode._on_grid(x, x, np.hypot(Y1, Y2) < pm.cutoff.r_out)
+        amp = pseudomode._amplitude(pm.sol, h, pm.N_used(h))
+        E = pseudomode._mode(pm, h, amp, 1.0, values)[0]
+        with np.errstate(under="ignore"):
+            ref = np.exp(-values(pm.phase.P) / h)
+        size = np.abs(ref)
+        normal, zero = size >= tiny, size == 0.0
+        assert normal.any()
+        assert np.max(np.abs(E[normal] - ref[normal]) / size[normal]) <= 1e-15
+        assert np.all(np.abs(E[~normal & ~zero]) < tiny)
+        assert np.all(E[zero] == 0.0)
+        if h < 0.1:
+            assert zero.any() and (~normal & ~zero).any()
+
+
+def test_mode_exponential_keeps_non_finite_values():
+    # exp overflows at Re(-P/h) = 800: whatever numpy's complex exp gives as
+    # not finite stays so; at 800 + 0i that is inf + 0i against inf + NaN i
+    re, im = np.meshgrid([-800.0, 800.0], [0.0, np.pi / 2, 1e6], indexing="ij")
+    P = -(re + 1j * im).ravel()
+    pm = SimpleNamespace(phase=SimpleNamespace(P="P"))
+    values = lambda series: P if series == "P" else np.ones_like(P)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        E = pseudomode._mode(pm, 1.0, "amp", 1.0, values)[0]
+        ref = np.exp(-P)
+    assert np.all(~np.isfinite(E[~np.isfinite(ref)]))
+    assert np.array_equal(E[np.isfinite(ref)], ref[np.isfinite(ref)])
+    assert ref[3] == complex(np.inf, 0.0) and np.isinf(E[3].real) and np.isnan(E[3].imag)
 
 
 def test_residual_report_fields(work_setup):
