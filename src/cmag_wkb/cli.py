@@ -50,7 +50,10 @@ curl A at the base point is not finite (a NaN parameter or base point; the
 message names the point), and a base point whose |x0|^2 is not finite (a
 coordinate at or above about 1.34e154, for every builtin and for the first
 point of a gamma-scan raster; the message names the point), and a --delta
-that is not a finite number > 0.  So does a Miller-Simon field based
+that is not a finite number > 0, and a number that does not parse (pi/0, or
+a bare-dot coefficient such as .pi) or a table row whose exponents m, n are
+not non-negative integers (a negative or boolean exponent; the message names
+the token or the row).  So does a Miller-Simon field based
 at the origin, for run and for a raster through it, and --x0 given to
 gamma-scan (the raster sets the base point).  gamma-scan makes the same curl
 check at every raster point and also refuses a point where a value of its
@@ -122,14 +125,14 @@ _PI_RE = re.compile(r"^([+-]?)(\d*\.?\d*)\s*pi(?:\s*/\s*(\d+\.?\d*))?$")
 def parse_scalar(tok):
     tok = tok.strip().lower()
     m = _PI_RE.match(tok)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        coeff = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * coeff * math.pi / den
     try:
+        if m:  # a bare-dot coefficient fails float(), a zero denominator the division
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            coeff = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            return sign * coeff * math.pi / den
         return float(tok)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse number {tok!r}") from exc
 
 
@@ -211,8 +214,9 @@ def _table(rows):
     table = {}
     for row in rows:
         if not (isinstance(row, list) and len(row) in (3, 4)
-                and all(isinstance(k, int) for k in row[:2])):
-            raise ConfigError(f"table rows are [m, n, value] or [m, n, re, im], got {row!r}")
+                and all(type(k) is int and k >= 0 for k in row[:2])):
+            raise ConfigError("table rows are [m, n, value] or [m, n, re, im] with exponents "
+                              f"m, n non-negative integers, got {row!r}")
         table[row[0], row[1]] = _value(row[2] if len(row) == 3 else row[2:])
     return table
 

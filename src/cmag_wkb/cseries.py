@@ -18,29 +18,32 @@ Storage is dense: a (D+1) x (D+1) complex array with the a+b > D corner kept
 identically zero.  At the default cap D = 24 that is at most 325 active
 monomials, far cheaper than a sparse map.
 
-Degree-wise arithmetic runs on the homogeneous parts.  ``parts()`` lists
-them: part k is the 1-D array of c[a, k-a], a = 0..k, indexed by the
-z-degree.  The part of degree k of a product is the sum over j of the
-convolution of part j with part k-j.  The product picks its kernel from
-``z_only``.  Two z-only operands convolve their columns (``np.convolve``).
-A z-only factor times a bivariate series is one lower-triangular Toeplitz
-matmul, T(A) @ c.  Otherwise the graded product forms it as one Toeplitz
-matmul per live (nonzero) part x_j of the left operand: with part l of the
-right operand as row l of a zero-padded array Y and T_j[u, n] = x_j[n-u] (a
-strided view), row l of Y @ T_j is x_j * y_l, added into part j + l in
-ascending j.  The sequential
-recurrences, ``exp`` and ``power`` (Euler-operator recurrences) and
-``reciprocal``, pick their kernel from ``z_only`` the same way.  A z-only
-series has one coefficient per part, so its recurrence runs on column 0, one
-dot product per degree; a bivariate one sums ``np.convolve`` over its parts
-per degree (``_convolve_sum``).  The sums are direct, never FFTs:
+Degree-wise arithmetic runs on the homogeneous parts, held in one form: the
+zero-padded rows R[k, a] = c[a, k-a], part k in row k by z-degree
+(``_rows``, and ``_from_rows`` back).  The part of degree k of a product is
+the sum over j of the convolution of part j with part k-j.  The product
+picks its kernel from ``z_only``.  Two z-only operands convolve their
+columns (``np.convolve``).  A z-only factor times a bivariate series is one
+lower-triangular Toeplitz matmul, T(A) @ c.  Otherwise the graded product
+forms it as one Toeplitz matmul per live (nonzero) part x_j of the left
+operand: with the rows Y of the right operand and T_j[u, n] = x_j[n-u] (a
+strided view of the left operand's rows behind D zeros), row l of Y @ T_j is
+x_j * y_l, added into part j + l in ascending j.
+
+The sequential recurrences, ``exp`` and ``power`` (Euler-operator
+recurrences) and ``reciprocal``, are one recurrence, ``_recurrence``:
+g_k = (sum_{j>=1} p_j * g_{k-j} + k sum_{j>=1} q_j * g_{k-j}) / divisor(k),
+each stating its g_0, p, q and divisor.  Its kernel follows ``z_only`` as
+the product's does.  A z-only series has one coefficient per part, so the
+recurrence runs on column 0, one dot product per degree; otherwise it is one
+``np.convolve`` per live pair of parts.  The sums are direct, never FFTs:
 each coefficient of degree k is a sum of exactly the products that enter it,
 so its roundoff is set by the magnitudes of degree k, which the per-degree
 identity scales rely on.
 
 The readers of whole degrees work on the coefficients in graded order (part
-0, part 1, ..., as ``_graded`` lists them), one ufunc ``reduceat`` over all
-parts: ``degree_maxima`` takes the maximum of each part, and ``compose_w``
+0, part 1, ..., as ``_graded_index`` lists them), one ufunc ``reduceat`` over
+all parts: ``degree_maxima`` takes the maximum of each part, and ``compose_w``
 the antidiagonal sums that restrict a series to the curve w = w(z), from
 c @ W with W[b] = w^b, the curve's power table (built once per curve and
 cached on it, with that of the majorant |w|).
@@ -109,17 +112,24 @@ class CurveDivisionError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _mask(cap):
+def _degrees(cap):
+    """The degree a + b of each coefficient c[a, b]."""
     a = np.arange(cap + 1)
-    return (a[:, None] + a[None, :]) <= cap
+    return np.add.outer(a, a)
+
+
+@lru_cache(maxsize=None)
+def _mask(cap):
+    return _degrees(cap) <= cap
 
 
 @lru_cache(maxsize=None)
 def _graded_index(cap):
-    """(rows, cols) listing c[a, k-a] for a = 0..k, degree k = 0..cap in turn."""
+    """Flat positions, for degree k = 0..cap in turn and a = 0..k within it,
+    of c[a, k-a] in the coefficients and of R[k, a] in the rows (``_rows``)."""
     k = np.repeat(np.arange(cap + 1), np.arange(1, cap + 2))
     a = np.concatenate([np.arange(d + 1) for d in range(cap + 1)])
-    return a, k - a
+    return a * cap + k, k * (cap + 1) + a
 
 
 @lru_cache(maxsize=None)
@@ -127,6 +137,22 @@ def _part_starts(cap):
     """Where part k = 0..cap starts in the graded order of ``_graded_index``."""
     k = np.arange(cap + 1)
     return k * (k + 1) // 2
+
+
+def _rows(coeffs):
+    """The homogeneous parts as zero-padded rows: R[k, a] = c[a, k - a]."""
+    at, rows = _graded_index(coeffs.shape[0] - 1)
+    R = np.zeros(coeffs.shape, dtype=complex)
+    R.ravel()[rows] = coeffs.ravel()[at]
+    return R
+
+
+def _from_rows(R):
+    """The coefficients c[a, b] = R[a + b, a] of parts given as rows."""
+    at, rows = _graded_index(R.shape[0] - 1)
+    c = np.zeros(R.shape, dtype=complex)
+    c.ravel()[at] = R.ravel()[rows]
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -180,19 +206,6 @@ def _z_series(column):
     return BiSeries(c, column.size - 1)
 
 
-def _convolve_sum(xs, y, k, out):
-    """Add the sum of x_j * y_{k-j} (np.convolve) to ``out``, over the pairs
-    (j, x_j) of ``xs`` (ascending in j) with j <= k: one degree of a
-    recurrence on a bivariate series, whose parts y come out one degree at a
-    time (``exp``, ``reciprocal``, ``power``).  The product, whose operands
-    are whole, does all degrees at once in ``BiSeries.__mul__``."""
-    for j, xj in xs:
-        if j > k:
-            break
-        out += np.convolve(xj, y[k - j])
-    return out
-
-
 @dataclass(frozen=True)
 class BiSeries:
     """Dense triangular coefficients c[a, b] of z**a w**b with a+b <= cap,
@@ -200,8 +213,8 @@ class BiSeries:
 
     A series in z alone (the curve w(z), the correction f, the factors A_j)
     is one whose coefficients vanish off column 0 (``z_only``).  ``exp``,
-    ``reciprocal`` and ``power`` are recurrences over the homogeneous parts,
-    over column 0 for a z-only series.
+    ``reciprocal`` and ``power`` are one recurrence over the homogeneous
+    parts (``_recurrence``), over column 0 for a z-only series.
     """
 
     coeffs: np.ndarray
@@ -251,13 +264,6 @@ class BiSeries:
     def _new(self, coeffs):
         return type(self)(coeffs, self.cap)
 
-    def parts(self):
-        """Homogeneous parts: part k is the 1-D array of the degree-k
-        coefficients by z-degree (slices of the graded coefficients)."""
-        flat, starts = self._graded()
-        bounds = [*starts.tolist(), flat.size]
-        return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
-
     # -- ring operations -------------------------------------------------
     def __add__(self, other):
         if np.isscalar(other):
@@ -296,72 +302,72 @@ class BiSeries:
     def exp(self):
         """Euler-operator recurrence k g_k = sum_{j>=1} j n_j * g_{k-j},
         g_0 = exp(n_0) (Knuth, TAOCP vol. 2, 4.7)."""
-        if self.z_only:
-            n = self.coeffs[:, 0]
-            jn = np.arange(self.cap + 1) * n
-            return self._column_recurrence(np.exp(n[0]), lambda k, g: jn[1:k + 1] @ g / k)
-        n = self.parts()
-        jn = [(j, j * p) for j, p in enumerate(n) if j and p.any()]
-        g = [np.exp(n[0])]
-        for k in range(1, self.cap + 1):
-            g.append(_convolve_sum(jn, g, k, np.zeros_like(n[k])) / k)
-        return self._with_parts(g)
+        return self._recurrence(np.exp(self.coeffs[0, 0]), _degrees(self.cap) * self.coeffs,
+                                lambda k: k)
 
     def reciprocal(self, name="series"):
         """c_0 g_k = -sum_{j>=1} c_j * g_{k-j}, g_0 = 1/c_0."""
         c0 = self.coeffs[0, 0]
         if abs(c0) == 0.0:
             raise SeriesDivisionError(f"reciprocal of {name}: constant term is 0")
-        if self.z_only:
-            c = self.coeffs[:, 0]
-            return self._column_recurrence(1.0 / c0, lambda k, g: -(c[1:k + 1] @ g) / c0)
-        c = self.parts()
-        cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
-        g = [1.0 / c[0]]
-        for k in range(1, self.cap + 1):
-            g.append(-_convolve_sum(cs, g, k, np.zeros_like(c[k])) / c0)
-        return self._with_parts(g)
+        return self._recurrence(1.0 / c0, -self.coeffs, lambda k: c0)
 
     def power(self, alpha):
         """J.C.P. Miller's recurrence for g = c^alpha (principal branch):
-        k c_0 g_k = sum_{j>=1} ((alpha+1) j - k) c_j * g_{k-j}, g_0 = c_0^alpha
-        (Knuth, TAOCP vol. 2, 4.7)."""
+        k c_0 g_k = (alpha+1) sum_{j>=1} j c_j * g_{k-j} - k sum_{j>=1} c_j * g_{k-j},
+        g_0 = c_0^alpha (Knuth, TAOCP vol. 2, 4.7).  The two sums stay
+        apart: one sum weighted by ((alpha+1) j - k) rounds differently."""
         c0 = self.coeffs[0, 0]
         if abs(c0) == 0.0:
             raise SeriesDivisionError("power of a series whose constant term is 0")
+        # the ndarray power (np.sqrt at alpha = 0.5, the reciprocal at -1),
+        # not the scalar one, which differs in the last bit
+        g0 = (self.coeffs[:1, 0] ** alpha)[0]
+        return self._recurrence(g0, (alpha + 1) * _degrees(self.cap) * self.coeffs,
+                                lambda k: k * c0, q=-self.coeffs)
+
+    def _recurrence(self, g0, p, divisor, q=None):
+        """The series g with g_0 = g0 and, for k = 1..cap,
+        g_k = (sum_{j>=1} p_j * g_{k-j} + k sum_{j>=1} q_j * g_{k-j}) / divisor(k),
+        where p_j and q_j are the parts of degree j of the coefficient arrays
+        p and q (shaped like this series; no q, no second sum).  The kernel
+        follows ``z_only``: on column 0, one dot product per degree;
+        otherwise one ``np.convolve`` per pair of parts, over the degrees j
+        where this series is live (nonzero), since p may vanish where it is
+        not (power at alpha = -1)."""
+        D = self.cap
         if self.z_only:
-            c = self.coeffs[:, 0]
-            jc = (alpha + 1) * np.arange(self.cap + 1) * c
-            return self._column_recurrence(
-                c0 ** alpha, lambda k, g: (jc[1:k + 1] @ g - k * (c[1:k + 1] @ g)) / (k * c0))
-        c = self.parts()
-        cs = [(j, p) for j, p in enumerate(c) if j and p.any()]
-        jcs = [(j, (alpha + 1) * j * p) for j, p in cs]
-        g = [c[0] ** alpha]
-        for k in range(1, self.cap + 1):
-            acc = _convolve_sum(jcs, g, k, np.zeros_like(c[k]))
-            g.append((acc - k * _convolve_sum(cs, g, k, np.zeros_like(c[k]))) / (k * c0))
-        return self._with_parts(g)
+            pc, qc = p[:, 0], None if q is None else q[:, 0]
+            g = np.zeros(D + 1, dtype=complex)
+            g[0] = g0
+            for k in range(1, D + 1):
+                h = g[k - 1::-1]
+                s = pc[1:k + 1] @ h
+                if q is not None:
+                    s = s + k * (qc[1:k + 1] @ h)
+                g[k] = s / divisor(k)
+            return _z_series(g)
+        live = np.nonzero(_rows(self.coeffs)[1:].any(axis=1))[0] + 1
+        pq = [[(j, R[j, :j + 1]) for j in live]  # the live parts, 1-D, prepared once
+              for R in map(_rows, (p,) if q is None else (p, q))]
+        G = np.zeros((D + 1, D + 1), dtype=complex)
+        G[0, 0] = g0
+        g = [G[k, :k + 1] for k in range(D + 1)]  # part k of the result, a view
 
-    def _column_recurrence(self, g0, step):
-        """The recurrence of ``exp``, ``reciprocal`` or ``power`` on the
-        column of a z-only series, whose part j is the one coefficient of
-        z^j: g_k = step(k, g_{k-1..0}), each sum over j one dot product."""
-        g = np.zeros(self.cap + 1, dtype=complex)
-        g[0] = g0
-        for k in range(1, self.cap + 1):
-            g[k] = step(k, g[k - 1::-1])
-        return _z_series(g)
+        def convolve_sum(parts, k):
+            acc = np.zeros(k + 1, dtype=complex)
+            for j, tj in parts:
+                if j > k:
+                    break
+                acc += np.convolve(tj, g[k - j])
+            return acc
 
-    def _graded(self):
-        """Coefficients in graded order and the start of each part: part k
-        is c[a, k-a], a = 0..k."""
-        return self.coeffs[_graded_index(self.cap)], _part_starts(self.cap)
-
-    def _with_parts(self, parts):
-        c = np.zeros((self.cap + 1, self.cap + 1), dtype=complex)
-        c[_graded_index(self.cap)] = np.concatenate(parts)
-        return self._new(c)
+        for k in range(1, D + 1):
+            s = convolve_sum(pq[0], k)
+            if q is not None:
+                s = s + k * convolve_sum(pq[1], k)
+            g[k][:] = s / divisor(k)
+        return self._new(_from_rows(G))
 
     def __mul__(self, other):
         """Product with a scalar or a series; the kernel follows ``z_only``.
@@ -377,12 +383,9 @@ class BiSeries:
         if self.z_only or other.z_only:
             A, y = (self, other) if self.z_only else (other, self)
             return self._new(_toeplitz(A.coeffs[:, 0]) @ y.coeffs)
-        a, b = _graded_index(D)
-        k = a + b
-        Y = np.zeros((D + 1, D + 1), dtype=complex)
-        Y[k, a] = other.coeffs[a, b]  # row l: part l of y, zero-padded
+        Y = _rows(other.coeffs)  # row l: part l of y, zero-padded
         X = np.zeros((D + 1, 2 * D + 1), dtype=complex)
-        X[k, D + a] = self.coeffs[a, b]  # row j: D zeros, then part j of x
+        X[:, D:] = _rows(self.coeffs)  # row j: D zeros, then part j of x
         # T[j, u, n] = x_j[n - u] (a strided view), so row l of Y @ T[j] is
         # x_j * y_l, part j + l of the product
         T = sliding_window_view(X, D + 1, axis=1)[:, ::-1]
@@ -390,9 +393,7 @@ class BiSeries:
         for j in np.flatnonzero(X.any(axis=1)):
             L = D + 1 - j
             R[j:] += Y[:L, :L] @ T[j, :L]
-        c = np.zeros_like(R)
-        c[a, b] = R[k, a]
-        return self._new(c)
+        return self._new(_from_rows(R))
 
     __rmul__ = __mul__
 
@@ -473,10 +474,10 @@ class BiSeries:
     def real_coeffs(self):
         """Coefficients R[m, n] of y1^m y2^n of the series on w = conj(z),
         z = y1 + i y2 (a dense triangular complex array)."""
-        R = np.zeros_like(self.coeffs)
-        R[_graded_index(self.cap)] = np.concatenate(
-            [phase * (U @ p) for (U, phase), p in zip(_real_blocks(self.cap), self.parts())])
-        return R
+        parts, R = _rows(self.coeffs), np.zeros_like(self.coeffs)
+        for k, (U, phase) in enumerate(_real_blocks(self.cap)):
+            R[k, :k + 1] = phase * (U @ parts[k, :k + 1])
+        return _from_rows(R)
 
 
 # ----------------------------------------------------------------------------
@@ -499,7 +500,7 @@ def compose_w(a, w_of_z):
         raise ValueError("compose_w: w(0) != 0 breaks the expansion center")
     D = a.cap
     M = a.coeffs @ w_of_z._powers
-    return _z_series(np.add.reduceat(M[_graded_index(D)], _part_starts(D)))
+    return _z_series(np.add.reduceat(M.ravel()[_graded_index(D)[0]], _part_starts(D)))
 
 
 def check_identity(what, res, terms, rtol, error, upto=None, floor=0.0):
@@ -533,8 +534,9 @@ def degree_maxima(series):
     """Largest coefficient magnitude of each homogeneous part of a series,
     one ``reduceat`` over the graded coefficients (max is exact, so this is
     the part-by-part maximum bit for bit)."""
-    flat, starts = series._graded()
-    return np.maximum.reduceat(np.abs(flat), starts)
+    D = series.cap
+    return np.maximum.reduceat(np.abs(series.coeffs.ravel()[_graded_index(D)[0]]),
+                               _part_starts(D))
 
 
 def abs_compose_w(a, w_of_z):

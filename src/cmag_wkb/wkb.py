@@ -360,7 +360,7 @@ def _trusted_radius(*series):
     """Radius r where the last retained diagonal a + b = cap of the series,
     the one with the largest sum of |c_ab| over it, contributes <= 1e-4 at
     (r, r)."""
-    diag = max(float(np.abs(s.parts()[-1]).sum()) for s in series)
+    diag = max(float(np.abs(np.fliplr(s.coeffs).diagonal()).sum()) for s in series)
     return min(float((1e-4 / diag) ** (1.0 / series[0].cap)), 1e6) if diag > 0 else 1e6
 
 

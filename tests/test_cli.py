@@ -38,6 +38,9 @@ def test_parse_scalar_pi_fractions():
     assert parse_scalar("2pi/3") == pytest.approx(2 * np.pi / 3)
     assert parse_scalar("0.75") == 0.75
     assert parse_scalar("-1.5e-2") == -0.015
+    for tok in ("pi/0", "pi/0.0", ".pi", "-.pi/2"):
+        with pytest.raises(ConfigError, match="cannot parse number"):
+            parse_scalar(tok)
 
 
 def test_parse_point_and_region():
@@ -403,7 +406,27 @@ def test_run_malformed_config_values_exit_2(tmp_path, capsys, params):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"builtin": "polynomial", "params": params}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("builtin, params, named", [
+    ("polynomial", {"a": [1]}, "[1]"),
+    ("polynomial", {"a": {}}, "{}"),
+    ("polynomial", {"R": {}}, "a list of rows"),
+    ("polynomial", {"R": [[6, 0]]}, "[6, 0]"),
+    # an exponent that is not a non-negative integer is refused, naming its row
+    ("polynomial", {"R": [[-1, 0, 1]]}, "[-1, 0, 1]"),
+    ("polynomial", {"R": [[0, True, 1]]}, "[0, True, 1]"),
+    ("user_polynomial", {"A1": [[0, 1, 1.0]], "A2": [[-1, 0, 1]]}, "[-1, 0, 1]"),
+])
+def test_run_malformed_config_value_is_named(tmp_path, capsys, builtin, params, named):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"builtin": builtin, "params": params}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1 and named in err
     assert not (tmp_path / "o").exists()
 
 
@@ -586,13 +609,27 @@ _FIT = ["bound-fit", "--builtin", "oscillating", "--x0", "pi/3,-pi/2", "--jmax",
                  "region must be 'x1min,x1max,x2min,x2max'", id="gamma-scan-region-three"),
     pytest.param(["run", "--h", "0.1:0.05:1", "--out", "{tmp}/o"], "at least 2 sweep points",
                  id="run-h-one-point"),
+    pytest.param(_RUN + ["--x0", "pi/0,0", "--out", "{tmp}/o"], "'pi/0'", id="run-x0-pi-over-0"),
+    pytest.param(_RUN + ["--x0", "pi/0.0,0", "--out", "{tmp}/o"], "'pi/0.0'",
+                 id="run-x0-pi-over-0.0"),
+    pytest.param(_RUN + ["--c", "pi/0", "--out", "{tmp}/o"], "'pi/0'", id="run-c-pi-over-0"),
+    pytest.param(_RUN + ["--a", ".pi", "--out", "{tmp}/o"], "'.pi'", id="run-a-bare-dot-pi"),
+    pytest.param(_RUN + ["--x0", ".pi,0", "--out", "{tmp}/o"], "'.pi'", id="run-x0-bare-dot-pi"),
+    pytest.param(["gamma-scan", "--region=.pi,1,0,1", "--out", "{tmp}/r.csv"], "'.pi'",
+                 id="gamma-scan-region-bare-dot-pi"),
+    pytest.param(_RUN + ["--R", "[[-1,0,1]]", "--out", "{tmp}/o"], "[-1, 0, 1]",
+                 id="run-R-negative-exponent"),
+    pytest.param(_RUN + ["--R", "[[0,true,1]]", "--out", "{tmp}/o"], "[0, True, 1]",
+                 id="run-R-boolean-exponent"),
 ])
 def test_unwritable_out_and_empty_count_exit_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, named):
     # an --out that cannot be written, a non-positive --n, a --region bound
     # that is not finite, radii outside 0 < r_min < r_max < inf,
     # check-conditions numbers outside their ranges, a malformed --R table,
-    # --config or --region, or a one-point sweep are refused with one line
+    # --config or --region, a number that does not parse (pi/0, a bare-dot
+    # coefficient), an --R exponent that is not a non-negative integer or a
+    # one-point sweep are refused with one line
     # naming it, and no subcommand reaches its first computation
     def work(*args, **kwargs):
         raise AssertionError("work started")

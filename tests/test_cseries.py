@@ -31,6 +31,11 @@ def bi(terms, cap=8):
     return BiSeries.from_terms(terms, cap)
 
 
+def _parts(s):
+    """Homogeneous parts: part k is the 1-D array of c[a, k-a], a = 0..k."""
+    return [np.fliplr(s.coeffs).diagonal(s.cap - k).copy() for k in range(s.cap + 1)]
+
+
 # ----------------------------------------------------------------------------
 # algebra
 # ----------------------------------------------------------------------------
@@ -114,7 +119,7 @@ def test_antiderivative_of_zero():
 
 def test_exp_of_zero():
     e = BiSeries.zeros(6).exp()
-    assert e.parts()[0][0] == 1.0 and e.max_abs() == 1.0 and e.z_only
+    assert e.coeffs[0, 0] == 1.0 and e.max_abs() == 1.0 and e.z_only
 
 
 def test_exp_group_law():
@@ -184,37 +189,65 @@ def _per_part_recurrence(s, g0, weight, divisor, magnitudes=False):
     homogeneous parts s_j, one np.convolve per pair of parts: the loop that
     exp, reciprocal and power run on a bivariate series.  With
     ``magnitudes`` it runs on |s_j|, giving the recurrence's majorant."""
-    parts = [np.abs(p) if magnitudes else p for p in s.parts()]
+    parts = [np.abs(p) if magnitudes else p for p in _parts(s)]
     g = [np.array([g0], dtype=complex)]
+    out = np.zeros_like(s.coeffs)
+    out[0, 0] = g0
     for k in range(1, s.cap + 1):
         acc = np.zeros(k + 1, dtype=complex)
         for j in range(1, k + 1):
             acc += weight(j, k) * np.convolve(parts[j], g[k - j])
         g.append(acc / divisor(k))
-    return BiSeries(np.zeros_like(s.coeffs), s.cap)._with_parts(g).coeffs
+        a = np.arange(k + 1)
+        out[a, k - a] = g[k]
+    return out
+
+
+def _recurrence_cases(s):
+    """exp, reciprocal and power (alpha = 0.5 - 0.3i and -1) of s, each as
+    (result, g_0, weight(j, k), divisor(k), the weight's majorant) of
+    ``_per_part_recurrence``."""
+    c0 = s.coeffs[0, 0]
+    cases = [(s.exp(), np.exp(c0), lambda j, k: j, lambda k: k, lambda j, k: j),
+             (s.reciprocal(), 1 / c0, lambda j, k: -1.0, lambda k: c0, lambda j, k: 1.0)]
+    for alpha in (0.5 - 0.3j, -1):
+        # power forms (alpha+1) j and k as two sums, so both enter its majorant
+        cases.append((s.power(alpha), c0 ** alpha,
+                      lambda j, k, alpha=alpha: (alpha + 1) * j - k, lambda k: k * c0,
+                      lambda j, k, alpha=alpha: abs(alpha + 1) * j + k))
+    return cases
+
+
+def _check_recurrences(s):
+    # each result within 1e-15 of the majorant the same recurrence gives on |s|
+    for got, g0, weight, divisor, bound in _recurrence_cases(s):
+        assert got.z_only == s.z_only
+        ref = _per_part_recurrence(s, g0, weight, divisor)
+        majorant = _per_part_recurrence(s, abs(g0), bound, lambda k: abs(divisor(k)),
+                                        magnitudes=True).real
+        assert np.all(np.abs(got.coeffs - ref) <= 1e-15 * majorant)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 48])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_z_only_recurrences_match_the_per_part_loop(cap, seed):
-    # the column recurrence of a z-only series against the per-part loop,
-    # within 1e-15 of the majorant the same recurrence gives on |s|
+    # the column recurrence of a z-only series against the per-part loop
     col = _live_parts(cap, range(cap + 1), seed=seed).coeffs[:, 0] / 1.5 ** np.arange(cap + 1)
-    s = z_series(col, cap)
-    c0, alpha = col[0], 0.5 - 0.3j
-    cases = [  # result, g_0, weight(j, k), divisor(k), the weight's majorant
-        (s.exp(), np.exp(c0), lambda j, k: j, lambda k: k, lambda j, k: j),
-        (s.reciprocal(), 1 / c0, lambda j, k: -1.0, lambda k: c0, lambda j, k: 1.0),
-        # power forms (alpha+1) j and k as two sums, so both enter its majorant
-        (s.power(alpha), c0 ** alpha, lambda j, k: (alpha + 1) * j - k, lambda k: k * c0,
-         lambda j, k: abs(alpha + 1) * j + k),
-    ]
-    for got, g0, weight, divisor, bound in cases:
-        assert got.z_only
-        ref = _per_part_recurrence(s, g0, weight, divisor)
-        majorant = _per_part_recurrence(s, abs(g0), bound, lambda k: abs(divisor(k)),
-                                        magnitudes=True).real
-        assert np.all(np.abs(got.coeffs - ref) <= 1e-15 * majorant)
+    _check_recurrences(z_series(col, cap))
+
+
+@pytest.mark.parametrize("cap", [1, 7, 48])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bivariate_recurrences_match_the_per_part_loop(cap, seed):
+    # the recurrence over the live parts of a bivariate series, some of them
+    # zero, against the loop over every pair of parts; at alpha = -1 power's
+    # first sum vanishes whole, and its second must still run
+    degrees = [d for d in range(cap + 1) if d % 4 != 2]
+    s = _live_parts(cap, degrees, seed=seed)
+    k = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
+    s = BiSeries(s.coeffs / 1.5 ** k, cap)
+    assert not s.z_only
+    _check_recurrences(s)
 
 
 # ----------------------------------------------------------------------------
@@ -416,7 +449,7 @@ def _real_monomial_parts(cap):
     for _ in range(cap):
         pow1.append(pow1[-1] * y1)
         pow2.append(pow2[-1] * y2)
-    return [np.array([(pow1[m] * pow2[k - m]).parts()[k] for m in range(k + 1)])
+    return [np.array([_parts(pow1[m] * pow2[k - m])[k] for m in range(k + 1)])
             for k in range(cap + 1)]
 
 
@@ -441,11 +474,11 @@ def test_real_coeffs_and_complexify_round_trip(cap):
         a = BiSeries(c, cap)
         R = a.real_coeffs()
         back = _complexified(R, cap)
-        for k, (p, q) in enumerate(zip(a.parts(), back.parts())):
+        for k, (p, q) in enumerate(zip(_parts(a), _parts(back))):
             assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
         # and the other way: real coefficients through the complexified series
         again = BiSeries(_complexified(R, cap).real_coeffs(), cap)
-        for k, (p, q) in enumerate(zip(BiSeries(R, cap).parts(), again.parts())):
+        for k, (p, q) in enumerate(zip(_parts(BiSeries(R, cap)), _parts(again))):
             assert np.max(np.abs(p - q)) <= 1e-14 * 2 ** (k / 2) * np.max(np.abs(p))
 
 
@@ -729,7 +762,7 @@ def test_degree_maxima_is_the_per_part_maximum(cap):
     for s in (_live_parts(cap, range(cap // 2 + 1)), _live_parts(cap, range(cap + 1), seed=1),
               z_series(_live_parts(cap, range(cap + 1), seed=2).coeffs[:, 0], cap),
               BiSeries.zeros(cap)):
-        per_part = np.array([np.abs(p).max() for p in s.parts()])
+        per_part = np.array([np.abs(p).max() for p in _parts(s)])
         assert np.array_equal(degree_maxima(s), per_part)
 
 
