@@ -64,9 +64,10 @@ which d_max needs, and so does a --delta so small that |x|^2 underflows
 on the Re P samples of the cutoff check (1e-170, say) or that a norm of the
 first h's residual is not finite, the cutoff profile's scale
 1/(r_out - r_in)^2 or its square overflowing (1e-80, 1e-160; the message
-names h and delta, and no residuals.csv is written).  A sample count
---n below 1 or a --region bound that is not finite (gamma-scan,
-check-conditions), radii for check-conditions
+names h and delta, and no residuals.csv is written), as does an h whose
+powers overflow at any delta (--h 1e60:1:2); the message names both
+causes.  A sample count --n below 1 or a --region bound that is not
+finite (gamma-scan, check-conditions), radii for check-conditions
 outside 0 < --r-min < --r-max < inf, check-conditions numbers outside
 0 < --epsilon1 < 1, 0 < --epsilon2 < 1/2, a finite
 --C1-const and --C2-const and a finite --h > 0, and an --out that cannot be

@@ -26,17 +26,18 @@ picks its kernel from ``z_only``.  Two z-only operands convolve their
 columns (``np.convolve``).  A z-only factor times a bivariate series is one
 lower-triangular Toeplitz matmul, T(A) @ c.  Otherwise the graded product
 forms it as one Toeplitz matmul per live (nonzero) part x_j of the left
-operand: with the rows Y of the right operand and T_j[u, n] = x_j[n-u] (a
-strided view of the left operand's rows behind D zeros), row l of Y @ T_j is
-x_j * y_l, added into part j + l in ascending j.
+operand: with the rows Y of the right operand and T[j, u, n] = x_j[n-u] (a
+strided view of the left operand's rows behind D zeros, ``_toeplitz``), row
+l of Y @ T[j] is x_j * y_l, added into part j + l in ascending j.
 
 The sequential recurrences, ``exp`` and ``power`` (Euler-operator
 recurrences) and ``reciprocal``, are one recurrence, ``_recurrence``:
 g_k = (sum_{j>=1} p_j * g_{k-j} + k sum_{j>=1} q_j * g_{k-j}) / divisor(k),
 each stating its g_0, p, q and divisor.  Its kernel follows ``z_only`` as
 the product's does.  A z-only series has one coefficient per part, so the
-recurrence runs on column 0, one dot product per degree; otherwise it is one
-``np.convolve`` per live pair of parts.  The sums are direct, never FFTs:
+recurrence runs on column 0, one dot product per degree; otherwise it is the
+graded product of p and g formed as g comes out, one matmul with T[m] over
+g's rows once part m is final.  The sums are direct, never FFTs:
 each coefficient of degree k is a sum of exactly the products that enter it,
 so its roundoff is set by the magnitudes of degree k, which the per-degree
 identity scales rely on.
@@ -190,13 +191,14 @@ def _tensor(coeffs, s, t):
     return np.vander(s, m, increasing=True) @ coeffs @ np.vander(t, m, increasing=True).T
 
 
-def _toeplitz(column):
-    """The lower-triangular Toeplitz matrix T[a, i] = column[a - i] (a
-    strided view of the zero-padded column): T @ x is the product of the
-    z-only series ``column`` with x, truncated at its cap."""
-    D = column.size - 1
-    padded = np.concatenate([np.zeros(D, dtype=complex), column])
-    return sliding_window_view(padded, D + 1)[:, ::-1]
+def _toeplitz(rows):
+    """``rows`` (a column, or parts as rows) copied behind D zeros, a writable
+    view, and the strided Toeplitz stack over it, T[..., u, n] = rows[..., n-u]
+    (0 where n < u): row l of Y @ T[k] is part l of Y times part k."""
+    D = rows.shape[-1] - 1
+    X = np.zeros(rows.shape[:-1] + (2 * D + 1,), dtype=complex)
+    X[..., D:] = rows
+    return X[..., D:], sliding_window_view(X, D + 1, axis=-1)[..., ::-1, :]
 
 
 def _z_series(column):
@@ -331,10 +333,10 @@ class BiSeries:
         g_k = (sum_{j>=1} p_j * g_{k-j} + k sum_{j>=1} q_j * g_{k-j}) / divisor(k),
         where p_j and q_j are the parts of degree j of the coefficient arrays
         p and q (shaped like this series; no q, no second sum).  The kernel
-        follows ``z_only``: on column 0, one dot product per degree;
-        otherwise one ``np.convolve`` per pair of parts, over the degrees j
-        where this series is live (nonzero), since p may vanish where it is
-        not (power at alpha = -1)."""
+        follows ``z_only``: on column 0, one dot product per degree; otherwise,
+        once part m of g is final, one matmul per array adds p_j * g_m into
+        parts m + j for j up to the array's highest live (nonzero) part, which
+        is 0 for power's p at alpha = -1."""
         D = self.cap
         if self.z_only:
             pc, qc = p[:, 0], None if q is None else q[:, 0]
@@ -347,26 +349,20 @@ class BiSeries:
                     s = s + k * (qc[1:k + 1] @ h)
                 g[k] = s / divisor(k)
             return _z_series(g)
-        live = np.nonzero(_rows(self.coeffs)[1:].any(axis=1))[0] + 1
-        pq = [[(j, R[j, :j + 1]) for j in live]  # the live parts, 1-D, prepared once
-              for R in map(_rows, (p,) if q is None else (p, q))]
-        G = np.zeros((D + 1, D + 1), dtype=complex)
+        G, T = _toeplitz(np.zeros((D + 1, D + 1), dtype=complex))
         G[0, 0] = g0
-        g = [G[k, :k + 1] for k in range(D + 1)]  # part k of the result, a view
-
-        def convolve_sum(parts, k):
-            acc = np.zeros(k + 1, dtype=complex)
-            for j, tj in parts:
-                if j > k:
-                    break
-                acc += np.convolve(tj, g[k - j])
-            return acc
-
+        arrays = [_rows(c) for c in ((p,) if q is None else (p, q))]
+        tops = [np.flatnonzero(R.any(axis=1)).max(initial=0) for R in arrays]
+        acc = np.zeros((len(arrays), D + 1, D + 1), dtype=complex)
         for k in range(1, D + 1):
-            s = convolve_sum(pq[0], k)
+            m = k - 1  # part m of g is final: add its products into parts m+1..D
+            for R, top, a in zip(arrays, tops, acc):
+                n = min(top, D - m)
+                a[k:k + n] += R[1:n + 1, :n + 1] @ T[m, :n + 1]
+            s = acc[0, k, :k + 1]
             if q is not None:
-                s = s + k * convolve_sum(pq[1], k)
-            g[k][:] = s / divisor(k)
+                s = s + k * acc[1, k, :k + 1]
+            G[k, :k + 1] = s / divisor(k)
         return self._new(_from_rows(G))
 
     def __mul__(self, other):
@@ -382,14 +378,10 @@ class BiSeries:
             return _z_series(np.convolve(self.coeffs[:, 0], other.coeffs[:, 0])[: D + 1])
         if self.z_only or other.z_only:
             A, y = (self, other) if self.z_only else (other, self)
-            return self._new(_toeplitz(A.coeffs[:, 0]) @ y.coeffs)
+            return self._new(_toeplitz(A.coeffs[:, 0])[1].T @ y.coeffs)
         Y = _rows(other.coeffs)  # row l: part l of y, zero-padded
-        X = np.zeros((D + 1, 2 * D + 1), dtype=complex)
-        X[:, D:] = _rows(self.coeffs)  # row j: D zeros, then part j of x
-        # T[j, u, n] = x_j[n - u] (a strided view), so row l of Y @ T[j] is
-        # x_j * y_l, part j + l of the product
-        T = sliding_window_view(X, D + 1, axis=1)[:, ::-1]
-        R = np.zeros((D + 1, D + 1), dtype=complex)
+        X, T = _toeplitz(_rows(self.coeffs))  # row l of Y @ T[j]: x_j * y_l
+        R = np.zeros_like(Y)
         for j in np.flatnonzero(X.any(axis=1)):
             L = D + 1 - j
             R[j:] += Y[:L, :L] @ T[j, :L]
@@ -439,7 +431,7 @@ class BiSeries:
         """Read-only Toeplitz matrix of the z-only series w (its column 0),
         contiguous: T @ x is w * x truncated, one matvec per column of the
         exact division."""
-        T = np.ascontiguousarray(_toeplitz(self.coeffs[:, 0]))
+        T = np.ascontiguousarray(_toeplitz(self.coeffs[:, 0])[1].T)
         T.setflags(write=False)
         return T
 
@@ -473,11 +465,17 @@ class BiSeries:
 
     def real_coeffs(self):
         """Coefficients R[m, n] of y1^m y2^n of the series on w = conj(z),
-        z = y1 + i y2 (a dense triangular complex array)."""
+        z = y1 + i y2 (dense triangular, complex, read-only, built once)."""
+        return self._real_coeffs
+
+    @cached_property
+    def _real_coeffs(self):
         parts, R = _rows(self.coeffs), np.zeros_like(self.coeffs)
         for k, (U, phase) in enumerate(_real_blocks(self.cap)):
             R[k, :k + 1] = phase * (U @ parts[k, :k + 1])
-        return _from_rows(R)
+        R = _from_rows(R)
+        R.setflags(write=False)
+        return R
 
 
 # ----------------------------------------------------------------------------

@@ -76,14 +76,25 @@ def _shifted(u, axis, k):
 def _d1(u, axis, s):
     out = np.zeros_like(u)
     p2, p1, m1, m2 = (_shifted(u, axis, k) for k in (2, 1, -1, -2))
-    _shifted(out, axis, 0)[...] = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * s)
+    o = _shifted(out, axis, 0)  # (-p2 + 8 p1 - 8 m1 + m2) / (12 s), in place
+    np.multiply(p1, 8, out=o)
+    o -= p2
+    o -= 8 * m1
+    o += m2
+    o /= 12 * s
     return out
 
 
 def _d2(u, axis, s):
     out = np.zeros_like(u)
     p2, p1, c, m1, m2 = (_shifted(u, axis, k) for k in (2, 1, 0, -1, -2))
-    _shifted(out, axis, 0)[...] = (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * s**2)
+    o = _shifted(out, axis, 0)  # (-p2 + 16 p1 - 30 c + 16 m1 - m2) / (12 s^2), in place
+    np.multiply(p1, 16, out=o)
+    o -= p2
+    o -= 30 * c
+    o += 16 * m1
+    o -= m2
+    o /= 12 * s**2
     return out
 
 

@@ -61,7 +61,7 @@ class GaugeConsistencyError(RuntimeError):
 
 class CutoffRadiusError(ValueError):
     """A cutoff radius override outside (0, d_max] or too small to sample, or
-    a cutoff ring too thin for a finite residual norm at some h."""
+    a residual norm not finite at some h (a thin ring, or a large h)."""
 
 
 # ----------------------------------------------------------------------------
@@ -463,9 +463,9 @@ def residual_series_exact(pm, h):
     integrand has the same Gaussian scale).  Refuses with CutoffRadiusError,
     naming h and delta, when a norm of u, the residual or its interior or
     cutoff term is not finite (the profile's scale 1/(r_out - r_in)^2 or its
-    square overflows on a thin ring; numpy's warnings are not printed), and
-    with QuadratureResolutionError when the two u-norms differ by more than
-    QUAD_RTOL.
+    square overflows on a thin ring, or a large h's powers do; numpy's
+    warnings are not printed), and with QuadratureResolutionError when the
+    two u-norms differ by more than QUAD_RTOL.
     """
     if not h > 0:
         raise ValueError("h must be positive")
@@ -482,7 +482,7 @@ def residual_series_exact(pm, h):
         keep = np.hypot(Y1, Y2) < cut.r_out
         return Y1[keep], Y2[keep], np.outer(wx, wx)[keep], _on_grid(x, x, keep)
 
-    # a thin cutoff ring overflows the profile's scale or the squares; refused below
+    # a thin cutoff ring or a large h overflows a term or its square; refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y1, y2, w, values = disc_nodes(n)
         chi = cut.profile(np.hypot(y1, y2))[0]
@@ -496,7 +496,7 @@ def residual_series_exact(pm, h):
     if bad:
         raise CutoffRadiusError(
             f"cutoff radius delta = {cut.r_out:.6g} at h = {h:g}: norms not finite "
-            f"({', '.join(bad)}); the cutoff radius is too small for this h"
+            f"({', '.join(bad)}); the cutoff radius is too small, or h so large its powers overflow"
         )
     un2, rn2, in2, cn2 = norms.values()
     if abs(un2 - un1) > QUAD_RTOL * un2:

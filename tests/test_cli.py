@@ -316,6 +316,19 @@ def test_run_refuses_delta_beyond_d_max(tmp_path, capsys):
         assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
         assert reason in err
         assert not (out / "residuals.csv").exists()
+    # no --delta, so delta = d_max: an h of 1e60 overflows its own powers in
+    # the residual, and the refusal names that cause beside the thin ring
+    out = tmp_path / "large_h"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--builtin", "polynomial", "--N", "1", "--h", "1e60:1:2",
+                     "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cutoff radius delta = 0.647238 at h = 1e+60: "
+                          "norms not finite") and err.count("\n") == 1
+    assert "cutoff radius is too small" in err and "h so large its powers overflow" in err
+    assert not (out / "residuals.csv").exists()
 
 
 @pytest.mark.parametrize("delta", ["nan", "0", "-1", "inf"])

@@ -218,14 +218,14 @@ def _recurrence_cases(s):
     return cases
 
 
-def _check_recurrences(s):
-    # each result within 1e-15 of the majorant the same recurrence gives on |s|
+def _check_recurrences(s, rtol=1e-15):
+    # each result within rtol of the majorant the same recurrence gives on |s|
     for got, g0, weight, divisor, bound in _recurrence_cases(s):
         assert got.z_only == s.z_only
         ref = _per_part_recurrence(s, g0, weight, divisor)
         majorant = _per_part_recurrence(s, abs(g0), bound, lambda k: abs(divisor(k)),
                                         magnitudes=True).real
-        assert np.all(np.abs(got.coeffs - ref) <= 1e-15 * majorant)
+        assert np.all(np.abs(got.coeffs - ref) <= rtol * majorant)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 48])
@@ -248,6 +248,35 @@ def test_bivariate_recurrences_match_the_per_part_loop(cap, seed):
     s = BiSeries(s.coeffs / 1.5 ** k, cap)
     assert not s.z_only
     _check_recurrences(s)
+
+
+@pytest.mark.parametrize("cap", [1, 7, 48])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bivariate_recurrences_on_parts_0_and_1_match_the_per_part_loop(cap, seed):
+    # a series live only in parts 0 and 1, the shape of exp(+-iX~) in the
+    # field builders.  Each sum has at most two terms, so the majorant is
+    # tight: at cap 48 the per-part loop itself lies up to 5e-15 of it from
+    # the value an extended-precision run gives.  Two kernels that round each
+    # step of the recurrence differently part by up to an ulp of the
+    # majorant per step each, 2 k eps at degree k
+    k = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
+    s = BiSeries(_live_parts(cap, [0, 1], seed=seed).coeffs / 1.5 ** k, cap)
+    assert not s.z_only
+    _check_recurrences(s, rtol=2 * k * np.finfo(float).eps)
+
+
+def test_bivariate_recurrences_call_no_convolve(monkeypatch):
+    # exp, reciprocal and power of a bivariate series add each finished part's
+    # products through the Toeplitz stack, not one np.convolve per pair of parts
+    k = np.add.outer(np.arange(49), np.arange(49))
+    s = BiSeries(_live_parts(48, range(49), seed=4).coeffs / 1.5 ** k, 48)
+
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("np.convolve in a bivariate recurrence")
+
+    monkeypatch.setattr(np, "convolve", no_convolve)
+    for g in (s.exp(), s.reciprocal(), s.power(0.5 - 0.3j), s.power(-1)):
+        assert not g.z_only and np.all(np.isfinite(g.coeffs))
 
 
 # ----------------------------------------------------------------------------
@@ -393,6 +422,8 @@ def test_real_coeffs_of_z_and_zw():
     z, zw = bi([(1, 0, 1.0)], cap=3), bi([(1, 1, 1.0)], cap=3)
     assert np.array_equal(z.real_coeffs(), bi([(1, 0, 1.0), (0, 1, 1j)], cap=3).coeffs)
     assert np.array_equal(zw.real_coeffs(), bi([(2, 0, 1.0), (0, 2, 1.0)], cap=3).coeffs)
+    # computed once per series, and read-only
+    assert z.real_coeffs() is z.real_coeffs() and not z.real_coeffs().flags.writeable
 
 
 # ----------------------------------------------------------------------------

@@ -148,6 +148,22 @@ def test_apply_L_matches_the_dense_grid_formula_bitwise(field):
     assert np.array_equal(got, want)
 
 
+def test_stencils_match_the_expression_form_bitwise():
+    # the in-place stencils keep the expression's operation order: the same
+    # bits as the full-grid formula, along both axes
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    s = 0.07
+    for axis in (0, 1):
+        p2, p1, c, m1, m2 = (np.roll(u, -k, axis=axis) for k in (2, 1, 0, -1, -2))
+        inner = (slice(2, -2), slice(None)) if axis == 0 else (slice(None), slice(2, -2))
+        want1 = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * s)
+        want2 = (-p2 + 16 * p1 - 30 * c + 16 * m1 - m2) / (12 * s**2)
+        for got, want in ((_d1(u, axis, s), want1), (_d2(u, axis, s), want2)):
+            assert np.array_equal(got[inner], want[inner])
+            assert not np.delete(got, np.r_[2:38], axis=axis).any()
+
+
 def test_support_violation_raises():
     grid = Grid2D(L=1.0, n=64)
     X1, X2 = grid.meshgrid()
