@@ -52,8 +52,9 @@ coordinate at or above about 1.34e154, for every builtin and for the first
 point of a gamma-scan raster; the message names the point), and a --delta
 that is not a finite number > 0, and a number that does not parse (pi/0, or
 a bare-dot coefficient such as .pi) or a table row whose exponents m, n are
-not non-negative integers (a negative or boolean exponent; the message names
-the token or the row).  So does a Miller-Simon field based
+not non-negative integers (a negative or boolean exponent), or a JSON boolean
+given as a field value or a base-point coordinate (the message names the
+token, the value or the row).  So does a Miller-Simon field based
 at the origin, for run and for a raster through it, and --x0 given to
 gamma-scan (the raster sets the base point).  gamma-scan makes the same curl
 check at every raster point and also refuses a point where a value of its
@@ -140,7 +141,7 @@ def parse_scalar(tok):
 def parse_point(point):
     """'x1,x2' (pi allowed), or a pair of such strings or of numbers."""
     parts = point.split(",") if isinstance(point, str) else point
-    if len(parts) != 2:
+    if len(parts) != 2 or any(isinstance(t, bool) for t in parts):
         raise ConfigError(f"point must be 'x1,x2' or [x1, x2], got {point!r}")
     return tuple(parse_scalar(t) if isinstance(t, str) else t for t in parts)
 
@@ -196,9 +197,9 @@ def _value(v):
             return parse_scalar(v)
         except ConfigError:
             return parse_complex(v)
-    if isinstance(v, (int, float, complex)):
+    if isinstance(v, (int, float, complex)) and not isinstance(v, bool):
         return v
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
+    if isinstance(v, list) and len(v) == 2 and all(type(t) in (int, float) for t in v):
         return complex(*v)
     raise ConfigError(f"expected a number, [re, im] or a string, got {v!r}")
 

@@ -1,12 +1,15 @@
 """Truncated power series in two complex variables.
 
 Everything downstream (phase construction, transport recursion, pseudomode
-evaluation) runs on one small immutable container, ``BiSeries``: a
-polynomial in (z, w) truncated at total degree D, with complex binary64
-coefficients.  A series in z alone (the curve w(z), the correction f, the
-factors A_j) is a ``BiSeries`` whose coefficients vanish off column 0, and
-``z_only`` says so.  Truncation at total degree D is the
-quotient by the ideal of monomials of degree > D, so ring identities
+evaluation) runs on one small immutable container, ``BiSeries``: a polynomial
+in (z, w) truncated at total degree D, whose coefficients are cast once, in
+``__post_init__``, to np.promote_types(dtype, complex): complex binary64, or
+a wider complex type such as np.clongdouble, kept.  Each array the arithmetic
+allocates takes its dtype from its operands, so a solve on a field series in
+np.clongdouble runs wholly in that type.  A series in z alone (the curve w(z),
+the correction f, the factors A_j) is a ``BiSeries`` whose coefficients
+vanish off column 0, and ``z_only`` says so.  Truncation at total degree D is
+the quotient by the ideal of monomials of degree > D, so ring identities
 (associativity, distributivity, exp/reciprocal defining relations) hold
 coefficient-wise up to floating-point roundoff.  Differentiation is the one
 operation that loses information: the cap stays D but coefficients of degree
@@ -143,7 +146,7 @@ def _part_starts(cap):
 def _rows(coeffs):
     """The homogeneous parts as zero-padded rows: R[k, a] = c[a, k - a]."""
     at, rows = _graded_index(coeffs.shape[0] - 1)
-    R = np.zeros(coeffs.shape, dtype=complex)
+    R = np.zeros(coeffs.shape, coeffs.dtype)
     R.ravel()[rows] = coeffs.ravel()[at]
     return R
 
@@ -151,7 +154,7 @@ def _rows(coeffs):
 def _from_rows(R):
     """The coefficients c[a, b] = R[a + b, a] of parts given as rows."""
     at, rows = _graded_index(R.shape[0] - 1)
-    c = np.zeros(R.shape, dtype=complex)
+    c = np.zeros(R.shape, R.dtype)
     c.ravel()[at] = R.ravel()[rows]
     return c
 
@@ -196,14 +199,14 @@ def _toeplitz(rows):
     view, and the strided Toeplitz stack over it, T[..., u, n] = rows[..., n-u]
     (0 where n < u): row l of Y @ T[k] is part l of Y times part k."""
     D = rows.shape[-1] - 1
-    X = np.zeros(rows.shape[:-1] + (2 * D + 1,), dtype=complex)
+    X = np.zeros(rows.shape[:-1] + (2 * D + 1,), rows.dtype)
     X[..., D:] = rows
     return X[..., D:], sliding_window_view(X, D + 1, axis=-1)[..., ::-1, :]
 
 
 def _z_series(column):
     """The z-only series sum_a column[a] z^a, at cap len(column) - 1."""
-    c = np.zeros((column.size, column.size), dtype=complex)
+    c = np.zeros((column.size, column.size), column.dtype)
     c[:, 0] = column
     return BiSeries(c, column.size - 1)
 
@@ -211,42 +214,41 @@ def _z_series(column):
 @dataclass(frozen=True)
 class BiSeries:
     """Dense triangular coefficients c[a, b] of z**a w**b with a+b <= cap,
-    in local coordinates about the field's base point.
-
-    A series in z alone (the curve w(z), the correction f, the factors A_j)
-    is one whose coefficients vanish off column 0 (``z_only``).  ``exp``,
-    ``reciprocal`` and ``power`` are one recurrence over the homogeneous
-    parts (``_recurrence``), over column 0 for a z-only series.
+    in local coordinates about the field's base point: complex binary64 or
+    wider (the one rule, in ``__post_init__``), and a result keeps its
+    operands' type.  A series in z alone (the curve w(z), the correction f,
+    the factors A_j) is one whose coefficients vanish off column 0
+    (``z_only``).  ``exp``, ``reciprocal`` and ``power`` are one recurrence
+    over the homogeneous parts (``_recurrence``), over column 0 for a z-only
+    series.
     """
 
     coeffs: np.ndarray
     cap: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.asarray(self.coeffs)
         if c.shape != (self.cap + 1, self.cap + 1):
             raise SeriesStructureError(
                 f"BiSeries cap {self.cap} needs shape {(self.cap + 1,) * 2}, got {c.shape}"
             )
-        c = np.where(_mask(self.cap), c, 0.0)
+        c = np.where(_mask(self.cap), c, 0.0).astype(np.promote_types(c.dtype, complex), copy=False)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zeros(cap):
-        return BiSeries(np.zeros((cap + 1, cap + 1), dtype=complex), cap)
+        return BiSeries(np.zeros((cap + 1, cap + 1)), cap)
 
     @staticmethod
     def constant(value, cap):
-        c = np.zeros((cap + 1, cap + 1), dtype=complex)
-        c[0, 0] = value
-        return BiSeries(c, cap)
+        return BiSeries.from_terms([(0, 0, value)], cap)
 
     @staticmethod
     def from_terms(terms, cap):
-        """terms: iterable of (a, b, coefficient)."""
-        c = np.zeros((cap + 1, cap + 1), dtype=complex)
+        """terms: a sequence of (a, b, coefficient), in their common type."""
+        c = np.zeros((cap + 1, cap + 1), np.result_type(0.0, *(v for *_, v in terms)))
         for a, b, v in terms:
             if a + b > cap:
                 raise SeriesStructureError(f"term z^{a} w^{b} exceeds cap {cap}")
@@ -269,7 +271,7 @@ class BiSeries:
     # -- ring operations -------------------------------------------------
     def __add__(self, other):
         if np.isscalar(other):
-            c = self.coeffs.copy()
+            c = self.coeffs.astype(np.result_type(self.coeffs, other))
             c.flat[0] += other
             return self._new(c)
         self._check(other)
@@ -340,7 +342,7 @@ class BiSeries:
         D = self.cap
         if self.z_only:
             pc, qc = p[:, 0], None if q is None else q[:, 0]
-            g = np.zeros(D + 1, dtype=complex)
+            g = np.zeros(D + 1, pc.dtype)
             g[0] = g0
             for k in range(1, D + 1):
                 h = g[k - 1::-1]
@@ -349,11 +351,11 @@ class BiSeries:
                     s = s + k * (qc[1:k + 1] @ h)
                 g[k] = s / divisor(k)
             return _z_series(g)
-        G, T = _toeplitz(np.zeros((D + 1, D + 1), dtype=complex))
+        G, T = _toeplitz(np.zeros(p.shape, p.dtype))
         G[0, 0] = g0
         arrays = [_rows(c) for c in ((p,) if q is None else (p, q))]
         tops = [np.flatnonzero(R.any(axis=1)).max(initial=0) for R in arrays]
-        acc = np.zeros((len(arrays), D + 1, D + 1), dtype=complex)
+        acc = np.zeros((len(arrays),) + p.shape, p.dtype)
         for k in range(1, D + 1):
             m = k - 1  # part m of g is final: add its products into parts m+1..D
             for R, top, a in zip(arrays, tops, acc):
@@ -381,7 +383,7 @@ class BiSeries:
             return self._new(_toeplitz(A.coeffs[:, 0])[1].T @ y.coeffs)
         Y = _rows(other.coeffs)  # row l: part l of y, zero-padded
         X, T = _toeplitz(_rows(self.coeffs))  # row l of Y @ T[j]: x_j * y_l
-        R = np.zeros_like(Y)
+        R = np.zeros(Y.shape, np.result_type(X, Y))
         for j in np.flatnonzero(X.any(axis=1)):
             L = D + 1 - j
             R[j:] += Y[:L, :L] @ T[j, :L]
@@ -392,7 +394,7 @@ class BiSeries:
     def differentiate(self, var):
         """Formal partial; the (now untrustworthy) degree-cap row is reported zero."""
         D = self.cap
-        c = np.zeros((D + 1, D + 1), dtype=complex)
+        c = np.zeros_like(self.coeffs)
         if var == "z":
             c[:-1, :] = self.coeffs[1:, :] * np.arange(1, D + 1)[:, None]
         elif var == "w":
@@ -404,7 +406,7 @@ class BiSeries:
     def antiderivative(self, var):
         """Term-wise integral vanishing at 0; top-degree input terms drop."""
         D = self.cap
-        c = np.zeros((D + 1, D + 1), dtype=complex)
+        c = np.zeros_like(self.coeffs)
         if var == "z":
             c[1:, :] = self.coeffs[:-1, :] / np.arange(1, D + 1)[:, None]
         elif var == "w":
@@ -419,7 +421,7 @@ class BiSeries:
         """Read-only table W[b] = w^b truncated at the cap, b = 0..cap, of
         the z-only series w (its column 0)."""
         D = self.cap
-        W = np.zeros((D + 1, D + 1), dtype=complex)
+        W = np.zeros_like(self.coeffs)
         W[0, 0] = 1.0
         for b in range(1, D + 1):
             W[b] = np.convolve(W[b - 1], self.coeffs[:, 0])[: D + 1]
@@ -558,9 +560,7 @@ def exact_divide_by_curve(num, w_of_z):
     num._check(w_of_z)
     D = num.cap
     T, aT = w_of_z._toeplitz, np.ascontiguousarray(w_of_z._majorant._toeplitz.real)
-    q = np.zeros((D + 1, D + 1), dtype=complex)
-    qb = np.zeros(D + 1, dtype=complex)
-    ab = np.zeros(D + 1)
+    q, qb, ab = np.zeros_like(num.coeffs), np.zeros(D + 1, num.coeffs.dtype), np.zeros(D + 1)
     terms = [np.abs(num.coeffs[:, 0])]  # per-degree magnitudes through the recursion
     for b in range(D - 1, -1, -1):
         qb = num.coeffs[:, b + 1] + T @ qb
@@ -590,8 +590,8 @@ def implicit_w(Btilde):
             "vanishes at the base point"
         )
     D = Btilde.cap
-    w = np.zeros(D + 1, dtype=complex)
-    W = np.zeros((D + 1, D + 1), dtype=complex)
+    w = np.zeros(D + 1, c.dtype)
+    W = np.zeros_like(c)
     W[0, 0] = 1.0
     for n in range(1, D + 1):
         W[2:, n] = W[1:-1, n - 1:0:-1] @ w[1:n]  # sum over m < n of w_m W[b-1, n-m]

@@ -82,7 +82,7 @@ class TransportIdentityError(RuntimeError):
 def poisson_series(Btilde):
     """phi~ with 4 d_z d_w phi~ = B~ and phi~(z, 0) = phi~(0, w) = 0."""
     D = Btilde.cap
-    c = np.zeros((D + 1, D + 1), dtype=complex)
+    c = np.zeros_like(Btilde.coeffs)
     a = np.arange(1, D + 1, dtype=float)
     c[1:, 1:] = Btilde.coeffs[:-1, :-1] / (4.0 * np.outer(a, a))
     return BiSeries(c, D)
@@ -132,9 +132,7 @@ def first_transport(Btilde, phi, w_curve, V, F):
     g = F * V.reciprocal("8V").__mul__(1.0 / 8.0)
     J = (-1.0 * curve_integral_w(g, w_curve)).exp()
 
-    ones = np.zeros(J.cap + 1, dtype=complex)
-    ones[0] = 1.0
-    on_curve = compose_w(J, w_curve).coeffs[:, 0] - ones
+    on_curve = compose_w(J, w_curve).coeffs[:, 0] - np.eye(1, J.cap + 1)[0]
     # no floor: the majorant |J| o |w| is |J(0, 0)| = 1 at degree 0
     check_identity("J = 1 on the curve", on_curve, [abs_compose_w(J, w_curve)],
                    IDENTITY_RTOL, TransportIdentityError)
@@ -159,7 +157,7 @@ class _Workspace:
 
     def __init__(self, Btilde, phi, f, w_curve, V, F):
         self.mu, self.J, u0, self.A0, a0 = first_transport(Btilde, phi, w_curve, V, F)
-        self.B = Btilde
+        self.B_mu = Btilde - Btilde.coeffs[0, 0]  # B~ - mu, in B~'s number type
         self.w = w_curve
         self.amplitudes = [a0]
         self.trusted = [Btilde.cap - 1]
@@ -194,17 +192,17 @@ class _Workspace:
         """
         a_new = self.amplitudes[j]
         parent = max(a_new.max_abs(), self.amplitudes[0].max_abs())
-        da, B_mu = a_new.differentiate("w"), self.B - self.mu
+        da = a_new.differentiate("w")
         if j:
             rhs = 4.0 * self.amplitudes[j - 1].differentiate("w").differentiate("z")
         else:
             rhs = BiSeries.zeros(a_new.cap)
-        bounds = [_product_maxima(self.c4, da), _product_maxima(B_mu, a_new)]
+        bounds = [_product_maxima(self.c4, da), _product_maxima(self.B_mu, a_new)]
         top = max(parent, *(float(np.max(m)) for m in bounds), rhs.max_abs(),
                   4.0 * self.compatibility_scale)
         t = self.trusted[j] - 1
         c4_t, da_t, B_mu_t, a_t, rhs_t = (_truncate(x, t)
-                                          for x in (self.c4, da, B_mu, a_new, rhs))
+                                          for x in (self.c4, da, self.B_mu, a_new, rhs))
         self.residual_maxima[f"transport_{j}"] = check_identity(
             f"transport residual j={j}", degree_maxima(c4_t * da_t + B_mu_t * a_t - rhs_t),
             [*bounds, rhs], IDENTITY_RTOL, TransportIdentityError, upto=t,

@@ -433,6 +433,11 @@ def test_run_malformed_config_values_exit_2(tmp_path, capsys, params):
     ("polynomial", {"R": [[-1, 0, 1]]}, "[-1, 0, 1]"),
     ("polynomial", {"R": [[0, True, 1]]}, "[0, True, 1]"),
     ("user_polynomial", {"A1": [[0, 1, 1.0]], "A2": [[-1, 0, 1]]}, "[-1, 0, 1]"),
+    # a JSON boolean is not a number: neither a value, a part of a pair, nor
+    # a table coefficient
+    ("polynomial", {"a": True}, "True"),
+    ("polynomial", {"b": [False, True]}, "[False, True]"),
+    ("polynomial", {"R": [[0, 0, True]]}, "True"),
 ])
 def test_run_malformed_config_value_is_named(tmp_path, capsys, builtin, params, named):
     cfg = tmp_path / "bad.json"
@@ -440,6 +445,16 @@ def test_run_malformed_config_value_is_named(tmp_path, capsys, builtin, params, 
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_boolean_config_base_point_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"builtin": "polynomial", "x0": [True, False]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "[True, False]" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

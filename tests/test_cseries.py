@@ -66,6 +66,27 @@ def test_cap_mismatch_rejected():
         z_series([1.0], cap=4) + z_series([1.0], cap=5)
 
 
+@pytest.mark.parametrize("given, stored", [
+    (np.float64, np.complex128), (np.int64, np.complex128), (np.complex64, np.complex128),
+    (np.complex128, np.complex128), (np.clongdouble, np.clongdouble),
+])
+def test_number_type_is_complex_binary64_or_wider_and_kept(given, stored):
+    # the one rule: real, integer and complex64 coefficients are stored in
+    # complex128, a wider complex type is kept, and every operation's result
+    # has its operands' type
+    cap = 6
+    s = BiSeries(np.arange((cap + 1) ** 2).reshape(cap + 1, cap + 1).astype(given) + 1, cap)
+    x = np.asarray(0.5, given)[()]
+    wz = BiSeries.from_terms([(1, 0, x / 2), (2, 0, x)], cap)
+    assert s.coeffs.dtype == stored and wz.coeffs.dtype == stored
+    results = [s + s, s + x, s - x, x * s, s * s, s * wz, wz * s, wz * wz, s.exp(),
+               s.reciprocal(), s.power(0.5), abs(s) + 0.0, s.differentiate("w"),
+               s.antiderivative("z"), compose_w(s, wz), (s * 0 + x).exp(),
+               BiSeries.constant(x, cap), BiSeries.from_terms([(1, 2, x)], cap)]
+    assert [r.coeffs.dtype for r in results] == [np.dtype(stored)] * len(results)
+    assert BiSeries.zeros(cap).coeffs.dtype == np.complex128
+
+
 # ----------------------------------------------------------------------------
 # differentiation / antidifferentiation
 # ----------------------------------------------------------------------------

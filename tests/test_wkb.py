@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from conftest import z_series
 
 from cmag_wkb import wkb
 from cmag_wkb.cseries import (BiSeries, SeriesDivisionError, check_identity,
-                              compose_w, implicit_w)
-from cmag_wkb.fieldmodel import (compute_Q, oscillating_field, polynomial_field,
+                              compose_w, degree_maxima, implicit_w, real_gradient_series)
+from cmag_wkb.fieldmodel import (compute_Q, make_field, oscillating_field, polynomial_field,
                                  user_polynomial_field)
 from cmag_wkb.wkb import (
     BoundFit,
@@ -206,6 +207,51 @@ def test_solve_identities_polynomial():
     assert max(sol.residual_maxima.values()) <= 1e-10
 
 
+def _extended(field):
+    """The field with its series B~ cast to np.clongdouble."""
+    B = field.B_taylor
+    return replace(field, B_taylor=BiSeries(B.coeffs.astype(np.clongdouble), B.cap))
+
+
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_extended = pytest.mark.skipif(
+    not EXTENDED, reason="np.longdouble is binary64 here: an extended solve witnesses nothing")
+
+
+@needs_extended
+def test_extended_solve_runs_in_clongdouble_and_clears_a_roundoff_refusal():
+    # Miller-Simon at D = 42: binary64 roundoff fails the transport check at
+    # degree 40; the same solve in extended precision passes every identity
+    # check, and every series it returns stays in np.clongdouble
+    field = make_field("miller_simon", base_point=(1.0, 0.5), cap=42)
+    with pytest.raises(TransportIdentityError, match="transport residual j=0.*degree 40"):
+        solve_wkb(field, N=6)
+    sol = solve_wkb(_extended(field), N=6)
+    assert max(sol.residual_maxima.values()) <= wkb.IDENTITY_RTOL
+    series = [sol.phi, sol.w_curve, sol.f, sol.S, sol.V, sol.F, sol.J, sol.A0, *sol.amplitudes]
+    assert [s.coeffs.dtype for s in series] == [np.dtype(np.clongdouble)] * 15
+
+
+@needs_extended
+def test_workhorse_first_order_gradient_of_the_laplacian_is_small_and_true():
+    # On the workhorse the gradient of Delta a_1 at x0 is about 5e-7 per
+    # component, at caps 12, 24 and 36, while its degree-2 part is of order
+    # 0.4.  So N = 1 shows a slope of 4.0 (the degree-2 part) at any h a sweep
+    # reaches, and the limit N + 2.5 = 3.5 only far below.  The extended solve
+    # gives the same gradient: it is a true value, not roundoff.
+    for cap in (12, 24, 36):
+        field = polynomial_field(8.0, 0.3 + 1j, 1.0, cap=cap)
+        grads = []
+        for f in (field, _extended(field)):
+            lap = 4.0 * solve_wkb(f, N=1).amplitudes[1].differentiate("z").differentiate("w")
+            grads.append(np.array([g.coeffs[0, 0] for g in real_gradient_series(lap)]))
+        binary64, extended = grads
+        assert extended.dtype == np.clongdouble
+        assert np.all((1e-7 < abs(binary64)) & (abs(binary64) < 1e-6))
+        assert np.all(abs(binary64 - extended) <= 1e-12 * abs(extended))
+        assert 0.3 < degree_maxima(lap)[2] < 0.5
+
+
 def test_amplitudes_normalized_at_base():
     sol = solve_wkb(osc_field(24), N=3)
     assert abs(sol.amplitudes[0].coeffs[0, 0] - 1.0) < 1e-14
@@ -216,8 +262,6 @@ def test_amplitudes_normalized_at_base():
 def test_mu_gauge_independent():
     # two potentials, same Taylor data: identical serialized solutions
     f1 = polynomial_field(1.0, 1j, 1.0, cap=18)
-    from dataclasses import replace
-
     f2 = replace(f1, A=lambda x1, x2: (np.zeros_like(x1) + 0j,
                                        f1.A(x1, x2)[1]), name="other_gauge")
     s1, s2 = solve_wkb(f1, N=2), solve_wkb(f2, N=2)
