@@ -12,7 +12,6 @@ from .fieldmodel import (
     compute_Q,
     gamma_scan,
     make_field,
-    weyl_bracket,
 )
 from .pseudomode import (
     Pseudomode,
@@ -37,7 +36,6 @@ __all__ = [
     "compute_Q",
     "gamma_scan",
     "make_field",
-    "weyl_bracket",
     "WKBSolution",
     "BoundFit",
     "solve_wkb",

@@ -296,12 +296,15 @@ class BiSeries:
         return float(np.max(np.abs(self.coeffs)))
 
     def to_records(self):
-        """Structured-text form: bit-exact hex floats, exponents in row-major
-        order, one row per nonzero coefficient."""
+        """Structured-text form, one row per nonzero coefficient, exponents
+        in row-major order: binary64 parts as bit-exact hex floats, the parts
+        of a wider type as numpy's shortest decimal that reads back to the
+        same value in that type."""
         idx = np.nonzero(self.coeffs)
         rows = zip(*(i.tolist() for i in idx), self.coeffs[idx].tolist())
+        part = float.hex if self.coeffs.dtype == complex else np.format_float_scientific
         return {"cap": int(self.cap),
-                "coeffs": [[*exps, v.real.hex(), v.imag.hex()] for *exps, v in rows]}
+                "coeffs": [[*exps, part(v.real), part(v.imag)] for *exps, v in rows]}
 
     def exp(self):
         """Euler-operator recurrence k g_k = sum_{j>=1} j n_j * g_{k-j},

@@ -638,28 +638,3 @@ def check_H(field, radii):
         out[hyp] = HTrendReport(diverging=diverging, growth_exponent=float(slope),
                                 sign=sign if hyp == "H1" else "")
     return out
-
-
-# ----------------------------------------------------------------------------
-# principal symbol and Poisson bracket
-# ----------------------------------------------------------------------------
-
-def weyl_bracket(field, x, xi):
-    """Principal symbol p(x, xi) and the canonical bracket {Re p, Im p}.
-
-    p = |xi - Re A|^2 - |Im A|^2 - 2i <xi - Re A, Im A>; x-partials of the
-    two real symbols come from the closed form ``field.A_jac``, xi-partials
-    are exact.
-    Bracket convention: {f, g} = grad_xi f . grad_x g - grad_x f . grad_xi g.
-    """
-    x1, x2 = np.asarray(x, dtype=float)
-    a = np.array([complex(c) for c in field.A(x1, x2)])
-    dA = np.array([complex(c) for c in field.A_jac(x1, x2)]).reshape(2, 2)  # [j, k] = d_k A_j
-    v = np.asarray(xi, dtype=float) - a.real
-    im = a.imag
-    p = v @ v - im @ im - 2j * (v @ im)
-    grad_x_re = -2.0 * (v @ dA.real + im @ dA.imag)
-    grad_x_im = -2.0 * (v @ dA.imag - im @ dA.real)
-    # grad_xi Re p = 2v, grad_xi Im p = -2 Im A
-    bracket = float(2.0 * v @ grad_x_im + 2.0 * im @ grad_x_re)
-    return complex(p), bracket

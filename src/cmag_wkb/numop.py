@@ -11,7 +11,8 @@ x2 = (c2 + axis)[None, :], and its values broadcast against the (n, n)
 stencil arrays, so a factor of one coordinate costs n evaluations, not n^2.
 No boundary condition is imposed; correctness relies on the input being
 supported well inside the box (the pseudomodes are, by construction of the
-cutoff).
+cutoff).  The module is this oracle only: ``residual_finite_difference``,
+which ``run --evaluator both`` reaches, is its one caller.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ class Grid2D:
 
     def axis(self):
         return np.linspace(-self.L, self.L, self.n)
-
-    def meshgrid(self, center=(0.0, 0.0)):
-        x = self.axis()
-        X1, X2 = np.meshgrid(center[0] + x, center[1] + x, indexing="ij")
-        return X1, X2
 
 
 @dataclass(frozen=True)
@@ -135,66 +131,3 @@ def apply_L(field, h, u, center=(0.0, 0.0)):
     out[:, :k] = 0.0
     out[:, -k:] = 0.0
     return GridFunction(values=out, grid=g)
-
-
-# ----------------------------------------------------------------------------
-# magnetic inequalities (weighted field integrals vs kinetic terms)
-# ----------------------------------------------------------------------------
-
-def _bump(t):
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-
-
-@dataclass(frozen=True)
-class InequalitySlack:
-    slack: float          # min over trials of RHS - LHS
-    relative: float       # min over trials of (RHS - LHS)/RHS
-    worst_trial: int
-
-
-def verify_magnetic_inequalities(field, h, trials=50, L=3.0, n=256, seed=0):
-    """Grid check of the two field-vs-kinetic-energy inequalities.
-
-    For random compactly supported test functions u (smooth bump times a
-    random low-degree complex polynomial):
-
-        |∫ h Re B |u|^2| <= ∫ |(-ih grad - Re A) u|^2
-        |∫ h Im B |u|^2| <= ∫ |(-ih grad - Re A) u|^2 + ∫ |Im A|^2 |u|^2
-
-    Returns the worst slack per inequality over all trials.
-    """
-    rng = np.random.default_rng(seed)
-    grid = Grid2D(L=L, n=n)
-    X1, X2 = grid.meshgrid()
-    s = grid.spacing
-    w = s * s
-    B = field.B(X1, X2)
-    A1, A2 = field.A(X1, X2)
-    reA1, reA2 = np.real(A1), np.real(A2)
-    imA_sq = np.imag(A1) ** 2 + np.imag(A2) ** 2
-
-    worst = [InequalitySlack(np.inf, np.inf, -1), InequalitySlack(np.inf, np.inf, -1)]
-    for trial in range(trials):
-        c = rng.uniform(-L / 3, L / 3, size=2)
-        rad = rng.uniform(L / 6, L / 4)
-        t = ((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2) / rad**2
-        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        poly = (coeffs[0] + coeffs[1] * X1 + coeffs[2] * X2 + coeffs[3] * X1 * X2
-                + coeffs[4] * X1**2 + coeffs[5] * X2**2)
-        u = _bump(t) * poly
-        u2 = np.abs(u) ** 2
-        ux = _d1(u, 0, s)
-        uy = _d1(u, 1, s)
-        v1 = -1j * h * ux - reA1 * u
-        v2 = -1j * h * uy - reA2 * u
-        kinetic = float(np.sum((np.abs(v1) ** 2 + np.abs(v2) ** 2)) * w)
-        lhs_re = abs(float(np.sum(h * np.real(B) * u2) * w))
-        lhs_im = abs(float(np.sum(h * np.imag(B) * u2) * w))
-        rhs_im = kinetic + float(np.sum(imA_sq * u2) * w)
-        for idx, (lhs, rhs) in enumerate(((lhs_re, kinetic), (lhs_im, rhs_im))):
-            slack = rhs - lhs
-            rel = slack / rhs if rhs > 0 else np.inf
-            if rel < worst[idx].relative:
-                worst[idx] = InequalitySlack(slack=slack, relative=rel, worst_trial=trial)
-    return tuple(worst)

@@ -32,9 +32,7 @@ from cmag_wkb.fieldmodel import (
     oscillating_field,
     polynomial_field,
     user_polynomial_field,
-    weyl_bracket,
 )
-from cmag_wkb.numop import verify_magnetic_inequalities
 from cmag_wkb.pseudomode import (
     PhaseNotPositiveError,
     Pseudomode,
@@ -46,6 +44,7 @@ from cmag_wkb.pseudomode import (
     select_cutoff,
 )
 from cmag_wkb.wkb import fit_growth, solve_wkb
+from paper_checks import verify_magnetic_inequalities, weyl_bracket
 
 X0_OSC = (np.pi / 3, -np.pi / 2)
 WORK_R = {(6, 0): 0.05, (4, 2): 0.15, (2, 4): 0.15, (0, 6): 0.05}

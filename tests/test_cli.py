@@ -674,6 +674,22 @@ def test_unwritable_out_and_empty_count_exit_2_before_any_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize("argv", [
+    _RUN + ["--out", "{tmp}/o"],
+    _SCAN + ["--out", "{tmp}/r.csv"],
+    _FIT + ["--out", "{tmp}/f.json"],
+], ids=["run-out-dir", "gamma-scan-out-file", "bound-fit-out-file"])
+def test_out_not_writable_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    # write permission is read from os.access (root may write anywhere)
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    for mod, attr in ((cli, "compute_Q"), (cli, "solve_wkb"), (fieldmodel, "gamma_scan")):
+        monkeypatch.setattr(mod, attr, lambda *args, **kwargs: pytest.fail("work started"))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out") and err.count("\n") == 1
+    assert err.rstrip().endswith(": not writable")
+
+
 def test_check_conditions_field_not_finite_on_a_circle_exits_2(tmp_path, capsys):
     # exp(r^2) overflows on the circles from r = 7.2e42 on: the first such
     # radius is named and no verdict is printed or written

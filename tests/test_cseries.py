@@ -66,6 +66,17 @@ def test_cap_mismatch_rejected():
         z_series([1.0], cap=4) + z_series([1.0], cap=5)
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: BiSeries(np.zeros((3, 2)), 2), SeriesStructureError, r"needs shape \(3, 3\)"),
+    (lambda: bi([(2, 1, 1.0)], cap=2), SeriesStructureError, "z\\^2 w\\^1 exceeds cap 2"),
+    (lambda: bi([(0, 0, 1.0)]).differentiate("x"), ValueError, "var must be 'z' or 'w'"),
+    (lambda: bi([(0, 0, 1.0)]).antiderivative("x"), ValueError, "var must be 'z' or 'w'"),
+], ids=["shape", "from_terms-above-cap", "differentiate-x", "antiderivative-x"])
+def test_malformed_series_requests_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 @pytest.mark.parametrize("given, stored", [
     (np.float64, np.complex128), (np.int64, np.complex128), (np.complex64, np.complex128),
     (np.complex128, np.complex128), (np.clongdouble, np.clongdouble),

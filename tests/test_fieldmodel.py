@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmag_wkb.cseries import degree_maxima, real_gradient_series
+from cmag_wkb.cseries import BiSeries, degree_maxima, real_gradient_series
 from cmag_wkb.fieldmodel import (
     ConditionCheckConfig,
     GAMMA_CONDITIONS,
@@ -19,8 +19,8 @@ from cmag_wkb.fieldmodel import (
     polynomial_field,
     poly_partial,
     user_polynomial_field,
-    weyl_bracket,
 )
+from paper_checks import weyl_bracket
 
 X0 = (np.pi / 3, -np.pi / 2)
 
@@ -381,6 +381,17 @@ def test_consistency_check_rejects_mismatched_taylor():
         replace(field, B_jac=field.B_jac)  # the unchanged field passes
         with pytest.raises(FieldConsistencyError, match="from B_jac"):
             replace(field, B_jac=flipped)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"analytic_radius": 0.0}, "analytic_radius must be positive"),
+    ({"analytic_radius": np.nan}, "analytic_radius must be positive"),
+    ({"B_taylor": BiSeries.zeros(0)}, "at least degree 1"),
+], ids=["radius-0", "radius-nan", "B_taylor-cap-0"])
+def test_field_spec_refuses_its_range(change, match):
+    from dataclasses import replace
+    with pytest.raises(ValueError, match=match):
+        replace(polynomial_field(1.0, 1j, 1.0, cap=6), **change)
 
 
 @pytest.mark.parametrize("field", [

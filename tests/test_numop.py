@@ -12,13 +12,9 @@ from cmag_wkb.numop import (
     _d1,
     _d2,
     apply_L,
-    verify_magnetic_inequalities,
 )
-
-
-def _bump(t):
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+from cmag_wkb.pseudomode import _sigma
+from paper_checks import meshgrid, verify_magnetic_inequalities
 
 
 def _plateau(r, r_in, r_out):
@@ -35,7 +31,7 @@ def zero_field(cap=4):
 def test_plane_wave_laplacian_symbol():
     # A == 0: (-ih grad)^2 e^{ikx} = h^2 |k|^2 e^{ikx} in the bump plateau
     grid = Grid2D(L=4.0, n=256)
-    X1, X2 = grid.meshgrid()
+    X1, X2 = meshgrid(grid)
     k = np.array([2.0, -1.0])
     h = 0.3
     u = np.exp(1j * (k[0] * X1 + k[1] * X2)) * _plateau(np.hypot(X1, X2), 1.0, 3.0)
@@ -52,8 +48,8 @@ def test_real_potential_symmetry():
     a2 = {(1, 0): 0.5}
     field = user_polynomial_field(a1, a2, cap=4)
     grid = Grid2D(L=3.0, n=192)
-    X1, X2 = grid.meshgrid()
-    u = (1.0 + 0.3j) * _bump((X1**2 + X2**2) / 2.0) * (1.0 + X1 - 0.5 * X2)
+    X1, X2 = meshgrid(grid)
+    u = (1.0 + 0.3j) * _sigma(1.0 - (X1**2 + X2**2) / 2.0) * (1.0 + X1 - 0.5 * X2)
     out = apply_L(field, 0.2, GridFunction(u, grid))
     inner = np.sum(out.values * np.conj(u)) * grid.spacing**2
     assert abs(inner.imag) < 1e-8 * abs(inner)
@@ -87,7 +83,7 @@ def test_consistency_order_four():
     errs, hs = [], []
     for n in (96, 144, 216):
         grid = Grid2D(L=4.0, n=n)
-        X1, X2 = grid.meshgrid()
+        X1, X2 = meshgrid(grid)
         u = np.exp(q(X1, X2))
         cut = _plateau(np.hypot(X1, X2), 1.2, 3.0)  # keep support off the boundary
         out = apply_L(field, h, GridFunction(u * cut, grid))
@@ -111,7 +107,7 @@ def test_gauge_covariance_real_gauge():
     shift2 = {k: base2.get(k, 0) + ga2.get(k, 0) for k in set(base2) | set(ga2)}
     shifted = user_polynomial_field(shift1, shift2, cap=4)
     grid = Grid2D(L=3.0, n=256)
-    X1, X2 = grid.meshgrid()
+    X1, X2 = meshgrid(grid)
     h = 0.25
     u = _plateau(np.hypot(X1, X2), 1.0, 2.0) * (1.0 + 0.5 * X1)
     phase = np.exp(1j * poly_eval(g, X1, X2) / h)
@@ -133,8 +129,9 @@ def test_apply_L_matches_the_dense_grid_formula_bitwise(field):
     # the reference samples A and div A on the dense meshgrid
     grid = Grid2D(L=2.0, n=67)
     center = (0.3, -0.2)
-    X1, X2 = grid.meshgrid(center=center)
-    v = (1.0 + 0.4j) * _bump(((X1 - center[0]) ** 2 + (X2 - center[1]) ** 2) / 2.5) * (1 + X2)
+    X1, X2 = meshgrid(grid, center=center)
+    t = ((X1 - center[0]) ** 2 + (X2 - center[1]) ** 2) / 2.5
+    v = (1.0 + 0.4j) * _sigma(1.0 - t) * (1 + X2)
     h, s = 0.15, grid.spacing
     A1, A2 = field.A(X1, X2)
     divA = field.div_A(X1, X2)
@@ -166,10 +163,27 @@ def test_stencils_match_the_expression_form_bitwise():
 
 def test_support_violation_raises():
     grid = Grid2D(L=1.0, n=64)
-    X1, X2 = grid.meshgrid()
+    X1, X2 = meshgrid(grid)
     u = np.ones_like(X1, dtype=complex)
     with pytest.raises(SupportError):
         apply_L(zero_field(), 0.1, GridFunction(u, grid))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Grid2D(L=1.0, n=15), "n >= 16"),
+    (lambda: Grid2D(L=0.0, n=16), "L > 0"),
+    (lambda: GridFunction(np.zeros((16, 15)), Grid2D(L=1.0, n=16)), r"shape \(16, 15\)"),
+], ids=["n-15", "L-0", "values-shape"])
+def test_malformed_grids_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_apply_L_maps_zero_to_zero():
+    # the zero function passes the support check and its image is zero
+    grid = Grid2D(L=1.0, n=16)
+    out = apply_L(zero_field(), 0.1, GridFunction(np.zeros((16, 16)), grid))
+    assert out.grid == grid and not out.values.any()
 
 
 def test_magnetic_inequalities_zero_potential():
@@ -193,9 +207,9 @@ def test_near_tightness_constant_field_observation(capsys):
     field = user_polynomial_field(a1, a2, cap=4)  # B == 2, A real
     h = 0.2
     grid = Grid2D(L=6.0, n=256)
-    X1, X2 = grid.meshgrid()
+    X1, X2 = meshgrid(grid)
     # ground-state-like profile e^{-B|x|^2/(4h)} (times a cutoff)
-    u = np.exp(-(X1**2 + X2**2) / (2 * h)) * _bump((X1**2 + X2**2) / 25.0)
+    u = np.exp(-(X1**2 + X2**2) / (2 * h)) * _sigma(1.0 - (X1**2 + X2**2) / 25.0)
     from cmag_wkb.numop import _d1
 
     s = grid.spacing

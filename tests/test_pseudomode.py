@@ -712,3 +712,31 @@ def test_fit_decay_refuses_thin_data():
     with pytest.raises(ValueError):
         fit_decay(_fake_reports(hs, hs**2))
 
+
+def test_fit_decay_refuses_a_non_positive_ratio_and_an_unknown_model():
+    hs = np.geomspace(0.1, 0.01, 4)
+    with pytest.raises(ValueError, match="ratios must be positive"):
+        fit_decay(_fake_reports(hs, [1e-2, 1e-3, 0.0, 1e-5]))
+    with pytest.raises(ValueError, match="model must be 'power' or 'stretched'"):
+        fit_decay(_fake_reports(hs, hs**2), model="exponential")
+
+
+@pytest.mark.parametrize("r_out, M1, match", [
+    (0.0, 1.0, "0 < r_in < r_out"),
+    (-1.0, 1.0, "0 < r_in < r_out"),
+    (np.inf, 1.0, "0 < r_in < r_out"),
+    (1.0, 0.0, "M1 must be positive"),
+], ids=["r_out-0", "r_out-negative", "r_out-inf", "M1-0"])
+def test_cutoff_spec_refuses_its_range(r_out, M1, match):
+    with pytest.raises(ValueError, match=match):
+        CutoffSpec(r_out=r_out, M1=M1)
+
+
+def test_pseudomode_refuses_a_non_positive_h_and_growth(work_setup):
+    pm = work_setup[3]
+    with pytest.raises(ValueError, match="m_growth > 0, got 0"):
+        replace(pm, m_growth=0.0)
+    for call in (assemble, residual_series_exact):
+        with pytest.raises(ValueError, match="h must be positive"):
+            call(pm, 0.0)
+

@@ -1,5 +1,6 @@
 """Eikonal phase and transport hierarchy: worked values and series identities."""
 
+import json
 import math
 import pickle
 from dataclasses import replace
@@ -207,6 +208,11 @@ def test_solve_identities_polynomial():
     assert max(sol.residual_maxima.values()) <= 1e-10
 
 
+def test_solve_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        solve_wkb(polynomial_field(1.0, 1j, 1.0, cap=12), N=-1)
+
+
 def _extended(field):
     """The field with its series B~ cast to np.clongdouble."""
     B = field.B_taylor
@@ -230,6 +236,24 @@ def test_extended_solve_runs_in_clongdouble_and_clears_a_roundoff_refusal():
     assert max(sol.residual_maxima.values()) <= wkb.IDENTITY_RTOL
     series = [sol.phi, sol.w_curve, sol.f, sol.S, sol.V, sol.F, sol.J, sol.A0, *sol.amplitudes]
     assert [s.coeffs.dtype for s in series] == [np.dtype(np.clongdouble)] * 15
+
+
+@needs_extended
+def test_extended_solve_writes_each_part_exactly():
+    # the extended Miller-Simon solve writes its record, and each part of
+    # each written series reads back (np.longdouble) to the same value
+    field = _extended(make_field("miller_simon", base_point=(1.0, 0.5), cap=42))
+    sol = solve_wkb(field, N=6)
+    record = json.loads(sol.to_json())
+    written = [sol.phi, sol.w_curve, sol.f, sol.S, sol.V, sol.F, sol.J, sol.A0, *sol.amplitudes]
+    read = [record[k] for k in ("phi", "w_curve", "f", "S", "V", "F", "J", "A0")]
+    for s, d in zip(written, read + record["amplitudes"], strict=True):
+        c = np.zeros_like(s.coeffs)
+        for *idx, re, im in d["coeffs"]:
+            c.real[tuple(idx)], c.imag[tuple(idx)] = np.longdouble(re), np.longdouble(im)
+        assert np.array_equal(c, s.coeffs)
+    # the record holds values that binary64 cannot
+    assert not np.array_equal(sol.phi.coeffs.astype(complex), sol.phi.coeffs)
 
 
 @needs_extended
