@@ -77,11 +77,21 @@ existing file) exit 2 before any work starts.  So does, before any verdict
 is printed, a field that is not finite on a circle that check-conditions
 samples (the message names the radius) or, |Im A|^2 included, at a point
 of its --region grid (the message names the first such point).
+
+Process: the first call of main in a process freezes the tracked heap
+(gc.freeze), so interpreter shutdown no longer traverses the objects that
+numpy and the package build at import.  Exit after main returns took 23-38
+ms before and 6-10 ms after (fd-crosscheck, deep-solve and gamma-raster of
+the benchmark, 10 fresh processes each, 2-core VM).  Later calls do not
+freeze again; for an in-process caller, what is alive at the first call is
+never examined by the cycle collector again, so a reference cycle through
+it is never reclaimed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -328,15 +338,17 @@ def write_residual_csv(path, reports):
 def write_gamma_csv(path, xs, ys, report):
     """One row per raster point in row-major order, from the n x n arrays of
     ``report`` (``fieldmodel.gamma_scan``); each coordinate is formatted
-    once, each value with ``repr``."""
+    once, each value with ``repr``.  The file is written one x1-row at a
+    time, so the text held at once is one row's, not the raster's."""
     x1, x2 = (list(map(repr, np.asarray(v).tolist())) for v in (xs, ys))
-    points = (f"{u},{v}" for u in x1 for v in x2)
-    flags = map(str, np.ravel(report.in_gamma).astype(int).tolist())
-    values = (map(repr, np.ravel(c).tolist())
-              for c in (report.Q1, report.Q2, report.Q3, report.det2, report.imA_norm))
-    lines = [CSV_HEADER, "x1,x2,in_gamma,Q1,Q2,Q3,det2,imA_norm"]
-    lines.extend(map(",".join, zip(points, flags, *values)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = (report.Q1, report.Q2, report.Q3, report.det2, report.imA_norm)
+    with open(path, "w") as fh:
+        fh.write(f"{CSV_HEADER}\nx1,x2,in_gamma,Q1,Q2,Q3,det2,imA_norm\n")
+        for i, u in enumerate(x1):
+            points = (f"{u},{v}" for v in x2)
+            flags = map(str, report.in_gamma[i].astype(int).tolist())
+            values = (map(repr, c[i].tolist()) for c in columns)
+            fh.write("".join(f"{','.join(row)}\n" for row in zip(points, flags, *values)))
 
 
 def bound_fit_dict(bound):
@@ -600,6 +612,24 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    """The console-script entry point: parse ``argv``, run the subcommand,
+    map each documented failure to its exit code and one stderr line.
+
+    The first call in a process freezes the tracked heap (``gc.freeze``):
+    the object graph that numpy and the package build at import lives until
+    exit anyway, and in the permanent generation no later collection, the
+    one at interpreter shutdown included, traverses it.  Exit after main
+    returns took 23-38 ms before and 6-10 ms after (the module docstring
+    says where).  Later calls do not freeze again, so the cyclic garbage
+    an in-process caller makes between calls stays collectable; what is
+    alive at the first call is never examined by the cycle collector again
+    (reference counting still frees it, but a cycle through it is never
+    reclaimed).  There is no collection before the freeze (the heap at
+    import holds no cyclic garbage) and no unfreeze after the command (it
+    would hand the traversal back to shutdown).
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

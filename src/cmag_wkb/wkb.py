@@ -357,7 +357,14 @@ def solve_wkb(field, N=3):
 def _trusted_radius(*series):
     """Radius r where the last retained diagonal a + b = cap of the series,
     the one with the largest sum of |c_ab| over it, contributes <= 1e-4 at
-    (r, r)."""
+    (r, r).
+
+    That diagonal lies above the trusted degree of every amplitude
+    (trusted_degrees[j] <= cap - 1 - 3j), so the radius is read off
+    coefficients the solver does not trust.  On the oscillating field at
+    (pi/3, -pi/2) with D = 48, N = 14 the degree-48 diagonal of a~_14 sums to
+    5.9e65 and sets r, while a~_14 is trusted through degree 5 only.  Reading
+    a trusted diagonal instead would move every growth-fit output."""
     diag = max(float(np.abs(np.fliplr(s.coeffs).diagonal()).sum()) for s in series)
     return min(float((1e-4 / diag) ** (1.0 / series[0].cap)), 1e6) if diag > 0 else 1e6
 
@@ -394,6 +401,14 @@ def fit_growth(sol):
     The sup over the closed polydisc of a polynomial is attained on the
     distinguished boundary |z| = |w| = R, sampled on a 32 x 32 product grid
     (the tensor kernel of ``BiSeries.evaluate_grid``).
+
+    Every output rests on coefficients the solver does not trust: R comes
+    from ``_trusted_radius``, read off untrusted top diagonals, so every
+    norm moves with them, and each a~_j is evaluated through the cap, past
+    its trusted degree.  On the oscillating field at (pi/3, -pi/2) with
+    D = 48, N = 14, dropping the untrusted degrees at the same R moves
+    per_j_norms by 5.5e-4 relative at j = 14, 7.4e-7 at j = 13 and 3.7e-10
+    at j = 12, and sigma_fitted by 1.2e-5 relative.
     """
     R = 0.25 * sol.trusted_radius
     z = R * np.exp(1j * np.linspace(0.0, 2 * np.pi, 32, endpoint=False))

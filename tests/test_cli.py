@@ -1,9 +1,16 @@
 """CLI parsing, artifact emission, determinism, and exit codes."""
 
+import gc
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import tracemalloc
+import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +204,28 @@ def test_gamma_scan_csv(tmp_path):
         x2 = float(ln.split(",")[1])
         assert abs(x2 + np.pi / 2) < 1e-12
 
+
+
+
+def test_gamma_csv_writer_memory_grows_with_the_row_not_the_raster(tmp_path):
+    # doubling n doubles a row and quadruples the raster: a writer that holds
+    # the whole file's text peaks about 4x higher at 257^2 than at 129^2, one
+    # that writes row by row about 2x
+    peaks = []
+    for n in (129, 257):
+        rng = np.random.default_rng(n)
+        report = types.SimpleNamespace(
+            in_gamma=rng.random((n, n)) < 0.5,
+            **{k: rng.standard_normal((n, n)) for k in ("Q1", "Q2", "Q3", "det2", "imA_norm")})
+        out = tmp_path / f"raster{n}.csv"
+        tracemalloc.start()
+        try:
+            cli.write_gamma_csv(out, np.linspace(-1.0, 1.0, n), np.linspace(-2.0, 2.0, n), report)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 2 + n * n
+    assert peaks[1] / peaks[0] < 3.0
 
 def test_check_conditions_runs(tmp_path, capsys):
     out = tmp_path / "conds.csv"
@@ -733,3 +762,30 @@ def test_check_conditions_field_not_finite_in_the_region_exits_2(tmp_path, capsy
     assert "not finite at the sample point (-30, -30)" in cap.err
     assert "--region -30,30,-30,30" in cap.err
     assert not out.exists()
+
+
+def test_main_freezes_the_heap_in_a_fresh_process():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (f"import gc; from cmag_wkb import cli; assert cli.main({_FIT!r}) == 0; "
+              "print(gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) > 0
+
+
+class _Node:
+    pass
+
+
+def test_main_freezes_once_so_later_cycles_stay_collectable():
+    # whatever ran before, the cycle is made after a first call of main, so a
+    # second call must not move it into the permanent generation
+    assert main(_FIT) == EXIT_OK
+    node = _Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    assert main(_FIT) == EXIT_OK
+    gc.collect()
+    assert ref() is None
