@@ -38,10 +38,15 @@ Exit codes: 0 success, 2 config error, 3 admissibility rejection (like run's
 gate, bound-fit refuses a base point where |B| or |dzbar B| is at most
 GAMMA_TOL = 1e-9), 4 internal identity failure, 5 residual-grid quadrature
 refusal (residuals.csv keeps the rows of the h before the refused one).  An
-allocation the machine cannot make (a --grid-n or --n far too large, or an
---h below about 1e-37, whose residual grid no array index can count, say)
-exits 2 with one line; run first writes the series rows that finished to
-residuals.csv.  The degree cap must satisfy --D >= 3(N+2) with N >= 0 (for
+allocation the machine cannot make exits 2 with one line; run first writes
+the series rows that finished to residuals.csv.  What can still run out of
+memory: the n x n arrays of the FD cross-check (--grid-n), a raster of a
+large --n, and an --h below about 1e-37, whose residual grid no array index
+can count.  The series residual route sums its two Gauss squares (n and 2n
+points per axis, n = 8 r_out / sqrt(h)) in blocks of 65536 nodes, so its
+memory does not grow as h falls; it trades memory for time, about 0.2 us per
+node of the squares on one core (5.7 s at h = 1e-5 on the workhorse).  The
+degree cap must satisfy --D >= 3(N+2) with N >= 0 (for
 run, N is max(N, jmax) when --adaptive is set; for bound-fit, N is jmax), and
 --grid-n >= 16 with --evaluator both; violating either exits 2 before any
 work starts.  So does an --h sweep other than h_max:h_min:count with

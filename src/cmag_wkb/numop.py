@@ -7,12 +7,15 @@ route: 4th-order central stencils on a square grid, the operator expanded as
 
 with A and div A sampled from the field's closed form on the grid's axes:
 the field gets the open product grid x1 = (c1 + axis)[:, None],
-x2 = (c2 + axis)[None, :], and its values broadcast against the (n, n)
-stencil arrays, so a factor of one coordinate costs n evaluations, not n^2.
-No boundary condition is imposed; correctness relies on the input being
-supported well inside the box (the pseudomodes are, by construction of the
-cutoff).  The module is this oracle only: ``residual_finite_difference``,
-which ``run --evaluator both`` reaches, is its one caller.
+x2 = (c2 + axis)[None, :], and its values broadcast against the stencil
+arrays, so a factor of one coordinate costs one evaluation per axis point,
+not one per grid point.  The stencils and the field are evaluated only on
+the box of rows and columns within the stencils' reach of the input's
+nonzero values; the image is 0 elsewhere.  No boundary condition is
+imposed; correctness relies on the input being supported well inside the
+box (the pseudomodes are, by construction of the cutoff).  The module is
+this oracle only: ``residual_finite_difference``, which ``run --evaluator
+both`` reaches, is its one caller.
 """
 
 from __future__ import annotations
@@ -110,24 +113,53 @@ def _check_support(u):
         )
 
 
+def _support_box(v):
+    """Row and column slices of the points where the stencils can see v:
+    its nonzero rows and columns widened by the stencils' half-width 2,
+    clipped to the interior inside the boundary layers; None where that
+    box is empty (v is 0 there)."""
+    k, n = _BOUNDARY_LAYERS, v.shape[0]
+    box = []
+    for axis in (1, 0):
+        hit = np.flatnonzero(v.any(axis=axis))
+        if hit.size == 0:
+            return None
+        lo, hi = max(int(hit[0]) - 2, k), min(int(hit[-1]) + 3, n - k)
+        if lo >= hi:
+            return None
+        box.append(slice(lo, hi))
+    return tuple(box)
+
+
 def apply_L(field, h, u, center=(0.0, 0.0)):
-    """(-ih grad - A)^2 u on the grid; boundary layers are returned as zero."""
+    """(-ih grad - A)^2 u on the grid; boundary layers are returned as zero.
+
+    After the support check on the whole grid, the stencils, A, div A and
+    their combination are evaluated only on the box of points within the
+    stencils' reach of u's nonzero values (``_support_box``), and the image
+    is zero elsewhere: it carries the same bits as the same formula on the
+    whole grid, at the cost of u's support rather than of the whole grid.
+    """
     g = u.grid
     v = u.values
     _check_support(v)
+    out = np.zeros_like(v)
+    box = _support_box(v)
+    if box is None:
+        return GridFunction(values=out, grid=g)
+    rows, cols = box
+    # the stencils read 2 points beyond the box, which the layers leave room for
+    vb = v[rows.start - 2:rows.stop + 2, cols.start - 2:cols.stop + 2]
+    inner = (slice(2, -2), slice(2, -2))
     s = g.spacing
     x = g.axis()
-    x1, x2 = np.meshgrid(center[0] + x, center[1] + x, indexing="ij", sparse=True)
+    x1, x2 = np.meshgrid(center[0] + x[rows], center[1] + x[cols], indexing="ij", sparse=True)
     A1, A2 = field.A(x1, x2)
     divA = field.div_A(x1, x2)
-    ux = _d1(v, 0, s)
-    uy = _d1(v, 1, s)
-    lap = _d2(v, 0, s) + _d2(v, 1, s)
-    out = (-h**2 * lap + 1j * h * divA * v + 2j * h * (A1 * ux + A2 * uy)
-           + (A1 * A1 + A2 * A2) * v)
-    k = _BOUNDARY_LAYERS
-    out[:k, :] = 0.0
-    out[-k:, :] = 0.0
-    out[:, :k] = 0.0
-    out[:, -k:] = 0.0
+    ux = _d1(vb, 0, s)[inner]
+    uy = _d1(vb, 1, s)[inner]
+    lap = (_d2(vb, 0, s) + _d2(vb, 1, s))[inner]
+    vc = vb[inner]
+    out[rows, cols] = (-h**2 * lap + 1j * h * divA * vc + 2j * h * (A1 * ux + A2 * uy)
+                       + (A1 * A1 + A2 * A2) * vc)
     return GridFunction(values=out, grid=g)

@@ -46,6 +46,9 @@ log = logging.getLogger(__name__)
 #: relative tolerance between the u-norms on the n- and 2n-point Gauss grids
 QUAD_RTOL = 0.01
 
+#: nodes of the Gauss square per block of the series residual route
+_BLOCK_NODES = 1 << 16
+
 
 class PhaseNotPositiveError(RuntimeError):
     """Re P fails the quadratic lower bound on every candidate disc."""
@@ -396,15 +399,52 @@ def quadrature_points(h, r_out):
     return n
 
 
+def _legendre(m, x):
+    """P_m and P_m' at the points x in (-1, 1), by the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(1, m):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    # (x - 1)(x + 1), not x^2 - 1, keeps its relative precision near the ends
+    return p1, m * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(m):
-    """The m-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
-    One dense eigenvalue solve per node count: the rows of a sweep share the
-    floor n = 64 of ``quadrature_points``, and each row needs n and 2n."""
-    rule = np.polynomial.legendre.leggauss(m)
-    for a in rule:
+    """The m-point Gauss-Legendre nodes (ascending) and weights on [-1, 1],
+    read-only, built once per node count: the rows of a sweep share the
+    floor n = 64 of ``quadrature_points``, and each row needs n and 2n.
+
+    Newton's method on P_m, vectorized over the nonnegative nodes, from
+    Tricomi's guess (1 - (m-1)/(8 m^3)) cos(pi (4k - 1)/(4m + 2)), until the
+    largest step is a few ulp (3 or 4 steps from m = 64 to 4852); the weights
+    2 / ((1 - x^2) P_m'(x)^2) take P_m' at the converged nodes.  O(m^2) time
+    and O(m) memory, where a dense eigenvalue solve (Golub-Welsch, numpy's
+    ``leggauss``) costs O(m^3) and an m x m matrix; cf. Hale & Townsend,
+    SIAM J. Sci. Comput. 35 (2013) A652.  The moments sum w x^(2k) match
+    2/(2k + 1) to about 3e-13 relative at m = 1534, where ``leggauss``'s
+    are off by 2.6e-10.  For odd m the node 0 is exact."""
+    k = np.arange(1, (m + 1) // 2 + 1)
+    x = (1.0 - (m - 1) / (8.0 * m**3)) * np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
+    if m % 2:
+        x[-1] = 0.0
+    while True:
+        p, dp = _legendre(m, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= 4 * np.finfo(float).eps:
+            break
+    # P_m' where the last step left x: at a node near +-1 its log-derivative
+    # is about 1/(1 - x), so one ulp of x moves it by 1e-10 at m = 1534
+    dp = _legendre(m, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    half = m // 2
+    # x falls from the largest node; the middle entry of an odd rule is 0
+    nodes = np.concatenate((-x[:half], x[half:], x[:half][::-1]))
+    weights = np.concatenate((w[:half], w[half:], w[:half][::-1]))
+    for a in (nodes, weights):
         a.setflags(write=False)
-    return rule
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -460,7 +500,15 @@ def residual_series_exact(pm, h):
 
     The residual is evaluated on the doubled grid only; the coarse grid
     serves the Richardson consistency estimate of the u-norm (the residual
-    integrand has the same Gaussian scale).  Refuses with CutoffRadiusError,
+    integrand has the same Gaussian scale).  Each Gauss square is walked in
+    square blocks of at most _BLOCK_NODES nodes (side 256), blocks with no
+    node in the disc are skipped, and the norms are summed block by block as
+    floats, so the memory is that of one block and one axis whatever h is
+    (a square of at most _BLOCK_NODES nodes, 2n <= 256, is one block and
+    sums the whole arrays).  Square blocks rather than blocks of whole rows:
+    the tensor kernel builds the Vandermonde matrices of a block's two axes,
+    and a whole row of 4852 nodes rebuilt per block of 13 rows took 30% of
+    the time at h = 1e-5 on the workhorse.  Refuses with CutoffRadiusError,
     naming h and delta, when a norm of u, the residual or its interior or
     cutoff term is not finite (the profile's scale 1/(r_out - r_in)^2 or its
     square overflows on a thin ring, or a large h's powers do; numpy's
@@ -475,23 +523,31 @@ def residual_series_exact(pm, h):
     n = quadrature_points(h, cut.r_out)
 
     def disc_nodes(m):
-        """The Gauss square's nodes inside the disc, their weights and value map."""
+        """The Gauss square's nodes inside the disc, their weights and value
+        map, in square blocks of at most _BLOCK_NODES nodes of the square."""
         xg, wg = _gauss_rule(m)
         x, wx = cut.r_out * xg, cut.r_out * wg
-        Y1, Y2 = np.meshgrid(x, x, indexing="ij")
-        keep = np.hypot(Y1, Y2) < cut.r_out
-        return Y1[keep], Y2[keep], np.outer(wx, wx)[keep], _on_grid(x, x, keep)
+        side = math.isqrt(_BLOCK_NODES)
+        for i in range(0, m, side):
+            for j in range(0, m, side):
+                s, ws, t, wt = x[i:i + side], wx[i:i + side], x[j:j + side], wx[j:j + side]
+                Y1, Y2 = np.meshgrid(s, t, indexing="ij")
+                keep = np.hypot(Y1, Y2) < cut.r_out
+                if keep.any():
+                    yield Y1[keep], Y2[keep], np.outer(ws, wt)[keep], _on_grid(s, t, keep)
 
     # a thin cutoff ring or a large h overflows a term or its square; refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y1, y2, w, values = disc_nodes(n)
-        chi = cut.profile(np.hypot(y1, y2))[0]
-        un1 = float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
-        y1, y2, w, values = disc_nodes(2 * n)
-        u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
-        norms = {name: float(np.sum(np.abs(v) ** 2 * w)) for name, v in (
-            ("u", u), ("residual", interior + cutoff_term), ("interior", interior),
-            ("cutoff", cutoff_term))}
+        un1 = 0.0
+        for y1, y2, w, values in disc_nodes(n):
+            chi = cut.profile(np.hypot(y1, y2))[0]
+            un1 += float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
+        norms = dict.fromkeys(("u", "residual", "interior", "cutoff"), 0.0)
+        for y1, y2, w, values in disc_nodes(2 * n):
+            u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
+            for name, v in (("u", u), ("residual", interior + cutoff_term),
+                            ("interior", interior), ("cutoff", cutoff_term)):
+                norms[name] += float(np.sum(np.abs(v) ** 2 * w))
     bad = [name for name, v in norms.items() if not math.isfinite(v)]
     if bad:
         raise CutoffRadiusError(
@@ -514,18 +570,27 @@ def residual_series_exact(pm, h):
 
 def residual_finite_difference(pm, h, n):
     """Cross-check ResidualReport from the independent grid operator, on
-    n x n points of the square [-2 r_out, 2 r_out]^2 about the base point."""
+    n x n points of the square [-2 r_out, 2 r_out]^2 about the base point.
+
+    u is evaluated only on the block of axis points with |s|, |t| < r_out
+    (it is 0 off the disc) and embedded into zeros; ``numop.apply_L`` works
+    on u's support box in the same way.  The norms sum the whole n x n
+    arrays, so the n^2 arrays of u, its image and the residual remain."""
     from . import numop
 
-    grid = numop.Grid2D(L=2.0 * pm.cutoff.r_out, n=n)
+    r_out = pm.cutoff.r_out
+    grid = numop.Grid2D(L=2.0 * r_out, n=n)
     x0 = pm.sol.base_point
     x = grid.axis()
-    # the local axes of the grid centred at x0
+    # the local axes of the grid centred at x0, and the block where u can be nonzero
     s, t = (x0[0] + x) - x0[0], (x0[1] + x) - x0[1]
+    rows, cols = (slice(int(k[0]), int(k[-1]) + 1)
+                  for k in (np.flatnonzero(np.abs(a) < r_out) for a in (s, t)))
     N = pm.N_used(h)
     amp = _amplitude(pm.sol, h, N)
-    u = _cut_mode(pm, h, amp, np.hypot(s[:, None], t[None, :]),
-                  lambda inside: _on_grid(s, t, inside))
+    u = np.zeros((n, n), dtype=complex)
+    u[rows, cols] = _cut_mode(pm, h, amp, np.hypot(s[rows, None], t[None, cols]),
+                              lambda inside: _on_grid(s[rows], t[cols], inside))
     gf = numop.GridFunction(values=u, grid=grid)
     Lu = numop.apply_L(pm.field, h, gf, center=x0)
     res = Lu.values - h * pm.sol.mu * u

@@ -145,6 +145,35 @@ def test_apply_L_matches_the_dense_grid_formula_bitwise(field):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("field", [
+    user_polynomial_field({(0, 1): -1j, (2, 1): 0.3}, {(2, 0): 0.5, (1, 0): 1j, (0, 3): 0.2j},
+                          cap=6),
+    polynomial_field(8.0, 0.3 + 1j, 1.0),
+], ids=["user_polynomial", "polynomial"])
+def test_apply_L_on_a_small_support_matches_the_whole_grid_bitwise(field):
+    # random values on an off-centre disc of radius L/5: the image computed on
+    # u's support box is the full-grid formula, bit for bit, zero elsewhere
+    grid = Grid2D(L=2.0, n=96)
+    center = (0.3, -0.2)
+    X1, X2 = meshgrid(grid, center=center)
+    rng = np.random.default_rng(7)
+    disc = np.hypot(X1 - center[0] - 0.6, X2 - center[1] + 0.4) < 0.4
+    v = np.where(disc, rng.standard_normal(disc.shape) + 1j * rng.standard_normal(disc.shape), 0)
+    h, s = 0.15, grid.spacing
+    A1, A2 = field.A(X1, X2)
+    divA = field.div_A(X1, X2)
+    lap = _d2(v, 0, s) + _d2(v, 1, s)
+    want = (-h**2 * lap + 1j * h * divA * v + 2j * h * (A1 * _d1(v, 0, s) + A2 * _d1(v, 1, s))
+            + (A1 * A1 + A2 * A2) * v)
+    k = _BOUNDARY_LAYERS
+    want[:k, :] = want[-k:, :] = want[:, :k] = want[:, -k:] = 0.0
+    got = apply_L(field, h, GridFunction(v, grid), center=center).values
+    assert got.shape == want.shape and np.array_equal(got, want)
+    v[1, 40] = 1.0  # in the boundary layers: refused on the whole grid
+    with pytest.raises(SupportError):
+        apply_L(field, h, GridFunction(v, grid), center=center)
+
+
 def test_stencils_match_the_expression_form_bitwise():
     # the in-place stencils keep the expression's operation order: the same
     # bits as the full-grid formula, along both axes

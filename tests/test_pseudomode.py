@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -582,17 +583,65 @@ def test_residual_report_fields(work_setup):
 def test_one_gauss_rule_per_node_count(work_setup, monkeypatch):
     # two rows on the floor n = 64 of quadrature_points share their two rules
     field, rep, sol, pm = work_setup
-    leggauss, calls = np.polynomial.legendre.leggauss, []
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda m: calls.append(m) or leggauss(m))
+    legendre, calls = pseudomode._legendre, []
+    monkeypatch.setattr(pseudomode, "_legendre", lambda m, x: calls.append(m) or legendre(m, x))
     pseudomode._gauss_rule.cache_clear()
     for h in (0.1, 0.05):
         assert pseudomode.quadrature_points(h, pm.cutoff.r_out) == 64
         residual_series_exact(pm, h)
-    assert calls == [64, 128]
+    info = pseudomode._gauss_rule.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and sorted(set(calls)) == [64, 128]
     x, w = pseudomode._gauss_rule(64)
     assert not x.flags.writeable and not w.flags.writeable
-    assert all(np.array_equal(a, b) for a, b in zip((x, w), leggauss(64)))
+    xl, wl = np.polynomial.legendre.leggauss(64)
+    assert np.max(np.abs(x - xl)) <= 2.3e-16
+    assert np.max(np.abs(w / wl - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 65, 128, 1534])
+def test_gauss_rule_integrates_even_monomials(m):
+    # Newton's rule: ascending antisymmetric nodes, weights summing to 2, and
+    # sum w x^(2k) = 2/(2k+1) for every k < m (numpy's leggauss, a dense
+    # eigenvalue solve, misses this bound at m = 1534 by 2.6e-10)
+    x, w = pseudomode._gauss_rule(m)
+    assert x.shape == w.shape == (m,)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 4 * np.finfo(float).eps
+    k = np.arange(m)
+    moments = np.array([math.fsum(w * x ** (2 * j)) for j in k])
+    assert np.max(np.abs(moments * (2 * k + 1) / 2 - 1.0)) <= 1e-12
+
+
+def test_blocks_match_one_block(work_setup, monkeypatch):
+    # h = 0.05 (n = 64): a 2n square of 16 k nodes in one block, then in 16
+    # blocks of 32 x 32 nodes (the n square in 4)
+    field, rep, sol, pm = work_setup
+    one = residual_series_exact(pm, 0.05)
+    monkeypatch.setattr(pseudomode, "_BLOCK_NODES", 1024)
+    blocks = residual_series_exact(pm, 0.05)
+    assert blocks.quadrature_points == one.quadrature_points == 128**2
+    for name in ("u_norm", "residual_norm", "interior_norm", "cutoff_norm"):
+        a, b = getattr(one, name), getattr(blocks, name)
+        assert abs(a - b) <= 1e-13 * abs(a), name
+
+
+def test_series_route_memory_is_bounded_by_the_block(work_setup, monkeypatch):
+    # 4x the nodes of the 2n square beyond one block (2n = 256, then 512, in
+    # blocks of 4096 nodes) leaves the traced peak within 1.5x (1.01x); summed
+    # on the whole square at once it grew 3.9x
+    field, rep, sol, pm = work_setup
+    monkeypatch.setattr(pseudomode, "_BLOCK_NODES", 4096)
+    peaks = []
+    for n in (128, 256):
+        monkeypatch.setattr(pseudomode, "quadrature_points", lambda h, r_out, n=n: n)
+        residual_series_exact(pm, 0.01)  # builds and caches the Gauss rules
+        tracemalloc.start()
+        try:
+            residual_series_exact(pm, 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_interior_residual_zero_when_top_amplitude_vanishes(constant_field_solution):
