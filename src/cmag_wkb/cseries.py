@@ -60,18 +60,18 @@ T(w) (and T(|w|) for the majorant beside it, cached on ``_majorant``).
 of w come out: since w(0) = 0, W[b, n] for b >= 2 needs only w_1..w_{n-1},
 so the restriction's coefficient of z^n is linear in the one unknown w_n.
 
-Evaluation has two routes.  Scattered points (the gauge check's rings, the
-cutoff search's polar samples, the phase evaluator, ``assemble(pm, h)`` on
-arrays a caller gives) go through Horner: ``evaluate`` and ``realify``, by
-``polyval2d``.  Every product of two 1-D axes (the Gauss squares and the
-uniform grid of the two residual routes, the polydisc torus of the growth
-fit) goes through one tensor kernel, V(s) @ C @ V(t)^T with V the increasing
-Vandermonde matrix of an axis: ``evaluate_grid`` takes C = c[a, b] itself,
-and ``realify_grid`` the coefficients R[m, n] of y1^m y2^n on the real slice
-(``real_coeffs``, per degree a block of binomial rows).  In the real
+Evaluation has two routes; callers pass on values, not series.  Scattered
+points (the gauge check's rings, the cutoff search's polar samples, the
+phase evaluator, ``assemble(pm, h)`` on the coordinates a caller gives) go
+through Horner: ``evaluate`` and ``realify``, by ``polyval2d``.  Every
+product of two 1-D axes (the Gauss squares and the uniform grid of the two
+residual routes, the polydisc torus of the growth fit) goes through one
+tensor kernel, V(s) @ C @ V(t)^T with V the increasing Vandermonde matrix of
+an axis: ``evaluate_grid`` takes C = c[a, b] itself, and ``realify_grid``
+the coefficients R[m, n] of y1^m y2^n on the real slice (``real_coeffs``,
+per degree a block of binomial rows, built once per series).  In the real
 monomials degree k can lose up to 2^(k/2) more to roundoff than Horner at
-the same point y: their magnitudes there add up to (|y1| + |y2|)^k, not
-|y|^k.
+the same point y: their magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
 
 ``check_identity`` is the one place where a series identity meets its
 tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`,

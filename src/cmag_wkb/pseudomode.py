@@ -324,63 +324,50 @@ def _amplitude(sol, h, N):
     return sum((h**j * sol.amplitudes[j] for j in range(1, N + 1)), sol.amplitudes[0])
 
 
-def _on_grid(s, t, keep):
-    """The value map of series at the nodes y1 = s_i, y2 = t_j of a product
-    grid that the mask ``keep`` selects, in row-major order (tensor kernel)."""
-    return lambda series: series.realify_grid(s, t)[keep]
-
-
-def _mode(pm, h, amp, chi, values):
-    """exp(-P/h), the amplitude sum amp and u = chi exp(-P/h) amp at local
-    points, given the cutoff values chi there; ``values`` maps a series to
-    its values at those points.
+def _mode(h, P, a, chi):
+    """exp(-P/h) and u = chi exp(-P/h) a from the values of the phase P, the
+    amplitude sum a and the cutoff chi at the same local points.
 
     exp(-P/h) is formed from real ufuncs, e^x = e^{Re x} (cos Im x + i sin Im x).
     numpy's complex ``exp`` runs the C library's scalar SSE ``cexp``, which
     slows 10-15x right after an OpenBLAS complex matrix product, and the
-    tensor kernel of ``values`` runs one just before: on 20,000 points it
-    took 0.4-0.7 ms alone and 7-9 ms after one 48 x 48 complex product (a
-    real product left it at 0.4-0.7 ms).  Only the complex ``exp`` stalled;
-    ``abs``, products, ``hypot``, real ``exp``, ``cos`` and ``sin`` did not.
-    cos and sin fill E's two parts in place and e^{Re x} scales it, so no
-    complex temporary is added.  The two forms agree to 3.1e-16 relative
-    where numpy's value is a normal float, on the workhorse's Gauss grids
-    down to h = 1e-5 (|Im P|/h up to 1.9e5); where it is subnormal |E| is
-    below the least normal float, and where it is 0 so is E.  Where e^{Re x}
-    overflows E is not finite, as numpy's value is, but at Im x = 0 it is
-    inf + NaN i rather than inf + 0i."""
-    x = -values(pm.phase.P) / h
+    tensor kernel that gives P on a product grid runs one just before: on
+    20,000 points it took 0.4-0.7 ms alone and 7-9 ms after one 48 x 48
+    complex product (a real product left it at 0.4-0.7 ms).  Only the complex
+    ``exp`` stalled; ``abs``, products, ``hypot``, real ``exp``, ``cos`` and
+    ``sin`` did not.  cos and sin fill E's two parts in place and e^{Re x}
+    scales it, so no complex temporary is added.  The two forms agree to
+    3.1e-16 relative where numpy's value is a normal float, on the
+    workhorse's Gauss grids down to h = 1e-5 (|Im P|/h up to 1.9e5); where it
+    is subnormal |E| is below the least normal float, and where it is 0 so is
+    E.  Where e^{Re x} overflows E is not finite, as numpy's value is, but at
+    Im x = 0 it is inf + NaN i rather than inf + 0i."""
+    x = -P / h
     E = np.empty(x.shape, dtype=complex)
     np.cos(x.imag, out=E.real)
     np.sin(x.imag, out=E.imag)
     E *= np.exp(x.real)
-    a = values(amp)
-    return E, a, chi * E * a
-
-
-def _cut_mode(pm, h, amp, r, values_at):
-    """u at local points at radius r (an array of any shape), zero outside
-    D(0, r_out); ``values_at(inside)`` is the value map at the points inside."""
-    inside = r < pm.cutoff.r_out
-    out = np.zeros(r.shape, dtype=complex)
-    if np.any(inside):
-        chi = pm.cutoff.profile(r[inside])[0]
-        out[inside] = _mode(pm, h, amp, chi, values_at(inside))[-1]
-    return out
+    return E, chi * E * a
 
 
 def assemble(pm, h):
-    """Evaluable u_h(x1, x2) (global coordinates); zero outside D(x0, r_out)."""
+    """Evaluable u_h(x1, x2) (global coordinates, broadcast against each other
+    as numpy does); zero outside D(x0, r_out)."""
     if not h > 0:
         raise ValueError("h must be positive")
-    sol = pm.sol
+    sol, cut = pm.sol, pm.cutoff
     amp = _amplitude(sol, h, pm.N_used(h))
 
     def u(x1, x2):
-        y1 = np.asarray(x1, dtype=float) - sol.base_point[0]
-        y2 = np.asarray(x2, dtype=float) - sol.base_point[1]
-        return _cut_mode(pm, h, amp, np.hypot(y1, y2),
-                         lambda inside: lambda series: series.realify(y1[inside], y2[inside]))
+        y1, y2 = np.broadcast_arrays(np.asarray(x1, dtype=float) - sol.base_point[0],
+                                     np.asarray(x2, dtype=float) - sol.base_point[1])
+        r = np.hypot(y1, y2)
+        inside = r < cut.r_out
+        out = np.zeros(r.shape, dtype=complex)
+        y1, y2 = y1[inside], y2[inside]
+        out[inside] = _mode(h, pm.phase.P.realify(y1, y2), amp.realify(y1, y2),
+                            cut.profile(r[inside])[0])[1]
+        return out
 
     return u
 
@@ -464,10 +451,20 @@ class ResidualReport:
             raise ValueError("pseudomode norm must be positive")
 
 
-def _residual_terms(pm, h, N, amp, y1, y2, values):
-    """u and the pointwise residual of (L_{h,A} - h mu) u_h from series data,
-    split into its interior and cutoff terms, amp = sum_{j<=N} h^j a_j, at
-    local points y where ``values`` maps a series to its values:
+def _residual_series(pm, h, N):
+    """The five series of the residual at h, each built once: the phase P,
+    amp = sum_{j<=N} h^j a_j, Lap a_N = 4 d_z d_w a_N, and the Euler series
+    r d_r amp and r (grad S + i M) . n of the module docstring."""
+    amp = _amplitude(pm.sol, h, N)
+    p, q = np.indices(amp.coeffs.shape)
+    return (pm.phase.P, amp, 4.0 * pm.sol.amplitudes[N].differentiate("z").differentiate("w"),
+            BiSeries((p + q) * amp.coeffs, amp.cap), pm.phase.r_lin)
+
+
+def _residual_terms(cut, h, N, r, P, a, lap_aN, r_damp, r_lin):
+    """u and the pointwise residual of (L_{h,A} - h mu) u_h, split into its
+    interior and cutoff terms, at local points at radius r, given the values
+    there of the five series of ``_residual_series``, amp = sum_{j<=N} h^j a_j:
 
     residual = e^{-P/h} [ chi h^{N+2} (-Lap a_N) - 2 h^2 chi' d_r(amp)
                           + (-h^2 Lap(chi) + 2h chi' (grad S + i M) . n) amp ]
@@ -475,20 +472,15 @@ def _residual_terms(pm, h, N, amp, y1, y2, values):
     with n = y / r; r d_r and r (grad S + i M) . n are the Euler-operator
     series of the module docstring.
     """
-    sol, cut = pm.sol, pm.cutoff
-    r = np.hypot(y1, y2)
     chi, dchi, lapchi = cut.profile(r)
-    E, a, u = _mode(pm, h, amp, chi, values)
-    lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
-    interior = chi * E * h ** (N + 2) * (-values(lap_aN))
+    E, u = _mode(h, P, a, chi)
+    interior = chi * E * h ** (N + 2) * (-lap_aN)
     # the radial factors are needed only where grad(chi) != 0, so r > 0
     ring = dchi != 0.0
     rr = r[ring]
-    p, q = np.indices(amp.coeffs.shape)
-    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap)
     damp, lin = np.zeros_like(u), np.zeros_like(u)
-    damp[ring] = values(r_damp)[ring] / rr
-    lin[ring] = values(pm.phase.r_lin)[ring] / rr
+    damp[ring] = r_damp[ring] / rr
+    lin[ring] = r_lin[ring] / rr
     cutoff_term = E * (
         -2.0 * h**2 * dchi * damp + (-(h**2) * lapchi + 2.0 * h * dchi * lin) * a
     )
@@ -519,32 +511,33 @@ def residual_series_exact(pm, h):
         raise ValueError("h must be positive")
     cut = pm.cutoff
     N = pm.N_used(h)
-    amp = _amplitude(pm.sol, h, N)
+    series = _residual_series(pm, h, N)
     n = quadrature_points(h, cut.r_out)
 
-    def disc_nodes(m):
-        """The Gauss square's nodes inside the disc, their weights and value
-        map, in square blocks of at most _BLOCK_NODES nodes of the square."""
+    def disc_nodes(m, series):
+        """The radii and weights of the Gauss square's nodes inside the disc
+        and the values there of ``series``, in square blocks of at most
+        _BLOCK_NODES nodes of the square."""
         xg, wg = _gauss_rule(m)
         x, wx = cut.r_out * xg, cut.r_out * wg
         side = math.isqrt(_BLOCK_NODES)
         for i in range(0, m, side):
             for j in range(0, m, side):
                 s, ws, t, wt = x[i:i + side], wx[i:i + side], x[j:j + side], wx[j:j + side]
-                Y1, Y2 = np.meshgrid(s, t, indexing="ij")
-                keep = np.hypot(Y1, Y2) < cut.r_out
+                r = np.hypot(s[:, None], t[None, :])
+                keep = r < cut.r_out
                 if keep.any():
-                    yield Y1[keep], Y2[keep], np.outer(ws, wt)[keep], _on_grid(s, t, keep)
+                    yield (r[keep], np.outer(ws, wt)[keep],
+                           [f.realify_grid(s, t)[keep] for f in series])
 
     # a thin cutoff ring or a large h overflows a term or its square; refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         un1 = 0.0
-        for y1, y2, w, values in disc_nodes(n):
-            chi = cut.profile(np.hypot(y1, y2))[0]
-            un1 += float(np.sum(np.abs(_mode(pm, h, amp, chi, values)[-1]) ** 2 * w))
+        for r, w, (P, a) in disc_nodes(n, series[:2]):
+            un1 += float(np.sum(np.abs(_mode(h, P, a, cut.profile(r)[0])[1]) ** 2 * w))
         norms = dict.fromkeys(("u", "residual", "interior", "cutoff"), 0.0)
-        for y1, y2, w, values in disc_nodes(2 * n):
-            u, interior, cutoff_term = _residual_terms(pm, h, N, amp, y1, y2, values)
+        for r, w, values in disc_nodes(2 * n, series):
+            u, interior, cutoff_term = _residual_terms(cut, h, N, r, *values)
             for name, v in (("u", u), ("residual", interior + cutoff_term),
                             ("interior", interior), ("cutoff", cutoff_term)):
                 norms[name] += float(np.sum(np.abs(v) ** 2 * w))
@@ -588,9 +581,14 @@ def residual_finite_difference(pm, h, n):
                   for k in (np.flatnonzero(np.abs(a) < r_out) for a in (s, t)))
     N = pm.N_used(h)
     amp = _amplitude(pm.sol, h, N)
+    s, t = s[rows], t[cols]
+    r = np.hypot(s[:, None], t[None, :])
+    inside = r < r_out
     u = np.zeros((n, n), dtype=complex)
-    u[rows, cols] = _cut_mode(pm, h, amp, np.hypot(s[rows, None], t[None, cols]),
-                              lambda inside: _on_grid(s[rows], t[cols], inside))
+    # basic slices give a view, so this writes into u
+    u[rows, cols][inside] = _mode(h, pm.phase.P.realify_grid(s, t)[inside],
+                                  amp.realify_grid(s, t)[inside],
+                                  pm.cutoff.profile(r[inside])[0])[1]
     gf = numop.GridFunction(values=u, grid=grid)
     Lu = numop.apply_L(pm.field, h, gf, center=x0)
     res = Lu.values - h * pm.sol.mu * u

@@ -3,8 +3,8 @@
 import logging
 import math
 import tracemalloc
+from functools import cached_property
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -235,8 +235,10 @@ def test_euler_commutator_matches_gradient_pairs(make_pm):
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
     for h in (0.1, 0.02):
         N = pm.N_used(h)
-        amp = pseudomode._amplitude(pm.sol, h, N)
-        got = pseudomode._residual_terms(pm, h, N, amp, y1, y2, lambda s: s.realify(y1, y2))[2]
+        series = pseudomode._residual_series(pm, h, N)
+        amp = series[1]
+        got = pseudomode._residual_terms(cut, h, N, np.hypot(y1, y2),
+                                         *(s.realify(y1, y2) for s in series))[2]
         ref = _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -456,6 +458,20 @@ def test_pseudomode_vanishes_outside_support(work_setup):
     assert np.all(u(xs, ys) == 0.0)
 
 
+def test_assembled_mode_broadcasts_its_coordinates():
+    # an open grid gives the dense meshgrid bit for bit, and a scalar
+    # coordinate broadcasts against an array, as a FieldSpec callable's do
+    field = polynomial_field(1.0, 1j, 1.0, cap=12)
+    pm = make_pseudomode(field, solve_wkb(field, N=1), N=1)
+    u = assemble(pm, 0.05)
+    x = pm.sol.base_point[0] + np.linspace(-1.2, 1.2, 41) * pm.cutoff.r_out
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    dense = u(X1, X2)
+    assert np.count_nonzero(dense) and np.count_nonzero(dense == 0.0)
+    assert np.array_equal(u(x[:, None], x[None, :]), dense)
+    assert np.array_equal(u(x, 0.0), u(x, np.zeros_like(x)))
+
+
 # ----------------------------------------------------------------------------
 # residual reports
 # ----------------------------------------------------------------------------
@@ -540,12 +556,12 @@ def test_mode_exponential_matches_complex_exp():
     for h in (0.1, 1e-3, 1e-5):
         n = pseudomode.quadrature_points(h, pm.cutoff.r_out)
         x = pm.cutoff.r_out * pseudomode._gauss_rule(n)[0][:: max(1, n // 600)]
-        Y1, Y2 = np.meshgrid(x, x, indexing="ij")
-        values = pseudomode._on_grid(x, x, np.hypot(Y1, Y2) < pm.cutoff.r_out)
+        keep = np.hypot(x[:, None], x[None, :]) < pm.cutoff.r_out
+        P = pm.phase.P.realify_grid(x, x)[keep]
         amp = pseudomode._amplitude(pm.sol, h, pm.N_used(h))
-        E = pseudomode._mode(pm, h, amp, 1.0, values)[0]
+        E = pseudomode._mode(h, P, amp.realify_grid(x, x)[keep], 1.0)[0]
         with np.errstate(under="ignore"):
-            ref = np.exp(-values(pm.phase.P) / h)
+            ref = np.exp(-P / h)
         size = np.abs(ref)
         normal, zero = size >= tiny, size == 0.0
         assert normal.any()
@@ -561,10 +577,8 @@ def test_mode_exponential_keeps_non_finite_values():
     # not finite stays so; at 800 + 0i that is inf + 0i against inf + NaN i
     re, im = np.meshgrid([-800.0, 800.0], [0.0, np.pi / 2, 1e6], indexing="ij")
     P = -(re + 1j * im).ravel()
-    pm = SimpleNamespace(phase=SimpleNamespace(P="P"))
-    values = lambda series: P if series == "P" else np.ones_like(P)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        E = pseudomode._mode(pm, 1.0, "amp", 1.0, values)[0]
+        E = pseudomode._mode(1.0, P, np.ones_like(P), 1.0)[0]
         ref = np.exp(-P)
     assert np.all(~np.isfinite(E[~np.isfinite(ref)]))
     assert np.array_equal(E[np.isfinite(ref)], ref[np.isfinite(ref)])
@@ -623,6 +637,30 @@ def test_blocks_match_one_block(work_setup, monkeypatch):
     for name in ("u_norm", "residual_norm", "interior_norm", "cutoff_norm"):
         a, b = getattr(one, name), getattr(blocks, name)
         assert abs(a - b) <= 1e-13 * abs(a), name
+
+
+def test_each_h_builds_its_series_once(work_setup, monkeypatch):
+    # the coefficient tables of amp, Lap a_N and r d_r amp, one each whatever
+    # the blocks (the phase's P and r_lin are cached by a first residual);
+    # rebuilt per block, 1024-node blocks at h = 1e-2 built 43
+    field, rep, sol, pm = work_setup
+    residual_series_exact(pm, 0.01)
+    real_coeffs, built = BiSeries.__dict__["_real_coeffs"].func, []
+
+    def counting(self):
+        built.append(self)
+        return real_coeffs(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(BiSeries, "_real_coeffs")
+    monkeypatch.setattr(BiSeries, "_real_coeffs", counted)
+    counts = []
+    for nodes in (pseudomode._BLOCK_NODES, 1024):
+        monkeypatch.setattr(pseudomode, "_BLOCK_NODES", nodes)
+        built.clear()
+        residual_series_exact(pm, 0.01)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_series_route_memory_is_bounded_by_the_block(work_setup, monkeypatch):
