@@ -60,18 +60,23 @@ T(w) (and T(|w|) for the majorant beside it, cached on ``_majorant``).
 of w come out: since w(0) = 0, W[b, n] for b >= 2 needs only w_1..w_{n-1},
 so the restriction's coefficient of z^n is linear in the one unknown w_n.
 
-Evaluation has two routes; callers pass on values, not series.  Scattered
-points (the gauge check's rings, the cutoff search's polar samples, the
-phase evaluator, ``assemble(pm, h)`` on the coordinates a caller gives) go
-through Horner: ``evaluate`` and ``realify``, by ``polyval2d``.  Every
-product of two 1-D axes (the Gauss squares and the uniform grid of the two
-residual routes, the polydisc torus of the growth fit) goes through one
-tensor kernel, V(s) @ C @ V(t)^T with V the increasing Vandermonde matrix of
-an axis: ``evaluate_grid`` takes C = c[a, b] itself, and ``realify_grid``
-the coefficients R[m, n] of y1^m y2^n on the real slice (``real_coeffs``,
-per degree a block of binomial rows, built once per series).  In the real
-monomials degree k can lose up to 2^(k/2) more to roundoff than Horner at
-the same point y: their magnitudes there add up to (|y1| + |y2|)^k, not |y|^k.
+Evaluation is one kernel, ``_values``; callers pass on values, not series.
+``evaluate(z, w)`` sums C = c[a, b] itself and ``realify(y1, y2)`` the
+coefficients R[m, n] of y1^m y2^n on the real slice w = conj(z)
+(``real_coeffs``, per degree a block of binomial rows, built once per
+series), at coordinates that broadcast against each other.  On an open
+product grid, the first coordinate of shape (m, 1) and the second (1, n) (the
+Gauss squares and the uniform grid of the residual routes, the growth fit's
+torus), it is the sum factorization V(s) @ C @ V(t)^T, V the increasing
+Vandermonde matrix of an axis (Orszag, J. Comput. Phys. 37, 1980);
+elsewhere (the gauge check's rings, the cutoff search's polar samples,
+``assemble``) the row sums of (V(s) @ C) * V(t), point by point.  In the
+real monomials degree k can lose up to 2^(k/2) more to roundoff than Horner
+at the same point y, on a grid or off it: their magnitudes there add up to
+(|y1| + |y2|)^k, not |y|^k.  At 10^5 scattered points of the workhorse's
+cutoff disc (N = 2) the phase and the amplitude sums at h = 0.1 to 1e-3
+differ from Horner by at most 1.3e-15 of their largest magnitude, a_2 alone
+by 2.4e-15.
 
 ``check_identity`` is the one place where a series identity meets its
 tolerance, here and in :mod:`cmag_wkb.wkb` and :mod:`cmag_wkb.pseudomode`,
@@ -85,11 +90,10 @@ of degree <= k, and at least the floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import polynomial as _npoly
 
 #: relative tolerance for the exact-division remainder check
 DIV_RTOL = 1e-10
@@ -186,12 +190,15 @@ def _real_blocks(cap):
     return blocks
 
 
-def _tensor(coeffs, s, t):
-    """sum_ab coeffs[a, b] s_i^a t_j^b at every node (s_i, t_j) of the product
-    grid of two 1-D axes: V(s) @ coeffs @ V(t)^T, with V the increasing
-    Vandermonde matrix (sum factorization)."""
-    m = coeffs.shape[0]
-    return np.vander(s, m, increasing=True) @ coeffs @ np.vander(t, m, increasing=True).T
+def _values(coeffs, s, t):
+    """sum_ab coeffs[a, b] s^a t^b at the coordinate arrays s and t, which
+    broadcast against each other: the sum factorization on an open product
+    grid (s of shape (m, 1), t of shape (1, n)), else point by point."""
+    V = partial(np.vander, N=coeffs.shape[0], increasing=True)
+    if s.ndim == t.ndim == 2 and s.shape[1] == t.shape[0] == 1:
+        return V(s[:, 0]) @ coeffs @ V(t[0]).T
+    s, t = np.broadcast_arrays(s, t)
+    return ((V(s.ravel()) @ coeffs) * V(t.ravel())).sum(axis=1).reshape(s.shape)
 
 
 def _toeplitz(rows):
@@ -448,25 +455,15 @@ class BiSeries:
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, z, w):
-        """Horner-scheme value at scattered points (z, w); accepts arrays
-        (local coordinates)."""
-        return _npoly.polyval2d(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex), self.coeffs)
+        """Values at the local points (z, w), which broadcast against each
+        other (``_values``)."""
+        return _values(self.coeffs, np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
 
-    def realify(self, x1, x2):
-        """Value on the real slice w = conj(z), z = x1 + i x2, at scattered
-        points (local coords)."""
-        z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
-        return self.evaluate(z, np.conj(z))
-
-    def evaluate_grid(self, z, w):
-        """Values at every node (z_i, w_j) of the product of two 1-D axes,
-        as a (len z, len w) array."""
-        return _tensor(self.coeffs, np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-
-    def realify_grid(self, s, t):
-        """Values on the real slice at every node y1 = s_i, y2 = t_j of the
-        product of two real 1-D axes, as a (len s, len t) array."""
-        return _tensor(self.real_coeffs(), np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    def realify(self, y1, y2):
+        """Values on the real slice w = conj(z), z = y1 + i y2, at the local
+        points (y1, y2), which broadcast against each other: the sum of
+        R[m, n] y1^m y2^n over the real coefficients (``_values``)."""
+        return _values(self._real_coeffs, np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
 
     def real_coeffs(self):
         """Coefficients R[m, n] of y1^m y2^n of the series on w = conj(z),

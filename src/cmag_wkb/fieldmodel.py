@@ -116,9 +116,10 @@ class FieldSpec:
     grid x1[:, None], x2[None, :] as well as a dense meshgrid) and return
     arrays that broadcast to the coordinates' common shape, elementwise equal
     to their values on the dense grid; ``numop.apply_L``, ``check_C`` and
-    ``gamma_scan`` sample on the grid's axes and rely on it.  A component
-    may come back smaller than that shape (an empty polynomial gives 0j
-    times a ones array of x1's shape).
+    ``gamma_scan`` sample on the grid's axes and rely on it, and a series'
+    values (``BiSeries.evaluate`` and ``realify``) follow the same contract.
+    A component may come back smaller than that shape (an empty polynomial
+    gives 0j times a ones array of x1's shape).
     """
 
     name: str

@@ -14,7 +14,7 @@ B and the callable A.
 The pseudomode is u_h = chi * exp(-P/h) * sum_j h^j a_j with a plateau
 cutoff chi; the amplitude sum is one series per h.  Its exponential comes
 from real exp, cos and sin, since numpy's complex exp slows 10-15x after
-the complex matrix product of the tensor kernel (see ``_mode``; no other
+the complex matrix product of the series kernel (see ``_mode``; no other
 ufunc of the residual is affected).  Its residual splits into
 the interior term chi * exp(-P/h) * h^(N+2) * (-Lap a_N) and commutator terms
 supported on supp(grad chi).  chi is radial, so these need only the radial
@@ -137,8 +137,8 @@ class CutoffSpec:
 # ----------------------------------------------------------------------------
 
 class _ThetaEvaluator:
-    """The phase P(y) = S(y) + i theta(y) on arrays of local points, with
-    theta(x) = int_0^1 (M - A)(x0 + t y) . y dt.
+    """The phase P(y) = S(y) + i theta(y) as one series P in local
+    coordinates, with theta(x) = int_0^1 (M - A)(x0 + t y) . y dt.
 
     The degree-k part of the integrand carries t^(k-1), so theta is the
     series T + T_A with T[a, b] = -i (a - b) / (a + b) * phi[a, b] and
@@ -187,9 +187,6 @@ class _ThetaEvaluator:
                 f"at degree {a1.cap}, drops a tail that large (a larger --D closes such a gap)"
             )
 
-    def __call__(self, y1, y2):
-        return self.P.realify(y1, y2)
-
 
 def _rep_quadratic(R):
     """(c11, c12, c22) with Re P = c11 y1^2 + c12 y1 y2 + c22 y2^2 + O(|y|^3),
@@ -204,12 +201,12 @@ def _rep_quadratic(R):
 
 def _reP_over_r2_min(phase, delta):
     """Min of Re P / r^2 over 8 circles r = delta/8, ..., delta of 64 angles
-    each, in one call of the phase evaluator ``phase``; not finite (and no
-    warning) where r^2 underflows."""
+    each, in one evaluation of the phase evaluator's series P; not finite
+    (and no warning) where r^2 underflows."""
     r = np.linspace(delta / 8, delta, 8)[:, None]
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2))
+        return float(np.min(phase.P.realify(r * np.cos(ang), r * np.sin(ang)).real / r**2))
 
 
 def select_cutoff(phase, delta_override=None):
@@ -331,7 +328,7 @@ def _mode(h, P, a, chi):
     exp(-P/h) is formed from real ufuncs, e^x = e^{Re x} (cos Im x + i sin Im x).
     numpy's complex ``exp`` runs the C library's scalar SSE ``cexp``, which
     slows 10-15x right after an OpenBLAS complex matrix product, and the
-    tensor kernel that gives P on a product grid runs one just before: on
+    series kernel that gives P on a product grid runs one just before: on
     20,000 points it took 0.4-0.7 ms alone and 7-9 ms after one 48 x 48
     complex product (a real product left it at 0.4-0.7 ms).  Only the complex
     ``exp`` stalled; ``abs``, products, ``hypot``, real ``exp``, ``cos`` and
@@ -498,7 +495,7 @@ def residual_series_exact(pm, h):
     floats, so the memory is that of one block and one axis whatever h is
     (a square of at most _BLOCK_NODES nodes, 2n <= 256, is one block and
     sums the whole arrays).  Square blocks rather than blocks of whole rows:
-    the tensor kernel builds the Vandermonde matrices of a block's two axes,
+    the series kernel builds the Vandermonde matrices of a block's two axes,
     and a whole row of 4852 nodes rebuilt per block of 13 rows took 30% of
     the time at h = 1e-5 on the workhorse.  Refuses with CutoffRadiusError,
     naming h and delta, when a norm of u, the residual or its interior or
@@ -523,12 +520,12 @@ def residual_series_exact(pm, h):
         side = math.isqrt(_BLOCK_NODES)
         for i in range(0, m, side):
             for j in range(0, m, side):
-                s, ws, t, wt = x[i:i + side], wx[i:i + side], x[j:j + side], wx[j:j + side]
-                r = np.hypot(s[:, None], t[None, :])
+                s, ws, t, wt = x[i:i + side, None], wx[i:i + side], x[None, j:j + side], wx[j:j + side]
+                r = np.hypot(s, t)
                 keep = r < cut.r_out
                 if keep.any():
                     yield (r[keep], np.outer(ws, wt)[keep],
-                           [f.realify_grid(s, t)[keep] for f in series])
+                           [f.realify(s, t)[keep] for f in series])
 
     # a thin cutoff ring or a large h overflows a term or its square; refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -567,8 +564,8 @@ def residual_finite_difference(pm, h, n):
 
     u is evaluated only on the block of axis points with |s|, |t| < r_out
     (it is 0 off the disc) and embedded into zeros; ``numop.apply_L`` works
-    on u's support box in the same way.  The norms sum the whole n x n
-    arrays, so the n^2 arrays of u, its image and the residual remain."""
+    on u's support box in the same way.  The norms sum over that block
+    widened by the stencils' reach, off which u and its image are 0."""
     from . import numop
 
     r_out = pm.cutoff.r_out
@@ -581,19 +578,21 @@ def residual_finite_difference(pm, h, n):
                   for k in (np.flatnonzero(np.abs(a) < r_out) for a in (s, t)))
     N = pm.N_used(h)
     amp = _amplitude(pm.sol, h, N)
-    s, t = s[rows], t[cols]
-    r = np.hypot(s[:, None], t[None, :])
+    s, t = s[rows, None], t[None, cols]
+    r = np.hypot(s, t)
     inside = r < r_out
     u = np.zeros((n, n), dtype=complex)
     # basic slices give a view, so this writes into u
-    u[rows, cols][inside] = _mode(h, pm.phase.P.realify_grid(s, t)[inside],
-                                  amp.realify_grid(s, t)[inside],
+    u[rows, cols][inside] = _mode(h, pm.phase.P.realify(s, t)[inside],
+                                  amp.realify(s, t)[inside],
                                   pm.cutoff.profile(r[inside])[0])[1]
     gf = numop.GridFunction(values=u, grid=grid)
     Lu = numop.apply_L(pm.field, h, gf, center=x0)
-    res = Lu.values - h * pm.sol.mu * u
+    # the residual vanishes off u's block widened by the stencils' reach 2
+    box = tuple(slice(k.start - 2, k.stop + 2) for k in (rows, cols))
+    res = Lu.values[box] - h * pm.sol.mu * u[box]
     w = grid.spacing**2
-    un = math.sqrt(float(np.sum(np.abs(u) ** 2)) * w)
+    un = math.sqrt(float(np.sum(np.abs(u[box]) ** 2)) * w)
     rn = math.sqrt(float(np.sum(np.abs(res) ** 2)) * w)
     return ResidualReport(
         h=h, N_used=N, u_norm=un, residual_norm=rn, ratio=rn / un,

@@ -399,8 +399,8 @@ def fit_growth(sol):
     the empirical stretched exponent.
 
     The sup over the closed polydisc of a polynomial is attained on the
-    distinguished boundary |z| = |w| = R, sampled on a 32 x 32 product grid
-    (the tensor kernel of ``BiSeries.evaluate_grid``).
+    distinguished boundary |z| = |w| = R, sampled on a 32 x 32 torus that
+    ``BiSeries.evaluate`` takes as an open product grid (sum factorization).
 
     Every output rests on coefficients the solver does not trust: R comes
     from ``_trusted_radius``, read off untrusted top diagonals, so every
@@ -412,7 +412,7 @@ def fit_growth(sol):
     """
     R = 0.25 * sol.trusted_radius
     z = R * np.exp(1j * np.linspace(0.0, 2 * np.pi, 32, endpoint=False))
-    norms = [float(np.max(np.abs(a.evaluate_grid(z, z)))) for a in sol.amplitudes]
+    norms = [float(np.max(np.abs(a.evaluate(z[:, None], z[None, :])))) for a in sol.amplitudes]
     m = max(_order_root(nrm, j) for j, nrm in enumerate(norms))
     # two-parameter fit log||a_j|| = (j+1) log m + sigma * j log j over j >= 2
     js = np.array([j for j in range(2, len(norms)) if norms[j] > 0], dtype=float)

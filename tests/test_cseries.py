@@ -96,6 +96,11 @@ def test_number_type_is_complex_binary64_or_wider_and_kept(given, stored):
                BiSeries.constant(x, cap), BiSeries.from_terms([(1, 2, x)], cap)]
     assert [r.coeffs.dtype for r in results] == [np.dtype(stored)] * len(results)
     assert BiSeries.zeros(cap).coeffs.dtype == np.complex128
+    # values at points and on an open product grid keep the type too
+    y = np.array([0.1, -0.2, 0.3])
+    values = [f(a, b) for f in (s.evaluate, s.realify)
+              for a, b in ((y, y[::-1]), (y[:, None], y[None, :]))]
+    assert [v.dtype for v in values] == [np.dtype(stored)] * len(values)
 
 
 # ----------------------------------------------------------------------------
@@ -459,14 +464,14 @@ def test_real_coeffs_of_z_and_zw():
 
 
 # ----------------------------------------------------------------------------
-# the tensor kernel on product grids against Horner (polyval2d)
+# the series kernel on product grids and at points against Horner (polyval2d)
 # ----------------------------------------------------------------------------
 
 @st.composite
 def _grid_cases(draw):
     """A series with random coefficients (whole homogeneous parts often zero)
     and two axes of random length inside [-radius, radius], radius <= 1."""
-    cap = draw(st.sampled_from([0, 1, 2, 24, 48]))
+    cap = draw(st.sampled_from([0, 1, 2, 24, 48, 96]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = rng.uniform(-1, 1, (cap + 1, cap + 1)) + 1j * rng.uniform(-1, 1, (cap + 1, cap + 1))
     degree = np.add.outer(np.arange(cap + 1), np.arange(cap + 1))
@@ -485,21 +490,26 @@ def _majorant(series, r):
 @settings(max_examples=60, deadline=None)
 @given(_grid_cases())
 def test_grid_values_match_horner(case):
+    # evaluate and realify on an open product grid (and its transpose, which
+    # goes point by point), on the dense meshgrid of its nodes, at scattered
+    # points and with a scalar against an array.  On the real slice the
+    # kernel sums real monomials y1^m y2^n, and at a node their magnitudes
+    # add up to at most sum |c_ab| (|y1| + |y2|)^(a+b), up to 2^((a+b)/2)
+    # more than at |y|; so the majorant's radius is the l1 radius.  The
+    # complex form is checked on a torus-like grid z = s e^{i s}, w = t e^{-i t}.
     a, s, t = case
-    S, T = np.meshgrid(s, t, indexing="ij")
-    # real slice: the kernel sums real monomials y1^m y2^n, and at a node
-    # their magnitudes add up to at most sum |c_ab| (|y1| + |y2|)^(a+b), up to
-    # 2^((a+b)/2) more than at |y|; so the majorant's radius is the l1 radius
-    ref = polyval2d(S + 1j * T, S - 1j * T, a.coeffs)
-    r1 = np.max(np.abs(s)) + np.max(np.abs(t))
-    assert np.max(np.abs(a.realify_grid(s, t) - ref)) <= 1e-13 * _majorant(a, r1)
-    # complex tensor form on a torus-like grid z = s e^{i s}, w = t e^{-i t}
     z, w = s * np.exp(1j * s), t * np.exp(-1j * t)
-    Z, W = np.meshgrid(z, w, indexing="ij")
-    r = max(np.max(np.abs(z)), np.max(np.abs(w)))
-    got = a.evaluate_grid(z, w)
-    assert got.shape == (len(z), len(w))
-    assert np.max(np.abs(got - a.evaluate(Z, W))) <= 1e-13 * _majorant(a, r)
+    n = min(len(s), len(t))
+    for evaluate, x, y, horner, r in (
+            (a.realify, s, t, lambda X, Y: polyval2d(X + 1j * Y, X - 1j * Y, a.coeffs),
+             np.max(np.abs(s)) + np.max(np.abs(t))),
+            (a.evaluate, z, w, lambda X, Y: polyval2d(X, Y, a.coeffs),
+             max(np.max(np.abs(z)), np.max(np.abs(w))))):
+        for args in ((x[:, None], y[None, :]), (x[None, :], y[:, None]),
+                     np.meshgrid(x, y, indexing="ij"), (x[:n], y[:n]), (x[0], y), (x, y[0])):
+            got, ref = evaluate(*args), horner(*np.broadcast_arrays(*args))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * _majorant(a, r)
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from cmag_wkb.cseries import BiSeries, real_coordinates, real_gradient_series
 from cmag_wkb.fieldmodel import compute_Q, oscillating_field, polynomial_field, user_polynomial_field
@@ -112,8 +113,8 @@ def test_cutoff_profile_matches_fd():
 # ----------------------------------------------------------------------------
 
 def _theta(phase, sol, y1, y2):
-    """theta = (P - S) / i from the phase evaluator."""
-    return (phase(y1, y2) - sol.S.realify(y1, y2)) / 1j
+    """theta = (P - S) / i from the phase evaluator's series P."""
+    return (phase.P.realify(y1, y2) - sol.S.realify(y1, y2)) / 1j
 
 
 def _canonical_M(sol, y1, y2):
@@ -181,26 +182,15 @@ def _workhorse_pm():
 
 @pytest.mark.parametrize("make_pm", [_workhorse_pm, _oscillating_pm],
                          ids=["workhorse", "oscillating"])
-def test_theta_matches_quadrature_reference(make_pm, monkeypatch):
+def test_theta_matches_quadrature_reference(make_pm):
     pm = make_pm()
     rng = np.random.default_rng(3)
     r = pm.cutoff.r_out * np.sqrt(rng.uniform(0.0, 1.0, 200))
     ang = rng.uniform(0.0, 2 * np.pi, 200)
     y1, y2 = r * np.cos(ang), r * np.sin(ang)
     ref = _theta_by_quadrature(pm.field, pm.sol, y1, y2)
-    pm.phase(0.0, 0.0)  # calibrated
-    calls = []
-    realify = BiSeries.realify
-
-    def counting_realify(self, *args):
-        calls.append(self)
-        return realify(self, *args)
-
-    monkeypatch.setattr(BiSeries, "realify", counting_realify)
-    P = pm.phase(y1, y2)
-    assert len(calls) == 1  # S + i T is one series
-    monkeypatch.undo()
-    theta = (P - pm.sol.S.realify(y1, y2)) / 1j
+    assert isinstance(pm.phase.P, BiSeries)  # S + i T is one series
+    theta = (pm.phase.P.realify(y1, y2) - pm.sol.S.realify(y1, y2)) / 1j
     assert np.max(np.abs(theta - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -211,7 +201,7 @@ def _cutoff_term_by_gradient_pairs(pm, h, amp, y1, y2):
     r = np.hypot(y1, y2)
     n1, n2 = y1 / r, y2 / r
     _, dchi, lapchi = cut.profile(r)
-    E = np.exp(-pm.phase(y1, y2) / h)
+    E = np.exp(-pm.phase.P.realify(y1, y2) / h)
     g1, g2 = real_gradient_series(amp)
     dS1, dS2 = real_gradient_series(sol.S)
     m1, m2 = _canonical_M(sol, y1, y2)
@@ -410,9 +400,6 @@ class _StubPhase:
     def __init__(self, P, d_max):
         self.P, self.d_max = P, d_max
 
-    def __call__(self, y1, y2):
-        return self.P.realify(y1, y2)
-
 
 def test_select_cutoff_refuses_indefinite_quadratic_before_the_search():
     # Re P = y1^2 - 0.01 y2^2 + K |y|^4 is indefinite at 0, but with K large
@@ -426,7 +413,7 @@ def test_select_cutoff_refuses_indefinite_quadratic_before_the_search():
     phase = _StubPhase(y1 * y1 - 0.01 * (y2 * y2) + K * (r2 * r2), d_max)
     r = np.linspace(d_max / 8, d_max, 8)[:, None]
     ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-    assert np.min(phase(r * np.cos(ang), r * np.sin(ang)).real / r**2) >= M1
+    assert np.min(phase.P.realify(r * np.cos(ang), r * np.sin(ang)).real / r**2) >= M1
     with pytest.raises(PhaseNotPositiveError, match=r"\(c11, c12, c22\) = \(1, 0, -0.01\)"):
         select_cutoff(phase)
 
@@ -487,9 +474,17 @@ def test_norm_refuses_unresolved_scale(monkeypatch):
     assert residual_series_exact(pm, 0.003).ratio > 0
 
 
+def _horner(series, y1, y2):
+    """The series on the real slice by Horner's scheme (numpy's polyval2d on
+    z = y1 + i y2 and its conjugate), independent of the series kernel."""
+    z = y1 + 1j * y2
+    return polyval2d(z, np.conj(z), series.coeffs)
+
+
 def _pointwise_residual(pm, h):
     """u-norm and ratio of the series-exact route evaluated point by point:
-    Horner (realify) at each node of the 2n-point Gauss square inside the disc."""
+    Horner (``_horner``) at each node of the 2n-point Gauss square inside the
+    disc."""
     sol, cut = pm.sol, pm.cutoff
     N = pm.N_used(h)
     amp = pseudomode._amplitude(sol, h, N)
@@ -500,13 +495,14 @@ def _pointwise_residual(pm, h):
     y1, y2, w = Y1[keep], Y2[keep], np.outer(wx, wx)[keep]
     r = np.hypot(y1, y2)
     chi, dchi, lapchi = cut.profile(r)
-    E, a = np.exp(-pm.phase(y1, y2) / h), amp.realify(y1, y2)
+    E, a = np.exp(-_horner(pm.phase.P, y1, y2) / h), _horner(amp, y1, y2)
     u = chi * E * a
     lap_aN = 4.0 * sol.amplitudes[N].differentiate("z").differentiate("w")
-    interior = chi * E * h ** (N + 2) * (-lap_aN.realify(y1, y2))
+    interior = chi * E * h ** (N + 2) * (-_horner(lap_aN, y1, y2))
     p, q = np.indices(amp.coeffs.shape)
-    r_damp = BiSeries((p + q) * amp.coeffs, amp.cap).realify(y1, y2) / r
-    r_lin = BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap).realify(y1, y2) / r
+    r_damp = _horner(BiSeries((p + q) * amp.coeffs, amp.cap), y1, y2) / r
+    r_lin = _horner(BiSeries((p + q) * sol.S.coeffs + (p - q) * sol.phi.coeffs, sol.S.cap),
+                    y1, y2) / r
     cutoff_term = E * (-2.0 * h**2 * dchi * r_damp
                        + (-(h**2) * lapchi + 2.0 * h * dchi * r_lin) * a)
     un = float(np.sum(np.abs(u) ** 2 * w))
@@ -515,7 +511,7 @@ def _pointwise_residual(pm, h):
 
 
 def test_small_h_residual_matches_pointwise_reference():
-    # the workhorse at h = 1e-3 (185 k disc nodes): the tensor kernel on the
+    # the workhorse at h = 1e-3 (185 k disc nodes): the series kernel on the
     # Gauss square against Horner at each node
     field = polynomial_field(8.0, 0.3 + 1j, 1.0)
     pm = make_pseudomode(field, solve_wkb(field, N=2), N=2)
@@ -556,10 +552,11 @@ def test_mode_exponential_matches_complex_exp():
     for h in (0.1, 1e-3, 1e-5):
         n = pseudomode.quadrature_points(h, pm.cutoff.r_out)
         x = pm.cutoff.r_out * pseudomode._gauss_rule(n)[0][:: max(1, n // 600)]
-        keep = np.hypot(x[:, None], x[None, :]) < pm.cutoff.r_out
-        P = pm.phase.P.realify_grid(x, x)[keep]
+        s, t = x[:, None], x[None, :]
+        keep = np.hypot(s, t) < pm.cutoff.r_out
+        P = pm.phase.P.realify(s, t)[keep]
         amp = pseudomode._amplitude(pm.sol, h, pm.N_used(h))
-        E = pseudomode._mode(h, P, amp.realify_grid(x, x)[keep], 1.0)[0]
+        E = pseudomode._mode(h, P, amp.realify(s, t)[keep], 1.0)[0]
         with np.errstate(under="ignore"):
             ref = np.exp(-P / h)
         size = np.abs(ref)
@@ -732,6 +729,36 @@ def test_fd_evaluator_agrees_with_series():
     r_fd = residual_finite_difference(pm, h, n=384)
     assert r_fd.evaluator == "finite_difference"
     assert abs(r_fd.ratio - r_series.ratio) < 0.1 * r_series.ratio
+
+
+def test_fd_norms_are_summed_over_the_support_box(work_setup, monkeypatch):
+    # once apply_L has returned, u and its image are the n x n arrays; the
+    # norms, summed over u's box widened by the stencils' reach (a quarter of
+    # the grid), add under one n x n complex array to the traced memory.
+    # Summed over the whole arrays they added two (the residual and the
+    # squares of its magnitudes)
+    from cmag_wkb import numop
+
+    field, rep, sol, pm = work_setup
+    n = 256
+    apply_L, held = numop.apply_L, []
+
+    def marking(*args, **kwargs):
+        image = apply_L(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return image
+
+    monkeypatch.setattr(numop, "apply_L", marking)
+    residual_finite_difference(pm, 0.05, n)  # builds the cached series tables
+    tracemalloc.start()
+    try:
+        report = residual_finite_difference(pm, 0.05, n)
+        added = tracemalloc.get_traced_memory()[1] - held[-1]
+    finally:
+        tracemalloc.stop()
+    assert report.ratio > 0
+    assert added < 16 * n * n
 
 
 def test_adaptive_rule_and_budget_clip(work_setup, caplog):
